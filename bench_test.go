@@ -160,34 +160,10 @@ func BenchmarkMachineStep(b *testing.B) {
 	s.Run(b.N)
 }
 
-// BenchmarkMachineStepSuperblock is BenchmarkMachineStep with the
-// engine configuration made explicit: predecode cache and superblock
-// engine on (the default). Kept as a separate name so CI bench history
-// tracks the engines individually even if the default ever changes.
-func BenchmarkMachineStepSuperblock(b *testing.B) {
-	s := core.MustNew(core.Config{Approach: core.ApproachBaseline})
-	s.M.SetDecodeCache(true)
-	s.M.SetSuperblocks(true)
-	s.Run(10000) // past boot
-	b.ResetTimer()
-	s.Run(b.N)
-}
-
-// BenchmarkMachineStepPredecode measures the PR 4 configuration:
-// predecode cache on, superblock engine off. The gap to
-// BenchmarkMachineStepSuperblock is the batching + threaded-dispatch
-// win; the gap to BenchmarkMachineStepInterp is the decode-cache win.
-func BenchmarkMachineStepPredecode(b *testing.B) {
-	s := core.MustNew(core.Config{Approach: core.ApproachBaseline})
-	s.M.SetSuperblocks(false)
-	s.Run(10000) // past boot
-	b.ResetTimer()
-	s.Run(b.N)
-}
-
 // BenchmarkMachineStepInterp measures the reference interpreter alone:
-// decode cache (and with it the superblock engine) off, every step a
-// byte-wise fetch–decode–execute.
+// SetDecodeCache(false) turns the superblock engine off, so every step
+// is a byte-wise fetch–decode–execute. The gap to BenchmarkMachineStep
+// is the block engine's win.
 func BenchmarkMachineStepInterp(b *testing.B) {
 	s := core.MustNew(core.Config{Approach: core.ApproachBaseline})
 	s.M.SetDecodeCache(false)

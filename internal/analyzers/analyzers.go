@@ -6,7 +6,7 @@
 // The analyzers encode contracts that otherwise live only in prose:
 //
 //   - genbump: every mem.Bus mutation path bumps a page-generation
-//     counter (the decode cache's soundness precondition).
+//     counter (the superblock engine's soundness precondition).
 //   - detmap: no raw map iteration feeding digests, voters or JSON
 //     exporters in the deterministic result paths.
 //   - probenil: observability probes are nil-checked before every Emit

@@ -6,13 +6,13 @@ import (
 	"sort"
 )
 
-// Genbump enforces the decode cache's soundness precondition inside
+// Genbump enforces the superblock engine's soundness precondition inside
 // internal/mem: every Bus method that mutates backing memory — an
 // assignment through b.data, or a copy() whose destination is b.data —
 // must bump a page generation, either directly (touching b.gens) or by
 // calling, transitively, a sibling method that does. A mutation path
-// that skips the bump would let machine.Machine replay stale predecoded
-// instructions (see internal/machine/cache.go).
+// that skips the bump would let machine.Machine replay stale decoded
+// instructions (see internal/machine/superblock.go).
 //
 // The superblock engine adds a second precondition (the stamp rule):
 // every method that bumps a page generation directly must also advance
@@ -154,7 +154,7 @@ func runGenbump(pkg *Package, report func(token.Pos, string, ...any)) {
 			return true
 		})
 		if mutation != nil && !bumps[name] {
-			report(mutation.Pos(), "Bus.%s mutates %s.data without bumping a page generation; stale decode-cache entries would survive", name, m.recv)
+			report(mutation.Pos(), "Bus.%s mutates %s.data without bumping a page generation; stale superblock entries would survive", name, m.recv)
 		}
 	}
 }

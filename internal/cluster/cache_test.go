@@ -7,18 +7,17 @@ import (
 	"ssos/internal/core"
 )
 
-// TestClusterDigestsWithDecodeCacheOnOff runs the same cluster three
-// times — with the replicas' full engine stack (predecode cache +
-// superblocks, the default), with superblocks disabled before every
-// epoch, and with the decode cache (and so the whole stack) disabled —
-// and requires identical voting history: every EpochStat (including the
+// TestClusterDigestsWithDecodeCacheOnOff runs the same cluster twice —
+// with the replicas on the superblock engine (the default) and on the
+// reference interpreter (SetDecodeCache(false)) — and requires
+// identical voting history: every EpochStat (including the
 // winning state digests) and every reconfiguration event. Replica
 // digests summarize full machine state, so this pins the engines'
 // bit-identical-execution guarantee at cluster scale, under the
 // cluster's own strike schedule and per-replica fault injectors.
 func TestClusterDigestsWithDecodeCacheOnOff(t *testing.T) {
 	const epochs = 6
-	run := func(engine string) ([]EpochStat, []Event) {
+	run := func(interp bool) ([]EpochStat, []Event) {
 		c := MustNew(Config{
 			Replicas: 3,
 			Approach: core.ApproachReinstall,
@@ -27,13 +26,10 @@ func TestClusterDigestsWithDecodeCacheOnOff(t *testing.T) {
 		})
 		for e := 0; e < epochs; e++ {
 			// Reinstalled/evicted replicas come back as fresh machines
-			// with the full stack re-enabled, so re-apply the engine
-			// configuration at every epoch boundary.
-			for _, r := range c.replicas {
-				switch engine {
-				case "predecode":
-					r.sys.M.SetSuperblocks(false)
-				case "interp":
+			// on the default engine, so re-apply the engine choice at
+			// every epoch boundary.
+			if interp {
+				for _, r := range c.replicas {
 					r.sys.M.SetDecodeCache(false)
 				}
 			}
@@ -42,21 +38,19 @@ func TestClusterDigestsWithDecodeCacheOnOff(t *testing.T) {
 		return c.Stats, c.Events
 	}
 
-	statsSB, eventsSB := run("superblock")
+	statsSB, eventsSB := run(false)
 	for i, st := range statsSB {
 		if st.Digest == 0 {
 			t.Fatalf("epoch %d: zero digest (no cluster output?)", i)
 		}
 	}
-	for _, engine := range []string{"predecode", "interp"} {
-		stats, events := run(engine)
-		if !reflect.DeepEqual(statsSB, stats) {
-			t.Fatalf("epoch stats diverged between superblock and %s:\n  sb: %+v\n  %s: %+v",
-				engine, statsSB, engine, stats)
-		}
-		if !reflect.DeepEqual(eventsSB, events) {
-			t.Fatalf("reconfiguration events diverged between superblock and %s:\n  sb: %+v\n  %s: %+v",
-				engine, eventsSB, engine, events)
-		}
+	stats, events := run(true)
+	if !reflect.DeepEqual(statsSB, stats) {
+		t.Fatalf("epoch stats diverged between superblock and interp:\n      sb: %+v\n  interp: %+v",
+			statsSB, stats)
+	}
+	if !reflect.DeepEqual(eventsSB, events) {
+		t.Fatalf("reconfiguration events diverged between superblock and interp:\n      sb: %+v\n  interp: %+v",
+			eventsSB, events)
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"ssos/internal/obs"
 )
 
-// The differential harness for the predecoded instruction cache: a
-// cache-enabled and a cache-disabled machine are driven in lockstep —
-// same guest, same randomized initial configuration, same injected
-// faults at the same steps — and must agree on every observable at
-// every step. This is the soundness argument for the fast path made
-// executable: from ANY initial configuration, under active fault
-// injection, serving a cached decode must be bit-identical to
-// re-decoding from memory.
+// The engine differential harness: a superblock-engine machine (the
+// default) and a reference-interpreter machine (SetDecodeCache(false))
+// are driven in lockstep — same guest, same randomized initial
+// configuration, same injected faults at the same steps — and must
+// agree on every observable. This is the soundness argument for the
+// fast path made executable: from ANY initial configuration, under
+// active fault injection, serving a block entry decoded earlier must be
+// bit-identical to re-decoding from memory. Stats compare through
+// Arch(): the Block* counters are engine telemetry.
 
 // diffPair is one lockstep pair of systems.
 type diffPair struct {
@@ -38,6 +39,12 @@ func newDiffPair(t *testing.T, ap Approach) *diffPair {
 	p.fast.Instrument(p.colF)
 	p.slow.Instrument(p.colS)
 	return p
+}
+
+// each applies the same mutation to both systems.
+func (p *diffPair) each(f func(s *System)) {
+	f(p.fast)
+	f(p.slow)
 }
 
 // pokeBoth writes the same byte to the same address on both buses.
@@ -86,10 +93,10 @@ func (p *diffPair) injectSame(rng *rand.Rand) {
 func (p *diffPair) compare(t *testing.T, tag string) {
 	t.Helper()
 	if p.fast.M.CPU != p.slow.M.CPU {
-		t.Fatalf("%s: CPU diverged:\n cached: %+v\nuncached: %+v", tag, p.fast.M.CPU, p.slow.M.CPU)
+		t.Fatalf("%s: CPU diverged:\nsuperblock: %+v\n    interp: %+v", tag, p.fast.M.CPU, p.slow.M.CPU)
 	}
-	if p.fast.M.Stats != p.slow.M.Stats {
-		t.Fatalf("%s: stats diverged:\n cached: %v\nuncached: %v", tag, p.fast.M.Stats, p.slow.M.Stats)
+	if p.fast.M.Stats.Arch() != p.slow.M.Stats.Arch() {
+		t.Fatalf("%s: stats diverged:\nsuperblock: %v\n    interp: %v", tag, p.fast.M.Stats, p.slow.M.Stats)
 	}
 	if !bytes.Equal(p.fast.M.Bus.Snapshot(), p.slow.M.Bus.Snapshot()) {
 		t.Fatalf("%s: memory images diverged", tag)
@@ -106,8 +113,9 @@ func (p *diffPair) compare(t *testing.T, tag string) {
 	}
 }
 
-// TestDecodeCacheDifferential runs cached and uncached machines in
-// lockstep under continuous fault injection, for every transferable
+// TestDecodeCacheDifferential steps block-engine and interpreter
+// machines in lockstep, one Step at a time, under continuous fault
+// injection, for every transferable
 // kernel approach, from both the clean boot state and fully randomized
 // RAM + CPU configurations.
 func TestDecodeCacheDifferential(t *testing.T) {
@@ -147,7 +155,7 @@ func TestDecodeCacheDifferential(t *testing.T) {
 				}
 				evF, evS := p.fast.M.Step(), p.slow.M.Step()
 				if evF != evS {
-					t.Fatalf("approach %v trial %d step %d: event diverged: cached=%v uncached=%v",
+					t.Fatalf("approach %v trial %d step %d: event diverged: superblock=%v interp=%v",
 						ap, trial, i, evF, evS)
 				}
 			}
@@ -156,71 +164,13 @@ func TestDecodeCacheDifferential(t *testing.T) {
 	}
 }
 
-// diffTriple is one lockstep triple of systems: full engine stack
-// (decode cache + superblocks), predecode only, reference interpreter.
-type diffTriple struct {
-	sys [3]*System
-	col [3]*obs.Collector
-}
-
-var tripleLabels = [3]string{"superblock", "predecode", "interp"}
-
-func newDiffTriple(t *testing.T, ap Approach) *diffTriple {
-	t.Helper()
-	p := &diffTriple{}
-	for i := range p.sys {
-		p.sys[i] = MustNew(Config{Approach: ap})
-		p.col[i] = obs.NewCollector()
-		p.sys[i].Instrument(p.col[i])
-	}
-	p.sys[1].M.SetSuperblocks(false)
-	p.sys[2].M.SetDecodeCache(false)
-	return p
-}
-
-func (p *diffTriple) each(f func(s *System)) {
-	for _, s := range p.sys {
-		f(s)
-	}
-}
-
-// compare asserts that every observable of the triple is identical.
-// Stats compare through Arch(): block counters are engine telemetry.
-func (p *diffTriple) compare(t *testing.T, tag string) {
-	t.Helper()
-	ref := p.sys[2]
-	for i := 0; i < 2; i++ {
-		lbl := tripleLabels[i]
-		if p.sys[i].M.CPU != ref.M.CPU {
-			t.Fatalf("%s: %s CPU diverged:\n%s: %+v\ninterp: %+v",
-				tag, lbl, lbl, p.sys[i].M.CPU, ref.M.CPU)
-		}
-		if p.sys[i].M.Stats.Arch() != ref.M.Stats.Arch() {
-			t.Fatalf("%s: %s stats diverged:\n%s: %v\ninterp: %v",
-				tag, lbl, lbl, p.sys[i].M.Stats, ref.M.Stats)
-		}
-		if !bytes.Equal(p.sys[i].M.Bus.Snapshot(), ref.M.Bus.Snapshot()) {
-			t.Fatalf("%s: %s memory image diverged", tag, lbl)
-		}
-		if !reflect.DeepEqual(p.col[i].Events(), p.col[2].Events()) {
-			t.Fatalf("%s: %s observability event stream diverged (%d vs %d events)",
-				tag, lbl, len(p.col[i].Events()), len(p.col[2].Events()))
-		}
-		if ref.Heartbeat != nil {
-			if !reflect.DeepEqual(p.sys[i].Heartbeat.Writes(), ref.Heartbeat.Writes()) {
-				t.Fatalf("%s: %s heartbeat stream diverged", tag, lbl)
-			}
-		}
-	}
-}
-
-// TestSuperblockDifferentialRunBatches drives the three engines through
-// real guest kernels via Run in uneven batches — the only path that
-// exercises the batched loop, turbo lane and block chaining — with
-// identical faults injected at batch boundaries, from both the clean
-// boot state and fully randomized RAM + CPU configurations. The
-// two-way Step-driven suite above remains as-is; this one covers what
-// Step cannot reach.
+// TestSuperblockDifferentialRunBatches drives both engines through real
+// guest kernels via Run in uneven batches — the only path that
+// exercises the turbo lane and block chaining — with identical faults
+// injected at batch boundaries, from both the clean boot state and
+// fully randomized RAM + CPU configurations. The Step-driven suite
+// above covers Step's block-engine slot; this one covers what Step
+// cannot reach.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
@@ -228,16 +178,15 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	}
 	for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
 		for trial := 0; trial < trials; trial++ {
-			p := newDiffTriple(t, ap)
+			p := newDiffPair(t, ap)
 			rng := rand.New(rand.NewSource(int64(31000 + 100*int(ap) + trial)))
 
 			if trial%2 == 1 {
-				// Any-state start, identical across the triple.
+				// Any-state start, identical across the pair.
 				for a := 0; a < mem.AddrSpace; a++ {
-					v := byte(rng.Intn(256))
-					p.each(func(s *System) { s.M.Bus.PokeRAM(uint32(a), v) })
+					p.pokeBoth(uint32(a), byte(rng.Intn(256)))
 				}
-				cpu := p.sys[0].M.CPU
+				cpu := p.fast.M.CPU
 				for i := range cpu.R {
 					cpu.R[i] = uint16(rng.Intn(1 << 16))
 				}
@@ -247,7 +196,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 				cpu.IP = uint16(rng.Intn(1 << 16))
 				cpu.Flags = isa.Flags(rng.Intn(1 << 16))
 				cpu.NMICounter = uint16(rng.Intn(1 << 16))
-				p.each(func(s *System) { s.M.CPU = cpu })
+				p.fast.M.CPU, p.slow.M.CPU = cpu, cpu
 			}
 
 			for b := 0; b < batches; b++ {
@@ -255,11 +204,11 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 					switch rng.Intn(7) {
 					case 0:
 						a := uint32(rng.Intn(mem.AddrSpace))
-						v := p.sys[0].M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
+						v := p.fast.M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
 						p.each(func(s *System) { s.M.Bus.PokeRAM(a, v) })
 					case 1: // land on the live code stream
-						a := (uint32(p.sys[0].M.CPU.S[isa.CS])<<4 +
-							uint32(p.sys[0].M.CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
+						a := (uint32(p.fast.M.CPU.S[isa.CS])<<4 +
+							uint32(p.fast.M.CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
 						v := byte(rng.Intn(256))
 						p.each(func(s *System) { s.M.Bus.PokeRAM(a, v) })
 					case 2:
@@ -282,7 +231,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 				n := rng.Intn(197) + 1
 				p.each(func(s *System) { s.M.Run(n) })
 				// Cheap per-batch agreement; full compare at trial end.
-				if p.sys[0].M.CPU != p.sys[2].M.CPU || p.sys[1].M.CPU != p.sys[2].M.CPU {
+				if p.fast.M.CPU != p.slow.M.CPU {
 					p.compare(t, "batch")
 				}
 			}
@@ -294,7 +243,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 // TestDecodeCacheDifferentialSelfModifying pins the hardest staleness
 // case deliberately rather than probabilistically: the guest's own
 // stores land on top of upcoming instructions (a store to cs:ip+k),
-// so a stale cache entry would execute the overwritten instruction.
+// so a stale block entry would execute the overwritten instruction.
 func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
 	p := newDiffPair(t, ApproachBaseline)
 	rng := rand.New(rand.NewSource(4242))
@@ -302,7 +251,7 @@ func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		if i%7 == 0 {
 			// Overwrite a byte right around the current instruction
-			// stream of the cached machine.
+			// stream of the block-engine machine.
 			lin := (uint32(p.fast.M.CPU.S[isa.CS])<<4 + uint32(p.fast.M.CPU.IP) + uint32(rng.Intn(8))) & mem.AddrMask
 			p.pokeBoth(lin, byte(rng.Intn(256)))
 		}
@@ -311,7 +260,7 @@ func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
 		}
 		evF, evS := p.fast.M.Step(), p.slow.M.Step()
 		if evF != evS {
-			t.Fatalf("step %d: event diverged: cached=%v uncached=%v", i, evF, evS)
+			t.Fatalf("step %d: event diverged: superblock=%v interp=%v", i, evF, evS)
 		}
 	}
 	p.compare(t, "self-modifying/final")

@@ -321,8 +321,8 @@ func (o Options) trials(def int) int {
 		return o.Trials
 	}
 	if o.Quick {
-		// The predecoded-instruction-cache fast path bought roughly a
-		// 3x cheaper machine step, so quick mode affords more trials
+		// The fast step engine makes a machine step roughly 3x cheaper
+		// than the byte-wise interpreter, so quick mode affords more trials
 		// per cell than the original cap of 5 at the same wall-clock
 		// budget; 8 tightens the quick-mode confidence intervals.
 		if def > 8 {

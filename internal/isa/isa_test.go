@@ -347,7 +347,7 @@ func TestInvalidRegisterStrings(t *testing.T) {
 }
 
 // TestInstLenCacheabilityContract verifies the contract InstLen
-// documents for the machine's predecoded instruction cache: for every
+// documents for the machine's superblock engine: for every
 // possible first byte, Decode's result is a pure function of the bytes
 // [0, InstLen(b)) — trailing bytes never matter — and the decoded size
 // equals InstLen for every accepted instruction.

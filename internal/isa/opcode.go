@@ -282,11 +282,11 @@ func (op Op) Serializing() bool { return instrTable[op].serial || !instrTable[op
 // InstLen returns the full encoded length implied by an instruction's
 // first byte, or 0 when the byte is not a defined opcode.
 //
-// This is the cacheability contract the machine's predecoded
-// instruction cache is built on: encoded length is a pure function of
-// the first byte, and Decode's result depends on exactly the bytes
-// [0, InstLen(b[0])) — never on later bytes. A cached decode therefore
-// stays valid for as long as that byte range is unwritten, which the
+// This is the cacheability contract the machine's superblock engine
+// is built on: encoded length is a pure function of the first byte,
+// and Decode's result depends on exactly the bytes
+// [0, InstLen(b[0])) — never on later bytes. A decoded block entry
+// therefore stays valid for as long as that byte range is unwritten, which the
 // memory bus tracks with page write-generations.
 func InstLen(b byte) int { return int(instrTable[b].size) }
 

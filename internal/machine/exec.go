@@ -2,272 +2,540 @@ package machine
 
 import "ssos/internal/isa"
 
-// execute performs one fetch-decode-execute unit of work. Invalid
-// encodings raise the invalid-opcode exception; faulting stores raise
-// the general-protection exception with ip still addressing the
-// faulting instruction.
+// execute performs one fetch-decode-execute unit of work through the
+// byte-wise reference path. Invalid encodings raise the invalid-opcode
+// exception; faulting stores raise the general-protection exception
+// with ip still addressing the faulting instruction.
 func (m *Machine) execute() Event {
 	in, size, ok := m.fetch()
 	if !ok {
 		return m.raiseException(VecInvalidOpcode)
 	}
-	return m.exec1(in, m.CPU.IP+uint16(size))
+	return ops[in.Op](m, in, m.CPU.IP+uint16(size))
 }
 
-// exec1 executes one already-decoded instruction whose first byte the
-// current ip addresses, with nextIP its sequential successor (ip+size).
-// It is the single semantic core shared by the interpreter (execute,
-// above) and the superblock engine (superblock.go), which precomputes
-// nextIP at block-build time; any behavioural change here changes both
-// engines identically.
-func (m *Machine) exec1(in *isa.Inst, nextIP uint16) Event {
+// fetch reads and decodes the instruction at cs:ip byte by byte, with
+// full 16-bit segment-offset and 20-bit linear wrap-around. The first
+// byte bounds the read via isa.InstLen, so short instructions cost
+// proportionally fewer bus loads. The result lands in m.fetched, so the
+// step loop never allocates.
+func (m *Machine) fetch() (*isa.Inst, int, bool) {
+	var buf [isa.MaxInstrSize]byte
+	buf[0] = m.Bus.LoadByte(m.Linear(isa.CS, m.CPU.IP))
+	n := isa.InstLen(buf[0])
+	if n == 0 {
+		n = 1 // invalid opcode: Decode needs only the first byte
+	}
+	for i := 1; i < n; i++ {
+		buf[i] = m.Bus.LoadByte(m.Linear(isa.CS, m.CPU.IP+uint16(i)))
+	}
+	in, size, ok := isa.Decode(buf[:n])
+	m.fetched = in
+	return &m.fetched, size, ok
+}
+
+// opFn executes one decoded instruction whose first byte the current ip
+// addresses, with next its sequential successor (ip+size). On normal
+// completion it moves ip to the next instruction to run and counts the
+// instruction; on an exception ip still addresses the instruction.
+type opFn func(m *Machine, in *isa.Inst, next uint16) Event
+
+// ops is the machine's instruction semantics: one executor per opcode
+// byte, opInvalid for every byte the isa leaves undefined. Both engines
+// dispatch through it — the interpreter per fetched instruction
+// (execute), the superblock engine through the executor each block
+// entry stores — so the two cannot disagree on what an instruction
+// does.
+var ops [256]opFn
+
+// The table init is a noalloc root: the engines reach the executors
+// only through ops or a block entry's fn (func values, outside the
+// static call graph), so rooting the table population here pulls every
+// executor into the hot closure.
+//
+//ssos:hotpath
+func init() {
+	ops = [256]opFn{
+		isa.OpNop:   opNop,
+		isa.OpHlt:   opHlt,
+		isa.OpCld:   opCld,
+		isa.OpStd:   opStd,
+		isa.OpSti:   opSti,
+		isa.OpCli:   opCli,
+		isa.OpIret:  opIret,
+		isa.OpPushf: opPushf,
+		isa.OpPopf:  opPopf,
+
+		isa.OpMovRI:   opMovRI,
+		isa.OpMovRR:   opMovRR,
+		isa.OpMovSR:   opMovSR,
+		isa.OpMovRS:   opMovRS,
+		isa.OpMovRM:   opMovRM,
+		isa.OpMovMR:   opMovMR,
+		isa.OpMovMI:   opMovMI,
+		isa.OpMovSM:   opMovSM,
+		isa.OpMovMS:   opMovMS,
+		isa.OpMovR8I:  opMovR8I,
+		isa.OpMovR8R8: opMovR8R8,
+
+		isa.OpAddRR: opAddRR,
+		isa.OpAddRI: opAddRI,
+		isa.OpAddRM: opAddRM,
+		isa.OpSubRR: opSubRR,
+		isa.OpSubRI: opSubRI,
+		isa.OpIncR:  opIncR,
+		isa.OpDecR:  opDecR,
+		isa.OpAndRR: opAndRR,
+		isa.OpAndRI: opAndRI,
+		isa.OpOrRR:  opOrRR,
+		isa.OpOrRI:  opOrRI,
+		isa.OpXorRR: opXorRR,
+		isa.OpCmpRR: opCmpRR,
+		isa.OpCmpRI: opCmpRI,
+		isa.OpCmpRM: opCmpRM,
+		isa.OpLea:   opLea,
+		isa.OpMulR8: opMulR8,
+		isa.OpShlRI: opShlRI,
+		isa.OpShrRI: opShrRI,
+
+		isa.OpJmp:    opJmp,
+		isa.OpJmpFar: opJmpFar,
+		isa.OpJe:     opJe,
+		isa.OpJne:    opJne,
+		isa.OpJb:     opJb,
+		isa.OpJbe:    opJbe,
+		isa.OpJa:     opJa,
+		isa.OpJae:    opJae,
+		isa.OpLoop:   opLoop,
+		isa.OpCall:   opCall,
+		isa.OpRet:    opRet,
+
+		isa.OpPushR: opPushR,
+		isa.OpPopR:  opPopR,
+		isa.OpPushI: opPushI,
+		isa.OpPushS: opPushS,
+		isa.OpPopS:  opPopS,
+
+		isa.OpMovsb:    opMovsb,
+		isa.OpRepMovsb: opRepMovsb,
+		isa.OpStosb:    opStosb,
+		isa.OpLodsb:    opLodsb,
+
+		isa.OpOutI:  opOutI,
+		isa.OpInI:   opInI,
+		isa.OpOutDx: opOutDx,
+		isa.OpInDx:  opInDx,
+		isa.OpInt:   opInt,
+		isa.OpWPSet: opWPSet,
+	}
+	for i := range ops {
+		if ops[i] == nil {
+			ops[i] = opInvalid
+		}
+	}
+}
+
+// retire completes an instruction normally: ip moves to next and the
+// instruction counts.
+func (m *Machine) retire(next uint16) Event {
+	m.CPU.IP = next
+	m.Stats.Instrs++
+	return EventInstr
+}
+
+// branch retires a conditional jump: to in.Imm when taken, else to next.
+func (m *Machine) branch(taken bool, in *isa.Inst, next uint16) Event {
+	if taken {
+		next = in.Imm
+	}
+	return m.retire(next)
+}
+
+// storeOp stores v through in's memory operand and retires; a refused
+// store raises #GP.
+func (m *Machine) storeOp(in *isa.Inst, v, next uint16) Event {
+	if !m.storeMem(in, v) {
+		return m.raiseException(VecGP)
+	}
+	return m.retire(next)
+}
+
+// pushOp pushes v and retires to next; a refused push restores sp and
+// raises #GP.
+func (m *Machine) pushOp(v, next uint16) Event {
+	if !m.pushGuarded(v) {
+		m.CPU.R[isa.SP] += 2
+		return m.raiseException(VecGP)
+	}
+	return m.retire(next)
+}
+
+func opInvalid(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.raiseException(VecInvalidOpcode)
+}
+
+func opNop(m *Machine, in *isa.Inst, next uint16) Event { return m.retire(next) }
+
+func opHlt(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Halted = true
+	return m.retire(next)
+}
+
+func opCld(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Flags = m.CPU.Flags.Without(isa.FlagDF)
+	return m.retire(next)
+}
+
+func opStd(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Flags = m.CPU.Flags.With(isa.FlagDF)
+	return m.retire(next)
+}
+
+func opSti(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Flags = m.CPU.Flags.With(isa.FlagIF)
+	return m.retire(next)
+}
+
+func opCli(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Flags = m.CPU.Flags.Without(isa.FlagIF)
+	return m.retire(next)
+}
+
+// opIret pops ip, cs, flags and re-arms the NMI machinery. With the
+// paper's counter hardware, iret zeroes the counter so a pending NMI is
+// deliverable immediately (Section 2).
+func opIret(m *Machine, in *isa.Inst, next uint16) Event {
 	c := &m.CPU
+	ip := m.pop()
+	c.S[isa.CS] = m.pop()
+	c.Flags = isa.Flags(m.pop())
+	c.NMICounter = 0
+	c.InNMI = false
+	return m.retire(ip)
+}
 
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpHlt:
-		c.Halted = true
-	case isa.OpCld:
-		c.Flags = c.Flags.Without(isa.FlagDF)
-	case isa.OpStd:
-		c.Flags = c.Flags.With(isa.FlagDF)
-	case isa.OpSti:
-		c.Flags = c.Flags.With(isa.FlagIF)
-	case isa.OpCli:
-		c.Flags = c.Flags.Without(isa.FlagIF)
+func opPushf(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.pushOp(uint16(m.CPU.Flags), next)
+}
 
-	case isa.OpIret:
-		// Pop ip, cs, flags; re-arm the NMI machinery. With the paper's
-		// counter hardware, iret zeroes the counter so a pending NMI is
-		// deliverable immediately (Section 2).
-		c.IP = m.pop()
-		c.S[isa.CS] = m.pop()
-		c.Flags = isa.Flags(m.pop())
-		c.NMICounter = 0
-		c.InNMI = false
-		m.Stats.Instrs++
-		return EventInstr
+func opPopf(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.Flags = isa.Flags(m.pop())
+	return m.retire(next)
+}
 
-	case isa.OpPushf:
-		if !m.pushGuarded(uint16(c.Flags)) {
-			c.R[isa.SP] += 2
-			return m.raiseException(VecGP)
-		}
-	case isa.OpPopf:
-		c.Flags = isa.Flags(m.pop())
+func opMovRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = in.Imm
+	return m.retire(next)
+}
 
-	case isa.OpMovRI:
-		c.R[in.R1] = in.Imm
-	case isa.OpMovRR:
-		c.R[in.R1] = c.R[in.R2]
-	case isa.OpMovSR:
-		c.S[in.R1] = c.R[in.R2]
-	case isa.OpMovRS:
-		c.R[in.R1] = c.S[in.R2]
-	case isa.OpMovRM:
-		c.R[in.R1] = m.loadMem(in)
-	case isa.OpMovMR:
-		if !m.storeMem(in, c.R[in.R1]) {
-			return m.raiseException(VecGP)
-		}
-	case isa.OpMovMI:
-		if !m.storeMem(in, in.Imm) {
-			return m.raiseException(VecGP)
-		}
-	case isa.OpMovSM:
-		c.S[in.R1] = m.loadMem(in)
-	case isa.OpMovMS:
-		if !m.storeMem(in, c.S[in.R1]) {
-			return m.raiseException(VecGP)
-		}
-	case isa.OpMovR8I:
-		c.SetReg8(isa.Reg8(in.R1), uint8(in.Imm))
-	case isa.OpMovR8R8:
-		c.SetReg8(isa.Reg8(in.R1), c.Reg8(isa.Reg8(in.R2)))
+func opMovRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.CPU.R[in.R2]
+	return m.retire(next)
+}
 
-	case isa.OpAddRR:
-		c.R[in.R1] = m.add16(c.R[in.R1], c.R[in.R2])
-	case isa.OpAddRI:
-		c.R[in.R1] = m.add16(c.R[in.R1], in.Imm)
-	case isa.OpAddRM:
-		c.R[in.R1] = m.add16(c.R[in.R1], m.loadMem(in))
-	case isa.OpSubRR:
-		c.R[in.R1] = m.sub16(c.R[in.R1], c.R[in.R2])
-	case isa.OpSubRI:
-		c.R[in.R1] = m.sub16(c.R[in.R1], in.Imm)
-	case isa.OpIncR:
-		// As on x86, inc/dec preserve CF.
-		c.R[in.R1]++
-		m.setZS(c.R[in.R1])
-	case isa.OpDecR:
-		c.R[in.R1]--
-		m.setZS(c.R[in.R1])
-	case isa.OpAndRR:
-		c.R[in.R1] = m.logic16(c.R[in.R1] & c.R[in.R2])
-	case isa.OpAndRI:
-		c.R[in.R1] = m.logic16(c.R[in.R1] & in.Imm)
-	case isa.OpOrRR:
-		c.R[in.R1] = m.logic16(c.R[in.R1] | c.R[in.R2])
-	case isa.OpOrRI:
-		c.R[in.R1] = m.logic16(c.R[in.R1] | in.Imm)
-	case isa.OpXorRR:
-		c.R[in.R1] = m.logic16(c.R[in.R1] ^ c.R[in.R2])
-	case isa.OpCmpRR:
-		m.sub16(c.R[in.R1], c.R[in.R2])
-	case isa.OpCmpRI:
-		m.sub16(c.R[in.R1], in.Imm)
-	case isa.OpCmpRM:
-		m.sub16(c.R[in.R1], m.loadMem(in))
-	case isa.OpLea:
-		c.R[in.R1] = m.effOff(in)
-	case isa.OpMulR8:
-		// ax = al * r8; carry/overflow signal a non-zero high byte.
-		prod := uint16(c.Reg8(isa.AL)) * uint16(c.Reg8(isa.Reg8(in.R1)))
-		c.R[isa.AX] = prod
-		c.Flags = c.Flags.Set(isa.FlagCF|isa.FlagOF, prod>>8 != 0)
-	case isa.OpShlRI:
-		n := uint(in.Imm) & 31
-		v := c.R[in.R1]
-		if n > 0 && n <= 16 {
-			c.Flags = c.Flags.Set(isa.FlagCF, v>>(16-n)&1 != 0)
-		}
-		c.R[in.R1] = m.logicKeepCF(v << n)
-	case isa.OpShrRI:
-		n := uint(in.Imm) & 31
-		v := c.R[in.R1]
-		if n > 0 && n <= 16 {
-			c.Flags = c.Flags.Set(isa.FlagCF, v>>(n-1)&1 != 0)
-		}
-		c.R[in.R1] = m.logicKeepCF(v >> n)
+func opMovSR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.S[in.R1] = m.CPU.R[in.R2]
+	return m.retire(next)
+}
 
-	case isa.OpJmp:
-		nextIP = in.Imm
-	case isa.OpJmpFar:
-		c.S[isa.CS] = in.Imm
-		nextIP = in.Imm2
-	case isa.OpJe:
-		if c.Flags.Has(isa.FlagZF) {
-			nextIP = in.Imm
-		}
-	case isa.OpJne:
-		if !c.Flags.Has(isa.FlagZF) {
-			nextIP = in.Imm
-		}
-	case isa.OpJb:
-		if c.Flags.Has(isa.FlagCF) {
-			nextIP = in.Imm
-		}
-	case isa.OpJbe:
-		if c.Flags.Has(isa.FlagCF) || c.Flags.Has(isa.FlagZF) {
-			nextIP = in.Imm
-		}
-	case isa.OpJa:
-		if !c.Flags.Has(isa.FlagCF) && !c.Flags.Has(isa.FlagZF) {
-			nextIP = in.Imm
-		}
-	case isa.OpJae:
-		if !c.Flags.Has(isa.FlagCF) {
-			nextIP = in.Imm
-		}
-	case isa.OpLoop:
-		c.R[isa.CX]--
-		if c.R[isa.CX] != 0 {
-			nextIP = in.Imm
-		}
-	case isa.OpCall:
-		if !m.pushGuarded(nextIP) {
-			c.R[isa.SP] += 2
-			return m.raiseException(VecGP)
-		}
-		nextIP = in.Imm
-	case isa.OpRet:
-		nextIP = m.pop()
+func opMovRS(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.CPU.S[in.R2]
+	return m.retire(next)
+}
 
-	case isa.OpPushR:
-		if !m.pushGuarded(c.R[in.R1]) {
-			c.R[isa.SP] += 2
-			return m.raiseException(VecGP)
-		}
-	case isa.OpPopR:
-		c.R[in.R1] = m.pop()
-	case isa.OpPushI:
-		if !m.pushGuarded(in.Imm) {
-			c.R[isa.SP] += 2
-			return m.raiseException(VecGP)
-		}
-	case isa.OpPushS:
-		if !m.pushGuarded(c.S[in.R1]) {
-			c.R[isa.SP] += 2
-			return m.raiseException(VecGP)
-		}
-	case isa.OpPopS:
-		c.S[in.R1] = m.pop()
+func opMovRM(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.loadMem(in)
+	return m.retire(next)
+}
 
-	case isa.OpMovsb:
+func opMovMR(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.storeOp(in, m.CPU.R[in.R1], next)
+}
+
+func opMovMI(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.storeOp(in, in.Imm, next)
+}
+
+func opMovSM(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.S[in.R1] = m.loadMem(in)
+	return m.retire(next)
+}
+
+func opMovMS(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.storeOp(in, m.CPU.S[in.R1], next)
+}
+
+func opMovR8I(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.SetReg8(isa.Reg8(in.R1), uint8(in.Imm))
+	return m.retire(next)
+}
+
+func opMovR8R8(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.SetReg8(isa.Reg8(in.R1), m.CPU.Reg8(isa.Reg8(in.R2)))
+	return m.retire(next)
+}
+
+func opAddRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.add16(m.CPU.R[in.R1], m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opAddRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.add16(m.CPU.R[in.R1], in.Imm)
+	return m.retire(next)
+}
+
+func opAddRM(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.add16(m.CPU.R[in.R1], m.loadMem(in))
+	return m.retire(next)
+}
+
+func opSubRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.sub16(m.CPU.R[in.R1], m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opSubRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.sub16(m.CPU.R[in.R1], in.Imm)
+	return m.retire(next)
+}
+
+// opIncR and opDecR preserve CF, as on x86.
+func opIncR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1]++
+	m.setZS(m.CPU.R[in.R1])
+	return m.retire(next)
+}
+
+func opDecR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1]--
+	m.setZS(m.CPU.R[in.R1])
+	return m.retire(next)
+}
+
+func opAndRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.logic16(m.CPU.R[in.R1] & m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opAndRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.logic16(m.CPU.R[in.R1] & in.Imm)
+	return m.retire(next)
+}
+
+func opOrRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.logic16(m.CPU.R[in.R1] | m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opOrRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.logic16(m.CPU.R[in.R1] | in.Imm)
+	return m.retire(next)
+}
+
+func opXorRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.logic16(m.CPU.R[in.R1] ^ m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opCmpRR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.sub16(m.CPU.R[in.R1], m.CPU.R[in.R2])
+	return m.retire(next)
+}
+
+func opCmpRI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.sub16(m.CPU.R[in.R1], in.Imm)
+	return m.retire(next)
+}
+
+func opCmpRM(m *Machine, in *isa.Inst, next uint16) Event {
+	m.sub16(m.CPU.R[in.R1], m.loadMem(in))
+	return m.retire(next)
+}
+
+func opLea(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.effOff(in)
+	return m.retire(next)
+}
+
+// opMulR8 computes ax = al * r8; carry/overflow signal a non-zero high
+// byte.
+func opMulR8(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	prod := uint16(c.Reg8(isa.AL)) * uint16(c.Reg8(isa.Reg8(in.R1)))
+	c.R[isa.AX] = prod
+	c.Flags = c.Flags.Set(isa.FlagCF|isa.FlagOF, prod>>8 != 0)
+	return m.retire(next)
+}
+
+func opShlRI(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	n := uint(in.Imm) & 31
+	v := c.R[in.R1]
+	if n > 0 && n <= 16 {
+		c.Flags = c.Flags.Set(isa.FlagCF, v>>(16-n)&1 != 0)
+	}
+	c.R[in.R1] = m.logicKeepCF(v << n)
+	return m.retire(next)
+}
+
+func opShrRI(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	n := uint(in.Imm) & 31
+	v := c.R[in.R1]
+	if n > 0 && n <= 16 {
+		c.Flags = c.Flags.Set(isa.FlagCF, v>>(n-1)&1 != 0)
+	}
+	c.R[in.R1] = m.logicKeepCF(v >> n)
+	return m.retire(next)
+}
+
+func opJmp(m *Machine, in *isa.Inst, next uint16) Event { return m.retire(in.Imm) }
+
+func opJmpFar(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.S[isa.CS] = in.Imm
+	return m.retire(in.Imm2)
+}
+
+func opJe(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(m.CPU.Flags.Has(isa.FlagZF), in, next)
+}
+
+func opJne(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(!m.CPU.Flags.Has(isa.FlagZF), in, next)
+}
+
+func opJb(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(m.CPU.Flags.Has(isa.FlagCF), in, next)
+}
+
+func opJbe(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(m.CPU.Flags.Has(isa.FlagCF) || m.CPU.Flags.Has(isa.FlagZF), in, next)
+}
+
+func opJa(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(!m.CPU.Flags.Has(isa.FlagCF) && !m.CPU.Flags.Has(isa.FlagZF), in, next)
+}
+
+func opJae(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.branch(!m.CPU.Flags.Has(isa.FlagCF), in, next)
+}
+
+func opLoop(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[isa.CX]--
+	return m.branch(m.CPU.R[isa.CX] != 0, in, next)
+}
+
+func opCall(m *Machine, in *isa.Inst, next uint16) Event { return m.pushOp(next, in.Imm) }
+
+func opRet(m *Machine, in *isa.Inst, next uint16) Event { return m.retire(m.pop()) }
+
+func opPushR(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.pushOp(m.CPU.R[in.R1], next)
+}
+
+func opPopR(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[in.R1] = m.pop()
+	return m.retire(next)
+}
+
+func opPushI(m *Machine, in *isa.Inst, next uint16) Event { return m.pushOp(in.Imm, next) }
+
+func opPushS(m *Machine, in *isa.Inst, next uint16) Event {
+	return m.pushOp(m.CPU.S[in.R1], next)
+}
+
+func opPopS(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.S[in.R1] = m.pop()
+	return m.retire(next)
+}
+
+func opMovsb(m *Machine, in *isa.Inst, next uint16) Event {
+	if !m.movsbOnce() {
+		return m.raiseException(VecGP)
+	}
+	return m.retire(next)
+}
+
+// opRepMovsb copies one byte per clock tick, resumably: ip stays on the
+// instruction until cx reaches zero. This matches the paper's reading of
+// rep movsb (Figure 1 line 9): a cx-bounded loop that always terminates
+// because cx strictly decreases.
+func opRepMovsb(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	if c.R[isa.CX] != 0 {
 		if !m.movsbOnce() {
 			return m.raiseException(VecGP)
 		}
-	case isa.OpRepMovsb:
-		// One byte per clock tick, resumable: ip stays on the
-		// instruction until cx reaches zero. This matches the paper's
-		// reading of rep movsb (Figure 1 line 9): a cx-bounded loop
-		// that always terminates because cx strictly decreases.
+		c.R[isa.CX]--
 		if c.R[isa.CX] != 0 {
-			if !m.movsbOnce() {
-				return m.raiseException(VecGP)
-			}
-			c.R[isa.CX]--
-			if c.R[isa.CX] != 0 {
-				nextIP = c.IP
-			}
+			next = c.IP
 		}
-	case isa.OpStosb:
-		dst := m.Linear(isa.ES, c.R[isa.DI])
-		if !m.storeAllowed(dst) || !m.Bus.StoreByte(dst, c.Reg8(isa.AL)) {
-			return m.raiseException(VecGP)
-		}
-		c.R[isa.DI] = m.stringAdvance(c.R[isa.DI])
-	case isa.OpLodsb:
-		c.SetReg8(isa.AL, m.Bus.LoadByte(m.Linear(isa.DS, c.R[isa.SI])))
-		c.R[isa.SI] = m.stringAdvance(c.R[isa.SI])
-
-	case isa.OpOutI:
-		m.portOut(in.Imm, c.R[isa.AX])
-	case isa.OpInI:
-		c.R[isa.AX] = m.portIn(in.Imm)
-	case isa.OpOutDx:
-		m.portOut(c.R[isa.DX], c.R[isa.AX])
-	case isa.OpInDx:
-		c.R[isa.AX] = m.portIn(c.R[isa.DX])
-
-	case isa.OpWPSet:
-		c.WP = c.R[in.R1]
-
-	case isa.OpInt:
-		c.IP = nextIP // resume after the int instruction
-		m.Stats.Instrs++
-		m.push(uint16(c.Flags))
-		m.push(c.S[isa.CS])
-		m.push(c.IP)
-		c.Flags = c.Flags.Without(isa.FlagIF)
-		target := m.idtEntry(uint8(in.Imm))
-		c.S[isa.CS] = target.Seg
-		c.IP = target.Off
-		return EventInstr
-
-	default:
-		return m.raiseException(VecInvalidOpcode)
 	}
+	return m.retire(next)
+}
 
-	c.IP = nextIP
+func opStosb(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	dst := m.Linear(isa.ES, c.R[isa.DI])
+	if !m.storeAllowed(dst) || !m.Bus.StoreByte(dst, c.Reg8(isa.AL)) {
+		return m.raiseException(VecGP)
+	}
+	c.R[isa.DI] = m.stringAdvance(c.R[isa.DI])
+	return m.retire(next)
+}
+
+func opLodsb(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	c.SetReg8(isa.AL, m.Bus.LoadByte(m.Linear(isa.DS, c.R[isa.SI])))
+	c.R[isa.SI] = m.stringAdvance(c.R[isa.SI])
+	return m.retire(next)
+}
+
+func opOutI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.portOut(in.Imm, m.CPU.R[isa.AX])
+	return m.retire(next)
+}
+
+func opInI(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[isa.AX] = m.portIn(in.Imm)
+	return m.retire(next)
+}
+
+func opOutDx(m *Machine, in *isa.Inst, next uint16) Event {
+	m.portOut(m.CPU.R[isa.DX], m.CPU.R[isa.AX])
+	return m.retire(next)
+}
+
+func opInDx(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.R[isa.AX] = m.portIn(m.CPU.R[isa.DX])
+	return m.retire(next)
+}
+
+func opWPSet(m *Machine, in *isa.Inst, next uint16) Event {
+	m.CPU.WP = m.CPU.R[in.R1]
+	return m.retire(next)
+}
+
+// opInt vectors through the IDT; the pushed return address is the
+// instruction after the int.
+func opInt(m *Machine, in *isa.Inst, next uint16) Event {
+	c := &m.CPU
+	c.IP = next // resume after the int instruction
 	m.Stats.Instrs++
+	m.push(uint16(c.Flags))
+	m.push(c.S[isa.CS])
+	m.push(c.IP)
+	c.Flags = c.Flags.Without(isa.FlagIF)
+	target := m.idtEntry(uint8(in.Imm))
+	c.S[isa.CS] = target.Seg
+	c.IP = target.Off
 	return EventInstr
 }
 
 // effOff computes a memory operand's effective offset (16-bit wrap
 // within the segment). It and its siblings below are methods, not
-// per-execute closures, so the fetch–decode–execute hot loop stays
-// allocation-free.
+// per-execute closures, so the executors stay allocation-free.
 func (m *Machine) effOff(in *isa.Inst) uint16 {
 	off := in.Mem.Disp
 	if r, useBase := in.Mem.Base.Reg(); useBase {

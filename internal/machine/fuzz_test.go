@@ -63,12 +63,13 @@ func TestRandomProgramsNeverWedgeTheStepper(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCacheDifferential drives a cached and an uncached machine
-// in lockstep from a fuzz-chosen byte program: interleaved guest steps,
-// direct bus stores, PokeRAM fault injections and CPU corruptions, all
-// applied identically to both. The decode cache must never serve a
-// stale instruction, so the two machines must agree on every event and
-// end bit-identical.
+// FuzzDecodeCacheDifferential drives a block-engine and an interpreter
+// machine in lockstep, one Step at a time, from a fuzz-chosen byte
+// program: interleaved guest steps, direct bus stores, PokeRAM fault
+// injections and CPU corruptions, all applied identically to both. The
+// block engine must never serve a stale instruction, so the two
+// machines must agree on every event and end architecturally
+// bit-identical.
 func FuzzDecodeCacheDifferential(f *testing.F) {
 	// Seeds: plain stepping, self-modifying stosb soup, store-then-step
 	// interleavings, and fault-heavy schedules.
@@ -78,7 +79,7 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 0xAB, 0x05, 0x62, 1, 3}, 24))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, slow := newDiffMachines(t, Options{
+		p := newEnginePair(t, Options{
 			ResetVector:     SegOff{0x0100, 0},
 			NMICounter:      true,
 			ExceptionPolicy: ExceptionVector,
@@ -88,9 +89,9 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 		// inputs still execute something.
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 1024; i++ {
+			a := 0x1000 + uint32(i)
 			v := byte(rng.Intn(256))
-			fast.Bus.PokeRAM(0x1000+uint32(i), v)
-			slow.Bus.PokeRAM(0x1000+uint32(i), v)
+			pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 		}
 
 		pop := func() (byte, bool) {
@@ -113,57 +114,52 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				fast.Bus.PokeRAM(addr, v)
-				slow.Bus.PokeRAM(addr, v)
+				pairDo(p, func(m *Machine) { m.Bus.PokeRAM(addr, v) })
 			case 1: // run a batch of steps, comparing events each step
 				n, _ := pop()
 				for i := 0; i < int(n%64)+1; i++ {
-					stepBoth(t, fast, slow, "fuzz")
+					stepPair(t, p, "fuzz")
 					steps++
 				}
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()
 				v := uint16(hi)<<8 | uint16(lo)
-				fast.CPU.IP, slow.CPU.IP = v, v
+				pairDo(p, func(m *Machine) { m.CPU.IP = v })
 			case 3: // corrupt a register bank entry
 				r, _ := pop()
 				lo, _ := pop()
 				v := uint16(lo) | uint16(r)<<8
 				i := isa.Reg(r) % isa.NumRegs
-				fast.CPU.R[i], slow.CPU.R[i] = v, v
+				pairDo(p, func(m *Machine) { m.CPU.R[i] = v })
 			case 4: // raise NMI on both
-				fast.RaiseNMI()
-				slow.RaiseNMI()
+				pairDo(p, func(m *Machine) { m.RaiseNMI() })
 			case 5: // direct word store via the bus (DMA-style)
 				lo, _ := pop()
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				fast.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8)
-				slow.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8)
+				pairDo(p, func(m *Machine) { m.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8) })
 			case 6: // toggle halt latch
 				v, _ := pop()
 				h := v%2 == 0
-				fast.CPU.Halted, slow.CPU.Halted = h, h
+				pairDo(p, func(m *Machine) { m.CPU.Halted = h })
 			}
 		}
 		// Drain: a final burst so late mutations get executed.
 		for i := 0; i < 256; i++ {
-			stepBoth(t, fast, slow, "fuzz drain")
+			stepPair(t, p, "fuzz drain")
 		}
-		compareMachines(t, fast, slow, "fuzz final")
+		comparePair(t, p, "fuzz final")
 	})
 }
 
-// FuzzSuperblockDifferential extends FuzzDecodeCacheDifferential to the
-// full engine stack: superblock, predecode-only and reference machines
-// run the same fuzz-chosen schedule of stores, corruptions and step
-// batches. Batches go through Run — the only path that exercises the
-// batched loop, the turbo lane and block chaining — in fuzz-chosen
-// sizes, so cursors are left mid-block across mutations. Seeded from
-// the decode-cache target's corpus so every staleness schedule that
-// ever mattered there is replayed against the block engine too.
+// FuzzSuperblockDifferential is FuzzDecodeCacheDifferential with step
+// batches driven through Run — the only path that exercises the turbo
+// lane and block chaining — in fuzz-chosen sizes, so cursors are left
+// mid-block across mutations. It shares that target's seed corpus, so
+// every staleness schedule found there is replayed against the turbo
+// lane too.
 func FuzzSuperblockDifferential(f *testing.F) {
 	f.Add([]byte{1, 40, 1, 40})
 	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
@@ -171,7 +167,7 @@ func FuzzSuperblockDifferential(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 0xAB, 0x05, 0x62, 1, 3}, 24))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tri := newTriMachines(t, Options{
+		p := newEnginePair(t, Options{
 			ResetVector:     SegOff{0x0100, 0},
 			NMICounter:      true,
 			ExceptionPolicy: ExceptionVector,
@@ -181,7 +177,7 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		for i := 0; i < 1024; i++ {
 			a := 0x1000 + uint32(i)
 			v := byte(rng.Intn(256))
-			triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+			pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 		}
 
 		pop := func() (byte, bool) {
@@ -204,41 +200,41 @@ func FuzzSuperblockDifferential(f *testing.F) {
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				triDo(tri, func(m *Machine) { m.Bus.PokeRAM(addr, v) })
+				pairDo(p, func(m *Machine) { m.Bus.PokeRAM(addr, v) })
 			case 1: // run a batch, comparing state at the boundary
 				n, _ := pop()
 				k := int(n%64) + 1
-				triDo(tri, func(m *Machine) { m.Run(k) })
+				pairDo(p, func(m *Machine) { m.Run(k) })
 				steps += k
-				compareTriCPU(t, tri, "fuzz batch")
+				comparePairCPU(t, p, "fuzz batch")
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()
 				v := uint16(hi)<<8 | uint16(lo)
-				triDo(tri, func(m *Machine) { m.CPU.IP = v })
+				pairDo(p, func(m *Machine) { m.CPU.IP = v })
 			case 3: // corrupt a register bank entry
 				reg, _ := pop()
 				lo, _ := pop()
 				v := uint16(lo) | uint16(reg)<<8
 				i := isa.Reg(reg) % isa.NumRegs
-				triDo(tri, func(m *Machine) { m.CPU.R[i] = v })
-			case 4: // raise NMI on all
-				triDo(tri, func(m *Machine) { m.RaiseNMI() })
+				pairDo(p, func(m *Machine) { m.CPU.R[i] = v })
+			case 4: // raise NMI on both
+				pairDo(p, func(m *Machine) { m.RaiseNMI() })
 			case 5: // direct word store via the bus (DMA-style)
 				lo, _ := pop()
 				hi, _ := pop()
 				v, _ := pop()
 				addr := 0x1000 + (uint32(hi)<<8|uint32(lo))&0x0FFF
-				triDo(tri, func(m *Machine) { m.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8) })
+				pairDo(p, func(m *Machine) { m.Bus.StoreWord(addr, uint16(v)|uint16(v)<<8) })
 			case 6: // toggle halt latch
 				v, _ := pop()
 				h := v%2 == 0
-				triDo(tri, func(m *Machine) { m.CPU.Halted = h })
+				pairDo(p, func(m *Machine) { m.CPU.Halted = h })
 			}
 		}
 		// Drain: a final burst so late mutations get executed.
-		triDo(tri, func(m *Machine) { m.Run(256) })
-		compareTri(t, tri, "fuzz final")
+		pairDo(p, func(m *Machine) { m.Run(256) })
+		comparePair(t, p, "fuzz final")
 	})
 }
 

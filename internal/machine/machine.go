@@ -156,9 +156,9 @@ func (s Stats) Delta(prev Stats) Stats {
 
 // Arch returns the architectural counters with the engine-telemetry
 // Block* counters zeroed. Differential suites comparing execution
-// engines (interpreter vs predecode vs superblock) must compare
-// Arch() values: the engines agree bit-for-bit on what the machine
-// did, not on which fast path did it.
+// engines (interpreter vs superblock) must compare Arch() values: the
+// engines agree bit-for-bit on what the machine did, not on which fast
+// path did it.
 func (s Stats) Arch() Stats {
 	s.Blocks, s.BlockInstrs, s.BlockBails = 0, 0, 0
 	return s
@@ -205,26 +205,24 @@ type Machine struct {
 	ports   []portBinding
 	tickers []Ticker
 
-	// dcache is the predecoded instruction cache (decodecache.go);
-	// nil when disabled via SetDecodeCache. pageGens is the bus's
-	// write-generation array, cached so a probe is two array loads.
-	// slowInst is the scratch slot uncached decodes land in, so the
-	// hot loop never allocates.
-	dcache   *[dcSize]dcEntry
-	pageGens *[mem.NumPages]uint64
-	slowInst isa.Inst
-
 	// Superblock engine state (superblock.go): sblocks is the
-	// direct-mapped block table (nil when disabled via SetSuperblocks;
-	// individual blocks are allocated on demand so idle replicas stay
-	// small), sbCur/sbIdx the active block cursor, busStamp the bus's
-	// write-epoch counter, and sbStamp its value when the current
-	// block's span was last validated.
+	// direct-mapped block table (nil when SetDecodeCache(false) selects
+	// the interpreter; individual blocks are allocated on demand so idle
+	// replicas stay small), sbCur/sbIdx the active block cursor,
+	// pageGens the bus's write-generation array (cached so span
+	// validation is plain array loads), busStamp the bus's write-epoch
+	// counter, and sbStamp its value when the current block's span was
+	// last validated.
 	sblocks  *[sbSize]*superblock
 	sbCur    *superblock
 	sbIdx    int
+	pageGens *[mem.NumPages]uint64
 	busStamp *uint64
 	sbStamp  uint64
+
+	// fetched is the scratch slot the interpreter's fetch decodes
+	// into, so the step loop never allocates.
+	fetched isa.Inst
 
 	// AfterStep, when non-nil, is invoked after every step with the
 	// event that occurred. Monitors and fault injectors hook here.
@@ -246,7 +244,6 @@ func New(bus *mem.Bus, opts Options) *Machine {
 	m := &Machine{
 		Bus:      bus,
 		Opts:     opts,
-		dcache:   new([dcSize]dcEntry),
 		pageGens: bus.PageGens(),
 		sblocks:  new([sbSize]*superblock),
 		busStamp: bus.WriteStamp(),

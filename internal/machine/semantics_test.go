@@ -1,11 +1,30 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 )
+
+// TestOpsTableCoversISA pins the executor table to the instruction set:
+// every opcode byte has an executor, and it is opInvalid exactly when
+// the isa defines no instruction for that byte. A new opcode added to
+// the isa without an executor — or an executor left on a retired byte —
+// fails here.
+func TestOpsTableCoversISA(t *testing.T) {
+	invalid := reflect.ValueOf(opInvalid).Pointer()
+	for b := 0; b < 256; b++ {
+		op := isa.Op(b)
+		if ops[b] == nil {
+			t.Fatalf("ops[%#02x] (%s) is nil", b, op.Mnemonic())
+		}
+		if got := reflect.ValueOf(ops[b]).Pointer() == invalid; got == op.Valid() {
+			t.Errorf("ops[%#02x] (%s): opInvalid = %v, want %v", b, op.Mnemonic(), got, !op.Valid())
+		}
+	}
+}
 
 // TestALUFlagMatrix pins down flag semantics with a table of cases.
 func TestALUFlagMatrix(t *testing.T) {

@@ -26,7 +26,8 @@ func (m *Machine) Step() Event {
 	// The processor's unit of work, open-coded here (rather than a
 	// stepCPU helper) to keep the per-step call chain short: one
 	// compare rules out all three external pins; stepPins handles the
-	// rare latched cases.
+	// rare latched cases. Instructions run through the superblock
+	// engine unless SetDecodeCache(false) selected the interpreter.
 	var ev Event
 	handled := false
 	if m.pins != 0 {
@@ -36,6 +37,8 @@ func (m *Machine) Step() Event {
 		if m.CPU.Halted {
 			m.Stats.HaltTicks++
 			ev = EventHalted
+		} else if m.sblocks != nil {
+			ev = m.sbExec()
 		} else {
 			ev = m.execute()
 		}
@@ -54,15 +57,10 @@ func (m *Machine) Step() Event {
 	return ev
 }
 
-// Run executes n steps and returns the machine for chaining.
-//
-// With the superblock engine enabled and no AfterStep hook installed,
-// steps run through the batched loop (superblock.go), which is
-// semantically identical to calling Step n times — the fallback the
-// loop takes per-step whenever a hook appears (fault-injection windows,
-// monitors) or the engine is disabled. Both conditions are re-checked
-// every iteration, so a ticker or port device that installs a hook or
-// flips the engine mid-run is honoured from the very next step.
+// Run executes n steps and returns the machine for chaining. It is
+// semantically identical to calling Step n times; while no AfterStep
+// hook, ticker, latched pin or halt needs the full step skeleton, steps
+// retire through the superblock engine's turbo lane (runBatched).
 func (m *Machine) Run(n int) *Machine {
 	m.runBatched(n)
 	return m

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 )
@@ -8,39 +10,38 @@ import (
 // The superblock engine: batch-validated, threaded dispatch for the
 // step loop.
 //
-// The predecode cache (decodecache.go) removed decode cost but still
-// pays a cache probe and two page-generation compares per instruction,
-// plus the big execute switch. This layer chains predecoded entries
-// into superblocks — straight-line runs ending at a serialize point
-// (branch/jump/call/ret, int/iret, hlt, port I/O, rep movsb, a write
-// to cs; see isa.Serializing) — records the set of distinct
-// mem.PageSize-byte pages the run's bytes span, validates all their
-// write-generations once on block entry, and then executes the run by
-// calling one function pointer per entry, never re-probing the decode
-// cache in between.
+// The reference interpreter (execute) pays a byte-wise fetch and a
+// decode per instruction. This engine decodes straight-line runs once —
+// superblocks, ending at a serialize point (branch/jump/call/ret,
+// int/iret, hlt, port I/O, rep movsb, a write to cs; see
+// isa.Serializing) — records the set of distinct mem.PageSize-byte
+// pages the run's bytes span, validates all their write-generations
+// once on block entry, and then executes the run by calling each
+// entry's executor (the ops table's function for its opcode, stored at
+// build time) directly, never re-decoding in between.
 //
 // Soundness from ANY configuration is non-negotiable, so a block is a
 // transparent batching of N interpreter steps, not a new semantics:
 //
-//   - Per-step skeleton: Run's batched loop performs exactly Step's
-//     sequence — Stats.Steps, device ticks, pin checks, halt ticks,
-//     NMI-counter decrement, the trailing AfterStep check — with only
-//     the instruction-execution slot served by the block engine. The
-//     turbo lane (sbTurbo) elides skeleton checks that are provably
-//     dead — no tickers registered, no pins latched, not halted — and
-//     re-establishes them at every block boundary, the only place the
-//     executors themselves can violate them (port I/O, hlt and int are
-//     serialize points, hence always block-final). Interrupts, resets
-//     and halts therefore preempt a block between any two entries,
-//     exactly as they preempt the interpreter between any two steps.
+//   - One semantics, one skeleton: entries run the same ops executors
+//     the interpreter dispatches to, and Step is the only full step
+//     skeleton — its instruction-execution slot calls sbExec. The turbo
+//     lane (sbTurbo) is the one specialization: it elides skeleton
+//     checks that are provably dead — no AfterStep hook, no tickers
+//     registered, no pins latched, not halted — and re-establishes them
+//     at every block boundary, the only place the executors themselves
+//     can violate them (port I/O, hlt and int are serialize points,
+//     hence always block-final). Interrupts, resets and halts therefore
+//     preempt a block between any two entries, exactly as they preempt
+//     the interpreter between any two steps.
 //   - Per-entry validation: before an entry runs, the engine checks
 //     that the live cs:ip still addresses that entry. The check is
 //     (e.ip == c.IP && e.lin == linear(cs, ip)): since cs<<4 ≡ lin−ip
 //     (mod 2^20) the pair (lin, ip) determines cs uniquely, so a
-//     passing check proves the entry's predecoded bytes and
-//     precomputed nextIP describe precisely the instruction the
-//     interpreter would fetch. Any divergence — an exception taken by
-//     the previous entry, a ticker or device corrupting registers, an
+//     passing check proves the entry's decoded bytes and precomputed
+//     nextIP describe precisely the instruction the interpreter would
+//     fetch. Any divergence — an exception taken by the previous entry,
+//     a ticker, device or AfterStep hook corrupting registers, an
 //     adopted snapshot — fails the compare and bails.
 //   - Staleness: the bus write stamp (mem.Bus.WriteStamp) advances on
 //     every memory mutation anywhere. While the stamp is unchanged
@@ -51,19 +52,11 @@ import (
 //     their build-time generations and bails on any mismatch. A store
 //     into the current block's own span — self-modifying code — is
 //     therefore caught before the next entry runs, and execution
-//     resumes in the interpreter on the freshly written bytes.
-//   - Fault windows and monitors install Machine.AfterStep; the
-//     batched loop falls back to plain Step for as long as one is
-//     installed, so injection timing is bit-identical. A non-nil Probe
-//     does NOT force the fallback: probes are consulted only inside
-//     stepPins and raiseException, which the batched loop and the
-//     fallback share, so instrumented sessions still run blocks (and
-//     their block telemetry means something).
+//     resumes on the freshly written bytes.
 //
 // Bailing is cheap and always available, so every rare case — wrap-
 // adjacent fetches, undecodable heads, page-budget overflows — simply
-// falls back to the interpreter, which remains the single source of
-// truth for semantics.
+// falls back to the interpreter's byte-wise fetch.
 
 const (
 	// sbBits sizes the direct-mapped block table. Block heads are
@@ -85,29 +78,23 @@ const (
 	sbMaxPages = 4
 )
 
-// sbFn executes one predecoded entry. The contract mirrors one
-// exec1 dispatch: c.IP addresses the entry's first byte on call, and
-// the fn leaves the machine exactly as exec1(&e.inst, e.nextIP) would.
-type sbFn func(m *Machine, e *sbEntry) Event
-
 // sbEntry is one instruction inside a superblock.
 type sbEntry struct {
-	fn     sbFn
+	fn     opFn   // ops[inst.Op], resolved at build time
 	lin    uint32 // linear address of the instruction's first byte
 	ip     uint16 // cs-relative offset of the first byte
 	nextIP uint16 // sequential successor (ip+size)
 	inst   isa.Inst
 }
 
-// superblock is a straight-line run of predecoded instructions plus
+// superblock is a straight-line run of decoded instructions plus
 // the page-generation evidence that its backing bytes are unchanged.
-// n == 0 marks a negative block: the head byte is known not to decode
-// (generation-validated like any entry), so entry falls straight to
-// the interpreter's exception path without re-attempting a build.
+// An empty ins marks a negative block: the head byte is known not to
+// decode (generation-validated like any entry), so entry falls straight
+// to the interpreter's exception path without re-attempting a build.
 type superblock struct {
 	lin    uint32
 	ip     uint16
-	n      uint16
 	npages uint8
 	pages  [sbMaxPages]uint32
 	gens   [sbMaxPages]uint64
@@ -122,12 +109,14 @@ type superblock struct {
 	succ *superblock
 }
 
-// SetSuperblocks enables or disables the superblock engine. On by
-// default; behaviour must be bit-identical either way — the three-way
-// differential suites hold the engines against each other — so this
-// exists for those tests and for A/B benchmarking. Disabling the
-// decode cache (SetDecodeCache(false)) disables superblocks too.
-func (m *Machine) SetSuperblocks(on bool) {
+// SetDecodeCache selects the execution engine: on (the default) runs
+// instructions through the superblock engine, off runs every step
+// through the reference interpreter's byte-wise fetch. It is the
+// machine's one engine switch. Behaviour is bit-identical either way —
+// the differential suites and fuzzers hold the two engines against each
+// other — so this exists for those tests and for A/B benchmarking, not
+// for correctness control.
+func (m *Machine) SetDecodeCache(on bool) {
 	if on {
 		if m.sblocks == nil {
 			m.sblocks = new([sbSize]*superblock)
@@ -138,77 +127,31 @@ func (m *Machine) SetSuperblocks(on bool) {
 	}
 }
 
-// runBatched is Run's loop body: one Step-equivalent iteration per
-// step, with the instruction-execution slot served by the superblock
-// engine and its per-entry fast path inlined (the engine's whole win is
-// one short dependent chain per instruction — compare ip, recompute
-// lin, compare the write stamp, call the entry's function — so it must
-// not hide behind further call frames). Every other line of an
-// iteration mirrors Step exactly — the two must be kept in lockstep,
-// which the three-way differential suites enforce.
-//
-// The fallback conditions (AfterStep installed, engine disabled) are
-// live machine fields re-read every iteration, so hooks installed
-// mid-run by tickers or port devices take effect on the very next step.
+// runBatched is Run's loop: whenever the step skeleton provably has no
+// work beyond executing instructions — no AfterStep hook, no devices to
+// tick, no latched pins, not halted — and a block is current, steps
+// retire through the turbo lane; every other step is a plain Step. The
+// lane's preconditions are live machine fields re-read every iteration,
+// so hooks installed mid-run by tickers or port devices take effect on
+// the very next step.
 //
 //ssos:hotpath
 func (m *Machine) runBatched(n int) {
 	for done := 0; done < n; done++ {
-		if m.AfterStep != nil || m.sblocks == nil {
-			m.Step()
-			continue
-		}
-		// Turbo lane: while the step skeleton provably has no work — no
-		// devices to tick, no latched pins, not halted, no AfterStep —
-		// consecutive block entries retire in a tight loop that chains
-		// block to block. The preconditions hold between boundaries
-		// because the only executors that can tick devices, latch pins,
-		// halt or install hooks (port I/O, hlt, int) are serialize
-		// points, hence always block-final; sbTurbo re-checks them at
-		// each boundary and exits on any violation.
-		if m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
+		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
 			if b := m.sbCur; b != nil {
-				done = m.sbTurbo(b, done, n)
-				if done >= n {
+				if done = m.sbTurbo(b, done, n); done >= n {
 					return
 				}
 			}
 		}
-		// One full Step-equivalent iteration, with the
-		// instruction-execution slot served by the engine. Mirrors Step
-		// line for line — the two must be kept in lockstep, which the
-		// three-way differential suites enforce.
-		m.Stats.Steps++
-		if len(m.tickers) != 0 {
-			for _, t := range m.tickers {
-				t.Tick(m)
-			}
-		}
-		var ev Event
-		handled := false
-		if m.pins != 0 {
-			ev, handled = m.stepPins()
-		}
-		if !handled {
-			if m.CPU.Halted {
-				m.Stats.HaltTicks++
-				ev = EventHalted
-			} else {
-				ev = m.sbExec()
-			}
-		}
-		if m.Opts.NMICounter && ev != EventNMI && m.CPU.NMICounter > 0 {
-			m.CPU.NMICounter--
-		}
-		if m.AfterStep != nil {
-			m.AfterStep(m, ev)
-		}
+		m.Step()
 	}
 }
 
 // sbTurbo retires consecutive entries of the current block b, one per
 // step, starting at step index done and stopping at n. Preconditions
-// (established by runBatched, invariant between block boundaries):
+// (checked by runBatched, invariant between block boundaries):
 // AfterStep nil, no tickers, no latched pins, not halted. Each
 // iteration performs exactly one Step: Stats.Steps, the per-entry
 // validation, the entry's executor, the NMI-counter decrement, and the
@@ -223,8 +166,8 @@ func (m *Machine) runBatched(n int) {
 // to the successor block: the block itself for a loop back-edge, the
 // cached succ hint, or a table probe. Every chained entry revalidates
 // (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
-// stale or negative successor drops to runBatched's full path, which
-// rebuilds via sbEnter. Returns the number of steps done.
+// stale or negative successor drops back to Step, which rebuilds via
+// sbEnter. Returns the number of steps done.
 func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 	c := &m.CPU
 	i := m.sbIdx
@@ -241,15 +184,13 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 			if b.ip == ip && b.lin == lin {
 				// Loop back-edge: re-enter in place; the entry-0 check
 				// below revalidates span freshness.
-			} else if s := b.succ; s != nil && s.ip == ip && s.lin == lin && m.sbValidate(s) {
+			} else if s := b.succ; s != nil && s.ip == ip && s.lin == lin && m.sbRevalidate(s) {
 				b, m.sbCur = s, s
-				m.sbStamp = *m.busStamp
-			} else if s := m.sbLookup(lin, ip); s != nil && m.sbValidate(s) {
+			} else if s := m.sbLookup(lin, ip); s != nil && m.sbRevalidate(s) {
 				b.succ = s
 				b, m.sbCur = s, s
-				m.sbStamp = *m.busStamp
 			} else {
-				break // unbuilt, stale or negative successor: full path
+				break // unbuilt, stale or negative successor: back to Step
 			}
 			i = 0
 			entered = true
@@ -272,7 +213,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 		// Continuation run. After a validated entry completes with
 		// EventInstr, the (lin, ip) compare is provably redundant for
 		// the next entry: a non-final executor's only normal exit sets
-		// IP = nextIP (the exec1 contract), which the builder laid out
+		// IP = nextIP (the opFn contract), which the builder laid out
 		// as the next entry's ip; branches and cs writes are block-
 		// final; and under the turbo preconditions nothing else runs
 		// between entries. Only the write stamp — self-modifying
@@ -280,7 +221,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 		for {
 			m.Stats.Steps++
 			m.Stats.BlockInstrs++
-			ev := e.fn(m, e)
+			ev := e.fn(m, &e.inst, e.nextIP)
 			i++
 			done++
 			// ev is never EventNMI here (executors return EventInstr or
@@ -318,12 +259,10 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 	return done
 }
 
-// sbExec executes one instruction through the engine: the current
-// block's next entry if it provably matches the live configuration,
-// else a freshly entered (or rebuilt) block at cs:ip, else one
-// interpreter instruction. This is the out-of-line twin of the inlined
-// fast path in runBatched, kept for tests that drive the engine one
-// step at a time.
+// sbExec is Step's instruction-execution slot when the engine is on:
+// the current block's next entry if it provably matches the live
+// configuration, else a freshly entered (or rebuilt) block at cs:ip,
+// else one interpreter instruction.
 func (m *Machine) sbExec() Event {
 	if b := m.sbCur; b != nil {
 		i := m.sbIdx
@@ -335,7 +274,7 @@ func (m *Machine) sbExec() Event {
 				(*m.busStamp == m.sbStamp || m.sbRevalidate(b)) {
 				m.sbIdx = i + 1
 				m.Stats.BlockInstrs++
-				return e.fn(m, e)
+				return e.fn(m, &e.inst, e.nextIP)
 			}
 			m.Stats.BlockBails++
 		}
@@ -344,29 +283,20 @@ func (m *Machine) sbExec() Event {
 	return m.sbEnter()
 }
 
-// sbRevalidate re-checks the block's span pages against their
-// build-time generations after the bus write stamp moved, refreshing
-// the stamp snapshot on success so later entries take the one-compare
-// path again. Writes outside the span (the common case: the guest's
-// own data stores) cost exactly this check; writes inside it fail it.
+// sbRevalidate compares every span page's current generation with its
+// build-time value: true means the block's bytes are provably the bytes
+// it was built from, and refreshes the stamp snapshot so later entries
+// take the one-compare path again. Writes outside the span (the common
+// case: the guest's own data stores) cost exactly this check; writes
+// inside it fail it.
 func (m *Machine) sbRevalidate(b *superblock) bool {
-	if !m.sbValidate(b) {
-		return false
-	}
-	m.sbStamp = *m.busStamp
-	return true
-}
-
-// sbValidate compares every span page's current generation with its
-// build-time value: true means the block's bytes are provably the
-// bytes it was built from.
-func (m *Machine) sbValidate(b *superblock) bool {
 	gens := m.pageGens
 	for i := uint8(0); i < b.npages; i++ {
 		if gens[b.pages[i]] != b.gens[i] {
 			return false
 		}
 	}
+	m.sbStamp = *m.busStamp
 	return true
 }
 
@@ -377,7 +307,7 @@ func (m *Machine) sbValidate(b *superblock) bool {
 // so a wrap-adjacent ip can never match a stored one.
 func (m *Machine) sbLookup(lin uint32, ip uint16) *superblock {
 	b := m.sblocks[(lin^lin>>sbBits)&sbMask]
-	if b == nil || b.lin != lin || b.ip != ip || b.n == 0 {
+	if b == nil || b.lin != lin || b.ip != ip || len(b.ins) == 0 {
 		return nil
 	}
 	return b
@@ -396,20 +326,20 @@ func (m *Machine) sbEnter() Event {
 	}
 	idx := (lin ^ lin>>sbBits) & sbMask
 	b := m.sblocks[idx]
-	if b == nil || b.lin != lin || b.ip != ip || !m.sbValidate(b) {
+	if b == nil || b.lin != lin || b.ip != ip || !m.sbRevalidate(b) {
 		b = m.sbBuild(b, lin, ip)
 		m.sblocks[idx] = b
+		m.sbStamp = *m.busStamp
 	}
-	if b.n == 0 {
+	if len(b.ins) == 0 {
 		return m.execute()
 	}
 	m.sbCur = b
 	m.sbIdx = 1
-	m.sbStamp = *m.busStamp
 	m.Stats.Blocks++
 	m.Stats.BlockInstrs++
 	e := &b.ins[0]
-	return e.fn(m, e)
+	return e.fn(m, &e.inst, e.nextIP)
 }
 
 // sbBuild (re)builds the superblock headed at lin (== linear(cs, ip)),
@@ -446,7 +376,7 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 			break // page budget exhausted; end the block before this instruction
 		}
 		b.ins = append(b.ins, sbEntry{
-			fn:     sbFnFor(in.Op),
+			fn:     ops[in.Op],
 			lin:    lin,
 			ip:     ip,
 			nextIP: ip + uint16(size),
@@ -458,7 +388,6 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 		ip += uint16(size)
 		lin += uint32(size)
 	}
-	b.n = uint16(len(b.ins))
 	gens := m.pageGens
 	for i := uint8(0); i < b.npages; i++ {
 		b.gens[i] = gens[b.pages[i]]
@@ -469,27 +398,16 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 // addSpan records the pages of [lin, lin+size) in the block's span,
 // reporting false when the page budget would overflow.
 func (b *superblock) addSpan(lin, size uint32) bool {
-	p0 := lin >> mem.PageShift
-	p1 := (lin + size - 1) >> mem.PageShift
-	for p := p0; p <= p1; p++ {
-		if !b.addPage(p) {
+	for p := lin >> mem.PageShift; p <= (lin+size-1)>>mem.PageShift; p++ {
+		if slices.Contains(b.pages[:b.npages], p) {
+			continue
+		}
+		if int(b.npages) == len(b.pages) {
 			return false
 		}
+		b.pages[b.npages] = p
+		b.npages++
 	}
-	return true
-}
-
-func (b *superblock) addPage(p uint32) bool {
-	for i := uint8(0); i < b.npages; i++ {
-		if b.pages[i] == p {
-			return true
-		}
-	}
-	if int(b.npages) == len(b.pages) {
-		return false
-	}
-	b.pages[b.npages] = p
-	b.npages++
 	return true
 }
 
@@ -506,440 +424,4 @@ func sbEndsBlock(in *isa.Inst) bool {
 		return isa.SReg(in.R1) == isa.CS
 	}
 	return false
-}
-
-// --- threaded dispatch -------------------------------------------------
-//
-// Every entry carries a func pointer. The hottest opcodes get dedicated
-// executors that skip the exec1 switch entirely; everything else runs
-// through sbGeneric, which IS exec1 — so a specialized fn can only
-// diverge from the interpreter by its own body, each of which mirrors
-// one exec1 case line for line.
-
-var sbFns [256]sbFn
-
-func sbFnFor(op isa.Op) sbFn {
-	if f := sbFns[op]; f != nil {
-		return f
-	}
-	return sbGeneric
-}
-
-// The dispatch table init is a noalloc root: runBatched/sbExec reach
-// the executors only through sbEntry.fn (a func value, outside the
-// static call graph), so rooting the table population here pulls every
-// executor into the hot closure.
-//
-//ssos:hotpath
-func init() {
-	sbFns[isa.OpNop] = sbNop
-	sbFns[isa.OpMovRI] = sbMovRI
-	sbFns[isa.OpMovRR] = sbMovRR
-	sbFns[isa.OpMovSR] = sbMovSR
-	sbFns[isa.OpMovRS] = sbMovRS
-	sbFns[isa.OpMovRM] = sbMovRM
-	sbFns[isa.OpMovMR] = sbMovMR
-	sbFns[isa.OpMovMI] = sbMovMI
-	sbFns[isa.OpMovSM] = sbMovSM
-	sbFns[isa.OpMovMS] = sbMovMS
-	sbFns[isa.OpAddRR] = sbAddRR
-	sbFns[isa.OpAddRI] = sbAddRI
-	sbFns[isa.OpAddRM] = sbAddRM
-	sbFns[isa.OpSubRR] = sbSubRR
-	sbFns[isa.OpSubRI] = sbSubRI
-	sbFns[isa.OpIncR] = sbIncR
-	sbFns[isa.OpDecR] = sbDecR
-	sbFns[isa.OpAndRR] = sbAndRR
-	sbFns[isa.OpAndRI] = sbAndRI
-	sbFns[isa.OpOrRR] = sbOrRR
-	sbFns[isa.OpOrRI] = sbOrRI
-	sbFns[isa.OpXorRR] = sbXorRR
-	sbFns[isa.OpCmpRR] = sbCmpRR
-	sbFns[isa.OpCmpRI] = sbCmpRI
-	sbFns[isa.OpCmpRM] = sbCmpRM
-	sbFns[isa.OpShlRI] = sbShlRI
-	sbFns[isa.OpShrRI] = sbShrRI
-	sbFns[isa.OpPushR] = sbPushR
-	sbFns[isa.OpPopR] = sbPopR
-	sbFns[isa.OpStosb] = sbStosb
-	sbFns[isa.OpLodsb] = sbLodsb
-	sbFns[isa.OpJmp] = sbJmp
-	sbFns[isa.OpJe] = sbJe
-	sbFns[isa.OpJne] = sbJne
-	sbFns[isa.OpJb] = sbJb
-	sbFns[isa.OpJbe] = sbJbe
-	sbFns[isa.OpJa] = sbJa
-	sbFns[isa.OpJae] = sbJae
-	sbFns[isa.OpLoop] = sbLoop
-	sbFns[isa.OpCall] = sbCall
-	sbFns[isa.OpRet] = sbRet
-}
-
-func sbGeneric(m *Machine, e *sbEntry) Event {
-	return m.exec1(&e.inst, e.nextIP)
-}
-
-func sbNop(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRI(m *Machine, e *sbEntry) Event {
-	m.CPU.R[e.inst.R1] = e.inst.Imm
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = c.R[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovSR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.S[e.inst.R1] = c.R[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRS(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = c.S[e.inst.R2]
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovSM(m *Machine, e *sbEntry) Event {
-	m.CPU.S[e.inst.R1] = m.loadMem(&e.inst)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMS(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, m.CPU.S[e.inst.R1]) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovRM(m *Machine, e *sbEntry) Event {
-	m.CPU.R[e.inst.R1] = m.loadMem(&e.inst)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMR(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, m.CPU.R[e.inst.R1]) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbMovMI(m *Machine, e *sbEntry) Event {
-	if !m.storeMem(&e.inst, e.inst.Imm) {
-		return m.raiseException(VecGP)
-	}
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAddRM(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.add16(c.R[e.inst.R1], m.loadMem(&e.inst))
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbSubRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.sub16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbSubRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.sub16(c.R[e.inst.R1], e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbIncR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1]++
-	m.setZS(c.R[e.inst.R1])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbDecR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1]--
-	m.setZS(c.R[e.inst.R1])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAndRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] & c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbAndRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] & e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbOrRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] | c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbOrRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] | e.inst.Imm)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbXorRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.logic16(c.R[e.inst.R1] ^ c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbShlRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	n := uint(e.inst.Imm) & 31
-	v := c.R[e.inst.R1]
-	if n > 0 && n <= 16 {
-		c.Flags = c.Flags.Set(isa.FlagCF, v>>(16-n)&1 != 0)
-	}
-	c.R[e.inst.R1] = m.logicKeepCF(v << n)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbShrRI(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	n := uint(e.inst.Imm) & 31
-	v := c.R[e.inst.R1]
-	if n > 0 && n <= 16 {
-		c.Flags = c.Flags.Set(isa.FlagCF, v>>(n-1)&1 != 0)
-	}
-	c.R[e.inst.R1] = m.logicKeepCF(v >> n)
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbPushR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !m.pushGuarded(c.R[e.inst.R1]) {
-		c.R[isa.SP] += 2
-		return m.raiseException(VecGP)
-	}
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbPopR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[e.inst.R1] = m.pop()
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRR(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	m.sub16(c.R[e.inst.R1], c.R[e.inst.R2])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRI(m *Machine, e *sbEntry) Event {
-	m.sub16(m.CPU.R[e.inst.R1], e.inst.Imm)
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCmpRM(m *Machine, e *sbEntry) Event {
-	m.sub16(m.CPU.R[e.inst.R1], m.loadMem(&e.inst))
-	m.CPU.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbStosb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	dst := m.Linear(isa.ES, c.R[isa.DI])
-	if !m.storeAllowed(dst) || !m.Bus.StoreByte(dst, c.Reg8(isa.AL)) {
-		return m.raiseException(VecGP)
-	}
-	c.R[isa.DI] = m.stringAdvance(c.R[isa.DI])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbLodsb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.SetReg8(isa.AL, m.Bus.LoadByte(m.Linear(isa.DS, c.R[isa.SI])))
-	c.R[isa.SI] = m.stringAdvance(c.R[isa.SI])
-	c.IP = e.nextIP
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJmp(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = e.inst.Imm
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJe(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJne(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJb(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagCF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJbe(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if c.Flags.Has(isa.FlagCF) || c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJa(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagCF) && !c.Flags.Has(isa.FlagZF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbJae(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !c.Flags.Has(isa.FlagCF) {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbLoop(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	c.R[isa.CX]--
-	if c.R[isa.CX] != 0 {
-		c.IP = e.inst.Imm
-	} else {
-		c.IP = e.nextIP
-	}
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbCall(m *Machine, e *sbEntry) Event {
-	c := &m.CPU
-	if !m.pushGuarded(e.nextIP) {
-		c.R[isa.SP] += 2
-		return m.raiseException(VecGP)
-	}
-	c.IP = e.inst.Imm
-	m.Stats.Instrs++
-	return EventInstr
-}
-
-func sbRet(m *Machine, e *sbEntry) Event {
-	m.CPU.IP = m.pop()
-	m.Stats.Instrs++
-	return EventInstr
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -9,85 +8,24 @@ import (
 	"ssos/internal/mem"
 )
 
-// Three-way differential harness: the superblock engine, the
-// predecode-only configuration and the reference interpreter are driven
-// through identical schedules and must agree on every architectural
-// observable. Where the two-way decode-cache harness steps machines one
-// Step at a time, this one drives them through Run in uneven batches —
-// that is the only path that exercises the batched loop, the turbo
-// lane, block chaining and the bail paths.
+// Run-driven differential suites for the superblock engine (harness in
+// differential_test.go). Where the Step-driven suites advance machines
+// one Step at a time, these drive them through Run in uneven batches —
+// the only path that exercises the turbo lane, block chaining and the
+// bail paths inside it.
 
-// triLabels names the engines in newTriMachines order.
-var triLabels = [3]string{"superblock", "predecode", "interp"}
-
-// newTriMachines builds three machines over identical buses: the full
-// engine stack (decode cache + superblocks, the default), predecode
-// only, and the reference interpreter.
-func newTriMachines(t testing.TB, opts Options) [3]*Machine {
-	t.Helper()
-	rom := []byte{byte(isa.OpJmp), 0, 0}
-	var tri [3]*Machine
-	for i := range tri {
-		bus := mem.NewBus()
-		if _, err := bus.AddROM("rom", 0xF0000, rom); err != nil {
-			t.Fatal(err)
-		}
-		tri[i] = New(bus, opts)
-	}
-	tri[1].SetSuperblocks(false)
-	tri[2].SetDecodeCache(false)
-	return tri
-}
-
-// compareTriCPU asserts registers-level agreement (cheap, used per
-// batch). Stats are compared through Arch(): the block counters are
-// engine telemetry and legitimately differ across engines.
-func compareTriCPU(t testing.TB, tri [3]*Machine, tag string) {
-	t.Helper()
-	ref := tri[2]
-	for i := 0; i < 2; i++ {
-		if tri[i].CPU != ref.CPU {
-			t.Fatalf("%s: %s CPU diverged from interp:\n%s: %+v\ninterp: %+v",
-				tag, triLabels[i], triLabels[i], tri[i].CPU, ref.CPU)
-		}
-		if tri[i].Stats.Arch() != ref.Stats.Arch() {
-			t.Fatalf("%s: %s stats diverged from interp:\n%s: %v\ninterp: %v",
-				tag, triLabels[i], triLabels[i], tri[i].Stats, ref.Stats)
-		}
-	}
-}
-
-// compareTri asserts full agreement including the memory image.
-func compareTri(t testing.TB, tri [3]*Machine, tag string) {
-	t.Helper()
-	compareTriCPU(t, tri, tag)
-	ref := tri[2].Bus.Snapshot()
-	for i := 0; i < 2; i++ {
-		if !bytes.Equal(tri[i].Bus.Snapshot(), ref) {
-			t.Fatalf("%s: %s memory diverged from interp", tag, triLabels[i])
-		}
-	}
-}
-
-// triDo applies the same mutation to all three machines.
-func triDo(tri [3]*Machine, f func(m *Machine)) {
-	for _, m := range tri {
-		f(m)
-	}
-}
-
-// TestSuperblockThreeWayDifferential drives the three engines through
-// Run in random batch sizes from randomized any-state starts, injecting
+// TestSuperblockRunDifferential drives both engines through Run in
+// random batch sizes from randomized any-state starts, injecting
 // identical faults between batches. Every batch boundary asserts
 // CPU-and-stats agreement; every trial ends with a full memory compare.
-func TestSuperblockThreeWayDifferential(t *testing.T) {
+func TestSuperblockRunDifferential(t *testing.T) {
 	trials, batches := 12, 400
 	if testing.Short() {
 		trials, batches = 4, 120
 	}
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(777000 + trial)))
-		tri := newTriMachines(t, Options{
+		p := newEnginePair(t, Options{
 			ResetVector:        SegOff{0x0100, 0},
 			NMICounter:         trial%2 == 0,
 			HardwiredNMIVector: trial%3 == 0,
@@ -98,13 +36,13 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 		})
 
 		// Any-state start: identical random soup in RAM and a random
-		// CPU configuration on all three.
+		// CPU configuration on both.
 		for i := 0; i < 8192; i++ {
 			a := uint32(rng.Intn(mem.AddrSpace))
 			v := byte(rng.Intn(256))
-			triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+			pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 		}
-		cpu := tri[0].CPU
+		cpu := p[0].CPU
 		for i := range cpu.R {
 			cpu.R[i] = uint16(rng.Intn(1 << 16))
 		}
@@ -114,7 +52,7 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 		cpu.IP = uint16(rng.Intn(1 << 16))
 		cpu.Flags = isa.Flags(rng.Intn(1 << 16))
 		cpu.NMICounter = uint16(rng.Intn(1 << 16))
-		triDo(tri, func(m *Machine) { m.CPU = cpu })
+		pairDo(p, func(m *Machine) { m.CPU = cpu })
 
 		for b := 0; b < batches; b++ {
 			if rng.Intn(4) == 0 {
@@ -123,86 +61,88 @@ func TestSuperblockThreeWayDifferential(t *testing.T) {
 				case 0:
 					a := uint32(rng.Intn(mem.AddrSpace))
 					v := byte(rng.Intn(256))
-					triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+					pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 				case 1: // aim at the live code stream
-					a := (uint32(tri[0].CPU.S[isa.CS])<<4 + uint32(tri[0].CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
+					a := (uint32(p[0].CPU.S[isa.CS])<<4 + uint32(p[0].CPU.IP) + uint32(rng.Intn(16))) & mem.AddrMask
 					v := byte(rng.Intn(256))
-					triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, v) })
+					pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, v) })
 				case 2:
 					v := uint16(rng.Intn(1 << 16))
-					triDo(tri, func(m *Machine) { m.CPU.IP = v })
+					pairDo(p, func(m *Machine) { m.CPU.IP = v })
 				case 3:
 					r := isa.SReg(rng.Intn(int(isa.NumSRegs)))
 					v := uint16(rng.Intn(1 << 16))
-					triDo(tri, func(m *Machine) { m.CPU.S[r] = v })
+					pairDo(p, func(m *Machine) { m.CPU.S[r] = v })
 				case 4:
-					triDo(tri, func(m *Machine) { m.RaiseNMI() })
+					pairDo(p, func(m *Machine) { m.RaiseNMI() })
 				case 5:
 					v := rng.Intn(2) == 0
-					triDo(tri, func(m *Machine) { m.CPU.Halted = v })
+					pairDo(p, func(m *Machine) { m.CPU.Halted = v })
 				}
 			}
 			n := rng.Intn(97) + 1
-			triDo(tri, func(m *Machine) { m.Run(n) })
-			compareTriCPU(t, tri, "trial batch")
+			pairDo(p, func(m *Machine) { m.Run(n) })
+			comparePairCPU(t, p, "trial batch")
 		}
-		compareTri(t, tri, "trial final")
+		comparePair(t, p, "trial final")
 	}
 }
 
 // TestSuperblockSelfModifyingStoreInsideBlock pins the hardest
 // staleness case for the batched engine with an exact program: a store
 // INSIDE the currently executing superblock overwrites a later entry of
-// that same block. The block was predecoded before the store ran, so an
+// that same block. The block was decoded before the store ran, so an
 // engine that skipped revalidation between entries would execute the
 // stale nop; the write stamp must force a bail and the freshly written
 // hlt must execute. Straight-line code, so all instructions share one
-// block:
+// block; the leading nop is entered through Step, so the store and the
+// stale slot run back to back inside the turbo lane's continuation:
 //
-//	0: mov word [ds:6], hlt|hlt<<8  ; overwrites entries at offsets 6,7
-//	6: nop                          ; stale: now hlt
+//	0: nop
+//	1: mov word [ds:7], hlt|hlt<<8  ; overwrites entries at offsets 7,8
 //	7: nop                          ; stale: now hlt
-//	8: nop
+//	8: nop                          ; stale: now hlt
+//	9: nop
 func TestSuperblockSelfModifyingStoreInsideBlock(t *testing.T) {
 	hlt := uint16(isa.OpHlt) | uint16(isa.OpHlt)<<8
 	code := prog(
-		isa.Inst{Op: isa.OpMovMI, Mem: isa.MemOp{Seg: isa.DS, Disp: 6}, Imm: hlt},
+		isa.Inst{Op: isa.OpNop},
+		isa.Inst{Op: isa.OpMovMI, Mem: isa.MemOp{Seg: isa.DS, Disp: 7}, Imm: hlt},
 		isa.Inst{Op: isa.OpNop},
 		isa.Inst{Op: isa.OpNop},
 		isa.Inst{Op: isa.OpNop},
 	)
-	if len(code) != 9 {
+	if len(code) != 10 {
 		t.Fatalf("encoding drifted: len=%d, fix the store target", len(code))
 	}
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	p := newEnginePair(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) {
+	pairDo(p, func(m *Machine) {
 		m.CPU.S[isa.DS] = 0x0100
-		m.Run(2) // mov (store into own block), then the stale slot
+		m.Run(3) // nop, mov (store into own block), then the stale slot
 	})
-	for i, m := range tri {
+	for i, m := range p {
 		if !m.CPU.Halted {
 			t.Fatalf("%s: stale block entry served: self-modified hlt "+
-				"did not execute (ip=%#x)", triLabels[i], m.CPU.IP)
+				"did not execute (ip=%#x)", engineLabels[i], m.CPU.IP)
 		}
-		if m.Stats.Steps != 2 || m.Stats.Instrs != 2 {
-			t.Fatalf("%s: accounting: %v", triLabels[i], m.Stats)
+		if m.Stats.Steps != 3 || m.Stats.Instrs != 3 {
+			t.Fatalf("%s: accounting: %v", engineLabels[i], m.Stats)
 		}
 	}
-	compareTri(t, tri, "in-block self-modify")
+	comparePair(t, p, "in-block self-modify")
 }
 
 // TestSuperblockNegativeDecodeRevalidates pins the negative-caching
-// regression for both layers that memoize "these bytes do not decode":
-// the decode cache's inv entries and the engine's negative blocks. A
-// machine parked on an invalid opcode raises (and caches the verdict);
+// regression for the engine's negative blocks, which memoize "these
+// bytes do not decode". A machine parked on an invalid opcode raises (and caches the verdict);
 // after the byte is overwritten with a valid instruction, the very next
 // step must execute it — a stale negative verdict would raise again.
 func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
-	tri := newTriMachines(t, Options{
+	p := newEnginePair(t, Options{
 		ResetVector:     SegOff{0x0100, 0},
 		ExceptionPolicy: ExceptionHalt,
 	})
@@ -210,19 +150,19 @@ func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
 	if isa.InstLen(invalid) != 0 {
 		t.Fatal("0xFF unexpectedly decodes; pick another invalid byte")
 	}
-	triDo(tri, func(m *Machine) { m.Bus.PokeRAM(0x1000, invalid) })
+	pairDo(p, func(m *Machine) { m.Bus.PokeRAM(0x1000, invalid) })
 
 	// Two steps on the invalid byte: raise, halt, raise again after
 	// unhalting — the second raise is served from the negative cache.
-	triDo(tri, func(m *Machine) {
+	pairDo(p, func(m *Machine) {
 		m.Run(1)
 		m.CPU.Halted = false
 		m.Run(1)
 		m.CPU.Halted = false
 	})
-	for i, m := range tri {
+	for i, m := range p {
 		if m.Stats.Exceptions != 2 {
-			t.Fatalf("%s: exceptions = %d, want 2", triLabels[i], m.Stats.Exceptions)
+			t.Fatalf("%s: exceptions = %d, want 2", engineLabels[i], m.Stats.Exceptions)
 		}
 	}
 
@@ -231,46 +171,57 @@ func TestSuperblockNegativeDecodeRevalidates(t *testing.T) {
 	mov := prog(isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 0xBEEF})
 	for i, b := range mov {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) { m.Run(1) })
-	for i, m := range tri {
+	pairDo(p, func(m *Machine) { m.Run(1) })
+	for i, m := range p {
 		if m.Stats.Exceptions != 2 || m.CPU.R[isa.AX] != 0xBEEF {
 			t.Fatalf("%s: stale negative decode served: exceptions=%d ax=%#x",
-				triLabels[i], m.Stats.Exceptions, m.CPU.R[isa.AX])
+				engineLabels[i], m.Stats.Exceptions, m.CPU.R[isa.AX])
 		}
 	}
-	compareTri(t, tri, "negative revalidate")
+	comparePair(t, p, "negative revalidate")
 }
 
 // TestSuperblockTelemetryCounts sanity-checks the engine telemetry on a
 // known workload: a straight-line run into a tight loop must retire
-// essentially every instruction through blocks, with zero bails, and
-// the per-engine counters must stay zero on the engines that cannot
-// produce them.
+// every instruction through blocks, with zero bails, and the
+// interpreter must report no block telemetry at all. Step runs blocks
+// too, so a machine stepped one Step at a time under an AfterStep hook
+// (the way fault windows and monitors drive it) still enters blocks.
 func TestSuperblockTelemetryCounts(t *testing.T) {
 	code := prog(
 		isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 0}, // 4 bytes
 		isa.Inst{Op: isa.OpIncR, R1: r(isa.AX)},          // at offset 4
 		isa.Inst{Op: isa.OpJmp, Imm: 4},                  // loop back to the inc
 	)
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	p := newEnginePair(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
-	triDo(tri, func(m *Machine) { m.Run(1000) })
-	sb := tri[0]
-	if sb.Stats.BlockInstrs != 1000 || sb.Stats.Blocks == 0 || sb.Stats.BlockBails != 0 {
-		t.Fatalf("superblock telemetry off: %v", sb.Stats)
+	pairDo(p, func(m *Machine) { m.Run(1000) })
+	if s := p[0].Stats; s.BlockInstrs != 1000 || s.Blocks == 0 || s.BlockBails != 0 {
+		t.Fatalf("superblock telemetry off: %v", s)
 	}
-	for _, i := range []int{1, 2} {
-		s := tri[i].Stats
-		if s.Blocks != 0 || s.BlockInstrs != 0 || s.BlockBails != 0 {
-			t.Fatalf("%s: phantom block telemetry: %v", triLabels[i], s)
-		}
+	if s := p[1].Stats; s.Blocks != 0 || s.BlockInstrs != 0 || s.BlockBails != 0 {
+		t.Fatalf("interp: phantom block telemetry: %v", s)
 	}
-	compareTri(t, tri, "telemetry")
+	comparePair(t, p, "telemetry")
+
+	hooked := 0
+	pairDo(p, func(m *Machine) {
+		m.AfterStep = func(*Machine, Event) { hooked++ }
+		m.Stats = Stats{}
+		m.Run(1000)
+	})
+	if hooked != 2000 {
+		t.Fatalf("AfterStep ran %d times, want 2000", hooked)
+	}
+	if s := p[0].Stats; s.Blocks == 0 || s.BlockInstrs != 1000 {
+		t.Fatalf("Step-driven superblock telemetry off: %v", s)
+	}
+	comparePair(t, p, "telemetry/hooked")
 }
 
 // TestSuperblockBailResumesInterpreter forces a mid-block bail through
@@ -288,22 +239,22 @@ func TestSuperblockBailResumesInterpreter(t *testing.T) {
 		)...)
 	}
 	code = append(code, prog(isa.Inst{Op: isa.OpJmp, Imm: 0})...)
-	tri := newTriMachines(t, Options{ResetVector: SegOff{0x0100, 0}})
+	p := newEnginePair(t, Options{ResetVector: SegOff{0x0100, 0}})
 	for i, b := range code {
 		a := 0x1000 + uint32(i)
-		triDo(tri, func(m *Machine) { m.Bus.PokeRAM(a, b) })
+		pairDo(p, func(m *Machine) { m.Bus.PokeRAM(a, b) })
 	}
 	for i := 0; i < 500; i++ {
 		n := rng.Intn(5) + 1 // short batches leave the cursor mid-block
-		triDo(tri, func(m *Machine) { m.Run(n) })
+		pairDo(p, func(m *Machine) { m.Run(n) })
 		if rng.Intn(3) == 0 {
 			ip := uint16(rng.Intn(len(code)))
-			triDo(tri, func(m *Machine) { m.CPU.IP = ip })
+			pairDo(p, func(m *Machine) { m.CPU.IP = ip })
 		}
-		compareTriCPU(t, tri, "bail batch")
+		comparePairCPU(t, p, "bail batch")
 	}
-	if tri[0].Stats.BlockBails == 0 {
+	if p[0].Stats.BlockBails == 0 {
 		t.Fatal("schedule never produced a mid-block bail; weaken the corruption odds")
 	}
-	compareTri(t, tri, "bail final")
+	comparePair(t, p, "bail final")
 }

@@ -21,10 +21,10 @@
 //   - per-page write-generation counters (PageSize-byte pages), bumped
 //     by EVERY path that can alter memory contents — instruction
 //     stores, test Pokes, fault-injection PokeRAMs, snapshot Restores
-//     and ROM installation. The machine's predecoded instruction cache
-//     validates entries against these counters, which is what keeps the
-//     fast path sound from arbitrary configurations: no cached decode
-//     can survive a write (or an injected bit-flip) to its backing
+//     and ROM installation. The machine's superblock engine validates
+//     blocks against these counters, which is what keeps the fast path
+//     sound from arbitrary configurations: no decoded block entry can
+//     survive a write (or an injected bit-flip) to its backing
 //     bytes, because any such write bumps the backing page's counter.
 package mem
 
@@ -96,7 +96,7 @@ type Bus struct {
 
 	// gens holds one write-generation counter per PageSize-byte page.
 	// Every mutation of data bumps the counter of each page it
-	// touches. Consumers (the machine's decode cache) snapshot the
+	// touches. Consumers (the machine's superblock engine) snapshot the
 	// counters covering a cached range and treat any change as an
 	// invalidation. 64-bit counters cannot realistically wrap.
 	gens *[NumPages]uint64

@@ -254,8 +254,8 @@ func TestStoreWordStraddlesIntoROM(t *testing.T) {
 	}
 }
 
-// TestPageGenerations pins the invalidation contract the decode cache
-// depends on: every mutation path bumps the written page's generation,
+// TestPageGenerations pins the invalidation contract the superblock
+// engine depends on: every mutation path bumps the written page's generation,
 // reads never do, and blocked ROM writes leave generations alone.
 func TestPageGenerations(t *testing.T) {
 	b := NewBus()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ssos/internal/pool"
@@ -295,16 +296,16 @@ func (r *Registry) tick() {
 	}
 }
 
-// removeLocked unlinks a session from the table. Caller holds mu.
+// removeLocked unlinks a session from the table. slices.Delete zeroes
+// the slot vacated at the tail, so the backing array holds no stale
+// pointer keeping a deleted session's machines reachable. Caller holds
+// mu.
 //
 //ssos:locked mu
 func (r *Registry) removeLocked(s *Session) {
 	delete(r.sessions, s.ID)
-	for i, o := range r.order {
-		if o == s {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
+	if i := slices.Index(r.order, s); i >= 0 {
+		r.order = slices.Delete(r.order, i, i+1)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -332,6 +333,49 @@ func TestRegistryCapAndDelete(t *testing.T) {
 	if reg.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", reg.Len())
 	}
+}
+
+// TestDeleteReleasesSession checks that deleting a session leaves no
+// stale pointer in the creation-order slice's backing array: no slot up
+// to cap holds a deleted session, and the spare capacity past len is
+// all nil. A duplicate left there by an in-place shift would keep a
+// session's machines reachable once that session is deleted in turn.
+func TestDeleteReleasesSession(t *testing.T) {
+	reg := NewRegistry(Options{IdleOps: -1, Workers: 1})
+	defer reg.Shutdown(context.Background()) //nolint:errcheck
+
+	var sessions []*Session
+	for i := 0; i < 3; i++ {
+		s, err := reg.Create(SessionSpec{Image: "baseline"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+	}
+	check := func(deleted ...*Session) {
+		t.Helper()
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		for i, s := range reg.order[:cap(reg.order)] {
+			if slices.Contains(deleted, s) {
+				t.Fatalf("order slot %d (len %d, cap %d) still holds deleted session %s",
+					i, len(reg.order), cap(reg.order), s.ID)
+			}
+			if i >= len(reg.order) && s != nil {
+				t.Fatalf("spare order slot %d (len %d) holds session %s",
+					i, len(reg.order), s.ID)
+			}
+		}
+	}
+	first, last := sessions[0], sessions[2]
+	if !reg.Delete(first.ID) {
+		t.Fatal("delete of first session failed")
+	}
+	check(first)
+	if !reg.Delete(last.ID) {
+		t.Fatal("delete of last session failed")
+	}
+	check(first, last)
 }
 
 // TestShutdownFailsFast checks a shut-down registry rejects new work
