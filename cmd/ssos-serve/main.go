@@ -39,6 +39,14 @@ import (
 	"ssos/internal/serve"
 )
 
+// Server timeouts bound how long a client that stalls or idles can hold
+// a connection. WriteTimeout stays unset: SSE event streams are
+// long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8023", "listen address (use :0 for an ephemeral port; the actual address is printed)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); keep it loopback-only")
@@ -55,7 +63,11 @@ func main() {
 		Workers:     *workers,
 		RingSize:    *ringSize,
 	})
-	srv := &http.Server{Handler: serve.NewServer(reg)}
+	srv := &http.Server{
+		Handler:           serve.NewServer(reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

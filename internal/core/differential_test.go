@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"ssos/internal/dev"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
@@ -27,11 +29,11 @@ type diffPair struct {
 	colF, colS *obs.Collector
 }
 
-func newDiffPair(t *testing.T, ap Approach) *diffPair {
+func newDiffPair(t *testing.T, cfg Config) *diffPair {
 	t.Helper()
 	p := &diffPair{
-		fast: MustNew(Config{Approach: ap}),
-		slow: MustNew(Config{Approach: ap}),
+		fast: MustNew(cfg),
+		slow: MustNew(cfg),
 		colF: obs.NewCollector(),
 		colS: obs.NewCollector(),
 	}
@@ -51,6 +53,62 @@ func (p *diffPair) each(f func(s *System)) {
 func (p *diffPair) pokeBoth(addr uint32, v byte) {
 	p.fast.M.Bus.PokeRAM(addr, v)
 	p.slow.M.Bus.PokeRAM(addr, v)
+}
+
+// countdown is one clock device's countdown register and its period.
+type countdown struct {
+	counter *uint32
+	period  uint32
+}
+
+// countdowns lists the countdown registers of every ticking device on
+// s, in a fixed order.
+func countdowns(s *System) []countdown {
+	var cs []countdown
+	if w := s.Watchdog; w != nil {
+		cs = append(cs, countdown{&w.Counter, w.Period})
+	}
+	if tm := s.Timer; tm != nil {
+		cs = append(cs, countdown{&tm.Counter, tm.Period})
+	}
+	if c := s.Checkpoint; c != nil {
+		cs = append(cs, countdown{&c.Counter, c.Period})
+	}
+	if w := s.Silence; w != nil {
+		cs = append(cs, countdown{&w.Counter, w.SilenceLimit})
+	}
+	return cs
+}
+
+// nextFire is the fewest ticks any of s's devices counts down before it
+// acts, or -1 without devices: a batch of nextFire steps ends just
+// before a fire.
+func nextFire(s *System) int {
+	q := -1
+	for _, c := range countdowns(s) {
+		if n := int(*c.counter); q < 0 || n < q {
+			q = n
+		}
+	}
+	return q
+}
+
+// devState flattens every device register and counter of s.
+func devState(s *System) []uint64 {
+	var st []uint64
+	if w := s.Watchdog; w != nil {
+		st = append(st, uint64(w.Counter), w.Fires)
+	}
+	if tm := s.Timer; tm != nil {
+		st = append(st, uint64(tm.Counter), tm.Fires)
+	}
+	if c := s.Checkpoint; c != nil {
+		st = append(st, uint64(c.Counter), c.Snapshots, c.Restores)
+	}
+	if w := s.Silence; w != nil {
+		st = append(st, uint64(w.Counter), w.Fires)
+	}
+	return st
 }
 
 // injectSame applies one identical random fault to both machines. The
@@ -98,6 +156,9 @@ func (p *diffPair) compare(t *testing.T, tag string) {
 	if p.fast.M.Stats.Arch() != p.slow.M.Stats.Arch() {
 		t.Fatalf("%s: stats diverged:\nsuperblock: %v\n    interp: %v", tag, p.fast.M.Stats, p.slow.M.Stats)
 	}
+	if df, ds := devState(p.fast), devState(p.slow); !slices.Equal(df, ds) {
+		t.Fatalf("%s: device state diverged:\nsuperblock: %v\n    interp: %v", tag, df, ds)
+	}
 	if !bytes.Equal(p.fast.M.Bus.Snapshot(), p.slow.M.Bus.Snapshot()) {
 		t.Fatalf("%s: memory images diverged", tag)
 	}
@@ -105,10 +166,17 @@ func (p *diffPair) compare(t *testing.T, tag string) {
 		t.Fatalf("%s: observability event streams diverged (%d vs %d events)",
 			tag, len(p.colF.Events()), len(p.colS.Events()))
 	}
-	if p.fast.Heartbeat != nil {
-		wf, ws := p.fast.Heartbeat.Writes(), p.slow.Heartbeat.Writes()
+	consoles := func(s *System) []*dev.Console {
+		return append([]*dev.Console{s.Heartbeat, s.Repairs}, s.ProcBeats...)
+	}
+	cf, cs := consoles(p.fast), consoles(p.slow)
+	for i := range cf {
+		if cf[i] == nil {
+			continue
+		}
+		wf, ws := cf[i].Writes(), cs[i].Writes()
 		if !reflect.DeepEqual(wf, ws) {
-			t.Fatalf("%s: heartbeat streams diverged (%d vs %d writes)", tag, len(wf), len(ws))
+			t.Fatalf("%s: console %d streams diverged (%d vs %d writes)", tag, i, len(wf), len(ws))
 		}
 	}
 }
@@ -126,7 +194,7 @@ func TestDecodeCacheDifferential(t *testing.T) {
 	}
 	for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
 		for trial := 0; trial < trials; trial++ {
-			p := newDiffPair(t, ap)
+			p := newDiffPair(t, Config{Approach: ap})
 			rng := rand.New(rand.NewSource(int64(9000 + 100*int(ap) + trial)))
 
 			if trial%2 == 1 {
@@ -164,22 +232,46 @@ func TestDecodeCacheDifferential(t *testing.T) {
 	}
 }
 
+// runBatchConfigs are the systems TestSuperblockDifferentialRunBatches
+// drives: the ticker-less baseline plus every approach that registers a
+// clock device, covering each device type — the paper's watchdog
+// (reinstall, continue, monitor, the scheduler and a mailbox ring on
+// it), the checkpointer, the silence watchdog (adaptive) and the
+// tickful kernel's timer IRQ.
+var runBatchConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"baseline", Config{Approach: ApproachBaseline}},
+	{"reinstall", Config{Approach: ApproachReinstall}},
+	{"continue", Config{Approach: ApproachContinue}},
+	{"monitor", Config{Approach: ApproachMonitor}},
+	{"scheduler", Config{Approach: ApproachScheduler}},
+	{"scheduler-mbox-kstate", Config{Approach: ApproachScheduler, Workload: WorkloadMailboxKState}},
+	{"checkpoint", Config{Approach: ApproachCheckpoint}},
+	{"adaptive", Config{Approach: ApproachAdaptive}},
+	{"reinstall-tickful", Config{Approach: ApproachReinstall, TickfulKernel: true}},
+}
+
 // TestSuperblockDifferentialRunBatches drives both engines through real
 // guest kernels via Run in uneven batches — the only path that
-// exercises the turbo lane and block chaining — with identical faults
-// injected at batch boundaries, from both the clean boot state and
-// fully randomized RAM + CPU configurations. The Step-driven suite
-// above covers Step's block-engine slot; this one covers what Step
-// cannot reach.
+// exercises the turbo lane, block chaining and quiet-tick batching —
+// with identical faults injected at batch boundaries, from both the
+// clean boot state and fully randomized RAM + CPU configurations. The
+// interpreter ticks every device on every step; the block engine skips
+// quiet ticks in batches, so batch sizes often land just before, on or
+// just past a device fire, and faults corrupt device counters, out-of-
+// range values included. The Step-driven suite above covers Step's
+// block-engine slot; this one covers what Step cannot reach.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
 		batches, trials = 150, 2
 	}
-	for _, ap := range []Approach{ApproachBaseline, ApproachReinstall, ApproachMonitor} {
+	for ci, rc := range runBatchConfigs {
 		for trial := 0; trial < trials; trial++ {
-			p := newDiffPair(t, ap)
-			rng := rand.New(rand.NewSource(int64(31000 + 100*int(ap) + trial)))
+			p := newDiffPair(t, rc.cfg)
+			rng := rand.New(rand.NewSource(int64(31000 + 100*ci + trial)))
 
 			if trial%2 == 1 {
 				// Any-state start, identical across the pair.
@@ -199,9 +291,14 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 				p.fast.M.CPU, p.slow.M.CPU = cpu, cpu
 			}
 
+			cdF, cdS := countdowns(p.fast), countdowns(p.slow)
 			for b := 0; b < batches; b++ {
 				if rng.Intn(5) == 0 {
-					switch rng.Intn(7) {
+					faults := 7
+					if len(cdF) > 0 {
+						faults++
+					}
+					switch rng.Intn(faults) {
 					case 0:
 						a := uint32(rng.Intn(mem.AddrSpace))
 						v := p.fast.M.Bus.Peek(a) ^ (1 << uint(rng.Intn(8)))
@@ -226,16 +323,25 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 					case 6:
 						v := rng.Intn(2) == 0
 						p.each(func(s *System) { s.M.CPU.Halted = v })
+					case 7: // corrupt a device counter, often out of range
+						d := rng.Intn(len(cdF))
+						v := uint32(rng.Intn(int(2*cdF[d].period) + 2))
+						*cdF[d].counter, *cdS[d].counter = v, v
 					}
 				}
 				n := rng.Intn(197) + 1
+				if f := nextFire(p.fast); f >= 0 && f < 400 && rng.Intn(2) == 0 {
+					// Straddle the next fire: stop one short of it, on
+					// it, or one or two steps past it.
+					n = max(f+rng.Intn(4)-1, 1)
+				}
 				p.each(func(s *System) { s.M.Run(n) })
 				// Cheap per-batch agreement; full compare at trial end.
-				if p.fast.M.CPU != p.slow.M.CPU {
+				if p.fast.M.CPU != p.slow.M.CPU || !slices.Equal(devState(p.fast), devState(p.slow)) {
 					p.compare(t, "batch")
 				}
 			}
-			p.compare(t, ap.String()+"/final")
+			p.compare(t, rc.name+"/final")
 		}
 	}
 }
@@ -245,7 +351,7 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 // stores land on top of upcoming instructions (a store to cs:ip+k),
 // so a stale block entry would execute the overwritten instruction.
 func TestDecodeCacheDifferentialSelfModifying(t *testing.T) {
-	p := newDiffPair(t, ApproachBaseline)
+	p := newDiffPair(t, Config{Approach: ApproachBaseline})
 	rng := rand.New(rand.NewSource(4242))
 	code := uint32(0x0100) << 4 // default kernel image segment
 	for i := 0; i < 30000; i++ {

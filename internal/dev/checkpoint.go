@@ -74,6 +74,15 @@ func (c *Checkpointer) Tick(*machine.Machine) {
 	c.Counter--
 }
 
+// Quiet reports how many upcoming ticks only count down (the
+// machine.Ticker contract). The device's port commands snapshot and
+// restore the region but never read or reload the counter, so a port
+// write inside a batch cannot observe skipped ticks.
+func (c *Checkpointer) Quiet() uint32 { return quiet(c.Period, c.Counter) }
+
+// Skip applies k ≤ Quiet() countdown-only ticks at once.
+func (c *Checkpointer) Skip(k uint32) { c.Counter -= k }
+
 func (c *Checkpointer) snapshot() {
 	if c.shadow == nil {
 		c.shadow = make([]byte, c.Region.Size)

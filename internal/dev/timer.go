@@ -37,3 +37,11 @@ func (t *Timer) Tick(m *machine.Machine) {
 	}
 	t.Counter--
 }
+
+// Quiet reports how many upcoming ticks only count down (the
+// machine.Ticker contract; the counter is mapped to no port and no
+// memory).
+func (t *Timer) Quiet() uint32 { return quiet(t.Period, t.Counter) }
+
+// Skip applies k ≤ Quiet() countdown-only ticks at once.
+func (t *Timer) Skip(k uint32) { t.Counter -= k }

@@ -68,3 +68,22 @@ func (w *Watchdog) Tick(m *machine.Machine) {
 	}
 	w.Counter--
 }
+
+// Quiet reports how many upcoming ticks only count down (the
+// machine.Ticker contract): the counter is mapped to no port and no
+// memory, so those ticks may be applied in a batch with Skip.
+func (w *Watchdog) Quiet() uint32 { return quiet(w.Period, w.Counter) }
+
+// Skip applies k ≤ Quiet() countdown-only ticks at once.
+func (w *Watchdog) Skip(k uint32) { w.Counter -= k }
+
+// quiet is the Quiet rule of the clamped countdowns: an in-range counter
+// counts down that many ticks before the one that acts. A corrupted
+// counter or a zero period reports 0, so it always goes through Tick's
+// clamp and is never skipped.
+func quiet(period, counter uint32) uint32 {
+	if 0 < period && counter < period {
+		return counter
+	}
+	return 0
+}

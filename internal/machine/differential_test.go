@@ -39,6 +39,45 @@ func newEnginePair(t testing.TB, opts Options) [2]*Machine {
 	return p
 }
 
+// countdown is a test-local clock device with the dev package's
+// countdown contract (dev imports machine, so these tests cannot use
+// it): every period ticks it raises NMI, Tick clamps a counter outside
+// [0, period), and Quiet never lets such a counter be skipped. ticks
+// counts every tick it received, whether through Tick or Skip.
+type countdown struct {
+	period, counter uint32
+	fires, ticks    uint64
+}
+
+func (c *countdown) Tick(m *Machine) {
+	c.ticks++
+	if c.period == 0 {
+		c.period = 1
+	}
+	if c.counter >= c.period {
+		c.counter = c.period - 1
+	}
+	if c.counter == 0 {
+		c.fires++
+		m.RaiseNMI()
+		c.counter = c.period - 1
+		return
+	}
+	c.counter--
+}
+
+func (c *countdown) Quiet() uint32 {
+	if 0 < c.period && c.counter < c.period {
+		return c.counter
+	}
+	return 0
+}
+
+func (c *countdown) Skip(k uint32) {
+	c.ticks += uint64(k)
+	c.counter -= k
+}
+
 // pairDo applies the same mutation to both machines.
 func pairDo(p [2]*Machine, f func(m *Machine)) {
 	for _, m := range p {

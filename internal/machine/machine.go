@@ -174,9 +174,21 @@ type PortDevice interface {
 
 // Ticker is a device driven by the system clock. Tick is called once
 // per machine step, before the processor acts, and may raise interrupt
-// pins.
+// pins or touch memory.
+//
+// Quiet and Skip let Run batch the ticks that provably do nothing but
+// count down. Quiet reports how many upcoming ticks are quiet: each one
+// only decrements a register that no instruction can read or write (the
+// device maps it to no port and no memory), raises no pin and touches no
+// memory. Skip(k), for k ≤ Quiet(), applies k quiet ticks at once. No
+// instruction can tell a quiet tick taken before it from one taken
+// after it, so Run may retire up to Quiet() instructions and Skip their
+// ticks afterwards; every other tick — and every tick of Step — goes
+// through Tick. A device that cannot promise quiet ticks returns 0.
 type Ticker interface {
 	Tick(m *Machine)
+	Quiet() uint32
+	Skip(k uint32)
 }
 
 // Pin bits for Machine.pins: latched external events awaiting the
@@ -262,7 +274,9 @@ func (m *Machine) Reset() {
 	m.pins = 0
 }
 
-// AddTicker registers a clock-driven device.
+// AddTicker registers a clock-driven device. Register each device at
+// most once: Quiet counts one device's ticks, while a device registered
+// twice takes two ticks per step.
 func (m *Machine) AddTicker(t Ticker) { m.tickers = append(m.tickers, t) }
 
 // portBinding ties one I/O port to its device.

@@ -59,8 +59,8 @@ func (m *Machine) Step() Event {
 
 // Run executes n steps and returns the machine for chaining. It is
 // semantically identical to calling Step n times; while no AfterStep
-// hook, ticker, latched pin or halt needs the full step skeleton, steps
-// retire through the superblock engine's turbo lane (runBatched).
+// hook, due ticker, latched pin or halt needs the full step skeleton,
+// steps retire through the superblock engine's turbo lane (runBatched).
 func (m *Machine) Run(n int) *Machine {
 	m.runBatched(n)
 	return m

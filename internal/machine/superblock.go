@@ -27,13 +27,14 @@ import (
 //     the interpreter dispatches to, and Step is the only full step
 //     skeleton — its instruction-execution slot calls sbExec. The turbo
 //     lane (sbTurbo) is the one specialization: it elides skeleton
-//     checks that are provably dead — no AfterStep hook, no tickers
-//     registered, no pins latched, not halted — and re-establishes them
-//     at every block boundary, the only place the executors themselves
-//     can violate them (port I/O, hlt and int are serialize points,
-//     hence always block-final). Interrupts, resets and halts therefore
-//     preempt a block between any two entries, exactly as they preempt
-//     the interpreter between any two steps.
+//     checks that are provably dead — no AfterStep hook, no ticker due
+//     (every tick in the batch is quiet, see Ticker), no pins latched,
+//     not halted — and re-establishes them at every block boundary, the
+//     only place the executors themselves can violate them (port I/O,
+//     hlt and int are serialize points, hence always block-final).
+//     Interrupts, resets and halts therefore preempt a block between
+//     any two entries, exactly as they preempt the interpreter between
+//     any two steps.
 //   - Per-entry validation: before an entry runs, the engine checks
 //     that the live cs:ip still addresses that entry. The check is
 //     (e.ip == c.IP && e.lin == linear(cs, ip)): since cs<<4 ≡ lin−ip
@@ -103,9 +104,10 @@ type superblock struct {
 	// succ caches the block most recently entered after this one
 	// exhausted — a monomorphic chain hint that lets the turbo loop
 	// follow block→block transitions without re-probing the table. It
-	// is only ever a hint: every use re-checks (lin, ip) and span
-	// freshness, so a stale pointer (the slot was rebuilt for another
-	// head) simply misses.
+	// is only ever a hint: every use re-checks heads (lin, ip, and a
+	// positive block) and span freshness, so a stale pointer (the slot
+	// was rebuilt for another head, or as a negative block) simply
+	// misses.
 	succ *superblock
 }
 
@@ -128,20 +130,43 @@ func (m *Machine) SetDecodeCache(on bool) {
 }
 
 // runBatched is Run's loop: whenever the step skeleton provably has no
-// work beyond executing instructions — no AfterStep hook, no devices to
-// tick, no latched pins, not halted — and a block is current, steps
+// work beyond executing instructions — no AfterStep hook, no latched
+// pins, not halted, and no ticker due — and a block is current, steps
 // retire through the turbo lane; every other step is a plain Step. The
 // lane's preconditions are live machine fields re-read every iteration,
 // so hooks installed mid-run by tickers or port devices take effect on
 // the very next step.
 //
+// Tickers cap a batch at their smallest Quiet(): up to that many ticks
+// only count down registers no instruction can read, so the batch runs
+// its instructions first and then Skips the retired count on every
+// ticker registered when it began. A ticker registered mid-batch (by a
+// block-final port executor) ends the batch at that block boundary and
+// receives no skipped ticks. The tick that does more than count down
+// runs through Step, which stays the per-tick reference skeleton.
+//
 //ssos:hotpath
 func (m *Machine) runBatched(n int) {
 	for done := 0; done < n; done++ {
-		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted && len(m.tickers) == 0 {
+		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted {
 			if b := m.sbCur; b != nil {
-				if done = m.sbTurbo(b, done, n); done >= n {
-					return
+				k := n - done
+				for _, t := range m.tickers {
+					if q := int(t.Quiet()); q < k {
+						k = q
+					}
+				}
+				if k > 0 {
+					nt, start := len(m.tickers), done
+					done = m.sbTurbo(b, done, done+k, nt)
+					if r := uint32(done - start); r != 0 {
+						for _, t := range m.tickers[:nt] {
+							t.Skip(r)
+						}
+					}
+					if done >= n {
+						return
+					}
 				}
 			}
 		}
@@ -152,23 +177,25 @@ func (m *Machine) runBatched(n int) {
 // sbTurbo retires consecutive entries of the current block b, one per
 // step, starting at step index done and stopping at n. Preconditions
 // (checked by runBatched, invariant between block boundaries):
-// AfterStep nil, no tickers, no latched pins, not halted. Each
-// iteration performs exactly one Step: Stats.Steps, the per-entry
-// validation, the entry's executor, the NMI-counter decrement, and the
-// trailing AfterStep check; the skeleton's remaining checks are dead
-// under the preconditions.
+// AfterStep nil, the nt registered tickers quiet for every step up to
+// n, no latched pins, not halted. Each iteration performs exactly one
+// Step minus its quiet tick (runBatched Skips those afterwards):
+// Stats.Steps, the per-entry validation, the entry's executor, the
+// NMI-counter decrement, and the trailing AfterStep check; the
+// skeleton's remaining checks are dead under the preconditions.
 //
 // At a block boundary (the block exhausted), the loop keeps going
 // without dropping out: the only executors with skeleton-visible side
-// effects — port I/O ticking a device that latches a pin or installs a
+// effects — port I/O ticking a device that latches a pin or registers a
 // ticker, hlt, int — are serialize points and hence block-final, so the
-// preconditions are re-checked exactly there, and then control chains
-// to the successor block: the block itself for a loop back-edge, the
-// cached succ hint, or a table probe. Every chained entry revalidates
+// preconditions are re-checked exactly there (a ticker count other
+// than nt means one was registered), and then control chains to the
+// successor block: the block itself for a loop back-edge, the cached
+// succ hint, or a table probe. Every chained entry revalidates
 // (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
 // stale or negative successor drops back to Step, which rebuilds via
 // sbEnter. Returns the number of steps done.
-func (m *Machine) sbTurbo(b *superblock, done, n int) int {
+func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 	c := &m.CPU
 	i := m.sbIdx
 	for done < n {
@@ -176,7 +203,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 		if i >= len(b.ins) {
 			// Block boundary: re-establish the skeleton preconditions
 			// that a block-final executor may have violated, then chain.
-			if m.pins != 0 || c.Halted || len(m.tickers) != 0 || m.sblocks == nil {
+			if m.pins != 0 || c.Halted || len(m.tickers) != nt || m.sblocks == nil {
 				break
 			}
 			ip := c.IP
@@ -184,7 +211,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n int) int {
 			if b.ip == ip && b.lin == lin {
 				// Loop back-edge: re-enter in place; the entry-0 check
 				// below revalidates span freshness.
-			} else if s := b.succ; s != nil && s.ip == ip && s.lin == lin && m.sbRevalidate(s) {
+			} else if s := b.succ; s.heads(lin, ip) && m.sbRevalidate(s) {
 				b, m.sbCur = s, s
 			} else if s := m.sbLookup(lin, ip); s != nil && m.sbRevalidate(s) {
 				b.succ = s
@@ -306,11 +333,19 @@ func (m *Machine) sbRevalidate(b *superblock) bool {
 // need no explicit guard: built heads always satisfy the wrap guards,
 // so a wrap-adjacent ip can never match a stored one.
 func (m *Machine) sbLookup(lin uint32, ip uint16) *superblock {
-	b := m.sblocks[(lin^lin>>sbBits)&sbMask]
-	if b == nil || b.lin != lin || b.ip != ip || len(b.ins) == 0 {
-		return nil
+	if b := m.sblocks[(lin^lin>>sbBits)&sbMask]; b.heads(lin, ip) {
+		return b
 	}
-	return b
+	return nil
+}
+
+// heads reports whether b is a usable successor at (lin, ip): a built,
+// positive block headed there. It is the one check for both chaining
+// paths, the succ hint and the table probe. sbBuild rebuilds a table
+// slot in place, so a hint can point at a block that has since turned
+// negative at the same head; such a block has no entry to run.
+func (b *superblock) heads(lin uint32, ip uint16) bool {
+	return b != nil && b.lin == lin && b.ip == ip && len(b.ins) != 0
 }
 
 // sbEnter looks up (or builds) the superblock headed at cs:ip,

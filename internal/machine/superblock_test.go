@@ -16,8 +16,12 @@ import (
 
 // TestSuperblockRunDifferential drives both engines through Run in
 // random batch sizes from randomized any-state starts, injecting
-// identical faults between batches. Every batch boundary asserts
-// CPU-and-stats agreement; every trial ends with a full memory compare.
+// identical faults between batches. Most trials carry a countdown
+// ticker, so the turbo lane batches quiet ticks while the interpreter
+// ticks every step; batch sizes often land just before, on or just past
+// a fire, and faults corrupt the counter, out-of-range values included.
+// Every batch boundary asserts CPU, stats and ticker agreement; every
+// trial ends with a full memory compare.
 func TestSuperblockRunDifferential(t *testing.T) {
 	trials, batches := 12, 400
 	if testing.Short() {
@@ -54,10 +58,23 @@ func TestSuperblockRunDifferential(t *testing.T) {
 		cpu.NMICounter = uint16(rng.Intn(1 << 16))
 		pairDo(p, func(m *Machine) { m.CPU = cpu })
 
+		var cd [2]*countdown
+		if trial%4 != 3 {
+			period := uint32(rng.Intn(300) + 1)
+			for i, m := range p {
+				cd[i] = &countdown{period: period, counter: period - 1}
+				m.AddTicker(cd[i])
+			}
+		}
+
 		for b := 0; b < batches; b++ {
 			if rng.Intn(4) == 0 {
 				// Identical fault between batches.
-				switch rng.Intn(6) {
+				faults := 6
+				if cd[0] != nil {
+					faults++
+				}
+				switch rng.Intn(faults) {
 				case 0:
 					a := uint32(rng.Intn(mem.AddrSpace))
 					v := byte(rng.Intn(256))
@@ -78,14 +95,147 @@ func TestSuperblockRunDifferential(t *testing.T) {
 				case 5:
 					v := rng.Intn(2) == 0
 					pairDo(p, func(m *Machine) { m.CPU.Halted = v })
+				case 6: // corrupt the countdown, often out of range
+					v := uint32(rng.Intn(int(2*cd[0].period) + 2))
+					cd[0].counter, cd[1].counter = v, v
 				}
 			}
 			n := rng.Intn(97) + 1
+			if cd[0] != nil && rng.Intn(3) == 0 {
+				// Straddle the next fire: stop one short of it, on it,
+				// or one or two steps past it.
+				n = max(int(cd[0].Quiet())+rng.Intn(4)-1, 1)
+			}
 			pairDo(p, func(m *Machine) { m.Run(n) })
 			comparePairCPU(t, p, "trial batch")
+			if cd[0] != nil && *cd[0] != *cd[1] {
+				t.Fatalf("trial %d batch %d: ticker diverged: superblock %+v, interp %+v",
+					trial, b, *cd[0], *cd[1])
+			}
 		}
 		comparePair(t, p, "trial final")
 	}
+}
+
+// tickerPort registers its ticker on the third write to its port,
+// recording the step that did it: a block-final port executor adding a
+// clock device in the middle of a turbo batch, once the blocks around
+// it are built and chained.
+type tickerPort struct {
+	m      *Machine
+	t      *countdown
+	writes int
+	at     uint64
+}
+
+func (p *tickerPort) In(uint16) uint16 { return 0 }
+
+func (p *tickerPort) Out(uint16, uint16) {
+	if p.writes++; p.writes == 3 {
+		p.at = p.m.Stats.Steps
+		p.m.AddTicker(p.t)
+	}
+}
+
+// TestSuperblockTickerRegisteredMidRun pins mid-batch ticker
+// registration on both engines, with and without a ticker already
+// registered: the new ticker's first tick lands on the step after the
+// out that registered it — so it must receive neither the registering
+// step's tick nor any tick the batch skipped before it existed — and
+// from then on it ticks every step. The loop's blocks are chained by
+// the third pass, so only the lane's block-boundary check can end the
+// batch at the registration.
+//
+//	 0: mov ax, 7
+//	 4: inc bx
+//	 6: out 0x42, ax   ; the third write registers the ticker
+//	 8: inc cx
+//	10: nop
+//	11: jmp 4
+func TestSuperblockTickerRegisteredMidRun(t *testing.T) {
+	code := prog(
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 7},
+		isa.Inst{Op: isa.OpIncR, R1: r(isa.BX)},
+		isa.Inst{Op: isa.OpOutI, Imm: 0x42},
+		isa.Inst{Op: isa.OpIncR, R1: r(isa.CX)},
+		isa.Inst{Op: isa.OpNop},
+		isa.Inst{Op: isa.OpJmp, Imm: 4},
+	)
+	if len(code) != 14 {
+		t.Fatalf("encoding drifted: len=%d, fix the jump target", len(code))
+	}
+	for _, withTicker := range []bool{false, true} {
+		p := newEnginePair(t, Options{ResetVector: SegOff{0x0100, 0}})
+		var old [2]*countdown
+		var ports [2]*tickerPort
+		for i, m := range p {
+			for j, b := range code {
+				m.Bus.PokeRAM(0x1000+uint32(j), b)
+			}
+			if withTicker {
+				old[i] = &countdown{period: 1000, counter: 999}
+				m.AddTicker(old[i])
+			}
+			ports[i] = &tickerPort{m: m, t: &countdown{period: 5000, counter: 4999}}
+			m.MapPort(0x42, ports[i])
+			m.Run(1)   // enter the first block through Step
+			m.Run(500) // the out retires inside the turbo batch
+		}
+		for i, m := range p {
+			tag := engineLabels[i]
+			if ports[i].at != 13 {
+				t.Fatalf("%s: ticker registered at step %d, want 13", tag, ports[i].at)
+			}
+			if got, want := ports[i].t.ticks, m.Stats.Steps-ports[i].at; got != want {
+				t.Fatalf("%s (ticker before: %v): new ticker got %d ticks over the %d steps after its registration",
+					tag, withTicker, got, want)
+			}
+			if withTicker && old[i].ticks != m.Stats.Steps {
+				t.Fatalf("%s: existing ticker got %d ticks over %d steps", tag, old[i].ticks, m.Stats.Steps)
+			}
+		}
+		if *ports[0].t != *ports[1].t || (withTicker && *old[0] != *old[1]) {
+			t.Fatalf("tickers diverged: new %+v vs %+v, old %+v vs %+v",
+				*ports[0].t, *ports[1].t, old[0], old[1])
+		}
+		comparePair(t, p, "mid-run registration")
+	}
+}
+
+// TestSuperblockNegativeSuccessorHint pins a chaining hazard in the
+// turbo lane. Block A's succ hint names block B. A fault then makes B's
+// head undecodable, and sbBuild rebuilds B's table slot in place as a
+// negative block with the same head, so the hint still matches (lin, ip)
+// and its span is fresh. Only the positive-block check keeps the lane
+// from running entry 0 of an empty block (an index-out-of-range panic).
+//
+//	0100:0000  nop; nop; jmp 0x200
+//	0100:0200  nop; nop; jmp 0      ; head later overwritten with 0xFF
+func TestSuperblockNegativeSuccessorHint(t *testing.T) {
+	p := newEnginePair(t, Options{
+		ResetVector:     SegOff{0x0100, 0},
+		ExceptionPolicy: ExceptionVector,
+		ExceptionVector: SegOff{0x0100, 0},
+	})
+	blockA := prog(isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0x200})
+	blockB := prog(isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpNop}, isa.Inst{Op: isa.OpJmp, Imm: 0})
+	pairDo(p, func(m *Machine) {
+		for i, b := range blockA {
+			m.Bus.PokeRAM(0x1000+uint32(i), b)
+		}
+		for i, b := range blockB {
+			m.Bus.PokeRAM(0x1200+uint32(i), b)
+		}
+		m.Run(1000)
+		m.Bus.PokeRAM(0x1200, 0xFF)
+		m.Run(1000)
+	})
+	for i, m := range p {
+		if m.Stats.Exceptions == 0 {
+			t.Fatalf("%s: the undecodable head never raised", engineLabels[i])
+		}
+	}
+	comparePair(t, p, "negative successor")
 }
 
 // TestSuperblockSelfModifyingStoreInsideBlock pins the hardest

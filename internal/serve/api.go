@@ -79,7 +79,10 @@ type apiError struct {
 // fail maps service errors onto HTTP statuses.
 func fail(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrFull):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, ErrShutdown):
@@ -114,7 +117,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var sp SessionSpec
-	if err := decodeBody(r, &sp); err != nil {
+	if err := decodeBody(w, r, &sp); err != nil {
 		fail(w, err)
 		return
 	}
@@ -191,7 +194,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -210,7 +213,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FaultRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		fail(w, err)
 		return
 	}
@@ -334,11 +337,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxBodyBytes caps a request body. Every request document is a few
+// small fields, so 1 MiB is generous; a larger body is refused with 413
+// before it can cost more than that much memory.
+const maxBodyBytes = 1 << 20
+
 // decodeBody parses an optional JSON body (empty bodies decode to the
-// zero request, so `curl -X POST` without -d works for defaults).
-func decodeBody(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+// zero request, so `curl -X POST` without -d works for defaults). The
+// rest of the body is drained through the same cap, so any body over
+// maxBodyBytes is refused whatever its first document holds.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("request body: %w", err)
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
 		return fmt.Errorf("request body: %w", err)
 	}
 	return nil

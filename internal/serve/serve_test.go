@@ -469,6 +469,47 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRefused pins the request-body cap: a body over
+// maxBodyBytes gets 413 in the API's JSON error shape and leaves the
+// session untouched, on every route that reads a body, while a normal
+// body on the same session still works.
+func TestOversizedBodyRefused(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	id := createSession(t, ts.URL, `{"image":"baseline"}`)
+	before := apiOK(t, "GET", ts.URL+"/api/sessions/"+id, "")
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/api/sessions", `{"image":"baseline","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`},
+		{"/api/sessions/" + id + "/run", `{"steps":1000}` + pad},
+		{"/api/sessions/" + id + "/fault", `{"kind":"os-blast"}` + pad},
+	} {
+		code, body := apiDo(t, "POST", ts.URL+c.path, c.body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with %d bytes: status %d, want 413", c.path, len(c.body), code)
+		}
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("POST %s: 413 body is not the JSON error shape: %s", c.path, body)
+		}
+	}
+	if after := apiOK(t, "GET", ts.URL+"/api/sessions/"+id, ""); !bytes.Equal(before, after) {
+		t.Fatalf("refused requests changed the session:\nbefore %s\nafter  %s", before, after)
+	}
+	var list []listEntry
+	if err := json.Unmarshal(apiOK(t, "GET", ts.URL+"/api/sessions", ""), &list); err != nil || len(list) != 1 {
+		t.Fatalf("refused create left %d sessions (%v), want 1", len(list), err)
+	}
+
+	var st Status
+	if err := json.Unmarshal(apiOK(t, "POST", ts.URL+"/api/sessions/"+id+"/run", `{"steps":1000}`), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Machine == nil || st.Machine.Steps != 1000 {
+		t.Fatalf("normal run after refusals: status %+v, want 1000 steps", st.Machine)
+	}
+}
+
 // TestCatalogEndpoints sanity-checks the static catalog routes.
 func TestCatalogEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
