@@ -460,7 +460,12 @@ func opMovsb(m *Machine, in *isa.Inst, next uint16) Event {
 // opRepMovsb copies one byte per clock tick, resumably: ip stays on the
 // instruction until cx reaches zero. This matches the paper's reading of
 // rep movsb (Figure 1 line 9): a cx-bounded loop that always terminates
-// because cx strictly decreases.
+// because cx strictly decreases. It is the reference for every
+// iteration: Step and the interpreter run one per tick, and Run's turbo
+// lane retires the ordinary iterations of a long copy in one loop
+// (repMovsbBulk) that does exactly what this executor does per byte,
+// leaving the final iteration and every ROM or window-refused store to
+// it.
 func opRepMovsb(m *Machine, in *isa.Inst, next uint16) Event {
 	c := &m.CPU
 	if c.R[isa.CX] != 0 {
@@ -561,16 +566,26 @@ func (m *Machine) storeMem(in *isa.Inst, v uint16) bool {
 
 // storeAllowed reports whether a data store to the linear address is
 // permitted under the memory-protection extension: always, unless the
-// option is on, FlagWP is set, and the executing code resides in RAM
-// while the target lies outside the 4 KiB window at WP<<4. ROM-resident
-// code (the stabilizers) is exempt, playing supervisor.
+// window is active and the target lies outside it.
 func (m *Machine) storeAllowed(addr uint32) bool {
-	if !m.Opts.MemoryProtection || !m.CPU.Flags.Has(isa.FlagWP) {
-		return true
-	}
-	if m.Bus.InROM(m.CPU.PC().Linear()) {
-		return true
-	}
+	return !m.windowActive() || m.inWindow(addr)
+}
+
+// windowActive reports whether the memory-protection window constrains
+// data stores: the option is on, FlagWP is set, and the executing code
+// resides in RAM. ROM-resident code (the stabilizers) is exempt, playing
+// supervisor. No data store can change the answer, so a rep movsb copy
+// may ask once for all of its iterations.
+func (m *Machine) windowActive() bool {
+	return m.Opts.MemoryProtection && m.CPU.Flags.Has(isa.FlagWP) &&
+		!m.Bus.InROM(m.CPU.PC().Linear())
+}
+
+// inWindow reports whether a store at the linear address lies inside
+// the 4 KiB window at WP<<4. The bound is the same for byte and word
+// stores (addr+1 must lie in the window too), so a byte store to the
+// window's last byte is refused.
+func (m *Machine) inWindow(addr uint32) bool {
 	base := uint32(m.CPU.WP) << 4
 	return addr >= base && addr+1 < base+WPWindowSize
 }

@@ -157,14 +157,24 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 // FuzzSuperblockDifferential is FuzzDecodeCacheDifferential with step
 // batches driven through Run — the only path that exercises the turbo
 // lane and block chaining — in fuzz-chosen sizes, so cursors are left
-// mid-block across mutations. It shares that target's seed corpus, so
-// every staleness schedule found there is replayed against the turbo
-// lane too.
+// mid-block across mutations. Batches run from 1 to 4096 steps, long
+// enough for the lane's bulk rep movsb to matter. It shares that
+// target's seed corpus, so every staleness schedule found there is
+// replayed against the turbo lane too, and adds copies: rep movsb at
+// 0100:0000 with si one byte below di (an overlapping forward copy),
+// and one whose destination runs into its own instruction bytes.
 func FuzzSuperblockDifferential(f *testing.F) {
 	f.Add([]byte{1, 40, 1, 40})
 	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
 	f.Add([]byte{2, 0x00, 0x10, 1, 20, 3, 0x34, 0x12, 1, 20, 4, 1, 20, 6, 1, 20})
 	f.Add(bytes.Repeat([]byte{0, 0xAB, 0x05, 0x62, 1, 3}, 24))
+	// Register writes load reg%8 with lo | reg<<8, so reg 0x0A is cx =
+	// 0x0Axx, 0x0C is si = 0x0Cxx and 0x0D is di = 0x0Dxx (ds = es = 0).
+	repMovsb := []byte{0, 0x00, 0x00, byte(isa.OpRepMovsb)} // at 0100:0000
+	f.Add(append(append([]byte{}, repMovsb...),
+		3, 0x0A, 0x00, 3, 0x0C, 0xFF, 3, 0x0D, 0x00, 2, 0x00, 0x00, 1, 0xFF, 1, 0xC8))
+	f.Add(append(append([]byte{}, repMovsb...),
+		3, 0x0A, 0x80, 3, 0x0C, 0x00, 3, 0x0D, 0xF0, 2, 0x00, 0x00, 1, 0xF0, 1, 0x05))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newEnginePair(t, Options{
@@ -204,6 +214,9 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			case 1: // run a batch, comparing state at the boundary
 				n, _ := pop()
 				k := int(n%64) + 1
+				if n >= 0xC0 {
+					k = int(n-0xBF) * 64 // long batches: 64..4096 steps
+				}
 				pairDo(p, func(m *Machine) { m.Run(k) })
 				steps += k
 				comparePairCPU(t, p, "fuzz batch")

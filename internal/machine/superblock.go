@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"slices"
-
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 )
@@ -45,9 +43,10 @@ import (
 //     a ticker, device or AfterStep hook corrupting registers, an
 //     adopted snapshot — fails the compare and bails.
 //   - Staleness: the bus write stamp (mem.Bus.WriteStamp) advances on
-//     every memory mutation anywhere. While the stamp is unchanged
-//     since the block's last validation, the block's bytes are
-//     provably unwritten and entries run with zero generation checks;
+//     every change to memory anywhere (a store of the value already
+//     there changes nothing and moves nothing). While the stamp is
+//     unchanged since the block's last validation, the block's bytes
+//     are provably unchanged and entries run with zero generation checks;
 //     when it moved (a guest store, a fault injection, a snapshot
 //     restore), the engine re-checks the block's span pages against
 //     their build-time generations and bails on any mismatch. A store
@@ -194,7 +193,9 @@ func (m *Machine) runBatched(n int) {
 // succ hint, or a table probe. Every chained entry revalidates
 // (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
 // stale or negative successor drops back to Step, which rebuilds via
-// sbEnter. Returns the number of steps done.
+// sbEnter. A validated rep movsb entry (block-final) with cx > 1 first
+// retires its ordinary iterations in bulk (repMovsbBulk). Returns the
+// number of steps done.
 func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 	c := &m.CPU
 	i := m.sbIdx
@@ -236,6 +237,20 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 		}
 		if entered {
 			m.Stats.Blocks++
+		}
+		if e.inst.Op == isa.OpRepMovsb && c.R[isa.CX] > 1 {
+			// A copy in progress: retire its ordinary iterations in
+			// bulk. What remains — the final iteration, a store the
+			// executor must refuse or count, a store into this block's
+			// span — runs through the entry's executor below, and the
+			// next entry revalidates the block as after any store.
+			done += m.repMovsbBulk(b, n-done)
+			if done >= n {
+				// The cursor an iteration leaves behind: past the
+				// block-final entry, ip still on it.
+				m.sbIdx = i + 1
+				return done
+			}
 		}
 		// Continuation run. After a validated entry completes with
 		// EventInstr, the (lin, ip) compare is provably redundant for
@@ -284,6 +299,58 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 	}
 	m.sbIdx = i
 	return done
+}
+
+// repMovsbBulk retires up to budget iterations of the validated rep
+// movsb entry that is the turbo lane's current entry in b, never its
+// final one (cx stays at least 1), and returns how many it retired.
+// Each iteration is exactly what opRepMovsb does for one tick — load
+// ds:si, StoreByte it to es:di, step si and di per DF with 16-bit wrap,
+// decrement cx — and counts as one lane step: Steps, Instrs and
+// BlockInstrs grow by one and the NMI counter drops by one, saturating
+// at zero, all applied in aggregate. Under the lane's preconditions no
+// pin, hook, ticker or halt can intervene between iterations, so the
+// segment bases, DF and the window's activity are read once.
+//
+// It stops before an iteration the executor treats specially — a
+// destination in ROM (the policy's #GP and ROMWriteCount) or one the
+// memory-protection window refuses — and before one that stores into a
+// page of b's span, so that store goes through the executor and b is
+// revalidated before its bytes are trusted again. Bytes move one at a
+// time, so an overlapping copy replicates its pattern as the
+// interpreter does.
+func (m *Machine) repMovsbBulk(b *superblock, budget int) int {
+	c := &m.CPU
+	bus := m.Bus
+	n := min(budget, int(c.R[isa.CX])-1)
+	ds := uint32(c.S[isa.DS]) << 4
+	es := uint32(c.S[isa.ES]) << 4
+	delta := uint16(1)
+	if c.Flags.Has(isa.FlagDF) {
+		delta = 0xFFFF
+	}
+	guarded := m.windowActive()
+	si, di := c.R[isa.SI], c.R[isa.DI]
+	k := 0
+	for k < n {
+		dst := (es + uint32(di)) & mem.AddrMask
+		if bus.InROM(dst) || guarded && !m.inWindow(dst) || b.spans(dst>>mem.PageShift) {
+			break
+		}
+		bus.StoreByte(dst, bus.LoadByte((ds+uint32(si))&mem.AddrMask))
+		si += delta
+		di += delta
+		k++
+	}
+	c.R[isa.SI], c.R[isa.DI] = si, di
+	c.R[isa.CX] -= uint16(k)
+	m.Stats.Steps += uint64(k)
+	m.Stats.Instrs += uint64(k)
+	m.Stats.BlockInstrs += uint64(k)
+	if m.Opts.NMICounter {
+		c.NMICounter = uint16(max(int(c.NMICounter)-k, 0))
+	}
+	return k
 }
 
 // sbExec is Step's instruction-execution slot when the engine is on:
@@ -434,7 +501,7 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 // reporting false when the page budget would overflow.
 func (b *superblock) addSpan(lin, size uint32) bool {
 	for p := lin >> mem.PageShift; p <= (lin+size-1)>>mem.PageShift; p++ {
-		if slices.Contains(b.pages[:b.npages], p) {
+		if b.spans(p) {
 			continue
 		}
 		if int(b.npages) == len(b.pages) {
@@ -444,6 +511,16 @@ func (b *superblock) addSpan(lin, size uint32) bool {
 		b.npages++
 	}
 	return true
+}
+
+// spans reports whether page p is one of the block's span pages.
+func (b *superblock) spans(p uint32) bool {
+	for _, q := range b.pages[:b.npages] {
+		if q == p {
+			return true
+		}
+	}
+	return false
 }
 
 // sbEndsBlock reports whether the decoded instruction must be the last

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -407,4 +408,238 @@ func TestSuperblockBailResumesInterpreter(t *testing.T) {
 		t.Fatal("schedule never produced a mid-block bail; weaken the corruption odds")
 	}
 	comparePair(t, p, "bail final")
+}
+
+// TestSuperblockRepMovsbBulkDifferential holds the turbo lane's bulk
+// rep movsb (repMovsbBulk) against the interpreter's one iteration per
+// tick. Every case runs `rep movsb; hlt` at 0100:0000 through the same
+// schedule of Run batches, many of which end inside the copy, and
+// compares CPU, architectural stats, ROMWriteCount and ticker state at
+// every batch boundary and the whole memory at the end. The cases cover
+// each way an iteration can differ from the one before it: direction,
+// overlap, 16-bit and 20-bit wrap, ROM under both policies, the
+// memory-protection window's edges, a copy over its own instruction
+// bytes, a watchdog fire and the NMI counter's floor mid-copy, and the
+// cx values at the bulk loop's bounds.
+func TestSuperblockRepMovsbBulkDifferential(t *testing.T) {
+	code := prog(isa.Inst{Op: isa.OpRepMovsb}, isa.Inst{Op: isa.OpHlt})
+	iret := prog(isa.Inst{Op: isa.OpIret})
+	type regs struct{ ds, si, es, di, cx uint16 }
+	cases := []struct {
+		name   string
+		r      regs
+		df     bool
+		rom    uint32 // a 16-byte ROM region here, when non-zero
+		policy mem.ROMWritePolicy
+		window uint16 // memory protection on, window at WP = window
+		nmi    uint16 // NMI counter on, loaded with nmi
+		ticker uint32 // countdown period raising the NMI, 0 = none
+		setup  func(m *Machine)
+		bulk   bool // the copy must retire in few block entries
+	}{
+		{name: "forward", r: regs{0x2000, 0, 0x3000, 0, 300}, bulk: true},
+		{name: "backward", r: regs{0x2000, 0x3FF, 0x3000, 0x1FF, 300}, df: true, bulk: true},
+		{name: "overlap/forward/dst above src", r: regs{0x2000, 0, 0x2000, 1, 200}, bulk: true},
+		{name: "overlap/forward/dst below src", r: regs{0x2000, 1, 0x2000, 0, 200}},
+		{name: "overlap/backward/dst above src", r: regs{0x2000, 0x200, 0x2000, 0x201, 200}, df: true},
+		{name: "overlap/backward/dst below src", r: regs{0x2000, 0x201, 0x2000, 0x200, 200}, df: true},
+		{name: "offset wrap", r: regs{0x2000, 0xFFF0, 0x3000, 0xFFF8, 64}},
+		{name: "offset wrap/backward", r: regs{0x2000, 0x8, 0x3000, 0x4, 64}, df: true},
+		{name: "linear wrap", r: regs{0xFFFF, 0x8, 0xFFFF, 0, 64}},
+		{name: "rom/ignore", r: regs{0x2000, 0, 0x3000, 0x70, 64}, rom: 0x30080, policy: mem.ROMWriteIgnore},
+		{name: "rom/fault", r: regs{0x2000, 0, 0x3000, 0x70, 64}, rom: 0x30080, policy: mem.ROMWriteFault},
+		{name: "rom/fault/backward", r: regs{0x2000, 0x80, 0x3000, 0xA0, 64}, df: true, rom: 0x30080, policy: mem.ROMWriteFault},
+		{name: "window/inside", r: regs{0x2000, 0, 0x3000, 0x100, 300}, window: 0x3000, bulk: true},
+		{name: "window/last byte", r: regs{0x2000, 0, 0x3000, 0xFF0, 32}, window: 0x3000},
+		{name: "window/below base", r: regs{0x2000, 0x20, 0x3000, 0x10, 32}, df: true, window: 0x3000},
+		{
+			// Iteration 9 overwrites the rep movsb byte itself with a
+			// nop: the next tick must run the nop, then the hlt.
+			name: "own bytes/changed", r: regs{0x2000, 0x8000, 0x00FF, 0x8, 20},
+			setup: func(m *Machine) {
+				for i := uint32(0); i < 20; i++ {
+					m.Bus.PokeRAM(0x28000+i, byte(isa.OpNop))
+				}
+			},
+		},
+		{name: "own bytes/unchanged in place", r: regs{0x0100, 0, 0x0100, 0, 600}},
+		{
+			name: "own bytes/unchanged from a copy", r: regs{0x2000, 0x9000, 0x0100, 0, 600},
+			setup: func(m *Machine) {
+				for i := uint32(0); i < 600; i++ {
+					m.Bus.PokeRAM(0x29000+i, m.Bus.Peek(0x1000+i))
+				}
+			},
+		},
+		{name: "watchdog fires mid-copy", r: regs{0x2000, 0, 0x3000, 0, 500}, nmi: 1, ticker: 37},
+		{name: "nmi counter reaches zero", r: regs{0x2000, 0, 0x3000, 0, 100}, nmi: 25, bulk: true},
+		{name: "cx=0", r: regs{0x2000, 0, 0x3000, 0, 0}},
+		{name: "cx=1", r: regs{0x2000, 0, 0x3000, 0, 1}},
+		{name: "cx=2", r: regs{0x2000, 0, 0x3000, 0, 2}},
+		{name: "cx=0xFFFF", r: regs{0x2000, 0, 0x4000, 0, 0xFFFF}, bulk: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{
+				ResetVector:        SegOff{0x0100, 0},
+				ExceptionPolicy:    ExceptionVector,
+				ExceptionVector:    SegOff{0xF000, 0},
+				HardwiredNMIVector: true,
+				NMIVector:          SegOff{0x0100, 0x40},
+				NMICounter:         tc.nmi != 0,
+				NMICounterMax:      8,
+				MemoryProtection:   tc.window != 0,
+			}
+			p := newEnginePair(t, opts)
+			var cd [2]*countdown
+			for i, m := range p {
+				if tc.rom != 0 {
+					if _, err := m.Bus.AddROM("dst", tc.rom, make([]byte, 16)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m.Bus.SetROMWritePolicy(tc.policy)
+				for a := uint32(0x20000); a < 0x30000; a++ {
+					m.Bus.PokeRAM(a, byte(a*37+11))
+				}
+				for j, b := range code {
+					m.Bus.PokeRAM(0x1000+uint32(j), b)
+				}
+				for j, b := range iret {
+					m.Bus.PokeRAM(0x1040+uint32(j), b)
+				}
+				if tc.setup != nil {
+					tc.setup(m)
+				}
+				c := &m.CPU
+				c.S[isa.DS], c.R[isa.SI] = tc.r.ds, tc.r.si
+				c.S[isa.ES], c.R[isa.DI] = tc.r.es, tc.r.di
+				c.R[isa.CX] = tc.r.cx
+				c.S[isa.SS], c.R[isa.SP] = 0x5000, 0x1000
+				c.NMICounter = tc.nmi
+				if tc.df {
+					c.Flags = c.Flags.With(isa.FlagDF)
+				}
+				if tc.window != 0 {
+					c.WP = tc.window
+					c.Flags = c.Flags.With(isa.FlagWP)
+				}
+				if tc.ticker != 0 {
+					cd[i] = &countdown{period: tc.ticker, counter: tc.ticker - 1}
+					m.AddTicker(cd[i])
+				}
+			}
+			// Batches that end inside the copy, then the rest of it.
+			batches := []int{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987}
+			batches = append(batches, int(tc.r.cx)+64)
+			for b, n := range batches {
+				pairDo(p, func(m *Machine) { m.Run(n) })
+				tag := fmt.Sprintf("batch %d (+%d)", b, n)
+				comparePairCPU(t, p, tag)
+				if p[0].Bus.ROMWriteCount != p[1].Bus.ROMWriteCount {
+					t.Fatalf("%s: ROMWriteCount diverged: superblock %d, interp %d",
+						tag, p[0].Bus.ROMWriteCount, p[1].Bus.ROMWriteCount)
+				}
+				if cd[0] != nil && *cd[0] != *cd[1] {
+					t.Fatalf("%s: ticker diverged: superblock %+v, interp %+v", tag, *cd[0], *cd[1])
+				}
+			}
+			comparePair(t, p, "final")
+			if tc.bulk && p[0].Stats.Blocks*8 > uint64(tc.r.cx) {
+				t.Fatalf("copy of %d bytes took %d block entries: the bulk loop did not run",
+					tc.r.cx, p[0].Stats.Blocks)
+			}
+		})
+	}
+}
+
+// TestSuperblockSilentRefreshKeepsBlocksValid pins silent stores at the
+// machine level with a Figure 1 style refresh: a refresher running from
+// ROM reinstalls the OS in RAM from its ROM image. As in every shipped
+// design, whose copies run in ROM handlers, the block doing the copy is
+// not the block it refreshes.
+//
+//	0100:0000 (RAM, the OS)  X: inc bx          ; the image may hold inc dx
+//	                            jmp 3000:0400
+//	                            data to 0100:02FF
+//	3000:0000 (ROM)             the OS image
+//	3000:0400 (ROM)             ds = 0x3000, es = 0x0100, si = di = 0,
+//	                            cx = image size, cld
+//	                            rep movsb       ; 3000:0000 -> 0100:0000
+//	                            jmp 0100:0000
+//
+// When the image equals RAM, as in every legal execution, the copy
+// changes nothing: the OS block's span generations are unchanged
+// afterwards, so the block is still valid and is not rebuilt. When the
+// image differs, the very next OS instruction is the new one.
+func TestSuperblockSilentRefreshKeepsBlocksValid(t *testing.T) {
+	const size = 0x300
+	image := func(x isa.Reg) []byte {
+		img := prog(
+			isa.Inst{Op: isa.OpIncR, R1: r(x)},
+			isa.Inst{Op: isa.OpJmpFar, Imm: 0x3000, Imm2: 0x0400},
+		)
+		for i := len(img); i < size; i++ {
+			img = append(img, byte(i*37+11))
+		}
+		return img
+	}
+	refresher := prog(
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 0x3000},
+		isa.Inst{Op: isa.OpMovSR, R1: uint8(isa.DS), R2: r(isa.AX)},
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.AX), Imm: 0x0100},
+		isa.Inst{Op: isa.OpMovSR, R1: uint8(isa.ES), R2: r(isa.AX)},
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.SI), Imm: 0},
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.DI), Imm: 0},
+		isa.Inst{Op: isa.OpMovRI, R1: r(isa.CX), Imm: size},
+		isa.Inst{Op: isa.OpCld},
+		isa.Inst{Op: isa.OpRepMovsb},
+		isa.Inst{Op: isa.OpJmpFar, Imm: 0x0100, Imm2: 0},
+	)
+	ram := image(isa.BX)
+	for _, changed := range []bool{false, true} {
+		rom := ram
+		if changed {
+			rom = image(isa.DX)
+		}
+		rom = append(append(append([]byte{}, rom...), make([]byte, 0x400-size)...), refresher...)
+		p := newEnginePair(t, Options{ResetVector: SegOff{0x0100, 0}})
+		for _, m := range p {
+			if _, err := m.Bus.AddROM("os", 0x30000, rom); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range ram {
+				m.Bus.PokeRAM(0x1000+uint32(i), b)
+			}
+		}
+		pairDo(p, func(m *Machine) { m.Run(2) }) // X, into the refresher
+		blk := p[0].sbLookup(0x1000, 0)
+		if blk == nil {
+			t.Fatal("no block over the OS code")
+		}
+		gens := blk.gens
+		pairDo(p, func(m *Machine) { m.Run(8) })    // up to the rep movsb
+		pairDo(p, func(m *Machine) { m.Run(size) }) // the copy
+		pairDo(p, func(m *Machine) { m.Run(1) })    // back to X
+		comparePairCPU(t, p, "after the copy")
+		if p[0].CPU.S[isa.CS] != 0x0100 || p[0].CPU.IP != 0 {
+			t.Fatalf("after the refresh: at %v, want 0100:0000", p[0].CPU.PC())
+		}
+		fresh := true
+		for i := uint8(0); i < blk.npages; i++ {
+			fresh = fresh && p[0].Bus.PageGen(blk.pages[i]<<mem.PageShift) == gens[i]
+		}
+		if fresh == changed {
+			t.Fatalf("changed image %v: OS block valid = %v after the copy", changed, fresh)
+		}
+		pairDo(p, func(m *Machine) { m.Run(1) }) // X
+		if bx, dx := p[0].CPU.R[isa.BX], p[0].CPU.R[isa.DX]; changed && (bx != 1 || dx != 1) ||
+			!changed && (bx != 2 || dx != 0) {
+			t.Fatalf("changed image %v: X ran as bx=%d dx=%d", changed, bx, dx)
+		}
+		if rebuilt := blk.gens != gens; rebuilt != changed {
+			t.Fatalf("changed image %v: OS block rebuilt = %v", changed, rebuilt)
+		}
+		comparePair(t, p, "after X")
+	}
 }

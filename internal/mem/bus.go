@@ -19,13 +19,18 @@
 //     store and every protection check) costs one word load instead of
 //     a scan over the region list;
 //   - per-page write-generation counters (PageSize-byte pages), bumped
-//     by EVERY path that can alter memory contents — instruction
+//     by EVERY change to a byte, whatever the path — instruction
 //     stores, test Pokes, fault-injection PokeRAMs, snapshot Restores
 //     and ROM installation. The machine's superblock engine validates
 //     blocks against these counters, which is what keeps the fast path
 //     sound from arbitrary configurations: no decoded block entry can
-//     survive a write (or an injected bit-flip) to its backing
-//     bytes, because any such write bumps the backing page's counter.
+//     survive a change (or an injected bit-flip) to its backing
+//     bytes, because any such change bumps the backing page's counter.
+//     An instruction store of the value a byte already holds changes
+//     nothing and so moves nothing: the engine relies only on
+//     "generation unchanged ⇒ bytes unchanged", which such a store
+//     keeps true, and a refresh that rewrites RAM with the bytes it
+//     already holds leaves the blocks decoded over it valid.
 package mem
 
 import (
@@ -95,18 +100,21 @@ type Bus struct {
 	romBits []uint64
 
 	// gens holds one write-generation counter per PageSize-byte page.
-	// Every mutation of data bumps the counter of each page it
-	// touches. Consumers (the machine's superblock engine) snapshot the
-	// counters covering a cached range and treat any change as an
-	// invalidation. 64-bit counters cannot realistically wrap.
+	// Every mutation that changes a byte of data bumps the counter of
+	// each page it touches; a store of the present value changes
+	// nothing and bumps nothing. Consumers (the machine's superblock
+	// engine) snapshot the counters covering a cached range and treat
+	// any change as an invalidation. 64-bit counters cannot
+	// realistically wrap.
 	gens *[NumPages]uint64
 
 	// stamp is the bus-wide write epoch: advanced at least once by every
-	// mutation that bumps any page generation. It gives consumers that
-	// validate multi-page spans (the machine's superblock engine) a
-	// one-compare fast path: an unchanged stamp proves no byte anywhere
-	// was written since the last full span validation, so the per-page
-	// counters only need rechecking when the stamp moved.
+	// mutation that bumps any page generation, and by no store that
+	// changes nothing. It gives consumers that validate multi-page spans
+	// (the machine's superblock engine) a one-compare fast path: an
+	// unchanged stamp proves no byte anywhere changed since the last
+	// full span validation, so the per-page counters only need
+	// rechecking when the stamp moved.
 	stamp uint64
 
 	// ROMWriteCount counts stores that targeted ROM, regardless of
@@ -213,12 +221,17 @@ func (b *Bus) LoadByte(addr uint32) byte {
 
 // StoreByte stores v at addr. It returns false when the store targeted
 // ROM and the policy is ROMWriteFault; the store never alters ROM
-// either way.
+// either way. A RAM store of the value the byte already holds is
+// silent: it succeeds without bumping the page generation or advancing
+// the stamp, since nothing changed.
 func (b *Bus) StoreByte(addr uint32, v byte) bool {
 	addr &= AddrMask
 	if b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
 		b.ROMWriteCount++
 		return b.policy == ROMWriteIgnore
+	}
+	if b.data[addr] == v {
+		return true
 	}
 	b.data[addr] = v
 	b.gens[addr>>PageShift]++
@@ -248,10 +261,16 @@ func (b *Bus) LoadWord(addr uint32) uint16 {
 // the ROM byte is dropped, and the store reports failure. That partial
 // write is exactly what byte-serial hardware does, and the paper's
 // designs must stabilize from it like from any other corruption.
+//
+// Like StoreByte, a store that changes neither byte is silent; one
+// that changes either byte bumps both bytes' pages.
 func (b *Bus) StoreWord(addr uint32, v uint16) bool {
 	a0 := addr & AddrMask
 	a1 := (addr + 1) & AddrMask
 	if (b.romBits[a0>>6]&(1<<(a0&63)))|(b.romBits[a1>>6]&(1<<(a1&63))) == 0 {
+		if b.data[a0] == byte(v) && b.data[a1] == byte(v>>8) {
+			return true
+		}
 		b.data[a0] = byte(v)
 		b.data[a1] = byte(v >> 8)
 		b.gens[a0>>PageShift]++

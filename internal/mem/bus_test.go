@@ -255,8 +255,10 @@ func TestStoreWordStraddlesIntoROM(t *testing.T) {
 }
 
 // TestPageGenerations pins the invalidation contract the superblock
-// engine depends on: every mutation path bumps the written page's generation,
-// reads never do, and blocked ROM writes leave generations alone.
+// engine depends on: every mutation that changes a byte bumps the
+// written page's generation and advances the write stamp, reads never
+// do, blocked ROM writes leave generations alone, and a store of the
+// value already there is silent.
 func TestPageGenerations(t *testing.T) {
 	b := NewBus()
 	if _, err := b.AddROM("rom", 0x2000, []byte{1, 2, 3}); err != nil {
@@ -282,6 +284,36 @@ func TestPageGenerations(t *testing.T) {
 	b.StoreWord(PageSize-1, 0xFFFF)
 	if gen(PageSize-1) != g0+1 || gen(PageSize) != g1+1 {
 		t.Fatal("straddling StoreWord did not bump both pages")
+	}
+
+	// Silent stores: a store of the present value changes nothing, so
+	// it bumps no generation and leaves the stamp alone, byte or word,
+	// within a page or straddling two.
+	stamp := *b.WriteStamp()
+	g, g0, g1 = gen(0x50), gen(PageSize-1), gen(PageSize)
+	b.StoreByte(0x50, 1)
+	b.StoreWord(0x50, 0x0001) // 0x50 holds 1, 0x51 still 0
+	b.StoreWord(PageSize-1, 0xFFFF)
+	if gen(0x50) != g || gen(PageSize-1) != g0 || gen(PageSize) != g1 {
+		t.Fatal("a store of the present value bumped a page generation")
+	}
+	if *b.WriteStamp() != stamp {
+		t.Fatal("a store of the present value advanced the write stamp")
+	}
+
+	// A word store that changes only one byte is a change: it bumps and
+	// advances the stamp, and a straddling one bumps both pages whichever
+	// byte changed.
+	b.StoreWord(0x50, 0x0201) // only 0x51 changes
+	if gen(0x50) != g+1 || *b.WriteStamp() == stamp {
+		t.Fatal("StoreWord changing only its high byte did not bump")
+	}
+	for i, v := range []uint16{0xFF00, 0x0000} { // low byte, then high byte
+		g0, g1, stamp = gen(PageSize-1), gen(PageSize), *b.WriteStamp()
+		b.StoreWord(PageSize-1, v)
+		if gen(PageSize-1) != g0+1 || gen(PageSize) != g1+1 || *b.WriteStamp() == stamp {
+			t.Fatalf("straddling StoreWord changing one byte (%d) did not bump both pages", i)
+		}
 	}
 
 	g = gen(0x60)

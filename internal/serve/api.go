@@ -199,7 +199,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Reg.Touch(sess)
-	st, err := sess.Run(req)
+	st, err := sess.Run(r.Context(), req)
 	if err != nil {
 		fail(w, err)
 		return

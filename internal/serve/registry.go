@@ -318,7 +318,8 @@ func (r *Registry) Evicted() uint64 {
 
 // Shutdown closes every session (tearing the fan-out down on the
 // context-aware pool) and stops the worker set. In-flight commands
-// finish; queued ones fail with ErrShutdown. Idempotent.
+// stop at their next chunk boundary; queued ones fail with ErrShutdown.
+// Idempotent.
 func (r *Registry) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.closed {

@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ssos/internal/cluster"
 	"ssos/internal/core"
@@ -258,7 +260,7 @@ func evictionTrace(t *testing.T) (evicted []string, surviving []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(RunRequest{Steps: 1000}); err != nil {
+		if _, err := s.Run(context.Background(), RunRequest{Steps: 1000}); err != nil {
 			t.Fatal(err)
 		}
 		ss = append(ss, s)
@@ -267,7 +269,7 @@ func evictionTrace(t *testing.T) (evicted []string, surviving []string) {
 	// IdleOps=3 further operations each (logical clock, no wall time).
 	for i := 0; i < 5; i++ {
 		reg.Touch(ss[2])
-		if _, err := ss[2].Run(RunRequest{Steps: 100}); err != nil {
+		if _, err := ss[2].Run(context.Background(), RunRequest{Steps: 100}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -565,7 +567,7 @@ func TestStressManySessions(t *testing.T) {
 			}
 			sessions[i] = s
 			reg.Touch(s)
-			if _, err := s.Run(RunRequest{Steps: 200}); err != nil {
+			if _, err := s.Run(context.Background(), RunRequest{Steps: 200}); err != nil {
 				errs[i] = err
 			}
 		}(i)
@@ -601,5 +603,122 @@ func TestStressManySessions(t *testing.T) {
 	}
 	if _, err := sessions[1].Status(); !errors.Is(err, ErrEvicted) {
 		t.Errorf("aged-out session error = %v, want ErrEvicted", err)
+	}
+}
+
+// statusOf fetches a session's status over HTTP with client, failing
+// the test on any error or non-2xx reply.
+func statusOf(t *testing.T, client *http.Client, base, id string) Status {
+	t.Helper()
+	resp, err := client.Get(base + "/api/sessions/" + id)
+	if err != nil {
+		t.Fatalf("status of %s: %v", id, err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status of %s: HTTP %d", id, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestRunChunkingIsInvisible extends the determinism bridge over the
+// run chunks: Run(a) then Run(b) and one Run(a+b), with a+b spanning
+// several chunks (machine) or epochs (cluster), give byte-identical
+// /events and equal status.
+func TestRunChunkingIsInvisible(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		a, b RunRequest
+	}{
+		{`{"image":"reinstall","seed":7}`,
+			RunRequest{Steps: runChunk + 12345}, RunRequest{Steps: 2*runChunk + 6789}},
+		{`{"kind":"cluster","image":"reinstall","seed":5,"replicas":3,"faults":"os-blast"}`,
+			RunRequest{Epochs: 2}, RunRequest{Epochs: 3}},
+	} {
+		reg, ts := newTestServer(t, Options{Workers: 2})
+		split := createSession(t, ts.URL, tc.spec)
+		whole := createSession(t, ts.URL, tc.spec)
+		run := func(id string, req RunRequest) {
+			s, _ := reg.Get(id)
+			if _, err := s.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run(split, tc.a)
+		run(split, tc.b)
+		run(whole, RunRequest{Steps: tc.a.Steps + tc.b.Steps, Epochs: tc.a.Epochs + tc.b.Epochs})
+
+		got := apiOK(t, "GET", ts.URL+"/api/sessions/"+split+"/events", "")
+		want := apiOK(t, "GET", ts.URL+"/api/sessions/"+whole+"/events", "")
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: split run's events differ from the whole run's", tc.spec)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: bridge vacuous: no events", tc.spec)
+		}
+		sa, sb := statusOf(t, http.DefaultClient, ts.URL, split), statusOf(t, http.DefaultClient, ts.URL, whole)
+		sa.ID, sa.CreatedOp, sa.LastTouchOp = sb.ID, sb.CreatedOp, sb.LastTouchOp
+		if !reflect.DeepEqual(sa, sb) {
+			t.Errorf("%s: status differs:\nsplit %+v %+v\nwhole %+v %+v", tc.spec, sa, sa.Machine, sb, sb.Machine)
+		}
+	}
+}
+
+// TestRunCancelFreesWorker pins the fix for a run request that could
+// pin a worker forever. On a one-worker daemon, a client asks for 2^40
+// steps and hangs up once the run is under way. The run must stop at
+// its next chunk boundary: the session answers status within seconds,
+// with a step count that is a whole number of chunks (so a run queued
+// meanwhile by a request that had already ended ran no chunk), and
+// another session's run then completes on the freed worker.
+func TestRunCancelFreesWorker(t *testing.T) {
+	reg, ts := newTestServer(t, Options{Workers: 1})
+	id := createSession(t, ts.URL, `{"image":"reinstall","seed":3}`)
+	other := createSession(t, ts.URL, `{"image":"baseline","seed":4}`)
+	sess, _ := reg.Get(id)
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/api/sessions/"+id+"/run",
+			strings.NewReader(`{"steps":1099511627776}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("a 2^40-step run answered before its client hung up")
+		}
+	}()
+	for sess.EventCount() == 0 { // the watchdog's events show the run is under way
+		time.Sleep(time.Millisecond)
+	}
+	ended, end := context.WithCancel(context.Background())
+	end()
+	if _, err := sess.Run(ended, RunRequest{Steps: 5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run with an ended context: err = %v, want context.Canceled", err)
+	}
+	hangUp()
+	<-returned
+
+	client := &http.Client{Timeout: 20 * time.Second}
+	st := statusOf(t, client, ts.URL, id)
+	if st.Machine.Steps == 0 || st.Machine.Steps%runChunk != 0 {
+		t.Errorf("cancelled run left %d steps, want a positive multiple of %d", st.Machine.Steps, runChunk)
+	}
+	resp, err := client.Post(ts.URL+"/api/sessions/"+other+"/run", "application/json",
+		strings.NewReader(`{"steps":1000}`))
+	if err != nil {
+		t.Fatalf("the other session's run after the cancellation: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the other session's run: HTTP %d", resp.StatusCode)
 	}
 }

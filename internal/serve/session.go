@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -67,6 +68,14 @@ type Session struct {
 	created   uint64
 	lastTouch uint64
 }
+
+// runChunk bounds one uninterrupted stretch of a Run command: a
+// machine session advances at most this many steps, a cluster session
+// one epoch, between checks of the request context and of the
+// session's closure. Run(a) then Run(b) is Run(a+b) for both kinds, so
+// chunking changes no result; it bounds how long a request keeps its
+// worker after the client has gone or the session has closed.
+const runChunk = 1 << 20
 
 // command is one queued mutation and its completion signal.
 type command struct {
@@ -153,8 +162,10 @@ func faultsOrNone(s string) string {
 
 // do enqueues one command and waits for the worker set to execute it.
 // Commands on one session run strictly in submission order, one at a
-// time; a closed session fails immediately with its closure error.
-func (s *Session) do(fn func() (interface{}, error)) (interface{}, error) {
+// time; a closed session fails immediately with its closure error. When
+// ctx ends first, do returns its error at once without waiting for the
+// command; a Run command checks ctx itself before each of its chunks.
+func (s *Session) do(ctx context.Context, fn func() (interface{}, error)) (interface{}, error) {
 	cmd := &command{fn: fn, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
@@ -169,8 +180,12 @@ func (s *Session) do(fn func() (interface{}, error)) (interface{}, error) {
 	if schedule {
 		s.reg.enqueue(s)
 	}
-	<-cmd.done
-	return cmd.result, cmd.err
+	select {
+	case <-cmd.done:
+		return cmd.result, cmd.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // drain executes the session's queued commands on the calling worker
@@ -191,10 +206,24 @@ func (s *Session) drain() {
 	}
 }
 
+// interrupted reports why a running command should stop at its next
+// chunk boundary: its request's context ended, or the session closed.
+func (s *Session) interrupted(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return s.closeErr
+	}
+	return nil
+}
+
 // close marks the session closed with the given error and fails every
-// queued command. A command already executing finishes normally (the
-// simulation is never interrupted mid-step); everything behind it
-// fails fast. Idempotent.
+// queued command. A command already executing stops at its next chunk
+// boundary (the simulation is never interrupted mid-step); everything
+// behind it fails fast. Idempotent.
 func (s *Session) close(err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -323,7 +352,7 @@ func (s *Session) status() *Status {
 
 // Status returns a session snapshot, serialized with the command loop.
 func (s *Session) Status() (*Status, error) {
-	r, err := s.do(func() (interface{}, error) { return s.status(), nil })
+	r, err := s.do(context.Background(), func() (interface{}, error) { return s.status(), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -331,23 +360,38 @@ func (s *Session) Status() (*Status, error) {
 }
 
 // Run advances the session per the request and returns the resulting
-// status.
-func (s *Session) Run(req RunRequest) (*Status, error) {
-	r, err := s.do(func() (interface{}, error) {
+// status. It runs in chunks of runChunk steps (machine) or one epoch
+// (cluster) and stops between chunks, with ctx's error or the session's
+// closure error, once ctx ends or the session closes; the chunks already
+// run stay run.
+func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
+	r, err := s.do(ctx, func() (interface{}, error) {
 		switch {
 		case s.sys != nil:
 			if req.Steps <= 0 {
 				return nil, fmt.Errorf("machine session: run wants steps > 0")
 			}
-			s.sys.Run(req.Steps)
-			s.blocks.Store(s.sys.M.Stats.Blocks)
-			s.blockInstrs.Store(s.sys.M.Stats.BlockInstrs)
-			s.blockBails.Store(s.sys.M.Stats.BlockBails)
+			defer func() {
+				s.blocks.Store(s.sys.M.Stats.Blocks)
+				s.blockInstrs.Store(s.sys.M.Stats.BlockInstrs)
+				s.blockBails.Store(s.sys.M.Stats.BlockBails)
+			}()
+			for left := req.Steps; left > 0; left -= runChunk {
+				if err := s.interrupted(ctx); err != nil {
+					return nil, err
+				}
+				s.sys.Run(min(left, runChunk))
+			}
 		case s.clu != nil:
 			if req.Epochs <= 0 {
 				return nil, fmt.Errorf("cluster session: run wants epochs > 0")
 			}
-			s.clu.Run(req.Epochs)
+			for range req.Epochs {
+				if err := s.interrupted(ctx); err != nil {
+					return nil, err
+				}
+				s.clu.Run(1)
+			}
 		}
 		return s.status(), nil
 	})
@@ -359,7 +403,7 @@ func (s *Session) Run(req RunRequest) (*Status, error) {
 
 // Inject lands one on-demand fault.
 func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
-	r, err := s.do(func() (interface{}, error) {
+	r, err := s.do(context.Background(), func() (interface{}, error) {
 		switch {
 		case s.sys != nil:
 			before := len(s.inj.Log)
@@ -401,7 +445,7 @@ func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
 // live tracker — the same RecordEpisodes the CLIs run post-hoc, so the
 // determinism bridge extends to the episode metrics.
 func (s *Session) Metrics() (*obs.Metrics, error) {
-	r, err := s.do(func() (interface{}, error) {
+	r, err := s.do(context.Background(), func() (interface{}, error) {
 		var snap *obs.Metrics
 		switch {
 		case s.sys != nil:
