@@ -10,6 +10,7 @@ import (
 	"ssos/internal/expt"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
+	"ssos/internal/imglint"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
@@ -217,6 +218,61 @@ func BenchmarkRecoveryFromBlast(b *testing.B) {
 		s.Run(int(s.Cfg.WatchdogPeriod) + 3*guest.ImageSize)
 		if _, ok := s.Spec().RecoveredAfter(s.Heartbeat.Writes(), faultStep, 5); !ok {
 			b.Fatal("no recovery")
+		}
+	}
+}
+
+// Static-side benchmarks: the three parts of one certify pass (the
+// certificate catalog, the ranking prover, the model checker).
+
+// BenchmarkConvergenceCerts measures building the certificate catalog:
+// assembling the checked node images and each ranking certificate's
+// declared height map.
+func BenchmarkConvergenceCerts(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := guest.ConvergenceCerts(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckRingCerts measures proving every catalog certificate
+// from the shipped ROM bytes.
+func BenchmarkCheckRingCerts(b *testing.B) {
+	specs, err := guest.ConvergenceCerts()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			if r := imglint.CheckRingCert(sp.Cert); !r.Proved() {
+				b.Fatalf("%s: not proved: %v", r.Name, r.Findings)
+			}
+		}
+	}
+}
+
+// BenchmarkModelVerify measures the model checker on the protocol twin
+// of every ranking-mode certificate (the certificates past the prover's
+// state cap have no twin check).
+func BenchmarkModelVerify(b *testing.B) {
+	specs, err := guest.ConvergenceCerts()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var twins []guest.RingCertSpec
+	for _, sp := range specs {
+		if imglint.CheckRingCert(sp.Cert).Mode == "ranking" {
+			twins = append(twins, sp)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range twins {
+			if _, err := sp.Protocol.System(sp.Cert.N).Verify(1 << 20); err != nil {
+				b.Fatalf("%s: %v", sp.Cert.Name, err)
+			}
 		}
 	}
 }

@@ -51,20 +51,29 @@ func TestCertBoundsConsistentWithModel(t *testing.T) {
 	}
 }
 
-// TestCertRankMatchesExactWorstCase pins the ranked bounds for the
-// three variants at the fleet sizes the model checker handles: with
-// the exact height map as declared variant, the certificate's rank
-// bound IS the exact worst case.
+// TestCertRankMatchesExactWorstCase pins the rank bound and product
+// size of every ranking-mode certificate: with the exact height map as
+// declared variant, the certificate's rank bound IS the exact worst
+// case. The K-state rings past four nodes are over the state cap and
+// prove in Mode "local" only.
 func TestCertRankMatchesExactWorstCase(t *testing.T) {
-	want := map[string]int{
-		"mbox-dijkstra3-n3": 1,
-		"mbox-dijkstra3-n4": 10,
-		"mbox-dijkstra3-n5": 22,
-		"mbox-dijkstra3-n6": 39,
-		"mbox-ghosh4-n3":    0,
-		"mbox-ghosh4-n4":    3,
-		"mbox-ghosh4-n5":    8,
-		"mbox-ghosh4-n6":    15,
+	want := map[string]struct{ rank, states int }{
+		"mbox-kstate":       {2, 4096},
+		"mbox-kstate-n2":    {0, 256},
+		"mbox-kstate-n3":    {2, 4096},
+		"mbox-kstate-n4":    {13, 65536},
+		"mbox-dijkstra3":    {1, 27},
+		"mbox-dijkstra3-n2": {0, 9},
+		"mbox-dijkstra3-n3": {1, 27},
+		"mbox-dijkstra3-n4": {10, 81},
+		"mbox-dijkstra3-n5": {22, 243},
+		"mbox-dijkstra3-n6": {39, 729},
+		"mbox-ghosh4":       {0, 16},
+		"mbox-ghosh4-n2":    {0, 4},
+		"mbox-ghosh4-n3":    {0, 16},
+		"mbox-ghosh4-n4":    {3, 64},
+		"mbox-ghosh4-n5":    {8, 256},
+		"mbox-ghosh4-n6":    {15, 1024},
 	}
 	specs, err := guest.ConvergenceCerts()
 	if err != nil {
@@ -72,21 +81,31 @@ func TestCertRankMatchesExactWorstCase(t *testing.T) {
 	}
 	seen := 0
 	for _, spec := range specs {
-		exp, ok := want[spec.Cert.Name]
-		if !ok {
-			continue
-		}
-		seen++
 		r := imglint.CheckRingCert(spec.Cert)
 		if !r.Proved() {
 			t.Errorf("%s: not proved: %v", r.Name, r.Findings)
 			continue
 		}
-		if r.RankBound != exp {
-			t.Errorf("%s: rank bound %d, want exact worst case %d", r.Name, r.RankBound, exp)
+		exp, ok := want[spec.Cert.Name]
+		if !ok {
+			if r.Mode == "ranking" {
+				t.Errorf("%s: ranking-mode certificate (rank %d, %d states) not pinned", r.Name, r.RankBound, r.States)
+			}
+			continue
 		}
-		if r.Bound != exp+r.N {
-			t.Errorf("%s: bound %d, want rank %d + mid-entry grace %d", r.Name, r.Bound, exp, r.N)
+		seen++
+		if r.Mode != "ranking" {
+			t.Errorf("%s: mode %q, want ranking", r.Name, r.Mode)
+			continue
+		}
+		if r.RankBound != exp.rank {
+			t.Errorf("%s: rank bound %d, want exact worst case %d", r.Name, r.RankBound, exp.rank)
+		}
+		if r.States != exp.states {
+			t.Errorf("%s: %d product states, want %d", r.Name, r.States, exp.states)
+		}
+		if r.Bound != exp.rank+r.N {
+			t.Errorf("%s: bound %d, want rank %d + mid-entry grace %d", r.Name, r.Bound, exp.rank, r.N)
 		}
 	}
 	if seen != len(want) {

@@ -156,7 +156,7 @@ func ConvergenceCerts() ([]RingCertSpec, error) {
 			}
 			fleet.Cert.Nodes = make([]imglint.RingNode, n)
 			for j := 0; j < n; j++ {
-				nset, err := BuildNodeProcesses(v, j, n)
+				nset, err := buildNodeProcess(v, j, n)
 				if err != nil {
 					return nil, fmt.Errorf("cert %s node %d: %w", fleet.Cert.Name, j, err)
 				}

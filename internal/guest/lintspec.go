@@ -233,7 +233,7 @@ func LintImages() ([]imglint.Image, error) {
 		}
 		for n := 2; n <= MaxMailboxNodes; n++ {
 			for node := 0; node < n; node++ {
-				nset, err := BuildNodeProcesses(v, node, n)
+				nset, err := buildNodeProcess(v, node, n)
 				if err != nil {
 					return nil, err
 				}

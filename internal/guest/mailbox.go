@@ -379,6 +379,26 @@ func BuildMailboxProcesses(v RingVariant) (*ProcSet, error) {
 // standard counter workers, and the refresher keeps its slot. The
 // node's neighbour slots are filled in by the cluster's relay shim.
 func BuildNodeProcesses(v RingVariant, node, n int) (*ProcSet, error) {
+	set, err := buildNodeProcess(v, node, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < NumProcs; i++ {
+		src := procWorkerSource(i)
+		if i == RefresherIndex {
+			src = refresherSource()
+		}
+		if err := assembleInto(set, i, src); err != nil {
+			return nil, fmt.Errorf("mailbox %v node %d/%d process %d: %w", v, node, n, i, err)
+		}
+	}
+	return set, nil
+}
+
+// buildNodeProcess assembles slot 0 of BuildNodeProcesses(v, node, n),
+// the ring node itself, and leaves the other slots empty: the lint and
+// certificate catalogs check only the node.
+func buildNodeProcess(v RingVariant, node, n int) (*ProcSet, error) {
 	if n < 2 || n > MaxMailboxNodes {
 		return nil, fmt.Errorf("mailbox ring size %d out of range 2..%d", n, MaxMailboxNodes)
 	}
@@ -386,19 +406,8 @@ func BuildNodeProcesses(v RingVariant, node, n int) (*ProcSet, error) {
 		return nil, fmt.Errorf("mailbox node %d out of range 0..%d", node, n-1)
 	}
 	set := &ProcSet{}
-	for i := 0; i < NumProcs; i++ {
-		var src string
-		switch {
-		case i == RefresherIndex:
-			src = refresherSource()
-		case i == 0:
-			src = mailboxNodeSource(v, node, n, 0)
-		default:
-			src = procWorkerSource(i)
-		}
-		if err := assembleInto(set, i, src); err != nil {
-			return nil, fmt.Errorf("mailbox %v node %d/%d process %d: %w", v, node, n, i, err)
-		}
+	if err := assembleInto(set, 0, mailboxNodeSource(v, node, n, 0)); err != nil {
+		return nil, fmt.Errorf("mailbox %v node %d/%d process 0: %w", v, node, n, err)
 	}
 	return set, nil
 }

@@ -126,11 +126,12 @@ func (s *absState) setS(r uint8, v aval) {
 	}
 }
 
-// transfer applies one instruction to the abstract register state.
-// Memory is not tracked here (loads produce top): the global fixpoint
-// must stay sound for arbitrary images whose stores it cannot resolve.
-// The certificate walker layers word-tracked memory on top (cert.go).
-func transfer(in isa.Inst, s absState) absState {
+// transfer applies one instruction to the abstract register state, in
+// place. Memory is not tracked here (loads produce top): the global
+// fixpoint must stay sound for arbitrary images whose stores it cannot
+// resolve. The certificate walker layers word-tracked memory on top
+// (cert.go).
+func transfer(in isa.Inst, s *absState) {
 	clearCmp := true
 	binop := func(r uint8, rhs aval, f func(a, b aval) aval) {
 		s.setR(r, f(s.getR(r), rhs))
@@ -240,7 +241,8 @@ func transfer(in isa.Inst, s absState) absState {
 		s.setR(uint8(isa.CX), avConst(0))
 	case isa.OpInt:
 		// A software-interrupt handler may clobber anything.
-		return topState()
+		*s = topState()
+		return
 	case isa.OpCall:
 		s.setR(uint8(isa.SP), avTop())
 	case isa.OpPushR, isa.OpPushI, isa.OpPushS, isa.OpPushf, isa.OpPopf:
@@ -249,7 +251,6 @@ func transfer(in isa.Inst, s absState) absState {
 	if clearCmp {
 		s.cmpValid = false
 	}
-	return s
 }
 
 // jccRelation maps a conditional-jump opcode to the relation that holds
@@ -292,14 +293,14 @@ func negateRel(rel string) string {
 	return rel
 }
 
-// refineEdge narrows the state flowing along one out-edge of a
-// conditional jump, using the tracked cmp operands. taken selects the
-// jump-taken edge (the relation holds) vs the fall-through (its
+// refineEdge narrows, in place, the state flowing along one out-edge
+// of a conditional jump, using the tracked cmp operands. taken selects
+// the jump-taken edge (the relation holds) vs the fall-through (its
 // negation holds).
-func refineEdge(s absState, op isa.Op, taken bool) absState {
+func refineEdge(s *absState, op isa.Op, taken bool) {
 	rel, ok := jccRelation(op)
 	if !ok || !s.cmpValid {
-		return s
+		return
 	}
 	if !taken {
 		rel = negateRel(rel)
@@ -311,7 +312,6 @@ func refineEdge(s absState, op isa.Op, taken bool) absState {
 		s.regs[s.cmpR] = refine(s.cmpRV, s.cmpLV, negateSides(rel))
 	}
 	s.cmpValid = false
-	return s
 }
 
 // negateSides converts `a rel b` into the relation `b rel' a`.
@@ -342,7 +342,7 @@ func fixpoint(g *graph) map[int]absState {
 	updates := map[int]int{}
 	var work []int
 	for _, e := range g.entries {
-		if _, ok := g.nodes[e]; !ok {
+		if g.at(e) == nil {
 			continue
 		}
 		in[e] = topState() // any machine state at entry
@@ -353,17 +353,19 @@ func fixpoint(g *graph) map[int]absState {
 		off := work[len(work)-1]
 		work = work[:len(work)-1]
 		n := g.nodes[off]
-		out := transfer(n.inst, in[off])
+		out := in[off]
+		transfer(n.inst, &out)
 		_, conditional := jccRelation(n.inst.Op)
 		for si, succ := range n.succs {
-			if _, ok := g.nodes[succ]; !ok {
+			if g.at(succ) == nil {
 				continue
 			}
 			edge := out
 			if conditional {
 				// lift appends the taken edge first, the fall-through
 				// second (cfg.go).
-				edge = refineEdge(in[off], n.inst.Op, si == 0)
+				edge = in[off]
+				refineEdge(&edge, n.inst.Op, si == 0)
 			}
 			var next absState
 			if seen[succ] {

@@ -171,17 +171,22 @@ func moveKey(self, left, right uint16) uint64 {
 
 // wpath is one in-flight abstract walk path.
 type wpath struct {
-	off    int
-	st     absState
-	mem    map[uint32]aval // node data-window words written this pass
-	writes []aval          // own-slot stores, in order
+	off int
+	st  absState
+	// mem holds the node data-window words written this pass; nil
+	// until the path's first data-window store.
+	mem    map[uint32]aval
+	writes []aval // own-slot stores, in order
 	steps  int
 }
 
 func (w *wpath) clone() *wpath {
-	mem := make(map[uint32]aval, len(w.mem))
-	for k, v := range w.mem {
-		mem[k] = v
+	var mem map[uint32]aval
+	if w.mem != nil {
+		mem = make(map[uint32]aval, len(w.mem))
+		for k, v := range w.mem {
+			mem[k] = v
+		}
 	}
 	return &wpath{
 		off:    w.off,
@@ -281,7 +286,7 @@ func liftCertGraph(c RingCert, n *RingNode, report func(string, string, int, str
 		report(img.Name, check, off, format, args...)
 	}
 	g := lift(&img, ce, rep)
-	if _, ok := g.nodes[0]; !ok {
+	if g.at(0) == nil {
 		rep("cert-entry", 0, "iteration head (offset 0) is not a decodable instruction")
 		return nil, false
 	}
@@ -318,7 +323,7 @@ func (e *certEnv) checkGraphObligations() {
 					if s == 0 {
 						continue
 					}
-					if _, ok := e.g.nodes[s]; !ok {
+					if e.g.at(s) == nil {
 						continue
 					}
 					switch colour[s] {
@@ -406,6 +411,9 @@ func (e *certEnv) writeMem(p *wpath, off int, m isa.MemOp, v aval) {
 		return
 	}
 	if lin >= e.node.DataLo && lin+1 < e.node.DataHi {
+		if p.mem == nil {
+			p.mem = map[uint32]aval{}
+		}
 		p.mem[lin] = v
 		return
 	}
@@ -413,17 +421,18 @@ func (e *certEnv) writeMem(p *wpath, off int, m isa.MemOp, v aval) {
 		lin, e.node.DataLo, e.node.DataHi)
 }
 
-// step executes one abstract instruction on path p, returning the
-// successor paths (forking on undecided branches when fork is true).
-// A nil return ends the path; done is set when the path has completed
-// the iteration (reached offset 0 again).
-func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (succs []*wpath, done bool) {
+// step executes one abstract instruction on path p, in place, and
+// returns its successor paths, forking on undecided branches when fork
+// is true. A nil first ends the path; second is set only by a fork
+// whose two edges both continue. done is set when the path has
+// completed the iteration (reached offset 0 again).
+func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (first, second *wpath, done bool) {
 	n := e.g.nodes[p.off]
 	in := n.inst
 	p.steps++
 	if p.steps > walkMaxSteps {
 		e.report("cert-termination", p.off, "abstract walk exceeded %d steps without completing the iteration", walkMaxSteps)
-		return nil, false
+		return nil, nil, false
 	}
 
 	// Memory-aware effects first; everything else delegates to the
@@ -451,7 +460,7 @@ func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (succs []*wpath, do
 	case isa.OpMovSM:
 		p.st.setS(in.R1, e.readMem(p, in.Mem, slotVals))
 	default:
-		p.st = transfer(in, p.st)
+		transfer(in, &p.st)
 	}
 
 	// Successor selection.
@@ -459,44 +468,44 @@ func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (succs []*wpath, do
 	if !conditional {
 		if len(n.succs) == 0 {
 			e.report("cert-termination", p.off, "path ends without returning to the iteration head")
-			return nil, false
+			return nil, nil, false
 		}
 		next := n.succs[0]
 		if next == 0 {
-			return nil, true
+			return nil, nil, true
 		}
-		if _, ok := e.g.nodes[next]; !ok {
-			return nil, false // lift already reported it
+		if e.g.at(next) == nil {
+			return nil, nil, false // lift already reported it
 		}
 		p.off = next
-		return []*wpath{p}, false
+		return p, nil, false
 	}
 
 	// Conditional: decide (or fork) on the tracked cmp operands.
 	if !p.st.cmpValid {
 		e.report("cert-normalization", p.off, "conditional branch without a tracked cmp in view")
-		return nil, false
+		return nil, nil, false
 	}
 	if p.st.cmpLV.isTop() || p.st.cmpRV.isTop() {
 		e.report("cert-normalization", p.off, "conditional branch on an unnormalized (unbounded) value")
-		return nil, false
+		return nil, nil, false
 	}
 	takenOK := feasible(p.st.cmpLV, p.st.cmpRV, rel)
 	fallOK := feasible(p.st.cmpLV, p.st.cmpRV, negateRel(rel))
 	if takenOK && fallOK && !fork {
 		e.report("cert-extraction", p.off, "branch undecided on a canonical singleton input — behaviour depends on unobservable state")
-		return nil, false
+		return nil, nil, false
 	}
 	follow := func(p *wpath, si int, taken bool) (*wpath, bool) {
 		if si >= len(n.succs) {
 			return nil, false
 		}
 		next := n.succs[si]
-		p.st = refineEdge(p.st, in.Op, taken)
+		refineEdge(&p.st, in.Op, taken)
 		if next == 0 {
 			return nil, true
 		}
-		if _, ok := e.g.nodes[next]; !ok {
+		if e.g.at(next) == nil {
 			return nil, false
 		}
 		p.off = next
@@ -507,48 +516,45 @@ func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (succs []*wpath, do
 		q := p.clone()
 		s1, d1 := follow(p, 0, true)
 		s2, d2 := follow(q, 1, false)
-		if s1 != nil {
-			succs = append(succs, s1)
+		if s1 == nil {
+			s1, s2 = s2, nil
 		}
-		if s2 != nil {
-			succs = append(succs, s2)
-		}
-		return succs, d1 || d2
+		return s1, s2, d1 || d2
 	}
-	var s *wpath
 	if takenOK {
-		s, done = follow(p, 0, true)
+		first, done = follow(p, 0, true)
 	} else {
-		s, done = follow(p, 1, false)
+		first, done = follow(p, 1, false)
 	}
-	if s != nil {
-		succs = append(succs, s)
-	}
-	return succs, done
+	return first, nil, done
 }
 
 // runWalk drives paths from offset 0 to completion, returning every
 // completed path's own-slot writes.
 func (e *certEnv) runWalk(slotVals []aval, fork bool) [][]aval {
-	start := &wpath{off: 0, st: topState(), mem: map[uint32]aval{}}
-	paths := []*wpath{start}
+	paths := []*wpath{{off: 0, st: topState()}}
 	var results [][]aval
 	forks := 0
 	for len(paths) > 0 {
 		p := paths[len(paths)-1]
 		paths = paths[:len(paths)-1]
-		succs, done := e.step(p, slotVals, fork)
+		first, second, done := e.step(p, slotVals, fork)
 		if done {
 			results = append(results, p.writes)
 		}
-		if len(succs) > 1 {
+		if second != nil {
 			forks++
 			if forks > walkMaxForks {
 				e.report("cert-termination", p.off, "fork walk exceeded %d forks", walkMaxForks)
 				return results
 			}
 		}
-		paths = append(paths, succs...)
+		if first != nil {
+			paths = append(paths, first)
+		}
+		if second != nil {
+			paths = append(paths, second)
+		}
 	}
 	return results
 }
@@ -585,6 +591,7 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 	sameSide := n.Left >= 0 && n.Left == n.Right
 
 	out := make(map[uint64]move, len(selfDom)*len(leftDom)*len(rightDom))
+	slotVals := make([]aval, c.N)
 	for _, self := range selfDom {
 		for _, l := range leftDom {
 			for _, r := range rightDom {
@@ -595,7 +602,6 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 				if sameSide {
 					rr = l
 				}
-				slotVals := make([]aval, c.N)
 				for i := range slotVals {
 					slotVals[i] = avTop()
 				}
@@ -644,10 +650,21 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 // rankProduct runs obligation 4 over the extracted relation.
 func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report func(string, string, int, string, ...any)) {
 	// Enumerate the product space in mixed radix over the domains.
+	// index[i][v] is v's position in slot i's domain (its first, for a
+	// repeated value); a value outside the domain encodes as position 0.
 	type stateID = int
 	radix := make([]int, c.N)
+	index := make([][]int, c.N)
 	for i, d := range c.Domains {
 		radix[i] = len(d)
+		var top uint16
+		for _, v := range d {
+			top = max(top, v)
+		}
+		index[i] = make([]int, int(top)+1)
+		for j := len(d) - 1; j >= 0; j-- {
+			index[i][d[j]] = j
+		}
 	}
 	decode := func(id stateID, x []uint16) {
 		for i := 0; i < c.N; i++ {
@@ -659,11 +676,8 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 		id := 0
 		for i := c.N - 1; i >= 0; i-- {
 			k := 0
-			for j, v := range c.Domains[i] {
-				if v == x[i] {
-					k = j
-					break
-				}
+			if int(x[i]) < len(index[i]) {
+				k = index[i][x[i]]
 			}
 			id = id*radix[i] + k
 		}
@@ -702,17 +716,25 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 	y := make([]uint16, c.N)
 	var scratch []stateID
 
+	// The declared legal set and variant, evaluated once per state.
+	legal := make([]bool, total)
+	variant := make([]int, total)
+	for id := range total {
+		decode(id, x)
+		legal[id] = c.Legal(x)
+		variant[id] = c.Variant(x)
+	}
+
 	// Pass 1: closure, strict variant decrease, illegal deadlock.
 	violations := 0
 	const maxViolations = 8 // enough to debug, bounded output
 	for id := 0; id < total && violations < maxViolations; id++ {
 		decode(id, x)
-		legal := c.Legal(x)
 		scratch = succs(x, scratch)
-		if legal {
+		if legal[id] {
 			for _, sid := range scratch {
-				decode(sid, y)
-				if !c.Legal(y) {
+				if !legal[sid] {
+					decode(sid, y)
 					report(c.Name, "cert-closure", -1, "legal state %v steps to illegal %v", x, y)
 					violations++
 				}
@@ -724,10 +746,10 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 			violations++
 			continue
 		}
-		vx := c.Variant(x)
+		vx := variant[id]
 		for _, sid := range scratch {
-			decode(sid, y)
-			if vy := c.Variant(y); vy >= vx {
+			if vy := variant[sid]; vy >= vx {
+				decode(sid, y)
 				report(c.Name, "cert-ranking", -1, "variant does not decrease: %v (rank %d) steps to %v (rank %d)", x, vx, y, vy)
 				violations++
 			}
@@ -754,16 +776,16 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
-			decode(id, x)
 			if d[id] >= 0 {
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			if c.Legal(x) {
+			if legal[id] {
 				d[id] = 0
 				stack = stack[:len(stack)-1]
 				continue
 			}
+			decode(id, x)
 			if d[id] == dUnknown {
 				d[id] = dOnStack
 				pushed := false

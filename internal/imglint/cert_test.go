@@ -1,7 +1,8 @@
 package imglint_test
 
 import (
-	"strings"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ssos/internal/guest"
@@ -55,20 +56,60 @@ func TestConvergenceCertsProve(t *testing.T) {
 	}
 }
 
-// TestCertDeterministic: the checker's verdict is byte-stable across
-// runs on the same certificate.
+// TestCertDeterministic: the checker's result is identical across runs
+// on the same certificate, findings included, for a proving
+// certificate and a failing one.
 func TestCertDeterministic(t *testing.T) {
-	spec := certByName(t, "mbox-dijkstra3")
-	a := imglint.CheckRingCert(spec.Cert)
-	b := imglint.CheckRingCert(certByName(t, "mbox-dijkstra3").Cert)
-	if a.Bound != b.Bound || a.RankBound != b.RankBound || a.States != b.States || len(a.Findings) != len(b.Findings) {
-		t.Fatalf("verdict not deterministic: %+v vs %+v", a, b)
+	for _, name := range []string{"mbox-dijkstra3", "mbox-kstate-n4"} {
+		a := imglint.CheckRingCert(certByName(t, name).Cert)
+		b := imglint.CheckRingCert(certByName(t, name).Cert)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: result not deterministic: %+v vs %+v", name, a, b)
+		}
 	}
+	broken := certByName(t, "mbox-dijkstra3-n4")
+	broken.Cert.Variant = func(x []uint16) int { return int(x[0]) }
+	a, b := imglint.CheckRingCert(broken.Cert), imglint.CheckRingCert(broken.Cert)
+	if len(a.Findings) == 0 || !reflect.DeepEqual(a, b) {
+		t.Errorf("broken variant: result not deterministic or proved: %+v vs %+v", a, b)
+	}
+}
+
+// wantFindings compares a result's findings with the complete expected
+// list: image, check, offset, message and order.
+func wantFindings(t *testing.T, r imglint.CertResult, want []imglint.Finding) {
+	t.Helper()
+	if reflect.DeepEqual(r.Findings, want) {
+		return
+	}
+	t.Errorf("%s: %d findings, want %d", r.Name, len(r.Findings), len(want))
+	for i := 0; i < max(len(r.Findings), len(want)); i++ {
+		var got, exp string
+		if i < len(r.Findings) {
+			got = r.Findings[i].String()
+		}
+		if i < len(want) {
+			exp = want[i].String()
+		}
+		if got != exp {
+			t.Errorf("finding %d:\n got  %s\n want %s", i, got, exp)
+		}
+	}
+}
+
+// noPaths is the extraction finding for a triple of dijkstra3's bottom
+// node (which reads only its right neighbour) whose walk never
+// completes.
+func noPaths(img string, self, right int) imglint.Finding {
+	return imglint.Finding{Image: img, Check: "cert-extraction", Offset: -1,
+		Msg: fmt.Sprintf("triple (self=%d,l=0,r=%d) yielded 0 completed paths, want exactly 1", self, right)}
 }
 
 // TestCertTamperedImageFails: planting a forbidden instruction in the
 // certified bytes (hlt at the iteration head) breaks the graph
-// obligations — the certificate must not prove.
+// obligations — the certificate must not prove. The hlt's one-byte
+// encoding also shifts the decode of the head slot, and no singleton
+// walk can complete.
 func TestCertTamperedImageFails(t *testing.T) {
 	spec := certByName(t, "mbox-dijkstra3")
 	bytes := append([]byte(nil), spec.Cert.Nodes[0].Image.Bytes...)
@@ -78,15 +119,17 @@ func TestCertTamperedImageFails(t *testing.T) {
 	if r.Proved() {
 		t.Fatal("tampered image (hlt at head) still proves")
 	}
-	found := false
-	for _, f := range r.Findings {
-		if f.Check == "cert-termination" && strings.Contains(f.Msg, "forbidden instruction") {
-			found = true
+	const img = "mbox-dijkstra3-0"
+	want := []imglint.Finding{
+		{Image: img, Check: "reachability", Offset: 0x3, Msg: "reachable offset does not decode to a valid instruction (byte 0xa0)"},
+		{Image: img, Check: "cert-termination", Offset: 0x0, Msg: `certified image uses forbidden instruction "hlt"`},
+	}
+	for self := 0; self < 3; self++ {
+		for right := 0; right < 3; right++ {
+			want = append(want, noPaths(img, self, right))
 		}
 	}
-	if !found {
-		t.Errorf("no cert-termination/forbidden-instruction finding in %v", r.Findings)
-	}
+	wantFindings(t, r, want)
 }
 
 // TestCertWrongMovesFails: a declared move table that disagrees with
@@ -106,15 +149,18 @@ func TestCertWrongMovesFails(t *testing.T) {
 	if r.Proved() {
 		t.Fatal("certificate with a wrong declared move table still proves")
 	}
-	found := false
-	for _, f := range r.Findings {
-		if f.Check == "cert-extraction" && strings.Contains(f.Msg, "differs from declared") {
-			found = true
-		}
+	const img = "mbox-dijkstra3-1"
+	var want []imglint.Finding
+	for _, m := range []struct{ self, l, r, got, declared int }{
+		{0, 0, 1, 1, 2}, {0, 1, 0, 1, 2}, {0, 1, 1, 1, 2}, {0, 1, 2, 1, 2}, {0, 2, 1, 1, 2},
+		{1, 0, 2, 2, 0}, {1, 1, 2, 2, 0}, {1, 2, 0, 2, 0}, {1, 2, 1, 2, 0}, {1, 2, 2, 2, 0},
+		{2, 0, 0, 0, 1}, {2, 0, 1, 0, 1}, {2, 0, 2, 0, 1}, {2, 1, 0, 0, 1}, {2, 2, 0, 0, 1},
+	} {
+		want = append(want, imglint.Finding{Image: img, Check: "cert-extraction", Offset: -1,
+			Msg: fmt.Sprintf("triple (self=%d,l=%d,r=%d): extracted move (write=true value=%d) differs from declared (write=true value=%d)",
+				m.self, m.l, m.r, m.got, m.declared)})
 	}
-	if !found {
-		t.Errorf("no cert-extraction mismatch finding in %v", r.Findings)
-	}
+	wantFindings(t, r, want)
 }
 
 // TestCertBrokenVariantFails: a variant that never strictly decreases
@@ -127,15 +173,19 @@ func TestCertBrokenVariantFails(t *testing.T) {
 	if r.Proved() {
 		t.Fatal("constant variant still proves on a system with illegal states")
 	}
-	found := false
-	for _, f := range r.Findings {
-		if f.Check == "cert-ranking" {
-			found = true
-		}
+	// The first illegal states in enumeration order, until the ranking
+	// pass stops at eight violations.
+	var want []imglint.Finding
+	for _, step := range [][2]string{
+		{"[0 1 0 0]", "[2 1 0 0]"}, {"[0 1 0 0]", "[0 1 1 0]"}, {"[0 1 0 0]", "[0 1 0 1]"},
+		{"[2 1 0 0]", "[2 2 0 0]"}, {"[2 1 0 0]", "[2 1 1 0]"},
+		{"[0 2 0 0]", "[0 0 0 0]"}, {"[0 2 0 0]", "[0 2 0 1]"},
+		{"[1 2 0 0]", "[0 2 0 0]"}, {"[1 2 0 0]", "[1 0 0 0]"},
+	} {
+		want = append(want, imglint.Finding{Image: "mbox-dijkstra3-n4", Check: "cert-ranking", Offset: -1,
+			Msg: fmt.Sprintf("variant does not decrease: %s (rank 0) steps to %s (rank 0)", step[0], step[1])})
 	}
-	if !found {
-		t.Errorf("no cert-ranking finding in %v", r.Findings)
-	}
+	wantFindings(t, r, want)
 }
 
 // TestCertConfinementCatchesForeignStore: shrinking a node's declared
@@ -148,13 +198,31 @@ func TestCertConfinementCatchesForeignStore(t *testing.T) {
 	if r.Proved() {
 		t.Fatal("empty data window still proves")
 	}
-	found := false
-	for _, f := range r.Findings {
-		if f.Check == "cert-confinement" {
-			found = true
+	const img = "mbox-dijkstra3-0"
+	outside := func(off int, lin string) imglint.Finding {
+		return imglint.Finding{Image: img, Check: "cert-confinement", Offset: off,
+			Msg: fmt.Sprintf("store to %s outside the node's slot and data window [0x060000,0x060000)", lin)}
+	}
+	park := outside(0xa0, "0x060006") // the parked right-neighbour read
+	beat := outside(0x290, "0x060002")
+	var want []imglint.Finding
+	// The fork walk: both normalization paths park, and each of their
+	// twelve paths through the guard stores the beat counter.
+	for path := 0; path < 2; path++ {
+		want = append(want, park)
+		for range 12 {
+			want = append(want, beat)
 		}
 	}
-	if !found {
-		t.Errorf("no cert-confinement finding in %v", r.Findings)
+	// The singleton walks: the rejected park leaves the reload at 0xd0
+	// unbounded, so the branch after its normalization cannot decide.
+	for self := 0; self < 3; self++ {
+		for right := 0; right < 3; right++ {
+			want = append(want, park,
+				imglint.Finding{Image: img, Check: "cert-extraction", Offset: 0x100,
+					Msg: "branch undecided on a canonical singleton input — behaviour depends on unobservable state"},
+				noPaths(img, self, right))
+		}
 	}
+	wantFindings(t, r, want)
 }

@@ -1,10 +1,6 @@
 package imglint
 
-import (
-	"sort"
-
-	"ssos/internal/isa"
-)
+import "ssos/internal/isa"
 
 // node is one decoded instruction in the lifted CFG.
 type node struct {
@@ -19,7 +15,9 @@ type node struct {
 
 // graph is the control-flow graph lifted from an image's entries.
 type graph struct {
-	nodes map[int]*node
+	// nodes is indexed by code offset: nodes[off] is the instruction
+	// decoded at off, nil where no lifted path decodes one.
+	nodes []*node
 	// order is the visited offsets in ascending order, for
 	// deterministic iteration.
 	order []int
@@ -33,9 +31,9 @@ type graph struct {
 // computed over [0, ce) only: the fill and data regions have their own
 // checks.
 func lift(img *Image, ce int, report func(string, int, string, ...any)) *graph {
-	g := &graph{nodes: map[int]*node{}}
+	g := &graph{nodes: make([]*node, ce)}
 	var work []int
-	seen := map[int]bool{}
+	seen := make([]bool, ce)
 	push := func(off int) {
 		if !seen[off] {
 			seen[off] = true
@@ -100,10 +98,11 @@ func lift(img *Image, ce int, report func(string, int, string, ...any)) *graph {
 		}
 	}
 
-	for off := range g.nodes {
-		g.order = append(g.order, off)
+	for off, n := range g.nodes {
+		if n != nil {
+			g.order = append(g.order, off)
+		}
 	}
-	sort.Ints(g.order)
 	// Record unique fall-through predecessors (offset order makes the
 	// result deterministic; a second fall-through predecessor clears
 	// the link).
@@ -112,8 +111,7 @@ func lift(img *Image, ce int, report func(string, int, string, ...any)) *graph {
 		if isJump(n.inst.Op) {
 			continue
 		}
-		next := off + n.size
-		if m, ok := g.nodes[next]; ok {
+		if m := g.at(off + n.size); m != nil {
 			if m.pred == -1 {
 				m.pred = off
 			} else {
@@ -122,6 +120,14 @@ func lift(img *Image, ce int, report func(string, int, string, ...any)) *graph {
 		}
 	}
 	return g
+}
+
+// at returns the instruction lifted at off, or nil.
+func (g *graph) at(off int) *node {
+	if off < 0 || off >= len(g.nodes) {
+		return nil
+	}
+	return g.nodes[off]
 }
 
 // isJump reports whether op transfers control away from the next

@@ -50,13 +50,21 @@ func (sys *System[S]) CheckClosure() (from, to S, violated bool) {
 // Heights computes the exact steps-to-legal distance of every state:
 // d(s) = 0 for legal s and d(s) = 1 + max over successors d(n)
 // otherwise. d is finite for every state iff the illegal sub-graph is
-// acyclic; on failure ok is false and witness is a state whose height
-// never resolved (it can reach an illegal cycle, or a successor
-// outside the enumerated space). The height map is the canonical
-// ranking function of the system — the static convergence certificates
-// (imglint.RingCert) use it as their declared variant.
+// acyclic; on failure ok is false and witness is the first state, in
+// States order, whose height never resolves (it can reach an illegal
+// cycle, or a successor outside the enumerated space). The height map
+// is the canonical ranking function of the system — the static
+// convergence certificates (imglint.RingCert) use it as their declared
+// variant.
+//
+// One memoized post-order walk computes it: Next runs once per illegal
+// state, and a state resolves once every successor has resolved.
 func (sys *System[S]) Heights() (heights map[S]int, witness S, ok bool) {
-	const unknown = -1
+	const (
+		unknown = -1 // illegal, not yet visited
+		onStack = -2 // on the walk's current path
+		never   = -3 // reaches an illegal cycle or leaves States
+	)
 	d := make(map[S]int, len(sys.States))
 	for _, s := range sys.States {
 		if sys.Legal(s) {
@@ -65,44 +73,57 @@ func (sys *System[S]) Heights() (heights map[S]int, witness S, ok bool) {
 			d[s] = unknown
 		}
 	}
-	// Fixpoint: at most |states| rounds; an illegal cycle never
-	// resolves and is reported as a witness.
-	for round := 0; round <= len(sys.States); round++ {
-		changed := false
-		for _, s := range sys.States {
-			if d[s] != unknown {
+	type frame struct {
+		s     S
+		succ  []S
+		next  int // index of the successor to look at next
+		worst int // largest successor height so far
+	}
+	var stack []frame
+	failed := false
+	for _, root := range sys.States {
+		if d[root] != unknown {
+			continue
+		}
+		d[root] = onStack
+		stack = append(stack[:0], frame{s: root, succ: sys.Next(root)})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			h := 0 // 0 while walking the successors
+			for h == 0 && f.next < len(f.succ) {
+				switch dn, seen := d[f.succ[f.next]]; {
+				case !seen || dn < unknown:
+					// A successor outside the enumerated space, on the
+					// current path (an illegal cycle), or past one: the
+					// model must enumerate fully and stay acyclic.
+					h = never
+				case dn == unknown:
+					h = unknown
+				default:
+					f.worst = max(f.worst, dn)
+					f.next++
+				}
+			}
+			if h == unknown {
+				// Descend; this frame resumes at the same successor.
+				n := f.succ[f.next]
+				d[n] = onStack
+				stack = append(stack, frame{s: n, succ: sys.Next(n)})
 				continue
 			}
-			worstSucc := 0
-			resolved := true
-			for _, n := range sys.Next(s) {
-				dn, seen := d[n]
-				if !seen {
-					// Successor outside the enumerated space: treat as
-					// illegal-unknown; the model must enumerate fully.
-					resolved = false
-					break
-				}
-				if dn == unknown {
-					resolved = false
-					break
-				}
-				if dn > worstSucc {
-					worstSucc = dn
-				}
+			if h == 0 {
+				h = 1 + f.worst
 			}
-			if resolved {
-				d[s] = 1 + worstSucc
-				changed = true
-			}
-		}
-		if !changed {
-			break
+			failed = failed || h == never
+			d[f.s] = h
+			stack = stack[:len(stack)-1]
 		}
 	}
-	for _, s := range sys.States {
-		if d[s] == unknown {
-			return nil, s, false
+	if failed {
+		for _, s := range sys.States {
+			if d[s] < 0 {
+				return nil, s, false
+			}
 		}
 	}
 	var zero S
@@ -123,10 +144,8 @@ func (sys *System[S]) CheckConvergence(bound int) (worst int, witness S, ok bool
 		return 0, w, false
 	}
 	worst = 0
-	for _, s := range sys.States {
-		if d[s] > worst {
-			worst = d[s]
-		}
+	for _, h := range d {
+		worst = max(worst, h)
 	}
 	var zero S
 	if worst > bound {

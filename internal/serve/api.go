@@ -126,7 +126,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	st, err := sess.Status()
+	st, err := sess.Status(r.Context())
 	if err != nil {
 		fail(w, err)
 		return
@@ -180,7 +180,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, err := sess.Status()
+	st, err := sess.Status(r.Context())
 	if err != nil {
 		fail(w, err)
 		return
@@ -231,7 +231,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m, err := sess.Metrics()
+	m, err := sess.Metrics(r.Context())
 	if err != nil {
 		fail(w, err)
 		return

@@ -276,7 +276,7 @@ func evictionTrace(t *testing.T) (evicted []string, surviving []string) {
 	for _, s := range ss {
 		if _, ok := reg.Get(s.ID); !ok {
 			evicted = append(evicted, s.ID)
-			if _, err := s.Status(); !errors.Is(err, ErrEvicted) {
+			if _, err := s.Status(context.Background()); !errors.Is(err, ErrEvicted) {
 				t.Errorf("evicted session %s: command error = %v, want ErrEvicted", s.ID, err)
 			}
 		} else {
@@ -326,7 +326,7 @@ func TestRegistryCapAndDelete(t *testing.T) {
 	if reg.Delete(s1.ID) {
 		t.Error("double delete reported success")
 	}
-	if _, err := s1.Status(); !errors.Is(err, ErrClosed) {
+	if _, err := s1.Status(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("deleted session command: err = %v, want ErrClosed", err)
 	}
 	if _, err := reg.Create(SessionSpec{Image: "baseline"}); err != nil {
@@ -394,7 +394,7 @@ func TestShutdownFailsFast(t *testing.T) {
 	if _, err := reg.Create(SessionSpec{Image: "baseline"}); !errors.Is(err, ErrShutdown) {
 		t.Errorf("create after shutdown: err = %v, want ErrShutdown", err)
 	}
-	if _, err := s.Status(); !errors.Is(err, ErrShutdown) {
+	if _, err := s.Status(context.Background()); !errors.Is(err, ErrShutdown) {
 		t.Errorf("session command after shutdown: err = %v, want ErrShutdown", err)
 	}
 	if err := reg.Shutdown(context.Background()); err != nil {
@@ -601,7 +601,7 @@ func TestStressManySessions(t *testing.T) {
 	if _, ok := reg.Get(keeper.ID); !ok {
 		t.Error("keeper was evicted despite being touched")
 	}
-	if _, err := sessions[1].Status(); !errors.Is(err, ErrEvicted) {
+	if _, err := sessions[1].Status(context.Background()); !errors.Is(err, ErrEvicted) {
 		t.Errorf("aged-out session error = %v, want ErrEvicted", err)
 	}
 }
@@ -720,5 +720,65 @@ func TestRunCancelFreesWorker(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("the other session's run: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestStatusAndMetricsReturnWhenClientHangsUp: on a one-worker daemon
+// busy with a 2^40-step run, a status or metrics request queued behind
+// the run returns its context's error as soon as its client hangs up,
+// instead of waiting out the whole run. Once the run is cancelled the
+// session answers status normally.
+func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
+	reg, ts := newTestServer(t, Options{Workers: 1})
+	id := createSession(t, ts.URL, `{"image":"reinstall","seed":3}`)
+	sess, _ := reg.Get(id)
+
+	runCtx, stopRun := context.WithCancel(context.Background())
+	defer stopRun()
+	runDone := make(chan error, 1)
+	go func() {
+		_, err := sess.Run(runCtx, RunRequest{Steps: 1 << 40})
+		runDone <- err
+	}()
+	for sess.EventCount() == 0 { // the watchdog's events show the run is under way
+		time.Sleep(time.Millisecond)
+	}
+
+	for _, req := range []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"status", func(ctx context.Context) error { _, err := sess.Status(ctx); return err }},
+		{"metrics", func(ctx context.Context) error { _, err := sess.Metrics(ctx); return err }},
+	} {
+		ctx, hangUp := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, hangUp)
+		got := make(chan error, 1)
+		go func() { got <- req.call(ctx) }()
+		select {
+		case err := <-got:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s after its client hung up: err = %v, want context.Canceled", req.name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s request still waiting on the run a second after its client hung up", req.name)
+		}
+	}
+
+	stopRun()
+	select {
+	case err := <-runDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("the run did not stop after its context was cancelled")
+	}
+	st, err := sess.Status(context.Background())
+	if err != nil {
+		t.Fatalf("status after the run stopped: %v", err)
+	}
+	if st.Machine == nil || st.Machine.Steps == 0 {
+		t.Errorf("status after the run stopped: %+v, want a machine session with steps run", st)
 	}
 }

@@ -351,8 +351,10 @@ func (s *Session) status() *Status {
 }
 
 // Status returns a session snapshot, serialized with the command loop.
-func (s *Session) Status() (*Status, error) {
-	r, err := s.do(context.Background(), func() (interface{}, error) { return s.status(), nil })
+// When ctx ends first it returns ctx's error at once; the queued read
+// still runs in turn and its result is dropped.
+func (s *Session) Status(ctx context.Context) (*Status, error) {
+	r, err := s.do(ctx, func() (interface{}, error) { return s.status(), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +403,8 @@ func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
 	return r.(*Status), nil
 }
 
-// Inject lands one on-demand fault.
+// Inject lands one on-demand fault. It takes no context: once queued,
+// the fault is not withdrawn.
 func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
 	r, err := s.do(context.Background(), func() (interface{}, error) {
 		switch {
@@ -443,9 +446,10 @@ func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
 // or the per-replica merge and availability gauges (cluster sessions),
 // plus the episode counters and latency histograms folded from the
 // live tracker — the same RecordEpisodes the CLIs run post-hoc, so the
-// determinism bridge extends to the episode metrics.
-func (s *Session) Metrics() (*obs.Metrics, error) {
-	r, err := s.do(context.Background(), func() (interface{}, error) {
+// determinism bridge extends to the episode metrics. Like Status, it
+// returns at once when ctx ends first.
+func (s *Session) Metrics(ctx context.Context) (*obs.Metrics, error) {
+	r, err := s.do(ctx, func() (interface{}, error) {
 		var snap *obs.Metrics
 		switch {
 		case s.sys != nil:
