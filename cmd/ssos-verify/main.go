@@ -73,13 +73,13 @@ func main() {
 
 	// Dijkstra's ring: exact bound K = n-1 under the central daemon.
 	for n := 3; n <= 6; n++ {
-		sys := model.RingSystem(uint8(n-1), n)
+		sys := model.KStateProtocol(uint8(n - 1)).System(n)
 		worst, err := sys.Verify(1 << 20)
 		report(fmt.Sprintf("K-state ring n=%d K=%d converges under adversarial daemon", n, n-1),
 			len(sys.States), fmt.Sprintf("worst-case %d moves", worst), err == nil)
 	}
 	for n := 4; n <= 6; n++ {
-		sys := model.RingSystem(uint8(n-2), n)
+		sys := model.KStateProtocol(uint8(n - 2)).System(n)
 		_, err := sys.Verify(1 << 20)
 		report(fmt.Sprintf("K-state ring n=%d K=%d has an illegal cycle (expected failure)", n, n-2),
 			len(sys.States), errString(err), err != nil)
@@ -98,13 +98,15 @@ func main() {
 			len(re.States), fmt.Sprintf("worst-case %d ticks (err=%v)", worst, err), err == nil && worst == period)
 	}
 
-	// The ring as the 5.2 scheduler actually runs it.
+	// The ring as the 5.2 scheduler actually runs it: the K-state
+	// protocol's read/write-atomicity (delay) system.
 	if *rw {
-		const k = 5
-		sys := model.RWRingSystem(k)
+		const k, n = 5, 3
+		p := model.KStateProtocol(k)
+		sys := p.DelaySystem(n)
 		closed := sys.GreatestClosedSubset(sys.Legal)
-		legal := func(s model.RWRingState) bool { return closed[s] }
-		witness, ok := model.CheckFairConvergence(sys.States, model.RWRingLabeledNext(k), legal, 3)
+		legal := func(s model.MailboxState) bool { return closed[s] }
+		witness, ok := model.CheckFairConvergence(sys.States, p.DelayLabeledNext(n), legal, n)
 		outcome := fmt.Sprintf("closed legitimate set: %d states", len(closed))
 		if !ok {
 			outcome = fmt.Sprintf("fair illegal cycle from %+v", witness)

@@ -41,7 +41,7 @@ type RingFleetConfig struct {
 	// Variant selects the token-ring protocol.
 	Variant guest.RingVariant
 	// Replicas is the fleet and ring size n (default DefaultReplicas;
-	// 2..guest.MaxMailboxNodes).
+	// 2..model.MaxRingMembers).
 	Replicas int
 	// RelayEvery is the relay cadence in machine steps (default
 	// DefaultRelayEvery).
@@ -73,20 +73,18 @@ func NewRingFleet(cfg RingFleetConfig) (*RingFleet, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = DefaultReplicas
 	}
-	if cfg.Replicas < 2 || cfg.Replicas > guest.MaxMailboxNodes {
+	if cfg.Replicas < 2 || cfg.Replicas > model.MaxRingMembers {
 		return nil, fmt.Errorf("cluster: ring fleet size %d out of range 2..%d",
-			cfg.Replicas, guest.MaxMailboxNodes)
+			cfg.Replicas, model.MaxRingMembers)
 	}
 	if cfg.RelayEvery <= 0 {
 		cfg.RelayEvery = DefaultRelayEvery
 	}
-	w := core.MailboxWorkload(cfg.Variant)
-	proto, _ := core.MailboxProtocolFor(w)
-	f := &RingFleet{cfg: cfg, proto: proto}
+	f := &RingFleet{cfg: cfg, proto: cfg.Variant.Protocol()}
 	for i := 0; i < cfg.Replicas; i++ {
 		sys, err := core.New(core.Config{
 			Approach:  core.ApproachScheduler,
-			Workload:  w,
+			Workload:  core.MailboxWorkload(cfg.Variant),
 			RingNode:  i,
 			RingNodes: cfg.Replicas,
 		})
@@ -172,11 +170,12 @@ func (f *RingFleet) relay() {
 		words[i] = s.MailboxSlot(i)
 	}
 	for i, s := range f.reps {
+		role := f.proto.Role(i, n)
 		l, r := (i+n-1)%n, (i+1)%n
-		if f.proto.UsesLeft(i, n) {
+		if role.Left {
 			pokeWord(s, guest.MailboxAddr(l), words[l])
 		}
-		if f.proto.UsesRight(i, n) {
+		if role.Right {
 			pokeWord(s, guest.MailboxAddr(r), words[r])
 		}
 	}
@@ -199,13 +198,13 @@ func (f *RingFleet) Ring() model.RingState {
 }
 
 // Privileges returns the privileges held in the fleet configuration,
-// one entry per held guard.
+// one entry per held guard, for reports.
 func (f *RingFleet) Privileges() []int {
 	return f.proto.Privileges(f.Ring(), len(f.reps))
 }
 
 // Legal reports the mutual-exclusion invariant: exactly one privilege.
-func (f *RingFleet) Legal() bool { return len(f.Privileges()) == 1 }
+func (f *RingFleet) Legal() bool { return f.proto.Legal(f.Ring(), len(f.reps)) }
 
 // Converged runs the fleet for up to horizon steps and reports whether
 // the ring held the exactly-one-privilege invariant for `window`
@@ -280,7 +279,7 @@ func (m RingScramble) String() string {
 // calls (never concurrently with one).
 func (f *RingFleet) Scramble(m RingScramble) {
 	n := len(f.reps)
-	for i, inj := range f.injs {
+	for _, inj := range f.injs {
 		switch m {
 		case ScrambleRing:
 			inj.RandomizeRegion(mem.Region{
@@ -304,7 +303,6 @@ func (f *RingFleet) Scramble(m RingScramble) {
 			inj.BlastCPU()
 			inj.BlastRAM()
 		}
-		_ = i
 	}
 	f.nextFault++
 	f.lastFault = f.nextFault

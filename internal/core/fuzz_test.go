@@ -21,8 +21,7 @@ var layeredWorst = func() func(v guest.RingVariant) int {
 	return func(v guest.RingVariant) int {
 		once.Do(func() {
 			for _, vv := range guest.RingVariants() {
-				p, _ := MailboxProtocolFor(MailboxWorkload(vv))
-				w, err := p.System(guest.MailboxNodes).Verify(1 << 20)
+				w, err := vv.Protocol().System(guest.MailboxNodes).Verify(1 << 20)
 				if err != nil {
 					panic(err)
 				}

@@ -7,32 +7,20 @@ import (
 
 // Mailbox-workload observation: every predicate here reads the machine
 // through the abstraction function α the refinement tests use — each
-// raw mailbox word is projected onto its owner's value domain by
-// model.Protocol.Norm, exactly the projection the guest node applies in
-// assembly before acting on the word. Arbitrary RAM corruption can park
-// any bytes in a slot; α maps them to the value the protocol will
-// behave as if it read.
+// raw mailbox word is projected onto its owner's value domain by the
+// owner's model.Role.Norm, exactly the projection the guest node
+// applies in assembly before acting on the word. Arbitrary RAM
+// corruption can park any bytes in a slot; α maps them to the value
+// the protocol will behave as if it read.
 
 // MailboxProtocol returns the abstract protocol of the configured
 // mailbox workload (ok=false for other workloads).
 func (s *System) MailboxProtocol() (model.Protocol, bool) {
-	return MailboxProtocolFor(s.Cfg.Workload)
-}
-
-// MailboxProtocolFor maps a mailbox workload to its abstract protocol.
-func MailboxProtocolFor(w Workload) (model.Protocol, bool) {
-	v, ok := w.MailboxVariant()
+	v, ok := s.Cfg.Workload.MailboxVariant()
 	if !ok {
 		return model.Protocol{}, false
 	}
-	switch v {
-	case guest.VariantDijkstra3:
-		return model.Dijkstra3Protocol(), true
-	case guest.VariantGhosh4:
-		return model.Ghosh4Protocol(), true
-	default:
-		return model.KStateProtocol(guest.MailboxK), true
-	}
+	return v.Protocol(), true
 }
 
 // MailboxNodes returns the configured ring size: RingNodes for a
@@ -67,10 +55,10 @@ func (s *System) MailboxRing() model.RingState {
 }
 
 // MailboxPrivileges returns the privileges held in the current abstract
-// configuration, one entry per held guard. Legal configurations have
-// exactly one. On a one-node-per-replica machine this evaluates the
-// local copy of the ring; the cluster assembles the authoritative
-// configuration from the slot owners.
+// configuration, one entry per held guard, for reports. On a
+// one-node-per-replica machine this evaluates the local copy of the
+// ring; the cluster assembles the authoritative configuration from the
+// slot owners.
 func (s *System) MailboxPrivileges() []int {
 	p, ok := s.MailboxProtocol()
 	if !ok {
@@ -79,30 +67,17 @@ func (s *System) MailboxPrivileges() []int {
 	return p.Privileges(s.MailboxRing(), s.MailboxNodes())
 }
 
+// MailboxLegal reports the mutual-exclusion invariant of the current
+// abstract configuration: exactly one privilege (model.Protocol.Legal).
+func (s *System) MailboxLegal() bool {
+	p, ok := s.MailboxProtocol()
+	return ok && p.Legal(s.MailboxRing(), s.MailboxNodes())
+}
+
 // MailboxConverged runs the system for up to horizon steps (sampling
-// every sampleEvery steps) and reports whether the mailbox ring held
-// the exactly-one-privilege invariant at `window` consecutive samples,
-// returning the step at which the sustained window began — the
-// mailbox twin of RingConverged.
+// every sampleEvery steps) and reports whether MailboxLegal held at
+// `window` consecutive samples, returning the step at which the
+// sustained window began — the mailbox twin of RingConverged.
 func (s *System) MailboxConverged(horizon, sampleEvery, window int) (uint64, bool) {
-	if sampleEvery <= 0 {
-		sampleEvery = 500
-	}
-	good := 0
-	var since uint64
-	for ran := 0; ran < horizon; ran += sampleEvery {
-		s.Run(sampleEvery)
-		if len(s.MailboxPrivileges()) == 1 {
-			if good == 0 {
-				since = s.Steps()
-			}
-			good++
-			if good >= window {
-				return since, true
-			}
-		} else {
-			good = 0
-		}
-	}
-	return 0, false
+	return s.sustained(horizon, sampleEvery, window, s.MailboxLegal)
 }

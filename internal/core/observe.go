@@ -188,7 +188,7 @@ func (p *sysProbe) onHeartbeat(step uint64, v uint16) {
 }
 
 func (p *sysProbe) onRingBeat(step uint64, v uint16) {
-	p.ring.OnSample(step, len(p.sys.MailboxPrivileges()) == 1)
+	p.ring.OnSample(step, p.sys.MailboxLegal())
 }
 
 func (p *sysProbe) onRepair(step uint64, v uint16) {

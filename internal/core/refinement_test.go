@@ -21,11 +21,12 @@ func readObs(s *System, p model.Protocol, n int) model.MailboxState {
 	var st model.MailboxState
 	for i := 0; i < n; i++ {
 		st.X[i] = p.Norm(i, n, s.MailboxSlot(i))
+		role := p.Role(i, n)
 		l, r := (i+n-1)%n, (i+1)%n
-		if p.UsesLeft(i, n) {
+		if role.Left {
 			st.RegL[i] = p.Norm(l, n, s.M.Bus.LoadWord(guest.MailboxRegLAddr(i)))
 		}
-		if p.UsesRight(i, n) {
+		if role.Right {
 			st.RegR[i] = p.Norm(r, n, s.M.Bus.LoadWord(guest.MailboxRegRAddr(i)))
 		}
 	}
@@ -120,13 +121,13 @@ func (c *refinementChecker) observe(_ *machine.Machine, _ machine.Event) {
 			if c.fly[i] {
 				c.fly[i] = false
 			} else {
-				g := c.p.Guards(i, c.n, c.prev.X[i], c.prev.RegL[i], c.prev.RegR[i])
-				if len(g) == 0 {
+				privs, to := c.p.Role(i, c.n).Move(c.prev.X[i], c.prev.RegL[i], c.prev.RegR[i])
+				if privs == 0 {
 					c.fail("step %d: node %d wrote %d with no privilege held (state %v)",
 						step, i, cur.X[i], c.prev)
-				} else if cur.X[i] != g[0] {
+				} else if cur.X[i] != to {
 					c.fail("step %d: node %d wrote %d, protocol move is %d (state %v)",
-						step, i, cur.X[i], g[0], c.prev)
+						step, i, cur.X[i], to, c.prev)
 				}
 			}
 			c.reset(i, cur)
@@ -168,8 +169,8 @@ func (c *refinementChecker) observe(_ *machine.Machine, _ machine.Event) {
 	}
 	// Legality verdicts agree between the machine helper and the model
 	// on every observable transition.
-	machineLegal := len(c.s.MailboxPrivileges()) == 1
-	modelLegal := len(c.p.Privileges(cur.X, c.n)) == 1
+	machineLegal := c.s.MailboxLegal()
+	modelLegal := c.p.Legal(cur.X, c.n)
 	if machineLegal != modelLegal {
 		c.fail("step %d: legality disagreement machine=%v model=%v state=%v",
 			step, machineLegal, modelLegal, cur.X)
@@ -182,7 +183,7 @@ func TestMailboxTraceRefinesModel(t *testing.T) {
 		w := w
 		t.Run(fmt.Sprint(w), func(t *testing.T) {
 			s := newMailbox(t, w)
-			p, ok := MailboxProtocolFor(w)
+			p, ok := s.MailboxProtocol()
 			if !ok {
 				t.Fatal("no protocol")
 			}

@@ -31,6 +31,16 @@ func (s *System) RingPrivileges() []int {
 // horizon steps (sampled every sampleEvery steps), returning the step
 // at which the sustained window began.
 func (s *System) RingConverged(horizon, sampleEvery, window int) (uint64, bool) {
+	return s.sustained(horizon, sampleEvery, window, func() bool {
+		return len(s.RingPrivileges()) == 1
+	})
+}
+
+// sustained runs the system for up to horizon steps, evaluating holds
+// every sampleEvery steps (500 when not positive), and reports whether
+// it held at window consecutive samples, returning the step at which
+// that window began.
+func (s *System) sustained(horizon, sampleEvery, window int, holds func() bool) (uint64, bool) {
 	if sampleEvery <= 0 {
 		sampleEvery = 500
 	}
@@ -38,7 +48,7 @@ func (s *System) RingConverged(horizon, sampleEvery, window int) (uint64, bool) 
 	var since uint64
 	for ran := 0; ran < horizon; ran += sampleEvery {
 		s.Run(sampleEvery)
-		if len(s.RingPrivileges()) == 1 {
+		if holds() {
 			if good == 0 {
 				since = s.Steps()
 			}

@@ -17,8 +17,7 @@ import (
 // ranking: if the bytes implement the declared protocol, every
 // extracted step out of an illegal configuration strictly descends it;
 // if they deviate, either the move cross-check or the ranking pass
-// fails. The declared slack is N (the mid-entry grace steps the
-// checker adds on top of the ranked bound).
+// fails.
 
 // RingCertSpec pairs a certificate with the protocol it declares.
 type RingCertSpec struct {
@@ -27,18 +26,6 @@ type RingCertSpec struct {
 	// Single marks the single-machine catalog ring (nodes in scheduler
 	// slots 0..n-1) as opposed to a one-node-per-replica fleet.
 	Single bool
-}
-
-// ringProtocol returns the model twin of a guest ring variant.
-func ringProtocol(v RingVariant) model.Protocol {
-	switch v {
-	case VariantDijkstra3:
-		return model.Dijkstra3Protocol()
-	case VariantGhosh4:
-		return model.Ghosh4Protocol()
-	default:
-		return model.KStateProtocol(MailboxK)
-	}
 }
 
 // toRingState packs a canonical configuration for the model's
@@ -66,7 +53,6 @@ func domainWords(d []uint8) []uint16 {
 // variant.
 func certCommon(c *imglint.RingCert, p model.Protocol, n int) error {
 	c.N = n
-	c.Slack = n
 	c.Slots = make([]uint32, n)
 	c.Domains = make([][]uint16, n)
 	states := 1
@@ -76,15 +62,10 @@ func certCommon(c *imglint.RingCert, p model.Protocol, n int) error {
 		states *= len(c.Domains[i])
 	}
 	c.Moves = func(node int, self, left, right uint16) (bool, uint16) {
-		g := p.Guards(node, n, uint8(self), uint8(left), uint8(right))
-		if len(g) == 0 {
-			return false, 0
-		}
-		return true, uint16(g[0])
+		privs, to := p.Role(node, n).Move(uint8(self), uint8(left), uint8(right))
+		return privs > 0, uint16(to)
 	}
-	c.Legal = func(x []uint16) bool {
-		return len(p.Privileges(toRingState(x), n)) == 1
-	}
+	c.Legal = func(x []uint16) bool { return p.Legal(toRingState(x), n) }
 	if states > imglint.DefaultMaxStates {
 		return nil // Mode "local": obligations only, no height map
 	}
@@ -99,11 +80,12 @@ func certCommon(c *imglint.RingCert, p model.Protocol, n int) error {
 // certNode builds the RingNode for ring node `node` of n running in
 // scheduler slot proc, from an assembled process set.
 func certNode(p model.Protocol, set *ProcSet, node, n, proc int) imglint.RingNode {
+	role := p.Role(node, n)
 	left, right := -1, -1
-	if p.UsesLeft(node, n) {
+	if role.Left {
 		left = (node + n - 1) % n
 	}
-	if p.UsesRight(node, n) {
+	if role.Right {
 		right = (node + 1) % n
 	}
 	dataLo := uint32(ProcDataSeg(proc)) << 4
@@ -124,12 +106,12 @@ func certNode(p model.Protocol, set *ProcSet, node, n, proc int) imglint.RingNod
 
 // ConvergenceCerts builds the full certificate catalog: for each ring
 // variant, the single-machine ring (MailboxNodes nodes in scheduler
-// slots 0..MailboxNodes-1) and every fleet size n=2..MaxMailboxNodes
+// slots 0..MailboxNodes-1) and every fleet size n=2..model.MaxRingMembers
 // (each node's image from its one-node-per-replica process set).
 func ConvergenceCerts() ([]RingCertSpec, error) {
 	var specs []RingCertSpec
 	for _, v := range RingVariants() {
-		p := ringProtocol(v)
+		p := v.Protocol()
 
 		single := RingCertSpec{Protocol: p, Single: true}
 		single.Cert.Name = fmt.Sprintf("mbox-%s", v)
@@ -148,7 +130,7 @@ func ConvergenceCerts() ([]RingCertSpec, error) {
 		}
 		specs = append(specs, single)
 
-		for n := 2; n <= MaxMailboxNodes; n++ {
+		for n := 2; n <= model.MaxRingMembers; n++ {
 			fleet := RingCertSpec{Protocol: p}
 			fleet.Cert.Name = fmt.Sprintf("mbox-%s-n%d", v, n)
 			if err := certCommon(&fleet.Cert, p, n); err != nil {

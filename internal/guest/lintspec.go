@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ssos/internal/imglint"
+	"ssos/internal/model"
 )
 
 // This file declares the imglint contract of every guest ROM image: for
@@ -231,7 +232,7 @@ func LintImages() ([]imglint.Image, error) {
 		for i := 0; i < NumProcs; i++ {
 			specs = append(specs, procSpec(fmt.Sprintf("mbox-%v-%d", v, i), set, i))
 		}
-		for n := 2; n <= MaxMailboxNodes; n++ {
+		for n := 2; n <= model.MaxRingMembers; n++ {
 			for node := 0; node < n; node++ {
 				nset, err := buildNodeProcess(v, node, n)
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ssos/internal/asm"
+	"ssos/internal/model"
 )
 
 // Mailbox token-ring workloads: Dijkstra's K-state and 3-state rings
@@ -18,19 +19,20 @@ import (
 // a replica runs a single node, and a relay shim copies neighbour
 // slots between the replicas' mailboxes (internal/cluster).
 //
-// The mailbox programs mirror internal/model's Protocol abstractions
-// instruction for instruction:
+// The mailbox programs implement internal/model's Protocol roles
+// (RingVariant.Protocol) instruction for instruction; a node reads
+// exactly the sides its model.Role reads, and:
 //
 //   - every value read from slot j is immediately projected onto slot
 //     j's canonical domain by the owner's normalization sequence
-//     (model.Protocol.Norm);
+//     (model.Role.Norm);
 //   - the parked register words are reloaded from RAM and re-normalized
 //     right before the guarded write, so the node's observable
 //     behaviour is a function of the observable words alone — the
 //     soundness premise of model.Protocol.ObsSuccessors and the
 //     refinement tests;
 //   - a store to the node's own slot happens only under the protocol
-//     guard, and writes the exact value model.Protocol.Guards gives.
+//     guard, and writes the exact value model.Role.Move gives.
 //
 // Each iteration ends with a beat: the node increments a counter in
 // its data segment and reports it on its port, so the standard
@@ -42,16 +44,12 @@ import (
 // only the protocol itself heals.
 const MailboxSeg = 0xA000
 
-// MaxMailboxNodes bounds the ring sizes the builders accept; it equals
-// model.MaxRingMembers (the model's RingState is a fixed-size array).
-const MaxMailboxNodes = 6
-
 // MailboxNodes is the ring size of the single-machine configuration:
 // the scheduler's worker slots, with the refresher keeping its place.
 const MailboxNodes = RefresherIndex
 
 // MailboxK is the K of the K-state variant: a power of two (the guard
-// masks with K-1) with K >= 2n-1 for every n up to MaxMailboxNodes,
+// masks with K-1) with K >= 2n-1 for every n up to model.MaxRingMembers,
 // the bound under which the K-state ring stabilizes even at
 // read/write atomicity.
 const MailboxK = 16
@@ -88,15 +86,15 @@ const (
 	VariantGhosh4
 )
 
-var ringVariantNames = map[RingVariant]string{
+var ringVariantNames = [...]string{
 	VariantKState:    "kstate",
 	VariantDijkstra3: "dijkstra3",
 	VariantGhosh4:    "ghosh4",
 }
 
 func (v RingVariant) String() string {
-	if s, ok := ringVariantNames[v]; ok {
-		return s
+	if int(v) < len(ringVariantNames) {
+		return ringVariantNames[v]
 	}
 	return fmt.Sprintf("variant(%d)", uint8(v))
 }
@@ -110,39 +108,29 @@ func RingVariants() []RingVariant {
 func ParseRingVariant(s string) (RingVariant, error) {
 	for v, name := range ringVariantNames {
 		if s == name {
-			return v, nil
+			return RingVariant(v), nil
 		}
 	}
 	return 0, fmt.Errorf("unknown ring variant %q (kstate|dijkstra3|ghosh4)", s)
 }
 
-// usesLeft reports whether node i of n reads its left neighbour's slot
-// (mirrors model.Protocol.UsesLeft).
-func (v RingVariant) usesLeft(i, n int) bool {
+// Protocol returns the variant's model protocol: the one definition of
+// its node roles that the node programs' read sides, the convergence
+// certificates, and the core and cluster observers all derive from.
+func (v RingVariant) Protocol() model.Protocol {
 	switch v {
-	case VariantKState:
-		return true
-	default:
-		return i != 0
-	}
-}
-
-// usesRight reports whether node i of n reads its right neighbour's
-// slot (mirrors model.Protocol.UsesRight).
-func (v RingVariant) usesRight(i, n int) bool {
-	switch v {
-	case VariantKState:
-		return false
+	case VariantDijkstra3:
+		return model.Dijkstra3Protocol()
 	case VariantGhosh4:
-		return i != n-1
+		return model.Ghosh4Protocol()
 	default:
-		return true
+		return model.KStateProtocol(MailboxK)
 	}
 }
 
 // normAsm emits the instruction sequence projecting reg onto the value
 // domain of slot owner (node `owner` of n) — the assembly twin of
-// model.Protocol.Norm. lbl supplies unique label suffixes.
+// model.Role.Norm. lbl supplies unique label suffixes.
 func (v RingVariant) normAsm(owner, n int, reg string, lbl *int) string {
 	switch v {
 	case VariantKState:
@@ -184,7 +172,7 @@ succ_%[2]d:
 }
 
 // guardAsm emits node i's guarded test-and-write — the assembly twin of
-// model.Protocol.Guards. On entry ax holds the node's canonical slot
+// model.Role.Move. On entry ax holds the node's canonical slot
 // value, bx/cx the canonical left/right register words (for the sides
 // the node uses). A store to [MY_OFF] happens iff a guard holds; either
 // way control falls through or jumps to the `beat` label.
@@ -270,6 +258,7 @@ do_move:
 // in scheduler slot proc (the single machine runs node i in slot i;
 // a cluster replica runs its one node in slot 0).
 func mailboxNodeSource(v RingVariant, node, n, proc int) string {
+	role := v.Protocol().Role(node, n)
 	left := (node + n - 1) % n
 	right := (node + 1) % n
 	header := fmt.Sprintf(`
@@ -292,7 +281,7 @@ start:
 	body := ""
 	// Load phase: read each used neighbour slot, normalize it onto the
 	// owner's domain, park it in this node's data segment.
-	if v.usesLeft(node, n) {
+	if role.Left {
 		body += `	mov ax, MAILBOX
 	mov ds, ax
 	mov ax, [LEFT_OFF]
@@ -302,7 +291,7 @@ start:
 	mov [REG_L], bx
 `
 	}
-	if v.usesRight(node, n) {
+	if role.Right {
 		body += `	mov ax, MAILBOX
 	mov ds, ax
 	mov ax, [RIGHT_OFF]
@@ -317,10 +306,10 @@ start:
 	// depends only on the observable words; then read and normalize the
 	// node's own slot and run the guard.
 	body += "	mov ax, MY_DATA\n	mov ds, ax\n"
-	if v.usesLeft(node, n) {
+	if role.Left {
 		body += "	mov bx, [REG_L]\n" + v.normAsm(left, n, "bx", &lbl)
 	}
-	if v.usesRight(node, n) {
+	if role.Right {
 		body += "	mov cx, [REG_R]\n" + v.normAsm(right, n, "cx", &lbl)
 	}
 	body += `	mov ax, MAILBOX
@@ -399,8 +388,8 @@ func BuildNodeProcesses(v RingVariant, node, n int) (*ProcSet, error) {
 // the ring node itself, and leaves the other slots empty: the lint and
 // certificate catalogs check only the node.
 func buildNodeProcess(v RingVariant, node, n int) (*ProcSet, error) {
-	if n < 2 || n > MaxMailboxNodes {
-		return nil, fmt.Errorf("mailbox ring size %d out of range 2..%d", n, MaxMailboxNodes)
+	if n < 2 || n > model.MaxRingMembers {
+		return nil, fmt.Errorf("mailbox ring size %d out of range 2..%d", n, model.MaxRingMembers)
 	}
 	if node < 0 || node >= n {
 		return nil, fmt.Errorf("mailbox node %d out of range 0..%d", node, n-1)

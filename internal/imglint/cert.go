@@ -61,8 +61,8 @@ import (
 // Known incompletenesses are documented in DESIGN.md: the certificate
 // is at composite atomicity (the read/write-atomicity refinement is
 // covered by the model's delay systems and the dynamic stuttering-
-// refinement tests), and state spaces past MaxStates get obligations
-// 1-3 only (Mode "local").
+// refinement tests), and state spaces past DefaultMaxStates get
+// obligations 1-3 only (Mode "local").
 
 // RingNode is one certified node image and its footprint.
 type RingNode struct {
@@ -101,16 +101,10 @@ type RingCert struct {
 	// Variant is the declared ranking function (0 on legal states);
 	// nil selects Mode "local" (obligations only, no product).
 	Variant func(x []uint16) int
-	// Slack is the declared gap allowed between the static bound and
-	// the model's exact worst case (the consistency tests assert
-	// static <= exact + Slack).
-	Slack int
-	// MaxStates caps the product enumeration; larger spaces fall back
-	// to Mode "local". 0 means DefaultMaxStates.
-	MaxStates int
 }
 
-// DefaultMaxStates is the product-enumeration cap.
+// DefaultMaxStates caps the product enumeration; larger spaces fall
+// back to Mode "local".
 const DefaultMaxStates = 200_000
 
 // CertResult is the outcome of checking one certificate.
@@ -243,19 +237,15 @@ func CheckRingCert(c RingCert) CertResult {
 	}
 
 	// Product ranking.
-	maxStates := c.MaxStates
-	if maxStates == 0 {
-		maxStates = DefaultMaxStates
-	}
 	states := 1
 	for _, d := range c.Domains {
-		if states > maxStates/len(d)+1 {
-			states = maxStates + 1
+		if states > DefaultMaxStates/len(d)+1 {
+			states = DefaultMaxStates + 1
 			break
 		}
 		states *= len(d)
 	}
-	if c.Variant == nil || c.Legal == nil || states > maxStates {
+	if c.Variant == nil || c.Legal == nil || states > DefaultMaxStates {
 		return res // Mode "local": obligations proved, no product bound
 	}
 	res.Mode = "ranking"

@@ -11,7 +11,7 @@ import (
 // set and convergence from every one of the K^n states — and reports
 // the exact worst-case bound the model checker finds.
 func Example_ring() {
-	sys := model.RingSystem(3, 4) // K=3 states, 4 members
+	sys := model.KStateProtocol(3).System(4) // K=3 states, 4 members
 	worst, err := sys.Verify(1 << 20)
 	if err != nil {
 		fmt.Println(err)

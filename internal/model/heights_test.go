@@ -89,10 +89,10 @@ func TestHeightsMatchesReferenceOnShippedSystems(t *testing.T) {
 	}
 	cycles := 0
 	for n := 3; n <= 6; n++ {
-		checkHeights(t, fmt.Sprintf("ring n=%d K=%d", n, n-1), RingSystem(uint8(n-1), n))
+		checkHeights(t, fmt.Sprintf("ring n=%d K=%d", n, n-1), KStateProtocol(uint8(n-1)).System(n))
 	}
 	for n := 4; n <= 6; n++ {
-		if !checkHeights(t, fmt.Sprintf("ring n=%d K=%d", n, n-2), RingSystem(uint8(n-2), n)) {
+		if !checkHeights(t, fmt.Sprintf("ring n=%d K=%d", n, n-2), KStateProtocol(uint8(n-2)).System(n)) {
 			cycles++
 		}
 	}

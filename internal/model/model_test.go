@@ -58,7 +58,7 @@ func TestStockLatchCounterexample(t *testing.T) {
 // convergence from all K^3 states.
 func TestRingConvergesCompositeAtomicity(t *testing.T) {
 	for _, k := range []uint8{3, 4, 8} {
-		sys := RingSystem(k, 3)
+		sys := KStateProtocol(k).System(3)
 		worst, err := sys.Verify(1 << 20)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
@@ -71,56 +71,167 @@ func TestRingConvergesCompositeAtomicity(t *testing.T) {
 // mechanically: under the adversarial central daemon the n-member
 // K-state ring converges for K = n-1 and has a genuine illegal cycle
 // for K = n-2. (For n=3 even K=2 converges, so the negative half
-// starts at n=4.)
+// starts at n=4.) The exact worst cases are pinned: ssos-verify
+// reports them.
 func TestRingBoundIsExactlyNMinusOne(t *testing.T) {
+	wantWorst := map[int]int{3: 1, 4: 13, 5: 24, 6: 38}
 	for n := 3; n <= 6; n++ {
 		k := uint8(n - 1)
-		sys := RingSystem(k, n)
+		sys := KStateProtocol(k).System(n)
 		worst, err := sys.Verify(1 << 20)
 		if err != nil {
 			t.Fatalf("n=%d K=%d should converge: %v", n, k, err)
 		}
-		t.Logf("n=%d K=%d: worst-case convergence %d moves over %d states", n, k, worst, len(sys.States))
+		if worst != wantWorst[n] {
+			t.Errorf("n=%d K=%d: worst-case convergence %d moves, want %d", n, k, worst, wantWorst[n])
+		}
 	}
 	for n := 4; n <= 6; n++ {
 		k := uint8(n - 2)
-		sys := RingSystem(k, n)
-		if _, err := sys.Verify(1 << 20); err == nil {
+		if _, err := KStateProtocol(k).System(n).Verify(1 << 20); err == nil {
 			t.Fatalf("n=%d K=%d should have an illegal cycle", n, k)
 		}
 	}
 }
 
+// rwRing is Dijkstra's 3-member K-state ring under read/write
+// atomicity, written out directly in Dolev & Herman's setting: each
+// member also carries the register holding its (possibly stale) read of
+// its predecessor, and a two-phase program counter (0 = about to read,
+// 1 = about to test-and-write). It is kept here as the reference the
+// generic delay model must reproduce, the way roles_test.go keeps the
+// earlier per-protocol closures.
+type rwRing struct {
+	X, Reg, PC [3]uint8
+}
+
+// rwRingStates enumerates every rwRing state for K=k.
+func rwRingStates(k uint8) []rwRing {
+	total := 8
+	for j := 0; j < 6; j++ {
+		total *= int(k)
+	}
+	out := make([]rwRing, 0, total)
+	for c := 0; c < total; c++ {
+		var s rwRing
+		v := c
+		for i := 0; i < 3; i++ {
+			s.X[i], v = uint8(v%int(k)), v/int(k)
+			s.Reg[i], v = uint8(v%int(k)), v/int(k)
+			s.PC[i], v = uint8(v%2), v/2
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// step performs member i's next atomic action: a read of its
+// predecessor into its register, or the test-and-write using the
+// (possibly stale) register.
+func (s rwRing) step(k uint8, i int) rwRing {
+	n := s
+	if s.PC[i] == 0 {
+		n.Reg[i] = s.X[(i+2)%3]
+		n.PC[i] = 1
+		return n
+	}
+	if i == 0 {
+		if s.Reg[0] == s.X[0] {
+			n.X[0] = (s.Reg[0] + 1) % k
+		}
+	} else if s.Reg[i] != s.X[i] {
+		n.X[i] = s.Reg[i]
+	}
+	n.PC[i] = 0
+	return n
+}
+
+// legal reports exactly one privilege in X.
+func (s rwRing) legal() bool {
+	privs := 0
+	if s.X[0] == s.X[2] {
+		privs++
+	}
+	for i := 1; i < 3; i++ {
+		if s.X[i] != s.X[i-1] {
+			privs++
+		}
+	}
+	return privs == 1
+}
+
+// mailbox maps s onto the delay model's state; K-state members read
+// only their left neighbour, so RegR stays zero.
+func (s rwRing) mailbox() MailboxState {
+	var m MailboxState
+	for i := 0; i < 3; i++ {
+		m.X[i], m.RegL[i], m.PC[i] = s.X[i], s.Reg[i], s.PC[i]
+	}
+	return m
+}
+
 // TestRWRingConvergesUnderFairness verifies the ring AS THE SCHEDULER
 // ACTUALLY RUNS IT — read/write atomicity, stale registers and all —
 // under every weakly-fair interleaving, for the K used by the guest
-// workload's bound (K >= 2n-1 = 5).
+// workload's bound (K >= 2n-1 = 5), on the hand-written rwRing model;
+// and checks that KStateProtocol(5).DelaySystem(3) is that same system,
+// state for state and step for step.
 func TestRWRingConvergesUnderFairness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large state space")
 	}
 	const k = 5
-	sys := RWRingSystem(k)
-	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(closed) == 0 {
-		t.Fatal("no closed legitimate set exists")
+	p := KStateProtocol(k)
+	states := rwRingStates(k)
+	mapped := make(map[MailboxState]bool, len(states))
+	for _, s := range states {
+		m := s.mailbox()
+		mapped[m] = true
+		for i := 0; i < 3; i++ {
+			if got, want := p.DelayStep(3, m, i), s.step(k, i).mailbox(); got != want {
+				t.Fatalf("member %d from %+v: DelayStep gives %+v, reference %+v", i, m, got, want)
+			}
+		}
 	}
-	legal := func(s RWRingState) bool { return closed[s] }
-	witness, ok := CheckFairConvergence(sys.States, RWRingLabeledNext(k), legal, 3)
-	if !ok {
+	delay := p.DelaySystem(3)
+	if len(delay.States) != len(states) {
+		t.Fatalf("DelaySystem has %d states, reference %d", len(delay.States), len(states))
+	}
+	for _, m := range delay.States {
+		if !mapped[m] {
+			t.Fatalf("DelaySystem state %+v has no reference counterpart", m)
+		}
+	}
+
+	next := func(s rwRing) []rwRing {
+		return []rwRing{s.step(k, 0), s.step(k, 1), s.step(k, 2)}
+	}
+	sys := &System[rwRing]{States: states, Next: next, Legal: rwRing.legal}
+	closed := sys.GreatestClosedSubset(sys.Legal)
+	if len(states) != 125000 || len(closed) != 20160 {
+		t.Fatalf("K=%d: %d states, closed legitimate set of %d; want 125000 and 20160",
+			k, len(states), len(closed))
+	}
+	labeled := func(s rwRing) []Labeled[rwRing] {
+		out := make([]Labeled[rwRing], 0, 3)
+		for i := 0; i < 3; i++ {
+			out = append(out, Labeled[rwRing]{To: s.step(k, i), Actor: i})
+		}
+		return out
+	}
+	legal := func(s rwRing) bool { return closed[s] }
+	if witness, ok := CheckFairConvergence(states, labeled, legal, 3); !ok {
 		t.Fatalf("fair illegal cycle reachable, e.g. from %+v", witness)
 	}
-	t.Logf("K=%d: %d states, closed legitimate set of %d states, all fair executions converge",
-		k, len(sys.States), len(closed))
 }
 
-// TestRWRingClosedSetNonTrivial sanity-checks the refinement: the
+// TestRWRingClosedSetNonTrivial sanity-checks the refinement on the
+// ring as the scheduler runs it (the K-state delay system): the
 // syntactic one-privilege candidate is strictly larger than its
 // greatest closed subset (stale registers can push an execution out),
 // which is exactly why the refinement step exists.
 func TestRWRingClosedSetNonTrivial(t *testing.T) {
-	const k = 3
-	sys := RWRingSystem(k)
+	sys := KStateProtocol(3).DelaySystem(3)
 	candidate := 0
 	for _, s := range sys.States {
 		if sys.Legal(s) {
@@ -128,13 +239,10 @@ func TestRWRingClosedSetNonTrivial(t *testing.T) {
 		}
 	}
 	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(closed) >= candidate {
-		t.Fatalf("refinement removed nothing: %d candidate, %d closed", candidate, len(closed))
+	if len(sys.States) != 5832 || candidate != 3240 || len(closed) != 1608 {
+		t.Fatalf("K=3: %d states, candidate %d -> closed %d; want 5832, 3240 -> 1608",
+			len(sys.States), candidate, len(closed))
 	}
-	if len(closed) == 0 {
-		t.Fatal("closed set empty at K=3")
-	}
-	t.Logf("K=%d: candidate %d -> closed %d", k, candidate, len(closed))
 }
 
 // TestClosureViolationDetected exercises the checker's failure path on

@@ -92,166 +92,14 @@ func NMIDeliveredStock() func(NMIState) bool {
 	return func(s NMIState) bool { return s.InNMI && !s.Pin }
 }
 
-// RingState is Dijkstra's K-state ring under composite atomicity: the
-// shared variables of up to MaxRingMembers members (unused entries stay
-// zero so states remain comparable).
-type RingState [6]uint8
+// RingState is a ring protocol's configuration: the slot values of up
+// to MaxRingMembers nodes (unused entries stay zero so states remain
+// comparable).
+type RingState [MaxRingMembers]uint8
 
-// MaxRingMembers bounds the general ring model's size.
+// MaxRingMembers bounds the ring sizes the protocol models, the guest
+// builders and the ring fleet accept.
 const MaxRingMembers = 6
-
-// ringPrivilegesN returns the privileged members of the n-member
-// unidirectional ring (member 0 is the root).
-func ringPrivilegesN(x RingState, n int) []int {
-	var out []int
-	if x[0] == x[n-1] {
-		out = append(out, 0)
-	}
-	for i := 1; i < n; i++ {
-		if x[i] != x[i-1] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ringPrivileges is the 3-member case used by the guest-workload
-// analyses.
-func ringPrivileges(x RingState) []int { return ringPrivilegesN(x, 3) }
-
-// RingSystem builds the n-member composite-atomicity ring under the
-// adversarial central daemon: any privileged member may move. Legal
-// states have exactly one privilege (the classic legitimate set, which
-// is closed).
-func RingSystem(k uint8, n int) *System[RingState] {
-	if n < 2 || n > MaxRingMembers {
-		panic("model: ring size out of range")
-	}
-	var states []RingState
-	var enum func(i int, cur RingState)
-	enum = func(i int, cur RingState) {
-		if i == n {
-			states = append(states, cur)
-			return
-		}
-		for v := uint8(0); v < k; v++ {
-			cur[i] = v
-			enum(i+1, cur)
-		}
-	}
-	enum(0, RingState{})
-	next := func(s RingState) []RingState {
-		var out []RingState
-		for _, p := range ringPrivilegesN(s, n) {
-			ns := s
-			if p == 0 {
-				ns[0] = (s[n-1] + 1) % k
-			} else {
-				ns[p] = s[p-1]
-			}
-			out = append(out, ns)
-		}
-		// At least one member is always privileged in this ring, so
-		// next is total.
-		return out
-	}
-	legal := func(s RingState) bool { return len(ringPrivilegesN(s, n)) == 1 }
-	return &System[RingState]{States: states, Next: next, Legal: legal}
-}
-
-// RWRingState is the ring under read/write atomicity, as the scheduler
-// actually executes it: each member also carries the register holding
-// its (possibly stale) read of its predecessor, and a two-phase program
-// counter (0 = about to read, 1 = about to test-and-write).
-type RWRingState struct {
-	X   [3]uint8
-	Reg [3]uint8
-	PC  [3]uint8
-}
-
-// rwPrivileges returns the privileged members for the 3-member RW ring.
-func rwPrivileges(x [3]uint8) []int {
-	var rs RingState
-	copy(rs[:], x[:])
-	return ringPrivilegesN(rs, 3)
-}
-
-// rwRingStep performs member i's next atomic step: a read of its
-// predecessor into its register, or the test-and-write using the
-// (possibly stale) register.
-func rwRingStep(k uint8, s RWRingState, i int) RWRingState {
-	n := s
-	prev := (i + 2) % 3
-	if s.PC[i] == 0 { // read predecessor
-		n.Reg[i] = s.X[prev]
-		n.PC[i] = 1
-		return n
-	}
-	if i == 0 {
-		if s.Reg[0] == s.X[0] {
-			n.X[0] = (s.Reg[0] + 1) % k
-		}
-	} else {
-		if s.Reg[i] != s.X[i] {
-			n.X[i] = s.Reg[i]
-		}
-	}
-	n.PC[i] = 0
-	return n
-}
-
-// RWRingLabeledNext returns the actor-labeled transition function for
-// fairness analysis.
-func RWRingLabeledNext(k uint8) func(RWRingState) []Labeled[RWRingState] {
-	return func(s RWRingState) []Labeled[RWRingState] {
-		out := make([]Labeled[RWRingState], 0, 3)
-		for i := 0; i < 3; i++ {
-			out = append(out, Labeled[RWRingState]{To: rwRingStep(k, s, i), Actor: i})
-		}
-		return out
-	}
-}
-
-// RWRingSystem builds the read/write-atomicity ring under the
-// adversarial daemon: any member may take its next atomic step.
-func RWRingSystem(k uint8) *System[RWRingState] {
-	var states []RWRingState
-	var xs []uint8
-	for v := uint8(0); v < k; v++ {
-		xs = append(xs, v)
-	}
-	for _, a := range xs {
-		for _, b := range xs {
-			for _, c := range xs {
-				for _, ra := range xs {
-					for _, rb := range xs {
-						for _, rc := range xs {
-							for pc := 0; pc < 8; pc++ {
-								states = append(states, RWRingState{
-									X:   [3]uint8{a, b, c},
-									Reg: [3]uint8{ra, rb, rc},
-									PC:  [3]uint8{uint8(pc) & 1, uint8(pc>>1) & 1, uint8(pc>>2) & 1},
-								})
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	next := func(s RWRingState) []RWRingState {
-		out := make([]RWRingState, 0, 3)
-		for i := 0; i < 3; i++ {
-			out = append(out, rwRingStep(k, s, i))
-		}
-		return out
-	}
-	// The syntactic candidate ("one privilege in X") is NOT closed
-	// here — stale registers can re-create privileges — so callers
-	// refine it with GreatestClosedSubset.
-	legal := func(s RWRingState) bool { return len(rwPrivileges(s.X)) == 1 }
-	return &System[RWRingState]{States: states, Next: next, Legal: legal}
-}
 
 // RecoveryState abstracts the checkpoint-vs-reinstall comparison of
 // experiment E9 to its essence: the guest is either legal or corrupt,

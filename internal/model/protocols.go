@@ -14,35 +14,59 @@ package model
 // provides, since a node can be preempted between its loads and its
 // write.
 
-// Protocol describes one token-passing protocol per node role. All
-// functions are total over arbitrary inputs: Norm projects any 16-bit
-// word a node may read from slot i onto slot i's value domain (the
-// guest applies the identical projection in assembly), and Guards
-// consumes canonical values only.
+// Protocol is one token-passing protocol, given once as the rules of
+// its three node roles: the root (node 0), the interior nodes, and the
+// last node (node n-1) — the bot, template and top nodes of the
+// parameterized proofs. Every other layer derives what it needs from
+// the roles: the guest's node programs read their sides, the
+// certificates declare their moves and legal set, and the core and
+// cluster observers project mailbox words through their Norm.
 type Protocol struct {
 	// Name identifies the protocol ("kstate", "dijkstra3", "ghosh4").
 	Name string
 	// K bounds the per-slot value domain: canonical values are a subset
 	// of 0..K-1.
 	K uint8
-	// UsesLeft and UsesRight report whether node i of n reads that
-	// neighbour's slot (left is (i-1+n)%n, right is (i+1)%n; chain
-	// protocols simply never use the wrapped side).
-	UsesLeft  func(i, n int) bool
-	UsesRight func(i, n int) bool
-	// Norm projects an arbitrary word read from node i's slot onto node
-	// i's value domain. It is idempotent and acts as the identity on
-	// canonical values.
-	Norm func(i, n int, v uint16) uint8
-	// Guards returns the new slot values of node i's enabled guarded
-	// moves, one entry per held privilege (empty when none). Privilege
-	// counting is per guard, not per node: a Ghosh interior machine
-	// watching both neighbours can hold two privileges at once. Every
-	// protocol here writes the same value whichever guard fired, so a
-	// node's program tests its guards in order and performs one store.
-	// Unused neighbour sides receive zero.
-	Guards func(i, n int, self, left, right uint8) []uint8
+	// Root, Interior and Last are the node roles. A two-node ring has a
+	// root and a last node only.
+	Root, Interior, Last Role
 }
+
+// Role is the rule set of one node role. Norm and Move are total and
+// allocation-free: Norm accepts any 16-bit word, Move any triple (the
+// callers pass canonical values only).
+type Role struct {
+	// Left and Right report whether the node reads that neighbour's
+	// slot (left is (i-1+n)%n, right is (i+1)%n; chain protocols simply
+	// never read across the wrap).
+	Left, Right bool
+	// Norm projects an arbitrary word read from the node's slot onto
+	// its value domain. It is idempotent and the identity on canonical
+	// values; the guest applies the identical projection in assembly.
+	Norm func(v uint16) uint8
+	// Move evaluates the node's guards on its own value and the values
+	// of the sides it reads (unused sides receive zero). privs counts
+	// the held privileges, one per guard: a Ghosh interior node
+	// watching both neighbours can hold two at once. Every protocol
+	// here writes the same value whichever guard fired, so to is that
+	// new slot value, and 0 when privs is 0.
+	Move func(self, left, right uint8) (privs int, to uint8)
+}
+
+// Role returns the role of node i in an n-node ring.
+func (p Protocol) Role(i, n int) Role {
+	switch i {
+	case 0:
+		return p.Root
+	case n - 1:
+		return p.Last
+	}
+	return p.Interior
+}
+
+// Norm projects an arbitrary word read from node i's slot onto node
+// i's value domain.
+func (p Protocol) Norm(i, n int, v uint16) uint8 { return p.Role(i, n).Norm(v) }
 
 // KStateProtocol is Dijkstra's K-state unidirectional ring in mailbox
 // form: every node reads only its left (predecessor) slot; the root
@@ -51,24 +75,24 @@ type Protocol struct {
 // K >= 2n-1 keeps the ring self-stabilizing even under read/write
 // atomicity (the guest uses k=16 for up to 8 nodes).
 func KStateProtocol(k uint8) Protocol {
+	norm := func(v uint16) uint8 { return uint8(v % uint16(k)) }
+	copyLeft := Role{Left: true, Norm: norm, Move: func(self, left, _ uint8) (int, uint8) {
+		if self != left {
+			return 1, left
+		}
+		return 0, 0
+	}}
 	return Protocol{
-		Name:      "kstate",
-		K:         k,
-		UsesLeft:  func(i, n int) bool { return true },
-		UsesRight: func(i, n int) bool { return false },
-		Norm:      func(i, n int, v uint16) uint8 { return uint8(v % uint16(k)) },
-		Guards: func(i, n int, self, left, right uint8) []uint8 {
-			if i == 0 {
-				if self == left {
-					return []uint8{(self + 1) % k}
-				}
-				return nil
+		Name: "kstate",
+		K:    k,
+		Root: Role{Left: true, Norm: norm, Move: func(self, left, _ uint8) (int, uint8) {
+			if self == left {
+				return 1, (self + 1) % k
 			}
-			if self != left {
-				return []uint8{left}
-			}
-			return nil
-		},
+			return 0, 0
+		}},
+		Interior: copyLeft,
+		Last:     copyLeft,
 	}
 }
 
@@ -91,28 +115,26 @@ func mod3(v uint16) uint8 {
 // topology: the top's right neighbour is the bottom.
 func Dijkstra3Protocol() Protocol {
 	return Protocol{
-		Name:      "dijkstra3",
-		K:         3,
-		UsesLeft:  func(i, n int) bool { return i != 0 },
-		UsesRight: func(i, n int) bool { return true },
-		Norm:      func(i, n int, v uint16) uint8 { return mod3(v) },
-		Guards: func(i, n int, self, left, right uint8) []uint8 {
-			switch i {
-			case 0:
-				if (self+1)%3 == right {
-					return []uint8{(self + 2) % 3}
-				}
-			case n - 1:
-				if left == right && (left+1)%3 != self {
-					return []uint8{(left + 1) % 3}
-				}
-			default:
-				if (self+1)%3 == left || (self+1)%3 == right {
-					return []uint8{(self + 1) % 3}
-				}
+		Name: "dijkstra3",
+		K:    3,
+		Root: Role{Right: true, Norm: mod3, Move: func(self, _, right uint8) (int, uint8) {
+			if (self+1)%3 == right {
+				return 1, (self + 2) % 3
 			}
-			return nil
-		},
+			return 0, 0
+		}},
+		Interior: Role{Left: true, Right: true, Norm: mod3, Move: func(self, left, right uint8) (int, uint8) {
+			if up := (self + 1) % 3; up == left || up == right {
+				return 1, up
+			}
+			return 0, 0
+		}},
+		Last: Role{Left: true, Right: true, Norm: mod3, Move: func(self, left, right uint8) (int, uint8) {
+			if up := (left + 1) % 3; left == right && up != self {
+				return 1, up
+			}
+			return 0, 0
+		}},
 	}
 }
 
@@ -128,41 +150,36 @@ func Dijkstra3Protocol() Protocol {
 // There is no wraparound: the chain's ends never read across.
 func Ghosh4Protocol() Protocol {
 	return Protocol{
-		Name:      "ghosh4",
-		K:         4,
-		UsesLeft:  func(i, n int) bool { return i != 0 },
-		UsesRight: func(i, n int) bool { return i != n-1 },
-		Norm: func(i, n int, v uint16) uint8 {
-			switch i {
-			case 0:
-				return uint8(v&2) | 1
-			case n - 1:
-				return uint8(v & 2)
-			default:
-				return uint8(v & 3)
-			}
-		},
-		Guards: func(i, n int, self, left, right uint8) []uint8 {
-			var out []uint8
-			switch i {
-			case 0:
+		Name: "ghosh4",
+		K:    4,
+		Root: Role{Right: true, Norm: func(v uint16) uint8 { return uint8(v&2) | 1 },
+			Move: func(self, _, right uint8) (int, uint8) {
 				if right == (self+1)%4 {
-					out = append(out, (self+2)%4)
+					return 1, (self + 2) % 4
 				}
-			case n - 1:
+				return 0, 0
+			}},
+		Interior: Role{Left: true, Right: true, Norm: func(v uint16) uint8 { return uint8(v & 3) },
+			Move: func(self, left, right uint8) (int, uint8) {
+				up, privs := (self+1)%4, 0
+				if left == up {
+					privs++
+				}
+				if right == up {
+					privs++
+				}
+				if privs == 0 {
+					return 0, 0
+				}
+				return privs, up
+			}},
+		Last: Role{Left: true, Norm: func(v uint16) uint8 { return uint8(v & 2) },
+			Move: func(self, left, _ uint8) (int, uint8) {
 				if left == (self+1)%4 {
-					out = append(out, (self+2)%4)
+					return 1, (self + 2) % 4
 				}
-			default:
-				if left == (self+1)%4 {
-					out = append(out, (self+1)%4)
-				}
-				if right == (self+1)%4 {
-					out = append(out, (self+1)%4)
-				}
-			}
-			return out
-		},
+				return 0, 0
+			}},
 	}
 }
 
@@ -180,26 +197,40 @@ func (p Protocol) Domain(i, n int) []uint8 {
 // neighbours returns the left and right indices of node i on the ring.
 func neighbours(i, n int) (l, r int) { return (i + n - 1) % n, (i + 1) % n }
 
-// guardsAt evaluates node i's guards in configuration x.
-func (p Protocol) guardsAt(x RingState, i, n int) []uint8 {
-	l, r := neighbours(i, n)
+// moveAt evaluates node i's move in configuration x.
+func (p Protocol) moveAt(x RingState, i, n int) (privs int, to uint8) {
+	r := p.Role(i, n)
+	l, rt := neighbours(i, n)
 	var left, right uint8
-	if p.UsesLeft(i, n) {
+	if r.Left {
 		left = x[l]
 	}
-	if p.UsesRight(i, n) {
-		right = x[r]
+	if r.Right {
+		right = x[rt]
 	}
-	return p.Guards(i, n, x[i], left, right)
+	return r.Move(x[i], left, right)
 }
 
-// Privileges returns the privileged nodes of configuration x (entries
-// 0..n-1 used; values must be canonical), one entry per held guard —
-// a node watching both neighbours may appear twice.
+// Legal reports whether configuration x (entries 0..n-1 used; values
+// must be canonical) holds exactly one privilege, counted per guard:
+// the protocols' shared legal set.
+func (p Protocol) Legal(x RingState, n int) bool {
+	held := 0
+	for i := 0; i < n && held <= 1; i++ {
+		privs, _ := p.moveAt(x, i, n)
+		held += privs
+	}
+	return held == 1
+}
+
+// Privileges returns the privileged nodes of configuration x, one entry
+// per held guard — a node watching both neighbours may appear twice.
+// It is for reports; Legal decides legality.
 func (p Protocol) Privileges(x RingState, n int) []int {
 	var out []int
 	for i := 0; i < n; i++ {
-		for range p.guardsAt(x, i, n) {
+		privs, _ := p.moveAt(x, i, n)
+		for ; privs > 0; privs-- {
 			out = append(out, i)
 		}
 	}
@@ -207,11 +238,11 @@ func (p Protocol) Privileges(x RingState, n int) []int {
 }
 
 // System builds the protocol's n-node composite-atomicity system under
-// the adversarial central daemon: any held privilege may perform its
-// guarded move in one atomic step. Legal states have exactly one
-// privilege. Next is total — a deadlocked configuration self-loops, so
-// closure/convergence checking flags it as a reachable illegal cycle
-// rather than silently skipping it.
+// the adversarial central daemon: any privileged node may perform its
+// guarded move in one atomic step (one successor per privileged node).
+// Legal states have exactly one privilege. Next is total — a deadlocked
+// configuration self-loops, so closure/convergence checking flags it as
+// a reachable illegal cycle rather than silently skipping it.
 func (p Protocol) System(n int) *System[RingState] {
 	if n < 2 || n > MaxRingMembers {
 		panic("model: protocol ring size out of range")
@@ -232,9 +263,9 @@ func (p Protocol) System(n int) *System[RingState] {
 	next := func(s RingState) []RingState {
 		var out []RingState
 		for i := 0; i < n; i++ {
-			for _, v := range p.guardsAt(s, i, n) {
+			if privs, to := p.moveAt(s, i, n); privs > 0 {
 				ns := s
-				ns[i] = v
+				ns[i] = to
 				out = append(out, ns)
 			}
 		}
@@ -243,15 +274,9 @@ func (p Protocol) System(n int) *System[RingState] {
 		}
 		return out
 	}
-	legal := func(s RingState) bool { return len(p.Privileges(s, n)) == 1 }
+	legal := func(s RingState) bool { return p.Legal(s, n) }
 	return &System[RingState]{States: states, Next: next, Legal: legal}
 }
-
-// Dijkstra3System is the n-node 3-state ring under composite atomicity.
-func Dijkstra3System(n int) *System[RingState] { return Dijkstra3Protocol().System(n) }
-
-// Ghosh4System is the n-node 4-state chain under composite atomicity.
-func Ghosh4System(n int) *System[RingState] { return Ghosh4Protocol().System(n) }
 
 // MailboxState is a protocol configuration under read/write atomicity,
 // as the scheduler executes it: the mailbox slots X, each node's parked
@@ -266,13 +291,13 @@ type MailboxState struct {
 	PC   RingState
 }
 
-// Phases returns the length of node i's atomic-action sequence.
-func (p Protocol) Phases(i, n int) int {
+// phases returns the length of the role's atomic-action sequence.
+func (r Role) phases() int {
 	ph := 1 // the guarded write
-	if p.UsesLeft(i, n) {
+	if r.Left {
 		ph++
 	}
-	if p.UsesRight(i, n) {
+	if r.Right {
 		ph++
 	}
 	return ph
@@ -283,9 +308,10 @@ func (p Protocol) Phases(i, n int) int {
 // test-and-write using the (possibly stale) registers.
 func (p Protocol) DelayStep(n int, s MailboxState, i int) MailboxState {
 	ns := s
+	role := p.Role(i, n)
 	l, r := neighbours(i, n)
 	phase := 0
-	if p.UsesLeft(i, n) {
+	if role.Left {
 		if int(s.PC[i]) == phase {
 			ns.RegL[i] = p.Norm(l, n, uint16(s.X[l]))
 			ns.PC[i]++
@@ -293,15 +319,15 @@ func (p Protocol) DelayStep(n int, s MailboxState, i int) MailboxState {
 		}
 		phase++
 	}
-	if p.UsesRight(i, n) {
+	if role.Right {
 		if int(s.PC[i]) == phase {
 			ns.RegR[i] = p.Norm(r, n, uint16(s.X[r]))
 			ns.PC[i]++
 			return ns
 		}
 	}
-	if g := p.Guards(i, n, s.X[i], s.RegL[i], s.RegR[i]); len(g) > 0 {
-		ns.X[i] = g[0]
+	if privs, to := role.Move(s.X[i], s.RegL[i], s.RegR[i]); privs > 0 {
+		ns.X[i] = to
 	}
 	ns.PC[i] = 0
 	return ns
@@ -311,8 +337,9 @@ func (p Protocol) DelayStep(n int, s MailboxState, i int) MailboxState {
 // under the adversarial daemon: any node may take its next atomic
 // action. The syntactic legality candidate ("one privilege in X") is
 // generally NOT closed here — stale registers can re-create privileges
-// — so callers refine it with GreatestClosedSubset, exactly as for
-// RWRingSystem.
+// — so callers refine it with GreatestClosedSubset. For the K-state
+// ring at n=3 this is Dolev & Herman's read/write setting, the ring as
+// the 5.2 scheduler runs it.
 func (p Protocol) DelaySystem(n int) *System[MailboxState] {
 	states := p.delayStates(n)
 	next := func(s MailboxState) []MailboxState {
@@ -322,7 +349,7 @@ func (p Protocol) DelaySystem(n int) *System[MailboxState] {
 		}
 		return out
 	}
-	legal := func(s MailboxState) bool { return len(p.Privileges(s.X, n)) == 1 }
+	legal := func(s MailboxState) bool { return p.Legal(s.X, n) }
 	return &System[MailboxState]{States: states, Next: next, Legal: legal}
 }
 
@@ -349,13 +376,14 @@ func (p Protocol) delayStates(n int) []MailboxState {
 			states = append(states, cur)
 			return
 		}
+		role := p.Role(i, n)
 		l, r := neighbours(i, n)
 		regLs := []uint8{0}
-		if p.UsesLeft(i, n) {
+		if role.Left {
 			regLs = p.Domain(l, n)
 		}
 		regRs := []uint8{0}
-		if p.UsesRight(i, n) {
+		if role.Right {
 			regRs = p.Domain(r, n)
 		}
 		for _, x := range p.Domain(i, n) {
@@ -364,7 +392,7 @@ func (p Protocol) delayStates(n int) []MailboxState {
 				cur.RegL[i] = rl
 				for _, rr := range regRs {
 					cur.RegR[i] = rr
-					for pc := 0; pc < p.Phases(i, n); pc++ {
+					for pc := 0; pc < role.phases(); pc++ {
 						cur.PC[i] = uint8(pc)
 						enum(i+1, cur)
 					}
@@ -388,20 +416,21 @@ func (p Protocol) delayStates(n int) []MailboxState {
 func (p Protocol) ObsSuccessors(n int, s MailboxState) []MailboxState {
 	var out []MailboxState
 	for i := 0; i < n; i++ {
+		role := p.Role(i, n)
 		l, r := neighbours(i, n)
-		if p.UsesLeft(i, n) {
+		if role.Left {
 			ns := s
 			ns.RegL[i] = p.Norm(l, n, uint16(s.X[l]))
 			out = append(out, ns)
 		}
-		if p.UsesRight(i, n) {
+		if role.Right {
 			ns := s
 			ns.RegR[i] = p.Norm(r, n, uint16(s.X[r]))
 			out = append(out, ns)
 		}
-		for _, v := range p.Guards(i, n, s.X[i], s.RegL[i], s.RegR[i]) {
+		if privs, to := role.Move(s.X[i], s.RegL[i], s.RegR[i]); privs > 0 {
 			ns := s
-			ns.X[i] = v
+			ns.X[i] = to
 			out = append(out, ns)
 		}
 	}

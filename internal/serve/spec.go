@@ -40,6 +40,7 @@ import (
 	"ssos/internal/fault"
 	"ssos/internal/guest"
 	"ssos/internal/mem"
+	"ssos/internal/model"
 )
 
 // Image is a named, fully specified guest configuration — what a
@@ -126,7 +127,7 @@ func InjectFault(s *core.System, inj *fault.Injector, kind string) error {
 		// Algorithm-layer fault for the mailbox ring workloads: the
 		// shared slot region and every node's parked register words.
 		inj.RandomizeRegion(mem.Region{Name: "mailbox",
-			Start: guest.MailboxAddr(0), Size: 2 * guest.MaxMailboxNodes})
+			Start: guest.MailboxAddr(0), Size: 2 * model.MaxRingMembers})
 		for i := 0; i < guest.MailboxNodes; i++ {
 			inj.RandomizeRegion(mem.Region{Name: "node-regs",
 				Start: guest.MailboxRegLAddr(i), Size: 4})
