@@ -13,7 +13,7 @@
 // repository's built-in guest programs — the executable form of the
 // paper's figures: reinstall (Figure 1), continue, monitor, checkpoint,
 // scheduler (Figures 2-5), scheduler-protect, kernel, kernel-padded,
-// primitive, proc0..proc3, ring0..ring2.
+// primitive, proc0..proc3.
 package main
 
 import (
@@ -125,14 +125,8 @@ func guestProgram(name string) (*asm.Program, error) {
 		}
 		return p.Prog, nil
 	}
-	if strings.HasPrefix(name, "proc") || strings.HasPrefix(name, "ring") {
-		var set *guest.ProcSet
-		var err error
-		if strings.HasPrefix(name, "ring") {
-			set, err = guest.BuildRingProcesses()
-		} else {
-			set, err = guest.BuildProcesses()
-		}
+	if strings.HasPrefix(name, "proc") {
+		set, err := guest.BuildProcesses()
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +136,7 @@ func guestProgram(name string) (*asm.Program, error) {
 		}
 		return set.Progs[i], nil
 	}
-	return nil, fmt.Errorf("unknown guest %q (try reinstall, monitor, scheduler, kernel, primitive, proc0..proc3, ring0..ring2)", name)
+	return nil, fmt.Errorf("unknown guest %q (try reinstall, monitor, scheduler, kernel, primitive, proc0..proc3)", name)
 }
 
 func handlerProg(h *guest.Handler, err error) (*asm.Program, error) {

@@ -8,8 +8,8 @@
 //
 // Approaches: baseline, reinstall, continue, monitor, primitive,
 // scheduler, checkpoint, adaptive, plus the workload images
-// scheduler-ring and scheduler-mbox-{kstate,dijkstra3,ghosh4} (token
-// rings communicating through the shared mailbox region). Faults:
+// scheduler-mbox-{kstate,dijkstra3,ghosh4} (token rings communicating
+// through the shared mailbox region). Faults:
 // none, bitflip, os-blast, cpu-blast, pc, all-ram, table-blast
 // (scheduler), proc-code (scheduler), mailbox (mailbox workloads).
 // -events-out/-metrics-out write the structured event
@@ -27,7 +27,6 @@ import (
 
 	"ssos/internal/core"
 	"ssos/internal/fault"
-	"ssos/internal/guest"
 	"ssos/internal/obs"
 	"ssos/internal/pool"
 	"ssos/internal/serve"
@@ -42,7 +41,6 @@ func main() {
 	at := flag.Int("at", 100000, "step at which the fault is injected")
 	seed := flag.Int64("seed", 1, "fault-injection seed")
 	stock := flag.Bool("stock-nmi", false, "disable the paper's NMI-counter hardware")
-	ring := flag.Bool("ring", false, "run the Dijkstra token-ring workload (scheduler only)")
 	protect := flag.Bool("protect", false, "enable the memory-protection extension (scheduler only)")
 	traceN := flag.Int("trace", 0, "dump the last N executed steps at the end")
 	eventsOut := flag.String("events-out", "", "write the structured event stream as JSONL to this file")
@@ -79,9 +77,6 @@ func main() {
 	cfg := img.Cfg
 	cfg.WatchdogPeriod = uint32(*period)
 	cfg.DisableNMICounter = *stock
-	if *ring {
-		cfg.Workload = core.WorkloadTokenRing
-	}
 	cfg.ProtectMemory = *protect
 	s, err := core.New(cfg)
 	if err != nil {
@@ -139,16 +134,6 @@ func main() {
 		legal := len(w) - spec.LegalSuffixStart(w)
 		fmt.Printf("process %d: beats=%d legal-suffix=%d\n", i, c.Total(), legal)
 	}
-	if s.Cfg.Workload == core.WorkloadTokenRing {
-		fmt.Printf("token ring: privileges=%v x=[", s.RingPrivileges())
-		for i := 0; i < guest.RingMembers; i++ {
-			if i > 0 {
-				fmt.Print(" ")
-			}
-			fmt.Print(s.RingX(i))
-		}
-		fmt.Println("]")
-	}
 	if v, ok := s.Cfg.Workload.MailboxVariant(); ok {
 		ring := s.MailboxRing()
 		fmt.Printf("mailbox ring (%v): privileges=%v x=[", v, s.MailboxPrivileges())
@@ -162,7 +147,7 @@ func main() {
 	}
 	if s.Checkpoint != nil {
 		fmt.Printf("checkpoint: snapshots=%d restores=%d period=%d\n",
-			s.Checkpoint.Snapshots, s.Checkpoint.Restores, s.Cfg.CheckpointPeriod)
+			s.Checkpoint.Snapshots, s.Checkpoint.Restores, s.Checkpoint.Period)
 	}
 	if rec != nil {
 		fmt.Println("last steps:")

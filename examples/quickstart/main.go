@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("built machine: guest OS image %d bytes in ROM at %#x, stabilizer ROM at %#x\n",
 		guest.ImageSize, uint32(guest.OSROMSeg)<<4, uint32(guest.HandlerROMSeg)<<4)
 	fmt.Printf("watchdog period: %d steps; NMI counter max: %d\n\n",
-		sys.Cfg.WatchdogPeriod, sys.Cfg.NMICounterMax)
+		sys.Cfg.WatchdogPeriod, sys.M.Opts.NMICounterMax)
 
 	// Phase 1: boot and run.
 	sys.Run(100000)

@@ -10,6 +10,7 @@ import (
 	"ssos/internal/model"
 	"ssos/internal/obs"
 	"ssos/internal/pool"
+	"ssos/internal/trace"
 )
 
 // RingFleet runs a mailbox token ring distributed one node per replica:
@@ -41,7 +42,7 @@ type RingFleetConfig struct {
 	// Variant selects the token-ring protocol.
 	Variant guest.RingVariant
 	// Replicas is the fleet and ring size n (default DefaultReplicas;
-	// 2..model.MaxRingMembers).
+	// 2..model.MaxRingNodes).
 	Replicas int
 	// RelayEvery is the relay cadence in machine steps (default
 	// DefaultRelayEvery).
@@ -73,9 +74,9 @@ func NewRingFleet(cfg RingFleetConfig) (*RingFleet, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = DefaultReplicas
 	}
-	if cfg.Replicas < 2 || cfg.Replicas > model.MaxRingMembers {
+	if cfg.Replicas < 2 || cfg.Replicas > model.MaxRingNodes {
 		return nil, fmt.Errorf("cluster: ring fleet size %d out of range 2..%d",
-			cfg.Replicas, model.MaxRingMembers)
+			cfg.Replicas, model.MaxRingNodes)
 	}
 	if cfg.RelayEvery <= 0 {
 		cfg.RelayEvery = DefaultRelayEvery
@@ -211,23 +212,7 @@ func (f *RingFleet) Legal() bool { return f.proto.Legal(f.Ring(), len(f.reps)) }
 // consecutive relay rounds, returning the fleet step at which the
 // sustained window began.
 func (f *RingFleet) Converged(horizon, window int) (uint64, bool) {
-	good := 0
-	var since uint64
-	for ran := 0; ran < horizon; ran += f.cfg.RelayEvery {
-		f.Run(f.cfg.RelayEvery)
-		if f.Legal() {
-			if good == 0 {
-				since = f.steps
-			}
-			good++
-			if good >= window {
-				return since, true
-			}
-		} else {
-			good = 0
-		}
-	}
-	return 0, false
+	return trace.Sustained(f.Run, f.Steps, f.Legal, horizon, f.cfg.RelayEvery, window)
 }
 
 // RingScramble selects which layer of the fleet a Scramble corrupts.

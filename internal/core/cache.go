@@ -23,7 +23,6 @@ var buildCache struct {
 	schedDS       *guest.Scheduler
 	schedProt     *guest.Scheduler
 	procs         *guest.ProcSet
-	ringProcs     *guest.ProcSet
 	mboxProcs     map[guest.RingVariant]*guest.ProcSet
 	prim          *guest.Primitive
 }
@@ -92,8 +91,6 @@ func buildAll() error {
 		c.schedProt, err = guest.BuildSchedulerOpts(guest.SchedOptions{ValidateDS: true, Protect: true})
 		set(err)
 		c.procs, err = guest.BuildProcesses()
-		set(err)
-		c.ringProcs, err = guest.BuildRingProcesses()
 		set(err)
 		c.mboxProcs = make(map[guest.RingVariant]*guest.ProcSet)
 		for _, v := range guest.RingVariants() {

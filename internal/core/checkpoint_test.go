@@ -36,8 +36,8 @@ func TestCheckpointSystemBootsAndRollsBack(t *testing.T) {
 	if s.Checkpoint.Restores == 0 {
 		t.Fatal("no rollbacks performed")
 	}
-	if s.Cfg.CheckpointPeriod != s.Cfg.WatchdogPeriod*2/3 {
-		t.Fatalf("default checkpoint period: %d", s.Cfg.CheckpointPeriod)
+	if s.Checkpoint.Period != s.Cfg.WatchdogPeriod*2/3 {
+		t.Fatalf("default checkpoint period: %d", s.Checkpoint.Period)
 	}
 }
 

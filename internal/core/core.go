@@ -105,11 +105,6 @@ type Config struct {
 	// DisableNMICounter reverts to stock-Pentium NMI latching,
 	// reproducing the hazard the paper's proposed hardware removes.
 	DisableNMICounter bool
-	// NMICounterMax overrides the NMI counter reload value. It must
-	// exceed the NMI handler's execution length; the default leaves
-	// comfortable slack. Deliberately undersized values reproduce the
-	// handler-preemption livelock (ablation experiment).
-	NMICounterMax uint16
 	// ValidateDS compiles the scheduler's ds-validation extension in.
 	ValidateDS bool
 	// TickfulKernel runs the interrupt-driven guest variant: the kernel
@@ -118,9 +113,6 @@ type Config struct {
 	// and adaptive approaches. Adds the silent IDT-corruption fault
 	// class (experiment E13).
 	TickfulKernel bool
-	// TimerPeriod is the tickful kernel's timer interval in steps
-	// (default DefaultTimerPeriod).
-	TimerPeriod uint32
 	// StockVectoring reverts to fully stock interrupt plumbing for the
 	// kernel systems: NMIs and exceptions vector through an interrupt
 	// descriptor table in RAM addressed by a writable IDTR — the
@@ -137,14 +129,6 @@ type Config struct {
 	ProtectMemory bool
 	// ConsoleCap bounds retained port writes per console (0 = all).
 	ConsoleCap int
-	// PaddedKernel assembles the guest OS in 16-byte instruction
-	// slots. Forced on for ApproachMonitor (its resume check needs
-	// it); default off elsewhere.
-	PaddedKernel bool
-	// CheckpointPeriod is the snapshot interval for ApproachCheckpoint
-	// (default: half the watchdog period, so a rollback usually finds
-	// a recent snapshot).
-	CheckpointPeriod uint32
 	// Workload selects what the scheduler system runs (ignored by the
 	// other approaches).
 	Workload Workload
@@ -166,13 +150,10 @@ const (
 	// WorkloadCounters is the default worker set: two counters, one
 	// loop-heavy worker and the ROM refresher.
 	WorkloadCounters Workload = iota
-	// WorkloadTokenRing runs Dijkstra's K-state token ring as the
+	// WorkloadMailboxKState runs Dijkstra's K-state token ring as the
 	// worker processes — the paper's composition argument (a
-	// self-stabilizing application above the self-stabilizing OS) —
-	// with members reading each other's data segments directly.
-	WorkloadTokenRing
-	// WorkloadMailboxKState runs the K-state ring in mailbox form:
-	// nodes share only the dedicated mailbox RAM region, which is what
+	// self-stabilizing application above the self-stabilizing OS).
+	// Nodes share only the dedicated mailbox RAM region, which is what
 	// makes the ring distributable across a cluster (guest.RingVariant
 	// VariantKState).
 	WorkloadMailboxKState
@@ -185,11 +166,8 @@ const (
 )
 
 func (w Workload) String() string {
-	switch w {
-	case WorkloadCounters:
+	if w == WorkloadCounters {
 		return "counters"
-	case WorkloadTokenRing:
-		return "ring"
 	}
 	if v, ok := w.MailboxVariant(); ok {
 		return "mbox-" + v.String()

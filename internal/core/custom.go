@@ -65,20 +65,20 @@ func NewCustom(cc CustomConfig) (*System, error) {
 	cfg := Config{
 		Approach:          ApproachReinstall,
 		WatchdogPeriod:    cc.WatchdogPeriod,
-		NMICounterMax:     cc.NMICounterMax,
 		DisableNMICounter: cc.DisableNMICounter,
 		ConsoleCap:        cc.ConsoleCap,
 	}
 	if cfg.WatchdogPeriod == 0 {
 		cfg.WatchdogPeriod = DefaultWatchdogPeriod
 	}
-	if cfg.NMICounterMax == 0 {
-		cfg.NMICounterMax = uint16(min(len(cc.Image)+DefaultNMISlack, 0xFFFF))
+	nmiMax := cc.NMICounterMax
+	if nmiMax == 0 {
+		nmiMax = uint16(min(len(cc.Image)+DefaultNMISlack, 0xFFFF))
 	}
 
 	m := machine.New(bus, machine.Options{
 		NMICounter:         !cc.DisableNMICounter,
-		NMICounterMax:      cfg.NMICounterMax,
+		NMICounterMax:      nmiMax,
 		HardwiredNMIVector: true,
 		NMIVector:          handler.NMIEntry(),
 		FixedIDTR:          true,

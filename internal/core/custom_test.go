@@ -113,7 +113,7 @@ func TestCustomDefaultsApplied(t *testing.T) {
 	if s.Cfg.WatchdogPeriod != DefaultWatchdogPeriod {
 		t.Errorf("period: %d", s.Cfg.WatchdogPeriod)
 	}
-	if int(s.Cfg.NMICounterMax) != len(img)+DefaultNMISlack {
-		t.Errorf("nmi max: %d", s.Cfg.NMICounterMax)
+	if int(s.M.Opts.NMICounterMax) != len(img)+DefaultNMISlack {
+		t.Errorf("nmi max: %d", s.M.Opts.NMICounterMax)
 	}
 }

@@ -87,9 +87,9 @@ loop_top:
 func Example_tokenRing() {
 	sys := core.MustNew(core.Config{
 		Approach: core.ApproachScheduler,
-		Workload: core.WorkloadTokenRing,
+		Workload: core.WorkloadMailboxKState,
 	})
-	if _, ok := sys.RingConverged(2000000, 500, 50); ok {
+	if _, ok := sys.MailboxConverged(2000000, 500, 50); ok {
 		fmt.Println("exactly one privilege circulates")
 	}
 	// Output: exactly one privilege circulates

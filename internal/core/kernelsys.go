@@ -16,12 +16,9 @@ func newKernelSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	padded := cfg.PaddedKernel
-	if cfg.Approach == ApproachMonitor {
-		padded = true // the monitor masks the resume ip to slot starts
-	}
 	kernel := buildCache.kernelPlain
-	if padded {
+	if cfg.Approach == ApproachMonitor {
+		// The monitor masks the resume ip to 16-byte slot starts.
 		kernel = buildCache.kernelPadded
 	}
 	if cfg.TickfulKernel {
@@ -29,9 +26,6 @@ func newKernelSystem(cfg Config) (*System, error) {
 		case ApproachBaseline, ApproachReinstall, ApproachAdaptive:
 		default:
 			return nil, fmt.Errorf("core: the tickful kernel supports baseline, reinstall and adaptive, not %v", cfg.Approach)
-		}
-		if padded {
-			return nil, fmt.Errorf("core: the tickful kernel has no padded variant")
 		}
 		kernel = buildCache.kernelTickful
 	}
@@ -58,18 +52,15 @@ func newKernelSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	if cfg.NMICounterMax == 0 {
-		// The longest handler path copies the full image byte by byte.
-		cfg.NMICounterMax = guest.ImageSize + DefaultNMISlack
-	}
 	if cfg.WatchdogPeriod == 0 {
 		cfg.WatchdogPeriod = DefaultWatchdogPeriod
 	}
-	cfg.PaddedKernel = padded
 
+	// The NMI counter outlasts the longest handler path, which copies
+	// the full image byte by byte.
 	opts := machine.Options{
 		NMICounter:         !cfg.DisableNMICounter,
-		NMICounterMax:      cfg.NMICounterMax,
+		NMICounterMax:      guest.ImageSize + DefaultNMISlack,
 		HardwiredNMIVector: true,
 		NMIVector:          handler.NMIEntry(),
 		FixedIDTR:          true,
@@ -120,28 +111,20 @@ func newKernelSystem(cfg Config) (*System, error) {
 		m.AddTicker(sys.Watchdog)
 	}
 	if cfg.TickfulKernel {
-		if cfg.TimerPeriod == 0 {
-			cfg.TimerPeriod = DefaultTimerPeriod
-			sys.Cfg.TimerPeriod = cfg.TimerPeriod
-		}
-		sys.Timer = dev.NewTimer(cfg.TimerPeriod, machine.VecTimer)
+		sys.Timer = dev.NewTimer(DefaultTimerPeriod, machine.VecTimer)
 		m.AddTicker(sys.Timer)
 	}
 	if cfg.Approach == ApproachCheckpoint {
-		if cfg.CheckpointPeriod == 0 {
-			// Two thirds of the watchdog period, deliberately not a
-			// divisor of it: snapshot and rollback instants interleave
-			// instead of coinciding, so some rollbacks find a pre-fault
-			// snapshot. (An aligned schedule would snapshot the
-			// corruption in the same tick the rollback fires.)
-			cfg.CheckpointPeriod = cfg.WatchdogPeriod * 2 / 3
-			sys.Cfg.CheckpointPeriod = cfg.CheckpointPeriod
-		}
+		// Snapshots every two thirds of the watchdog period,
+		// deliberately not a divisor of it: snapshot and rollback
+		// instants interleave instead of coinciding, so some rollbacks
+		// find a pre-fault snapshot. (An aligned schedule would snapshot
+		// the corruption in the same tick the rollback fires.)
 		sys.Checkpoint = dev.NewCheckpointer(bus, mem.Region{
 			Name:  "os-checkpoint",
 			Start: uint32(guest.OSSeg) << 4,
 			Size:  guest.ImageSize,
-		}, cfg.CheckpointPeriod)
+		}, cfg.WatchdogPeriod*2/3)
 		m.AddTicker(sys.Checkpoint)
 		m.MapPort(guest.PortCheckpoint, sys.Checkpoint)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"ssos/internal/guest"
 	"ssos/internal/model"
+	"ssos/internal/trace"
 )
 
 // Mailbox-workload observation: every predicate here reads the machine
@@ -75,9 +76,12 @@ func (s *System) MailboxLegal() bool {
 }
 
 // MailboxConverged runs the system for up to horizon steps (sampling
-// every sampleEvery steps) and reports whether MailboxLegal held at
-// `window` consecutive samples, returning the step at which the
-// sustained window began — the mailbox twin of RingConverged.
+// every sampleEvery steps, 500 when not positive) and reports whether
+// MailboxLegal held at `window` consecutive samples, returning the
+// step at which the sustained window began.
 func (s *System) MailboxConverged(horizon, sampleEvery, window int) (uint64, bool) {
-	return s.sustained(horizon, sampleEvery, window, s.MailboxLegal)
+	if sampleEvery <= 0 {
+		sampleEvery = 500
+	}
+	return trace.Sustained(s.Run, s.Steps, s.MailboxLegal, horizon, sampleEvery, window)
 }

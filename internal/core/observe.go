@@ -46,11 +46,10 @@ func (s *System) Instrument(sink obs.Probe) {
 			Start:        spec.Start,
 			MaxGap:       spec.MaxGap,
 			AllowRestart: spec.AllowRestart,
-			Confirm:      ObsConfirm,
 			// Legality confirmations route through the sysProbe rather
 			// than the sink directly, so they are stamped with the fault
 			// id of the episode they close — and close it.
-			Sink: p,
+			PredicateTracker: obs.PredicateTracker{Confirm: ObsConfirm, Sink: p},
 		}
 		s.Heartbeat.OnWrite = p.onHeartbeat
 	}

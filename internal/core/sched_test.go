@@ -369,7 +369,7 @@ func TestProtectionConfinesStrayWrites(t *testing.T) {
 	run := func(protect bool) (victimChanged bool) {
 		s := MustNew(Config{Approach: ApproachScheduler, ProtectMemory: protect})
 		s.Run(100000)
-		victim := guest.RingXAddr(2) // worker 2's counter word (offset 0)
+		victim := uint32(guest.ProcDataSeg(2)) << 4 // worker 2's counter word (offset 0)
 		before := s.M.Bus.LoadWord(victim)
 		// Drop the CPU right at worker 1's counter-store slot
 		// (slot 4: mov [0], ax) with a corrupted ds.

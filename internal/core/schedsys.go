@@ -24,9 +24,6 @@ func newSchedulerSystem(cfg Config) (*System, error) {
 		sched = buildCache.schedProt
 	}
 	procs := buildCache.procs
-	if cfg.Workload == WorkloadTokenRing {
-		procs = buildCache.ringProcs
-	}
 	if v, ok := cfg.Workload.MailboxVariant(); ok {
 		if cfg.ProtectMemory {
 			// The protection extension confines each process's stores to
@@ -71,14 +68,12 @@ func newSchedulerSystem(cfg Config) (*System, error) {
 	if cfg.WatchdogPeriod == 0 {
 		cfg.WatchdogPeriod = DefaultQuantum
 	}
-	if cfg.NMICounterMax == 0 {
-		// The scheduler runs 67-ish instructions; leave generous slack.
-		cfg.NMICounterMax = DefaultNMISlack
-	}
 
+	// The scheduler runs 67-ish instructions; the NMI counter leaves
+	// generous slack.
 	m := machine.New(bus, machine.Options{
 		NMICounter:         !cfg.DisableNMICounter,
-		NMICounterMax:      cfg.NMICounterMax,
+		NMICounterMax:      DefaultNMISlack,
 		HardwiredNMIVector: true,
 		NMIVector:          sched.NMIEntry(),
 		FixedIDTR:          true,

@@ -54,24 +54,25 @@ func TestSoakAllStabilizingApproaches(t *testing.T) {
 	}
 }
 
-// TestSoakScheduler is the approach-3 soak: the protected scheduler
-// with the token-ring workload under a long fault storm, converging to
-// exactly-one-privilege after the storm ends.
+// TestSoakScheduler is the approach-3 soak: the scheduler with the
+// K-state token-ring workload under a long fault storm, converging to
+// exactly-one-privilege after the storm ends. It runs unprotected: the
+// mailbox ring writes a shared region outside every protection window
+// (TestMailboxProtectIncompatible).
 func TestSoakScheduler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
 	s := MustNew(Config{
-		Approach:      ApproachScheduler,
-		Workload:      WorkloadTokenRing,
-		ProtectMemory: true,
+		Approach: ApproachScheduler,
+		Workload: WorkloadMailboxKState,
 	})
 	inj := fault.NewInjector(s.M, 7)
 	detach := inj.Rate(1e-5)
 	s.Run(2000000)
 	detach()
-	if _, ok := s.RingConverged(4000000, 500, 200); !ok {
-		t.Fatalf("ring did not re-converge after the storm (privileges=%v)", s.RingPrivileges())
+	if _, ok := s.MailboxConverged(4000000, 500, 200); !ok {
+		t.Fatalf("ring did not re-converge after the storm (privileges=%v)", s.MailboxPrivileges())
 	}
 	for i := 0; i < guest.NumProcs; i++ {
 		if s.ProcBeats[i].Total() == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"ssos/internal/cluster"
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
@@ -87,7 +88,7 @@ func E9Checkpoint(o Options) (*Table, *Series) {
 			s.Run(100)
 		}
 		phase := float64(p) / float64(samples)
-		s.Run(int(phase * float64(s.Cfg.CheckpointPeriod)))
+		s.Run(int(phase * float64(s.Checkpoint.Period)))
 		silenceHeartbeat(s)
 		faultStep := s.Steps()
 		s.Run(horizon)
@@ -106,8 +107,9 @@ func E9Checkpoint(o Options) (*Table, *Series) {
 
 // E10TokenRing measures the paper's composition argument (Section 1,
 // citing [13]): a self-stabilizing application — Dijkstra's K-state
-// token ring — stabilizes above the self-stabilizing scheduler, even
-// when both layers are corrupted at once.
+// token ring, run as the mailbox workload — stabilizes above the
+// self-stabilizing scheduler, even when both layers are corrupted at
+// once.
 func E10TokenRing(o Options) *Table {
 	t := &Table{
 		ID:    "E10",
@@ -126,16 +128,12 @@ func E10TokenRing(o Options) *Table {
 	}{
 		{"clean boot", func(*core.System, *fault.Injector) {}, 0},
 		{"arbitrary token values", func(s *core.System, in *fault.Injector) {
-			for i := 0; i < guest.RingMembers; i++ {
-				in.CorruptByteIn(mem.Region{Name: "x", Start: guest.RingXAddr(i), Size: 2})
-			}
+			mailboxScramble(s, in, cluster.ScrambleRing)
 		}, 200000},
 		{"tokens + process table randomized", func(s *core.System, in *fault.Injector) {
 			in.RandomizeRegion(mem.Region{Name: "table", Start: uint32(guest.SchedSeg) << 4,
 				Size: guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize})
-			for i := 0; i < guest.RingMembers; i++ {
-				in.CorruptByteIn(mem.Region{Name: "x", Start: guest.RingXAddr(i), Size: 2})
-			}
+			mailboxScramble(s, in, cluster.ScrambleRing)
 		}, 200000},
 		{"all RAM + CPU randomized", func(s *core.System, in *fault.Injector) {
 			in.BlastRAM()
@@ -146,14 +144,14 @@ func E10TokenRing(o Options) *Table {
 		var ts trialSet
 		upset, warmup := c.upset, c.warmup
 		forEachTrial(trials, func(i int) interface{} {
-			s := core.MustNew(core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadTokenRing})
+			s := core.MustNew(core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadMailboxKState})
 			if warmup > 0 {
 				s.Run(warmup + i*311)
 			}
 			inj := fault.NewInjector(s.M, o.Seed+int64(i))
 			upset(s, inj)
 			faultStep := s.Steps()
-			step, ok := s.RingConverged(horizon, 500, 100)
+			step, ok := s.MailboxConverged(horizon, 500, 100)
 			return recoveryResult{recovered: ok, latency: step - faultStep}
 		}, func(_ int, r interface{}) {
 			ts.add(r.(recoveryResult))
@@ -161,8 +159,9 @@ func E10TokenRing(o Options) *Table {
 		t.AddRow(c.name, fmt.Sprint(trials), fmtPct(ts.recoveredPct()),
 			fmtSteps(summarize(ts.latencies).p50))
 	}
-	t.Notes = append(t.Notes,
+	t.Notes = append(t.Notes, fmt.Sprintf(
 		"converged = the exactly-one-privilege invariant holds at every sample across a "+
-			"sustained window; the ring uses K=8 >= 2n-1 states, the read/write-atomicity bound")
+			"sustained window; the %d-node mailbox ring uses K=%d >= 2n-1 states, the "+
+			"read/write-atomicity bound", guest.MailboxNodes, guest.MailboxK))
 	return t
 }

@@ -73,7 +73,7 @@ func E11Protection(o Options) *Table {
 				countdown = corruptEvery
 				// Stray-aliasing fault: the running code's ds now
 				// addresses another process's data area.
-				victim = (victim + 1) % guest.RingMembers
+				victim = (victim + 1) % guest.RefresherIndex
 				m.CPU.S[isa.DS] = guest.ProcDataSeg(victim)
 			}
 			excBefore := s.M.Stats.Exceptions

@@ -106,7 +106,7 @@ func certNode(p model.Protocol, set *ProcSet, node, n, proc int) imglint.RingNod
 
 // ConvergenceCerts builds the full certificate catalog: for each ring
 // variant, the single-machine ring (MailboxNodes nodes in scheduler
-// slots 0..MailboxNodes-1) and every fleet size n=2..model.MaxRingMembers
+// slots 0..MailboxNodes-1) and every fleet size n=2..model.MaxRingNodes
 // (each node's image from its one-node-per-replica process set).
 func ConvergenceCerts() ([]RingCertSpec, error) {
 	var specs []RingCertSpec
@@ -130,7 +130,7 @@ func ConvergenceCerts() ([]RingCertSpec, error) {
 		}
 		specs = append(specs, single)
 
-		for n := 2; n <= model.MaxRingMembers; n++ {
+		for n := 2; n <= model.MaxRingNodes; n++ {
 			fleet := RingCertSpec{Protocol: p}
 			fleet.Cert.Name = fmt.Sprintf("mbox-%s-n%d", v, n)
 			if err := certCommon(&fleet.Cert, p, n); err != nil {

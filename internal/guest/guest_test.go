@@ -323,7 +323,7 @@ func TestCheckpointHandlerAssembles(t *testing.T) {
 }
 
 func TestRingProcessesAssemble(t *testing.T) {
-	set, err := BuildRingProcesses()
+	set, err := BuildMailboxProcesses(VariantKState)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +336,8 @@ func TestRingProcessesAssemble(t *testing.T) {
 	if string(set.Images[0][:64]) == string(set.Images[1][:64]) {
 		t.Error("root and member images identical")
 	}
-	if RingXAddr(1) != uint32(ProcDataSeg(1))<<4 {
-		t.Error("RingXAddr")
+	if MailboxAddr(1) != uint32(MailboxSeg)<<4+2 {
+		t.Error("MailboxAddr")
 	}
 }
 

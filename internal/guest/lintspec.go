@@ -211,14 +211,6 @@ func LintImages() ([]imglint.Image, error) {
 		specs = append(specs, procSpec(fmt.Sprintf("proc-%d", i), procs, i))
 	}
 
-	ring, err := BuildRingProcesses()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < NumProcs; i++ {
-		specs = append(specs, procSpec(fmt.Sprintf("ring-%d", i), ring, i))
-	}
-
 	// The mailbox token-ring workloads: the single-machine sets (one
 	// image per scheduler slot) and, for the cluster's one-node-per-
 	// replica deployments, the node image of every (variant, ring size,
@@ -232,7 +224,7 @@ func LintImages() ([]imglint.Image, error) {
 		for i := 0; i < NumProcs; i++ {
 			specs = append(specs, procSpec(fmt.Sprintf("mbox-%v-%d", v, i), set, i))
 		}
-		for n := 2; n <= model.MaxRingMembers; n++ {
+		for n := 2; n <= model.MaxRingNodes; n++ {
 			for node := 0; node < n; node++ {
 				nset, err := buildNodeProcess(v, node, n)
 				if err != nil {

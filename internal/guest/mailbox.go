@@ -10,14 +10,13 @@ import (
 // Mailbox token-ring workloads: Dijkstra's K-state and 3-state rings
 // and Ghosh's 4-state chain, each node a scheduled process whose only
 // shared state is one 16-bit slot in a dedicated RAM region (the
-// "mailbox"). Unlike the legacy ring.go workload — whose members read
-// each other's data segments directly — mailbox nodes never address
-// another process's data segment: node i owns slot i, reads its
-// neighbours' slots, and parks the normalized reads in register words
-// of its own data segment before the guarded test-and-write. That
-// discipline is what makes the workloads distributable: on the cluster
-// a replica runs a single node, and a relay shim copies neighbour
-// slots between the replicas' mailboxes (internal/cluster).
+// "mailbox"). A node never addresses another process's data segment:
+// node i owns slot i, reads its neighbours' slots, and parks the
+// normalized reads in register words of its own data segment before
+// the guarded test-and-write. That discipline is what makes the
+// workloads distributable: on the cluster a replica runs a single
+// node, and a relay shim copies neighbour slots between the replicas'
+// mailboxes (internal/cluster).
 //
 // The mailbox programs implement internal/model's Protocol roles
 // (RingVariant.Protocol) instruction for instruction; a node reads
@@ -49,13 +48,12 @@ const MailboxSeg = 0xA000
 const MailboxNodes = RefresherIndex
 
 // MailboxK is the K of the K-state variant: a power of two (the guard
-// masks with K-1) with K >= 2n-1 for every n up to model.MaxRingMembers,
+// masks with K-1) with K >= 2n-1 for every n up to model.MaxRingNodes,
 // the bound under which the K-state ring stabilizes even at
 // read/write atomicity.
 const MailboxK = 16
 
-// Data-segment offsets of a mailbox node process. Offset 0 is unused;
-// the beat counter sits at 2 as in the legacy ring workload.
+// Data-segment offsets of a mailbox node process. Offset 0 is unused.
 const (
 	MailboxBeatOff = 2 // iteration counter, reported on the node's port
 	MailboxRegLOff = 4 // parked normalized read of the left neighbour
@@ -388,8 +386,8 @@ func BuildNodeProcesses(v RingVariant, node, n int) (*ProcSet, error) {
 // the ring node itself, and leaves the other slots empty: the lint and
 // certificate catalogs check only the node.
 func buildNodeProcess(v RingVariant, node, n int) (*ProcSet, error) {
-	if n < 2 || n > model.MaxRingMembers {
-		return nil, fmt.Errorf("mailbox ring size %d out of range 2..%d", n, model.MaxRingMembers)
+	if n < 2 || n > model.MaxRingNodes {
+		return nil, fmt.Errorf("mailbox ring size %d out of range 2..%d", n, model.MaxRingNodes)
 	}
 	if node < 0 || node >= n {
 		return nil, fmt.Errorf("mailbox node %d out of range 0..%d", node, n-1)

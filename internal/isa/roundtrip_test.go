@@ -98,7 +98,7 @@ func TestRoundTripCoversAllBuilders(t *testing.T) {
 		}
 	}
 	for i := 0; i < guest.NumProcs; i++ {
-		for _, prefix := range []string{"proc", "ring"} {
+		for _, prefix := range []string{"proc", "mbox-kstate", "mbox-dijkstra3", "mbox-ghosh4"} {
 			name := fmt.Sprintf("%s-%d", prefix, i)
 			if !got[name] {
 				t.Errorf("LintImages is missing %q", name)

@@ -93,13 +93,13 @@ func NMIDeliveredStock() func(NMIState) bool {
 }
 
 // RingState is a ring protocol's configuration: the slot values of up
-// to MaxRingMembers nodes (unused entries stay zero so states remain
+// to MaxRingNodes nodes (unused entries stay zero so states remain
 // comparable).
-type RingState [MaxRingMembers]uint8
+type RingState [MaxRingNodes]uint8
 
-// MaxRingMembers bounds the ring sizes the protocol models, the guest
+// MaxRingNodes bounds the ring sizes the protocol models, the guest
 // builders and the ring fleet accept.
-const MaxRingMembers = 6
+const MaxRingNodes = 6
 
 // RecoveryState abstracts the checkpoint-vs-reinstall comparison of
 // experiment E9 to its essence: the guest is either legal or corrupt,

@@ -244,7 +244,7 @@ func (p Protocol) Privileges(x RingState, n int) []int {
 // configuration self-loops, so closure/convergence checking flags it as
 // a reachable illegal cycle rather than silently skipping it.
 func (p Protocol) System(n int) *System[RingState] {
-	if n < 2 || n > MaxRingMembers {
+	if n < 2 || n > MaxRingNodes {
 		panic("model: protocol ring size out of range")
 	}
 	var states []RingState

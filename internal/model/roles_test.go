@@ -119,7 +119,7 @@ func (c closureProtocol) privileges(x RingState, n int) int {
 }
 
 // TestRolesMatchClosureReference checks every node of every ring size
-// 2..MaxRingMembers against the closure reference: the role's read
+// 2..MaxRingNodes against the closure reference: the role's read
 // sides, its Norm on all 65,536 words, and its Move on every triple of
 // values in 0..K-1 (the privilege count is the number of guards, the
 // new value the first guard's). Legal and Privileges must agree with
@@ -139,7 +139,7 @@ func TestRolesMatchClosureReference(t *testing.T) {
 	triples := 0
 	for _, c := range cases {
 		k := c.p.K
-		for n := 2; n <= MaxRingMembers; n++ {
+		for n := 2; n <= MaxRingNodes; n++ {
 			for i := 0; i < n; i++ {
 				r := c.p.Role(i, n)
 				if r.Left != c.ref.usesLeft(i, n) || r.Right != c.ref.usesRight(i, n) {

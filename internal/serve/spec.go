@@ -54,8 +54,8 @@ type Image struct {
 
 // images lists every named image in fixed order (the /api/images
 // response order). The first eight are the paper's approaches exactly
-// as cmd/ssos-run spells them; the variants wire the workload and
-// kernel options that ssos-run exposes as extra flags.
+// as cmd/ssos-run spells them; the variants after them wire the
+// tickful kernel and the mailbox token-ring workloads.
 var images = []Image{
 	{"baseline", "conventional system: installed once, no watchdog, exceptions crash", core.Config{Approach: core.ApproachBaseline}},
 	{"reinstall", "Section 3: periodic full reinstall from ROM and restart (Figure 1)", core.Config{Approach: core.ApproachReinstall}},
@@ -65,7 +65,6 @@ var images = []Image{
 	{"scheduler", "Section 5.2: self-stabilizing process-table scheduler (Figures 2-5)", core.Config{Approach: core.ApproachScheduler}},
 	{"checkpoint", "related-work comparator: periodic snapshot + rollback on watchdog", core.Config{Approach: core.ApproachCheckpoint}},
 	{"adaptive", "related-work comparator: silence-triggered reinstall watchdog", core.Config{Approach: core.ApproachAdaptive}},
-	{"scheduler-ring", "scheduler running Dijkstra's token ring as its process set", core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadTokenRing}},
 	{"reinstall-tickful", "reinstall approach over the interrupt-driven (hlt + timer ISR) kernel", core.Config{Approach: core.ApproachReinstall, TickfulKernel: true}},
 	{"scheduler-mbox-kstate", "scheduler running the K-state token ring through the shared mailbox region", core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadMailboxKState}},
 	{"scheduler-mbox-dijkstra3", "scheduler running Dijkstra's 3-state ring through the shared mailbox region", core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadMailboxDijkstra3}},
@@ -127,7 +126,7 @@ func InjectFault(s *core.System, inj *fault.Injector, kind string) error {
 		// Algorithm-layer fault for the mailbox ring workloads: the
 		// shared slot region and every node's parked register words.
 		inj.RandomizeRegion(mem.Region{Name: "mailbox",
-			Start: guest.MailboxAddr(0), Size: 2 * model.MaxRingMembers})
+			Start: guest.MailboxAddr(0), Size: 2 * model.MaxRingNodes})
 		for i := 0; i < guest.MailboxNodes; i++ {
 			inj.RandomizeRegion(mem.Region{Name: "node-regs",
 				Start: guest.MailboxRegLAddr(i), Size: 4})

@@ -114,7 +114,7 @@ func TestReachableImagesHaveLintSpecs(t *testing.T) {
 	check("scheduler -protect", core.Config{Approach: core.ApproachScheduler, ProtectMemory: true})
 	// Every per-node build the ring fleet can request (ssos-cluster -ring).
 	for _, v := range guest.RingVariants() {
-		for n := 2; n <= model.MaxRingMembers; n++ {
+		for n := 2; n <= model.MaxRingNodes; n++ {
 			for node := 0; node < n; node++ {
 				check(fmt.Sprintf("fleet %v n=%d node=%d", v, n, node), core.Config{
 					Approach: core.ApproachScheduler,

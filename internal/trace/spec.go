@@ -123,3 +123,29 @@ func (s HeartbeatSpec) RecoveredAfter(writes []dev.PortWrite, faultStep uint64, 
 	}
 	return writes[idx].Step, true
 }
+
+// Sustained is the convergence detector for legality that is a sampled
+// state predicate (the token rings' "exactly one privilege") rather
+// than a property of an output stream. It advances the system with
+// run(every) for up to horizon steps, evaluating holds after each
+// chunk, and reports whether holds was true at window consecutive
+// samples, returning now() at the first sample of that window.
+func Sustained(run func(steps int), now func() uint64, holds func() bool, horizon, every, window int) (uint64, bool) {
+	good := 0
+	var since uint64
+	for ran := 0; ran < horizon; ran += every {
+		run(every)
+		if !holds() {
+			good = 0
+			continue
+		}
+		if good == 0 {
+			since = now()
+		}
+		good++
+		if good >= window {
+			return since, true
+		}
+	}
+	return 0, false
+}
