@@ -222,12 +222,13 @@ func BenchmarkRecoveryFromBlast(b *testing.B) {
 	}
 }
 
-// Static-side benchmarks: the three parts of one certify pass (the
-// certificate catalog, the ranking prover, the model checker).
+// Static-side benchmarks: the four parts of one certify pass (the
+// certificate catalog, the ranking prover, the image linter, the model
+// checker).
 
 // BenchmarkConvergenceCerts measures building the certificate catalog:
 // assembling the checked node images and each ranking certificate's
-// declared height map.
+// declared heights.
 func BenchmarkConvergenceCerts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := guest.ConvergenceCerts(); err != nil {
@@ -248,6 +249,22 @@ func BenchmarkCheckRingCerts(b *testing.B) {
 		for _, sp := range specs {
 			if r := imglint.CheckRingCert(sp.Cert); !r.Proved() {
 				b.Fatalf("%s: not proved: %v", r.Name, r.Findings)
+			}
+		}
+	}
+}
+
+// BenchmarkImageLint measures linting every assembled guest ROM image.
+func BenchmarkImageLint(b *testing.B) {
+	imgs, err := guest.LintImages()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, img := range imgs {
+			if fs := imglint.Check(img); len(fs) != 0 {
+				b.Fatalf("%s: %v", img.Name, fs)
 			}
 		}
 	}

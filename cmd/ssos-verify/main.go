@@ -105,9 +105,15 @@ func main() {
 		p := model.KStateProtocol(k)
 		sys := p.DelaySystem(n)
 		closed := sys.GreatestClosedSubset(sys.Legal)
-		legal := func(s model.MailboxState) bool { return closed[s] }
+		size := 0
+		for _, in := range closed {
+			if in {
+				size++
+			}
+		}
+		legal := func(s model.MailboxState) bool { return closed[sys.Index(s)] }
 		witness, ok := model.CheckFairConvergence(sys.States, p.DelayLabeledNext(n), legal, n)
-		outcome := fmt.Sprintf("closed legitimate set: %d states", len(closed))
+		outcome := fmt.Sprintf("closed legitimate set: %d states", size)
 		if !ok {
 			outcome = fmt.Sprintf("fair illegal cycle from %+v", witness)
 		}

@@ -81,14 +81,23 @@ func (r Record) String() string {
 type Injector struct {
 	M   *machine.Machine
 	rng *rand.Rand
+	// src is rng's source. Bulk byte draws read it directly (randByte);
+	// every other draw goes through rng.
+	src rand.Source
 	// Log records every injected fault, in order.
 	Log []Record
 }
 
 // NewInjector returns a deterministic injector for m.
 func NewInjector(m *machine.Machine, seed int64) *Injector {
-	return &Injector{M: m, rng: rand.New(rand.NewSource(seed))}
+	src := rand.NewSource(seed)
+	return &Injector{M: m, rng: rand.New(src), src: src}
 }
+
+// randByte draws a uniform byte. It is exactly rng.Intn(256) and
+// consumes the same stream — Intn of a power of two masks Int63()>>32 —
+// without the four calls Intn makes per draw.
+func (in *Injector) randByte() byte { return byte(in.src.Int63() >> 32) }
 
 func (in *Injector) record(k Kind, addr uint32, note string) {
 	in.Log = append(in.Log, Record{Step: in.M.Stats.Steps, Kind: k, Addr: addr, Note: note})
@@ -150,7 +159,7 @@ func (in *Injector) CorruptByteIn(r mem.Region) bool {
 // values — a severe burst fault.
 func (in *Injector) RandomizeRegion(r mem.Region) {
 	for a := r.Start; a < r.End(); a++ {
-		in.M.Bus.PokeRAM(a, byte(in.rng.Intn(256)))
+		in.M.Bus.PokeRAM(a, in.randByte())
 	}
 	in.record(KindRAMRegion, r.Start, r.Name)
 }
@@ -238,7 +247,7 @@ func (in *Injector) BlastCPU() {
 func (in *Injector) BlastRAM() {
 	for _, r := range in.M.Bus.RAMRegions() {
 		for a := r.Start; a < r.End(); a++ {
-			in.M.Bus.PokeRAM(a, byte(in.rng.Intn(256)))
+			in.M.Bus.PokeRAM(a, in.randByte())
 		}
 	}
 	in.record(KindRAMRegion, 0, "all-ram")

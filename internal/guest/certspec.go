@@ -13,7 +13,7 @@ import (
 // move table and variant function — comes from internal/model's
 // verified Protocol family; the checked side is extracted from the ROM
 // bytes by imglint.CheckRingCert. The variant is the protocol system's
-// exact height map (model.System.Heights), i.e. Kessels-style declared
+// exact heights (model.System.Heights), i.e. Kessels-style declared
 // ranking: if the bytes implement the declared protocol, every
 // extracted step out of an illegal configuration strictly descends it;
 // if they deviate, either the move cross-check or the ranking pass
@@ -69,11 +69,17 @@ func certCommon(c *imglint.RingCert, p model.Protocol, n int) error {
 	if states > imglint.DefaultMaxStates {
 		return nil // Mode "local": obligations only, no height map
 	}
-	heights, witness, ok := p.System(n).Heights()
+	sys := p.System(n)
+	heights, witness, ok := sys.Heights()
 	if !ok {
 		return fmt.Errorf("protocol %s n=%d has no finite height map (witness %v)", p.Name, n, witness)
 	}
-	c.Variant = func(x []uint16) int { return heights[toRingState(x)] }
+	c.Variant = func(x []uint16) int {
+		if i := sys.Index(toRingState(x)); i >= 0 {
+			return heights[i]
+		}
+		return 0 // off the model's space
+	}
 	return nil
 }
 

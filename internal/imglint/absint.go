@@ -334,67 +334,68 @@ func negateSides(rel string) string {
 // tall interval lattice cannot produce long ascending chains.
 const widenAfter = 8
 
-// fixpoint computes per-offset input states by forward propagation to a
-// fixed point, refining conditional-branch edges.
-func fixpoint(g *graph) map[int]absState {
-	in := map[int]absState{}
-	seen := map[int]bool{}
-	updates := map[int]int{}
-	var work []int
+// fixpoint computes the input state of every lifted node by forward
+// propagation to a fixed point, refining conditional-branch edges. The
+// states are indexed by node id; reached reports which nodes any state
+// flowed into. Nop runs are propagated node by node: skipping them
+// would change how many updates each node sees, and with them where
+// widening starts.
+func fixpoint(g *graph) (in []absState, reached []bool) {
+	in = make([]absState, len(g.order))
+	reached = make([]bool, len(g.order))
+	updates := make([]int, len(g.order))
+	var work []*node
 	for _, e := range g.entries {
-		if g.at(e) == nil {
+		n := g.at(e)
+		if n == nil {
 			continue
 		}
-		in[e] = topState() // any machine state at entry
-		seen[e] = true
-		work = append(work, e)
+		in[n.id] = topState() // any machine state at entry
+		reached[n.id] = true
+		work = append(work, n)
 	}
 	for len(work) > 0 {
-		off := work[len(work)-1]
+		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		n := g.nodes[off]
-		out := in[off]
+		out := in[n.id]
 		transfer(n.inst, &out)
 		_, conditional := jccRelation(n.inst.Op)
 		for si, succ := range n.succs {
-			if g.at(succ) == nil {
+			m := g.at(succ)
+			if m == nil {
 				continue
 			}
 			edge := out
 			if conditional {
 				// lift appends the taken edge first, the fall-through
 				// second (cfg.go).
-				edge = in[off]
+				edge = in[n.id]
 				refineEdge(&edge, n.inst.Op, si == 0)
 			}
-			var next absState
-			if seen[succ] {
-				next = in[succ].joinState(edge, updates[succ] > widenAfter)
-			} else {
-				next = edge
+			next := edge
+			if reached[m.id] {
+				next = in[m.id].joinState(edge, updates[m.id] > widenAfter)
 			}
-			if !seen[succ] || !next.eq(in[succ]) {
-				in[succ] = next
-				seen[succ] = true
-				updates[succ]++
-				work = append(work, succ)
+			if !reached[m.id] || !next.eq(in[m.id]) {
+				in[m.id] = next
+				reached[m.id] = true
+				updates[m.id]++
+				work = append(work, m)
 			}
 		}
 	}
-	return in
+	return in, reached
 }
 
 // checkStores runs the abstract interpretation and reports every store
 // whose entire provable target window intersects a ROM range.
 func checkStores(img *Image, g *graph, report func(string, int, string, ...any)) {
-	states := fixpoint(g)
-	for _, off := range g.order {
-		n := g.nodes[off]
-		s, ok := states[off]
-		if !ok {
+	states, reached := fixpoint(g)
+	for id, off := range g.order {
+		if !reached[id] {
 			continue
 		}
-		lo, hi, known := storeTarget(n.inst, &s)
+		lo, hi, known := storeTarget(g.nodes[off].inst, &states[id])
 		if !known {
 			continue
 		}

@@ -88,7 +88,8 @@ type RingCert struct {
 	N int
 	// Slots are the linear addresses of the shared ring slots.
 	Slots []uint32
-	// Domains are the canonical value domains per slot, ascending.
+	// Domains are the canonical value domains per slot, strictly
+	// ascending.
 	Domains [][]uint16
 	// Nodes are the certified images.
 	Nodes []RingNode
@@ -152,15 +153,19 @@ type certEnv struct {
 	report func(check string, off int, format string, args ...any)
 }
 
-// move is one extracted node behaviour.
+// move is one extracted node behaviour: whether the node writes its
+// slot, and the written value's position in the slot's domain.
 type move struct {
 	write bool
-	value uint16
+	to    int
 }
 
-// moveKey packs a canonical triple.
-func moveKey(self, left, right uint16) uint64 {
-	return uint64(self)<<32 | uint64(left)<<16 | uint64(right)
+// moveTable is one node's extracted moves, indexed by the domain
+// positions of its (self, left, right) triple: entry
+// (self·nl + left)·nr + right, where an unused side's domain is {0}.
+type moveTable struct {
+	nl, nr int
+	moves  []move
 }
 
 // wpath is one in-flight abstract walk path.
@@ -209,15 +214,22 @@ func CheckRingCert(c RingCert) CertResult {
 			c.N, len(c.Nodes), len(c.Slots), len(c.Domains))
 		return res
 	}
-	for i := range c.Domains {
-		if len(c.Domains[i]) == 0 {
+	for i, d := range c.Domains {
+		if len(d) == 0 {
 			report(c.Name, "cert-spec", -1, "slot %d has an empty domain", i)
 			return res
+		}
+		for j := 1; j < len(d); j++ {
+			if d[j] <= d[j-1] {
+				// A repeated value would alias two product positions.
+				report(c.Name, "cert-spec", -1, "slot %d domain is not strictly ascending", i)
+				return res
+			}
 		}
 	}
 
 	// Per-node obligations and move extraction.
-	moves := make([]map[uint64]move, c.N)
+	moves := make([]moveTable, c.N)
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		if n.Slot < 0 || n.Slot >= c.N {
@@ -297,36 +309,37 @@ func (e *certEnv) checkGraphObligations() {
 		}
 	}
 	// Cycle check over the graph with node 0 removed: iterative DFS
-	// with colours (0 white, 1 on stack, 2 done).
-	colour := map[int]uint8{}
+	// with colours by node id (0 white, 1 on stack, 2 done).
+	colour := make([]uint8, len(e.g.order))
 	var stack []int
 	for _, root := range e.g.order {
-		if root == 0 || colour[root] != 0 {
+		if root == 0 || colour[e.g.nodes[root].id] != 0 {
 			continue
 		}
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			off := stack[len(stack)-1]
-			if colour[off] == 0 {
-				colour[off] = 1
-				for _, s := range e.g.nodes[off].succs {
+			if n := e.g.nodes[off]; colour[n.id] == 0 {
+				colour[n.id] = 1
+				for _, s := range n.succs {
 					if s == 0 {
 						continue
 					}
-					if e.g.at(s) == nil {
+					m := e.g.at(s)
+					if m == nil {
 						continue
 					}
-					switch colour[s] {
+					switch colour[m.id] {
 					case 0:
 						stack = append(stack, s)
 					case 1:
 						e.report("cert-termination", off,
 							"cycle avoiding the iteration head: back edge to %#x", s)
-						colour[s] = 2
+						colour[m.id] = 2
 					}
 				}
 			} else {
-				colour[off] = 2
+				colour[n.id] = 2
 				stack = stack[:len(stack)-1]
 			}
 		}
@@ -418,6 +431,22 @@ func (e *certEnv) writeMem(p *wpath, off int, m isa.MemOp, v aval) {
 // completed the iteration (reached offset 0 again).
 func (e *certEnv) step(p *wpath, slotVals []aval, fork bool) (first, second *wpath, done bool) {
 	n := e.g.nodes[p.off]
+	// A run of nops is crossed in one loop: a nop leaves the abstract
+	// state as it is (transfer keeps even the cmp tracking across it)
+	// and has one successor, so each costs only its step, charged to
+	// the budget. The loop stops at a nop whose step would report or
+	// end the path — past the budget, without an edge, back at offset
+	// 0, or at an unlifted target — and that nop takes the ordinary
+	// path below, so every finding lands where it would.
+	for n.inst.Op == isa.OpNop && p.steps < walkMaxSteps && len(n.succs) > 0 {
+		next := n.succs[0]
+		m := e.g.at(next)
+		if next == 0 || m == nil {
+			break
+		}
+		p.steps++
+		p.off, n = next, m
+	}
 	in := n.inst
 	p.steps++
 	if p.steps > walkMaxSteps {
@@ -566,7 +595,7 @@ func (e *certEnv) forkWalk() {
 
 // extractMoves runs obligation 3: singleton walks over every canonical
 // triple, yielding the node's move table.
-func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
+func (e *certEnv) extractMoves(nodeIdx int) moveTable {
 	n := e.node
 	c := e.cert
 	selfDom := c.Domains[n.Slot]
@@ -580,11 +609,12 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 	}
 	sameSide := n.Left >= 0 && n.Left == n.Right
 
-	out := make(map[uint64]move, len(selfDom)*len(leftDom)*len(rightDom))
+	t := moveTable{nl: len(leftDom), nr: len(rightDom),
+		moves: make([]move, len(selfDom)*len(leftDom)*len(rightDom))}
 	slotVals := make([]aval, c.N)
-	for _, self := range selfDom {
-		for _, l := range leftDom {
-			for _, r := range rightDom {
+	for ps, self := range selfDom {
+		for pl, l := range leftDom {
+			for pr, r := range rightDom {
 				if sameSide && r != l {
 					continue // one shared neighbour slot: l and r coincide
 				}
@@ -609,6 +639,7 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 					continue
 				}
 				var mv move
+				var value uint16
 				if len(results[0]) == 1 {
 					v, ok := results[0][0].constVal()
 					if !ok {
@@ -616,7 +647,15 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 							"triple (self=%d,l=%d,r=%d) writes a non-constant value", self, l, rr)
 						continue
 					}
-					mv = move{write: true, value: v}
+					// The domain check has already reported a value off
+					// the domain; it ranks as position 0.
+					mv.write, value = true, v
+					for j, w := range selfDom {
+						if w == v {
+							mv.to = j
+							break
+						}
+					}
 				} else if len(results[0]) > 1 {
 					e.report("cert-extraction", -1,
 						"triple (self=%d,l=%d,r=%d) writes the slot %d times", self, l, rr, len(results[0]))
@@ -624,79 +663,57 @@ func (e *certEnv) extractMoves(nodeIdx int) map[uint64]move {
 				}
 				if c.Moves != nil {
 					wantW, wantV := c.Moves(nodeIdx, self, l, rr)
-					if wantW != mv.write || (wantW && wantV != mv.value) {
+					if wantW != mv.write || (wantW && wantV != value) {
 						e.report("cert-extraction", -1,
 							"triple (self=%d,l=%d,r=%d): extracted move (write=%v value=%d) differs from declared (write=%v value=%d)",
-							self, l, rr, mv.write, mv.value, wantW, wantV)
+							self, l, rr, mv.write, value, wantW, wantV)
 					}
 				}
-				out[moveKey(self, l, rr)] = mv
+				t.moves[(ps*t.nl+pl)*t.nr+pr] = mv
 			}
 		}
 	}
-	return out
+	return t
 }
 
-// rankProduct runs obligation 4 over the extracted relation.
-func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report func(string, string, int, string, ...any)) {
-	// Enumerate the product space in mixed radix over the domains.
-	// index[i][v] is v's position in slot i's domain (its first, for a
-	// repeated value); a value outside the domain encodes as position 0.
-	type stateID = int
-	radix := make([]int, c.N)
-	index := make([][]int, c.N)
+// rankProduct runs obligation 4 over the extracted relation. States are
+// ids in mixed radix over the domains, slot 0 the least significant
+// digit: a state's id is the sum of each slot's value position times
+// the slot's stride. A node's move changes one digit, so a successor's
+// id is the state's plus (to − self)·stride[slot], with no decoding.
+func rankProduct(c *RingCert, moves []moveTable, res *CertResult, report func(string, string, int, string, ...any)) {
+	stride := make([]int, c.N)
+	s := 1
 	for i, d := range c.Domains {
-		radix[i] = len(d)
-		var top uint16
-		for _, v := range d {
-			top = max(top, v)
-		}
-		index[i] = make([]int, int(top)+1)
-		for j := len(d) - 1; j >= 0; j-- {
-			index[i][d[j]] = j
+		stride[i] = s
+		s *= len(d)
+	}
+	decode := func(id int, x []uint16) {
+		for i, d := range c.Domains {
+			x[i] = d[id%len(d)]
+			id /= len(d)
 		}
 	}
-	decode := func(id stateID, x []uint16) {
-		for i := 0; i < c.N; i++ {
-			x[i] = c.Domains[i][id%radix[i]]
-			id /= radix[i]
+	pos := make([]int, c.N)
+	succs := func(id int, out []int) []int {
+		q := id
+		for i, d := range c.Domains {
+			pos[i] = q % len(d)
+			q /= len(d)
 		}
-	}
-	encode := func(x []uint16) stateID {
-		id := 0
-		for i := c.N - 1; i >= 0; i-- {
-			k := 0
-			if int(x[i]) < len(index[i]) {
-				k = index[i][x[i]]
-			}
-			id = id*radix[i] + k
-		}
-		return id
-	}
-
-	nodeArgs := func(i int, x []uint16) (self, l, r uint16) {
-		n := &c.Nodes[i]
-		self = x[n.Slot]
-		if n.Left >= 0 {
-			l = x[n.Left]
-		}
-		if n.Right >= 0 {
-			r = x[n.Right]
-		}
-		return
-	}
-	succs := func(x []uint16, out []stateID) []stateID {
 		out = out[:0]
-		for i := 0; i < c.N; i++ {
-			self, l, r := nodeArgs(i, x)
-			mv, ok := moves[i][moveKey(self, l, r)]
-			if !ok || !mv.write {
-				continue
+		for i := range c.Nodes {
+			n, t := &c.Nodes[i], &moves[i]
+			self, l, r := pos[n.Slot], 0, 0
+			if n.Left >= 0 {
+				l = pos[n.Left]
 			}
-			old := x[c.Nodes[i].Slot]
-			x[c.Nodes[i].Slot] = mv.value
-			out = append(out, encode(x))
-			x[c.Nodes[i].Slot] = old
+			if n.Right >= 0 {
+				r = pos[n.Right]
+			}
+			if mv := t.moves[(self*t.nl+l)*t.nr+r]; mv.write {
+				out = append(out, id+(mv.to-self)*stride[n.Slot])
+			}
 		}
 		return out
 	}
@@ -704,7 +721,7 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 	total := res.States
 	x := make([]uint16, c.N)
 	y := make([]uint16, c.N)
-	var scratch []stateID
+	var scratch []int
 
 	// The declared legal set and variant, evaluated once per state.
 	legal := make([]bool, total)
@@ -719,11 +736,11 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 	violations := 0
 	const maxViolations = 8 // enough to debug, bounded output
 	for id := 0; id < total && violations < maxViolations; id++ {
-		decode(id, x)
-		scratch = succs(x, scratch)
+		scratch = succs(id, scratch)
 		if legal[id] {
 			for _, sid := range scratch {
 				if !legal[sid] {
+					decode(id, x)
 					decode(sid, y)
 					report(c.Name, "cert-closure", -1, "legal state %v steps to illegal %v", x, y)
 					violations++
@@ -732,6 +749,7 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 			continue
 		}
 		if len(scratch) == 0 {
+			decode(id, x)
 			report(c.Name, "cert-ranking", -1, "illegal state %v is deadlocked (no privileged node)", x)
 			violations++
 			continue
@@ -739,6 +757,7 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 		vx := variant[id]
 		for _, sid := range scratch {
 			if vy := variant[sid]; vy >= vx {
+				decode(id, x)
 				decode(sid, y)
 				report(c.Name, "cert-ranking", -1, "variant does not decrease: %v (rank %d) steps to %v (rank %d)", x, vx, y, vy)
 				violations++
@@ -761,8 +780,8 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 	for i := range d {
 		d[i] = dUnknown
 	}
-	var stack []stateID
-	visit := func(root stateID) bool {
+	var stack []int
+	visit := func(root int) bool {
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
@@ -775,13 +794,13 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			decode(id, x)
 			if d[id] == dUnknown {
 				d[id] = dOnStack
 				pushed := false
-				scratch = succs(x, scratch)
+				scratch = succs(id, scratch)
 				for _, sid := range scratch {
 					if d[sid] == dOnStack {
+						decode(id, x)
 						report(c.Name, "cert-ranking", -1, "illegal cycle through state %v", x)
 						return false
 					}
@@ -793,10 +812,12 @@ func rankProduct(c *RingCert, moves []map[uint64]move, res *CertResult, report f
 				if pushed {
 					continue
 				}
+			} else {
+				// Back on top: the successors pushed above have resolved.
+				scratch = succs(id, scratch)
 			}
 			// All successors resolved.
 			worst := 0
-			scratch = succs(x, scratch)
 			for _, sid := range scratch {
 				if d[sid] > worst {
 					worst = d[sid]

@@ -226,3 +226,81 @@ func TestCertConfinementCatchesForeignStore(t *testing.T) {
 	}
 	wantFindings(t, r, want)
 }
+
+// TestCertWalkBudgetOnNopRun: a node image of 9,000 nops before its
+// closing `jmp 0` cannot complete an iteration within the walk budget.
+// Every walk reports the budget at the nop it would have stepped past
+// the budget on, exactly as it does one instruction at a time.
+func TestCertWalkBudgetOnNopRun(t *testing.T) {
+	code := make([]byte, 9000) // 0x00 is nop
+	code = isa.Inst{Op: isa.OpJmp, Imm: 0}.Encode(code)
+	const img = "nop-run"
+	cert := imglint.RingCert{
+		Name:    "budget",
+		N:       1,
+		Slots:   []uint32{0xA000},
+		Domains: [][]uint16{{0, 1}},
+		Nodes: []imglint.RingNode{{
+			Image: imglint.Image{Name: img, Bytes: code, Seg: 0x1000, CodeEnd: len(code)},
+			Left:  -1, Right: -1, DataLo: 0x60000, DataHi: 0x60010,
+		}},
+		Legal:   func(x []uint16) bool { return x[0] == 0 },
+		Variant: func(x []uint16) int { return int(x[0]) },
+	}
+	r := imglint.CheckRingCert(cert)
+	budget := imglint.Finding{Image: img, Check: "cert-termination", Offset: 0x2000,
+		Msg: "abstract walk exceeded 8192 steps without completing the iteration"}
+	want := []imglint.Finding{budget}
+	for self := 0; self < 2; self++ {
+		want = append(want, budget, imglint.Finding{Image: img, Check: "cert-extraction", Offset: -1,
+			Msg: fmt.Sprintf("triple (self=%d,l=0,r=0) yielded 0 completed paths, want exactly 1", self)})
+	}
+	wantFindings(t, r, want)
+	if r.Mode != "local" || r.Bound != -1 {
+		t.Errorf("mode %q bound %d, want local and -1", r.Mode, r.Bound)
+	}
+}
+
+// TestCertRepeatedDomainValueRejected: a domain that repeats a value
+// would alias two product positions and over-count the states; the
+// certificate is rejected as malformed before any walk — also when the
+// domain still holds every value the node writes.
+func TestCertRepeatedDomainValueRejected(t *testing.T) {
+	for _, dom := range [][]uint16{{0, 1, 1}, {0, 1, 1, 2}} {
+		spec := certByName(t, "mbox-dijkstra3")
+		spec.Cert.Domains = append([][]uint16(nil), spec.Cert.Domains...)
+		spec.Cert.Domains[1] = dom
+		r := imglint.CheckRingCert(spec.Cert)
+		wantFindings(t, r, []imglint.Finding{{Image: "mbox-dijkstra3", Check: "cert-spec", Offset: -1,
+			Msg: "slot 1 domain is not strictly ascending"}})
+		if r.Mode != "local" || r.States != 0 {
+			t.Errorf("domain %v: mode %q with %d states, want local with none", dom, r.Mode, r.States)
+		}
+	}
+}
+
+// TestCertNodeOrderIrrelevant: listing a certificate's nodes in reverse
+// (node i then owns slot N-1-i) describes the same ring, so it proves
+// with the same product and bounds — the product's successor arithmetic
+// follows each node's slot, not its index.
+func TestCertNodeOrderIrrelevant(t *testing.T) {
+	for _, name := range []string{"mbox-dijkstra3-n4", "mbox-ghosh4-n5", "mbox-kstate-n3"} {
+		spec := certByName(t, name)
+		want := imglint.CheckRingCert(spec.Cert)
+		rev := spec.Cert
+		n := rev.N
+		rev.Nodes = make([]imglint.RingNode, n)
+		for i := range rev.Nodes {
+			rev.Nodes[i] = spec.Cert.Nodes[n-1-i]
+		}
+		moves := spec.Cert.Moves
+		rev.Moves = func(node int, self, left, right uint16) (bool, uint16) {
+			return moves(n-1-node, self, left, right)
+		}
+		got := imglint.CheckRingCert(rev)
+		if !got.Proved() || got.States != want.States || got.RankBound != want.RankBound || got.Bound != want.Bound {
+			t.Errorf("%s reversed: proved=%v states %d rank %d bound %d, want states %d rank %d bound %d (%v)",
+				name, got.Proved(), got.States, got.RankBound, got.Bound, want.States, want.RankBound, want.Bound, got.Findings)
+		}
+	}
+}

@@ -6,6 +6,9 @@ import "ssos/internal/isa"
 type node struct {
 	inst isa.Inst
 	size int
+	// id is the node's position in graph.order: the analyses keep
+	// per-node data in slices by id.
+	id int
 	// succs are intra-image successor offsets in decode order.
 	succs []int
 	// pred is the unique fall-through predecessor, or -1. It lets the
@@ -100,6 +103,7 @@ func lift(img *Image, ce int, report func(string, int, string, ...any)) *graph {
 
 	for off, n := range g.nodes {
 		if n != nil {
+			n.id = len(g.order)
 			g.order = append(g.order, off)
 		}
 	}

@@ -13,13 +13,13 @@ import (
 // real certified bytes, the highest-value seeds for both fuzzers since
 // every interesting code shape (normalizers, guards, beat footer,
 // slot padding) appears in them.
-func mailboxSeedImages(f *testing.F) [][]byte {
-	f.Helper()
+func mailboxSeedImages(tb testing.TB) [][]byte {
+	tb.Helper()
 	var out [][]byte
 	for _, v := range guest.RingVariants() {
 		set, err := guest.BuildMailboxProcesses(v)
 		if err != nil {
-			f.Fatalf("BuildMailboxProcesses(%v): %v", v, err)
+			tb.Fatalf("BuildMailboxProcesses(%v): %v", v, err)
 		}
 		for i := 0; i < guest.MailboxNodes; i++ {
 			out = append(out, set.Images[i])
@@ -28,39 +28,62 @@ func mailboxSeedImages(f *testing.F) [][]byte {
 	return out
 }
 
+// lintSeed is one FuzzImageLint input.
+type lintSeed struct {
+	img                []byte
+	codeEnd, entry, cs uint16
+}
+
+// lintSeeds returns FuzzImageLint's seed corpus: small crafted images,
+// then the certified mailbox ring images plus crafted near-misses
+// (tampered head, truncated tail) kept as regression counterexamples
+// for the certificate checker's lifted-CFG path.
+func lintSeeds(tb testing.TB) []lintSeed {
+	seeds := []lintSeed{
+		{[]byte{}, 0, 0, 0},
+		{[]byte{0x40, 0x00, 0x00}, 0, 3, 0},
+		{[]byte{0xFF, 0x00, 0x90, 0x40}, 2, 1, 0x2000},
+		{make([]byte, 64), 64, 16, 0xFFFF},
+	}
+	for _, img := range mailboxSeedImages(tb) {
+		tampered := append([]byte(nil), img...)
+		tampered[0] = byte(isa.OpHlt)
+		seeds = append(seeds,
+			lintSeed{img, uint16(len(img)), 0, 0xA000},
+			lintSeed{tampered, uint16(len(img)), 0, 0xA000},
+			lintSeed{img[:len(img)/2], uint16(len(img)), 16, 0xA000})
+	}
+	return seeds
+}
+
+// lintSpec is the adversarial spec FuzzImageLint checks an input under:
+// every check enabled.
+func lintSpec(s lintSeed) imglint.Image {
+	return imglint.Image{
+		Name:         "fuzz",
+		Bytes:        s.img,
+		Seg:          0xF000,
+		Entries:      []imglint.Entry{{Name: "e", Off: s.entry}},
+		CodeEnd:      int(s.codeEnd),
+		CheckFill:    true,
+		FillTarget:   0,
+		SlotPadded:   true,
+		StraightLine: true,
+		Tables:       []imglint.Table{{Name: "t", Off: s.entry, Want: []uint16{s.cs}}},
+		CSAllowed:    []uint16{s.cs},
+		ROM:          []imglint.Range{{Name: "rom", Start: 0xF0000, End: 0x100000}},
+	}
+}
+
 // FuzzImageLint feeds arbitrary byte images through every check with
 // an adversarial spec: Check must never panic and must return the same
 // verdict for the same input.
 func FuzzImageLint(f *testing.F) {
-	f.Add([]byte{}, uint16(0), uint16(0), uint16(0))
-	f.Add([]byte{0x40, 0x00, 0x00}, uint16(0), uint16(3), uint16(0))
-	f.Add([]byte{0xFF, 0x00, 0x90, 0x40}, uint16(2), uint16(1), uint16(0x2000))
-	f.Add(make([]byte, 64), uint16(64), uint16(16), uint16(0xFFFF))
-	// The certified mailbox ring images, plus crafted near-misses
-	// (tampered head, truncated tail) kept as regression counterexamples
-	// for the certificate checker's lifted-CFG path.
-	for _, img := range mailboxSeedImages(f) {
-		f.Add(img, uint16(len(img)), uint16(0), uint16(0xA000))
-		tampered := append([]byte(nil), img...)
-		tampered[0] = byte(isa.OpHlt)
-		f.Add(tampered, uint16(len(img)), uint16(0), uint16(0xA000))
-		f.Add(img[:len(img)/2], uint16(len(img)), uint16(16), uint16(0xA000))
+	for _, s := range lintSeeds(f) {
+		f.Add(s.img, s.codeEnd, s.entry, s.cs)
 	}
 	f.Fuzz(func(t *testing.T, img []byte, codeEnd, entry, cs uint16) {
-		spec := imglint.Image{
-			Name:         "fuzz",
-			Bytes:        img,
-			Seg:          0xF000,
-			Entries:      []imglint.Entry{{Name: "e", Off: entry}},
-			CodeEnd:      int(codeEnd),
-			CheckFill:    true,
-			FillTarget:   0,
-			SlotPadded:   true,
-			StraightLine: true,
-			Tables:       []imglint.Table{{Name: "t", Off: entry, Want: []uint16{cs}}},
-			CSAllowed:    []uint16{cs},
-			ROM:          []imglint.Range{{Name: "rom", Start: 0xF0000, End: 0x100000}},
-		}
+		spec := lintSpec(lintSeed{img, codeEnd, entry, cs})
 		first := imglint.Check(spec)
 		if again := imglint.Check(spec); !reflect.DeepEqual(first, again) {
 			t.Fatalf("verdict not deterministic:\n%v\nvs\n%v", first, again)
@@ -119,4 +142,22 @@ func FuzzRingCert(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFixpointMatchesReference: the id-indexed lint fixpoint computes,
+// at every lifted node, exactly the state the offset-keyed reference
+// does — on every catalog image and every FuzzImageLint seed.
+func TestFixpointMatchesReference(t *testing.T) {
+	imgs, err := guest.LintImages()
+	if err != nil {
+		t.Fatalf("LintImages: %v", err)
+	}
+	for _, s := range lintSeeds(t) {
+		imgs = append(imgs, lintSpec(s))
+	}
+	for _, img := range imgs {
+		if diff := imglint.FixpointMatchesReference(img); diff != "" {
+			t.Error(diff)
+		}
+	}
 }

@@ -28,31 +28,33 @@ func CheckRecurrence[S comparable](states []S, next func(S) S, event func(S) boo
 }
 
 // GreatestClosedSubset returns the largest subset of candidate states
-// that is closed under transitions: states are removed until every
-// remaining state's successors all remain. This is how a syntactic
-// "looks legal" predicate (e.g. exactly one privilege in the shared
-// variables) is refined into a sound legal set when auxiliary state
-// (stale registers, program counters) can still push an execution out.
-func (sys *System[S]) GreatestClosedSubset(candidate func(S) bool) map[S]bool {
-	in := make(map[S]bool, len(sys.States))
-	for _, s := range sys.States {
-		if candidate(s) {
-			in[s] = true
-		}
+// that is closed under transitions, as membership by position in
+// States: states are removed until every remaining state's successors
+// all remain. This is how a syntactic "looks legal" predicate (e.g.
+// exactly one privilege in the shared variables) is refined into a
+// sound legal set when auxiliary state (stale registers, program
+// counters) can still push an execution out.
+func (sys *System[S]) GreatestClosedSubset(candidate func(S) bool) []bool {
+	in := make([]bool, len(sys.States))
+	for i, s := range sys.States {
+		in[i] = candidate(s)
 	}
-	for {
-		changed := false
-		for s := range in {
-			for _, n := range sys.Next(s) {
-				if !in[n] {
-					delete(in, s)
+	var succ []S
+	for changed := true; changed; {
+		changed = false
+		for i, s := range sys.States {
+			if !in[i] {
+				continue
+			}
+			succ = sys.Next(s, succ[:0])
+			for _, n := range succ {
+				if j := sys.Index(n); j < 0 || !in[j] {
+					in[i] = false
 					changed = true
 					break
 				}
 			}
 		}
-		if !changed {
-			return in
-		}
 	}
+	return in
 }

@@ -17,14 +17,25 @@ package model
 import "fmt"
 
 // System is a finite transition system over states of type S.
+//
+// The checkers index states by position, not by hash: a state's
+// position in States is its identity, and Index maps a value back to
+// it, so per-state data (heights, closed sets) lives in slices.
 type System[S comparable] struct {
 	// States enumerates the full state space (the "any initial
 	// configuration" of self-stabilization).
 	States []S
-	// Next returns the successor states (one for deterministic
-	// systems; the scheduler's choices for nondeterministic ones).
-	// Next must be total: every state has at least one successor.
-	Next func(S) []S
+	// Index is the inverse of States: Index(States[i]) == i, and -1 for
+	// any value outside the enumerated space. The package's
+	// constructors enumerate in mixed radix and compute it
+	// arithmetically.
+	Index func(S) int
+	// Next appends the successor states of s to out and returns the
+	// extended slice (one successor for deterministic systems; the
+	// scheduler's choices for nondeterministic ones). The checkers pass
+	// one reused buffer, so Next allocates only when it grows. Next
+	// must be total: every state has at least one successor.
+	Next func(s S, out []S) []S
 	// Legal reports whether a state belongs to the legal set.
 	Legal func(S) bool
 }
@@ -33,11 +44,13 @@ type System[S comparable] struct {
 // no legal state has an illegal successor. It returns the first
 // violating transition found.
 func (sys *System[S]) CheckClosure() (from, to S, violated bool) {
+	var succ []S
 	for _, s := range sys.States {
 		if !sys.Legal(s) {
 			continue
 		}
-		for _, n := range sys.Next(s) {
+		succ = sys.Next(s, succ[:0])
+		for _, n := range succ {
 			if !sys.Legal(n) {
 				return s, n, true
 			}
@@ -47,82 +60,93 @@ func (sys *System[S]) CheckClosure() (from, to S, violated bool) {
 	return zero, zero, false
 }
 
-// Heights computes the exact steps-to-legal distance of every state:
-// d(s) = 0 for legal s and d(s) = 1 + max over successors d(n)
-// otherwise. d is finite for every state iff the illegal sub-graph is
-// acyclic; on failure ok is false and witness is the first state, in
-// States order, whose height never resolves (it can reach an illegal
-// cycle, or a successor outside the enumerated space). The height map
-// is the canonical ranking function of the system — the static
-// convergence certificates (imglint.RingCert) use it as their declared
-// variant.
+// Heights computes the exact steps-to-legal distance of every state,
+// in States order: d(s) = 0 for legal s and d(s) = 1 + max over
+// successors d(n) otherwise. d is finite for every state iff the
+// illegal sub-graph is acyclic; on failure ok is false and witness is
+// the first state, in States order, whose height never resolves (it
+// can reach an illegal cycle, or a successor outside the enumerated
+// space). The heights are the canonical ranking function of the
+// system — the static convergence certificates (imglint.RingCert) use
+// them as their declared variant.
 //
 // One memoized post-order walk computes it: Next runs once per illegal
-// state, and a state resolves once every successor has resolved.
-func (sys *System[S]) Heights() (heights map[S]int, witness S, ok bool) {
+// state, and a state resolves once every successor has resolved. The
+// frames on the walk's path keep their successors' positions on one
+// shared stack, truncated as each frame pops.
+func (sys *System[S]) Heights() (heights []int, witness S, ok bool) {
 	const (
 		unknown = -1 // illegal, not yet visited
 		onStack = -2 // on the walk's current path
 		never   = -3 // reaches an illegal cycle or leaves States
 	)
-	d := make(map[S]int, len(sys.States))
-	for _, s := range sys.States {
-		if sys.Legal(s) {
-			d[s] = 0
-		} else {
-			d[s] = unknown
+	d := make([]int, len(sys.States))
+	for i, s := range sys.States {
+		if !sys.Legal(s) {
+			d[i] = unknown
 		}
 	}
+	// The top frame's successor positions are the top of succ:
+	// succ[lo:], of which succ[next:] are still to look at.
 	type frame struct {
-		s     S
-		succ  []S
-		next  int // index of the successor to look at next
-		worst int // largest successor height so far
+		pos, lo, next int
+		worst         int // largest successor height so far
 	}
-	var stack []frame
+	var (
+		stack []frame
+		succ  []int // successor positions of every frame on the stack
+		buf   []S
+	)
+	push := func(pos int) {
+		d[pos] = onStack
+		lo := len(succ)
+		buf = sys.Next(sys.States[pos], buf[:0])
+		for _, n := range buf {
+			succ = append(succ, sys.Index(n))
+		}
+		stack = append(stack, frame{pos: pos, lo: lo, next: lo})
+	}
 	failed := false
-	for _, root := range sys.States {
+	for root := range sys.States {
 		if d[root] != unknown {
 			continue
 		}
-		d[root] = onStack
-		stack = append(stack[:0], frame{s: root, succ: sys.Next(root)})
+		push(root)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			h := 0 // 0 while walking the successors
-			for h == 0 && f.next < len(f.succ) {
-				switch dn, seen := d[f.succ[f.next]]; {
-				case !seen || dn < unknown:
+			for h == 0 && f.next < len(succ) {
+				switch j := succ[f.next]; {
+				case j < 0 || d[j] < unknown:
 					// A successor outside the enumerated space, on the
 					// current path (an illegal cycle), or past one: the
 					// model must enumerate fully and stay acyclic.
 					h = never
-				case dn == unknown:
+				case d[j] == unknown:
 					h = unknown
 				default:
-					f.worst = max(f.worst, dn)
+					f.worst = max(f.worst, d[j])
 					f.next++
 				}
 			}
 			if h == unknown {
 				// Descend; this frame resumes at the same successor.
-				n := f.succ[f.next]
-				d[n] = onStack
-				stack = append(stack, frame{s: n, succ: sys.Next(n)})
+				push(succ[f.next])
 				continue
 			}
 			if h == 0 {
 				h = 1 + f.worst
 			}
 			failed = failed || h == never
-			d[f.s] = h
+			d[f.pos] = h
+			succ = succ[:f.lo]
 			stack = stack[:len(stack)-1]
 		}
 	}
 	if failed {
-		for _, s := range sys.States {
-			if d[s] < 0 {
-				return nil, s, false
+		for i, h := range d {
+			if h < 0 {
+				return nil, sys.States[i], false
 			}
 		}
 	}
@@ -136,8 +160,8 @@ func (sys *System[S]) Heights() (heights map[S]int, witness S, ok bool) {
 // some execution stays illegal past the bound (for nondeterministic
 // systems this includes any illegal cycle).
 //
-// The check computes the exact height map (Heights); max d is the
-// exact worst-case convergence bound.
+// The check computes the exact heights (Heights); max d is the exact
+// worst-case convergence bound.
 func (sys *System[S]) CheckConvergence(bound int) (worst int, witness S, ok bool) {
 	d, w, ok := sys.Heights()
 	if !ok {
@@ -149,10 +173,10 @@ func (sys *System[S]) CheckConvergence(bound int) (worst int, witness S, ok bool
 	}
 	var zero S
 	if worst > bound {
-		// Find a state realizing the worst case as the witness.
-		for _, s := range sys.States {
-			if d[s] == worst {
-				return worst, s, false
+		// The first state realizing the worst case is the witness.
+		for i, h := range d {
+			if h == worst {
+				return worst, sys.States[i], false
 			}
 		}
 	}

@@ -203,14 +203,24 @@ func TestRWRingConvergesUnderFairness(t *testing.T) {
 		}
 	}
 
-	next := func(s rwRing) []rwRing {
-		return []rwRing{s.step(k, 0), s.step(k, 1), s.step(k, 2)}
+	pos := make(map[rwRing]int, len(states))
+	for i, s := range states {
+		pos[s] = i
 	}
-	sys := &System[rwRing]{States: states, Next: next, Legal: rwRing.legal}
+	index := func(s rwRing) int {
+		if i, ok := pos[s]; ok {
+			return i
+		}
+		return -1
+	}
+	next := func(s rwRing, out []rwRing) []rwRing {
+		return append(out, s.step(k, 0), s.step(k, 1), s.step(k, 2))
+	}
+	sys := &System[rwRing]{States: states, Index: index, Next: next, Legal: rwRing.legal}
 	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(states) != 125000 || len(closed) != 20160 {
+	if len(states) != 125000 || members(closed) != 20160 {
 		t.Fatalf("K=%d: %d states, closed legitimate set of %d; want 125000 and 20160",
-			k, len(states), len(closed))
+			k, len(states), members(closed))
 	}
 	labeled := func(s rwRing) []Labeled[rwRing] {
 		out := make([]Labeled[rwRing], 0, 3)
@@ -219,7 +229,7 @@ func TestRWRingConvergesUnderFairness(t *testing.T) {
 		}
 		return out
 	}
-	legal := func(s rwRing) bool { return closed[s] }
+	legal := func(s rwRing) bool { return closed[index(s)] }
 	if witness, ok := CheckFairConvergence(states, labeled, legal, 3); !ok {
 		t.Fatalf("fair illegal cycle reachable, e.g. from %+v", witness)
 	}
@@ -238,10 +248,20 @@ func TestRWRingClosedSetNonTrivial(t *testing.T) {
 			candidate++
 		}
 	}
-	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(sys.States) != 5832 || candidate != 3240 || len(closed) != 1608 {
+	closed := members(sys.GreatestClosedSubset(sys.Legal))
+	if len(sys.States) != 5832 || candidate != 3240 || closed != 1608 {
 		t.Fatalf("K=3: %d states, candidate %d -> closed %d; want 5832, 3240 -> 1608",
-			len(sys.States), candidate, len(closed))
+			len(sys.States), candidate, closed)
+	}
+}
+
+// identity indexes a System[int] whose States are 0..n-1 in order.
+func identity(n int) func(int) int {
+	return func(s int) int {
+		if s >= 0 && s < n {
+			return s
+		}
+		return -1
 	}
 }
 
@@ -250,7 +270,8 @@ func TestRWRingClosedSetNonTrivial(t *testing.T) {
 func TestClosureViolationDetected(t *testing.T) {
 	sys := &System[int]{
 		States: []int{0, 1, 2},
-		Next:   func(s int) []int { return []int{(s + 1) % 3} },
+		Index:  identity(3),
+		Next:   func(s int, out []int) []int { return append(out, (s+1)%3) },
 		Legal:  func(s int) bool { return s == 0 }, // 0 -> 1 leaves the set
 	}
 	if _, _, bad := sys.CheckClosure(); !bad {
@@ -265,11 +286,12 @@ func TestClosureViolationDetected(t *testing.T) {
 func TestConvergenceCycleDetected(t *testing.T) {
 	sys := &System[int]{
 		States: []int{0, 1, 2},
-		Next: func(s int) []int {
+		Index:  identity(3),
+		Next: func(s int, out []int) []int {
 			if s == 0 {
-				return []int{0}
+				return append(out, 0)
 			}
-			return []int{3 - s} // 1 <-> 2 cycle, both illegal
+			return append(out, 3-s) // 1 <-> 2 cycle, both illegal
 		},
 		Legal: func(s int) bool { return s == 0 },
 	}
@@ -283,11 +305,12 @@ func TestConvergenceBoundExceeded(t *testing.T) {
 	// A chain 5 -> 4 -> ... -> 0 (legal): worst case 5 steps.
 	sys := &System[int]{
 		States: []int{0, 1, 2, 3, 4, 5},
-		Next: func(s int) []int {
+		Index:  identity(6),
+		Next: func(s int, out []int) []int {
 			if s == 0 {
-				return []int{0}
+				return append(out, 0)
 			}
-			return []int{s - 1}
+			return append(out, s-1)
 		},
 		Legal: func(s int) bool { return s == 0 },
 	}
@@ -351,7 +374,7 @@ func TestCheckpointingIsNotSelfStabilizing(t *testing.T) {
 	// (snapshot before rollback) still never recovers — E9's fault-
 	// phase dependence, derived formally.
 	poisoned := RecoveryState{GuestOK: false, SourceOK: false}
-	for _, n := range sys.Next(poisoned) {
+	for _, n := range sys.Next(poisoned, nil) {
 		if n.GuestOK || n.SourceOK {
 			t.Fatalf("poisoned pair escaped to %+v", n)
 		}

@@ -123,14 +123,24 @@ func CheckpointSystem() *System[RecoveryState] {
 	states := []RecoveryState{
 		{true, true}, {true, false}, {false, true}, {false, false},
 	}
-	next := func(s RecoveryState) []RecoveryState {
-		return []RecoveryState{
-			{GuestOK: s.GuestOK, SourceOK: s.GuestOK},   // snapshot
-			{GuestOK: s.SourceOK, SourceOK: s.SourceOK}, // rollback
+	index := func(s RecoveryState) int {
+		i := 0
+		if !s.GuestOK {
+			i += 2
 		}
+		if !s.SourceOK {
+			i++
+		}
+		return i
+	}
+	next := func(s RecoveryState, out []RecoveryState) []RecoveryState {
+		return append(out,
+			RecoveryState{GuestOK: s.GuestOK, SourceOK: s.GuestOK},   // snapshot
+			RecoveryState{GuestOK: s.SourceOK, SourceOK: s.SourceOK}, // rollback
+		)
 	}
 	legal := func(s RecoveryState) bool { return s.GuestOK }
-	return &System[RecoveryState]{States: states, Next: next, Legal: legal}
+	return &System[RecoveryState]{States: states, Index: index, Next: next, Legal: legal}
 }
 
 // ReinstallTick is the paper's design in the same abstraction: the
@@ -150,12 +160,21 @@ func ReinstallSystem(period uint32) *System[ReinstallTick] {
 	for c := uint32(0); c < period; c++ {
 		states = append(states, ReinstallTick{true, c}, ReinstallTick{false, c})
 	}
-	next := func(s ReinstallTick) []ReinstallTick {
-		if s.Counter == 0 {
-			return []ReinstallTick{{GuestOK: true, Counter: period - 1}}
+	index := func(s ReinstallTick) int {
+		if s.Counter >= period {
+			return -1
 		}
-		return []ReinstallTick{{GuestOK: s.GuestOK, Counter: s.Counter - 1}}
+		if s.GuestOK {
+			return 2 * int(s.Counter)
+		}
+		return 2*int(s.Counter) + 1
+	}
+	next := func(s ReinstallTick, out []ReinstallTick) []ReinstallTick {
+		if s.Counter == 0 {
+			return append(out, ReinstallTick{GuestOK: true, Counter: period - 1})
+		}
+		return append(out, ReinstallTick{GuestOK: s.GuestOK, Counter: s.Counter - 1})
 	}
 	legal := func(s ReinstallTick) bool { return s.GuestOK }
-	return &System[ReinstallTick]{States: states, Next: next, Legal: legal}
+	return &System[ReinstallTick]{States: states, Index: index, Next: next, Legal: legal}
 }

@@ -237,15 +237,36 @@ func (p Protocol) Privileges(x RingState, n int) []int {
 	return out
 }
 
+// valuePositions maps every byte value to its position in dom, and to
+// -1 when dom does not hold it.
+func valuePositions(dom []uint8) (pos [256]int16) {
+	for v := range pos {
+		pos[v] = -1
+	}
+	for j, v := range dom {
+		pos[v] = int16(j)
+	}
+	return pos
+}
+
 // System builds the protocol's n-node composite-atomicity system under
 // the adversarial central daemon: any privileged node may perform its
 // guarded move in one atomic step (one successor per privileged node).
 // Legal states have exactly one privilege. Next is total — a deadlocked
 // configuration self-loops, so closure/convergence checking flags it as
 // a reachable illegal cycle rather than silently skipping it.
+//
+// States run in mixed radix: node 0 is the most significant digit, and
+// each digit is the node's value's position in its domain.
 func (p Protocol) System(n int) *System[RingState] {
 	if n < 2 || n > MaxRingNodes {
 		panic("model: protocol ring size out of range")
+	}
+	doms := make([][]uint8, n)
+	pos := make([][256]int16, n)
+	for i := range doms {
+		doms[i] = p.Domain(i, n)
+		pos[i] = valuePositions(doms[i])
 	}
 	var states []RingState
 	var enum func(i int, cur RingState)
@@ -254,14 +275,30 @@ func (p Protocol) System(n int) *System[RingState] {
 			states = append(states, cur)
 			return
 		}
-		for _, v := range p.Domain(i, n) {
+		for _, v := range doms[i] {
 			cur[i] = v
 			enum(i+1, cur)
 		}
 	}
 	enum(0, RingState{})
-	next := func(s RingState) []RingState {
-		var out []RingState
+	index := func(s RingState) int {
+		id := 0
+		for i := 0; i < n; i++ {
+			j := int(pos[i][s[i]])
+			if j < 0 {
+				return -1
+			}
+			id = id*len(doms[i]) + j
+		}
+		for _, v := range s[n:] {
+			if v != 0 {
+				return -1
+			}
+		}
+		return id
+	}
+	next := func(s RingState, out []RingState) []RingState {
+		start := len(out)
 		for i := 0; i < n; i++ {
 			if privs, to := p.moveAt(s, i, n); privs > 0 {
 				ns := s
@@ -269,13 +306,13 @@ func (p Protocol) System(n int) *System[RingState] {
 				out = append(out, ns)
 			}
 		}
-		if len(out) == 0 {
+		if len(out) == start {
 			out = append(out, s) // deadlock: visible as an illegal cycle
 		}
 		return out
 	}
 	legal := func(s RingState) bool { return p.Legal(s, n) }
-	return &System[RingState]{States: states, Next: next, Legal: legal}
+	return &System[RingState]{States: states, Index: index, Next: next, Legal: legal}
 }
 
 // MailboxState is a protocol configuration under read/write atomicity,
@@ -340,17 +377,61 @@ func (p Protocol) DelayStep(n int, s MailboxState, i int) MailboxState {
 // — so callers refine it with GreatestClosedSubset. For the K-state
 // ring at n=3 this is Dolev & Herman's read/write setting, the ring as
 // the 5.2 scheduler runs it.
+//
+// States run in mixed radix, node 0 the most significant digit: node
+// i's digit is ((x·|regL| + regL)·|regR| + regR)·phases + pc over the
+// positions of its slot value and registers in their domains (an
+// unused register's domain is {0}).
 func (p Protocol) DelaySystem(n int) *System[MailboxState] {
 	states := p.delayStates(n)
-	next := func(s MailboxState) []MailboxState {
-		out := make([]MailboxState, 0, n)
+	type digit struct {
+		x, l, r        [256]int16 // value positions
+		nl, nr, phases int
+		radix          int // the digit's range
+	}
+	digits := make([]digit, n)
+	for i := range digits {
+		role := p.Role(i, n)
+		l, r := neighbours(i, n)
+		regLs, regRs := []uint8{0}, []uint8{0}
+		if role.Left {
+			regLs = p.Domain(l, n)
+		}
+		if role.Right {
+			regRs = p.Domain(r, n)
+		}
+		xs := p.Domain(i, n)
+		digits[i] = digit{
+			x: valuePositions(xs), l: valuePositions(regLs), r: valuePositions(regRs),
+			nl: len(regLs), nr: len(regRs), phases: role.phases(),
+			radix: len(xs) * len(regLs) * len(regRs) * role.phases(),
+		}
+	}
+	index := func(s MailboxState) int {
+		id := 0
+		for i := range digits {
+			dg := &digits[i]
+			x, l, r := int(dg.x[s.X[i]]), int(dg.l[s.RegL[i]]), int(dg.r[s.RegR[i]])
+			if x < 0 || l < 0 || r < 0 || int(s.PC[i]) >= dg.phases {
+				return -1
+			}
+			id = id*dg.radix + ((x*dg.nl+l)*dg.nr+r)*dg.phases + int(s.PC[i])
+		}
+		for i := n; i < MaxRingNodes; i++ {
+			if s.X[i]|s.RegL[i]|s.RegR[i]|s.PC[i] != 0 {
+				return -1
+			}
+		}
+		return id
+	}
+	next := func(s MailboxState, out []MailboxState) []MailboxState {
 		for i := 0; i < n; i++ {
 			out = append(out, p.DelayStep(n, s, i))
 		}
 		return out
 	}
 	legal := func(s MailboxState) bool { return p.Legal(s.X, n) }
-	return &System[MailboxState]{States: states, Next: next, Legal: legal}
+	return &System[MailboxState]{States: states, Index: index, Next: next, Legal: legal}
 }
 
 // DelayLabeledNext returns the actor-labelled transition function of

@@ -136,11 +136,11 @@ func TestDelayKStateFairConvergence(t *testing.T) {
 	n := 3
 	sys := p.DelaySystem(n)
 	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(sys.States) != 125000 || len(closed) != 20160 {
+	if len(sys.States) != 125000 || members(closed) != 20160 {
 		t.Fatalf("kstate(5): %d states, closed legal subset of %d; want 125000 and 20160",
-			len(sys.States), len(closed))
+			len(sys.States), members(closed))
 	}
-	legal := func(s MailboxState) bool { return closed[s] }
+	legal := func(s MailboxState) bool { return closed[sys.Index(s)] }
 	if w, ok := CheckFairConvergence(sys.States, p.DelayLabeledNext(n), legal, n); !ok {
 		t.Fatalf("kstate(5): fair illegal cycle reachable, witness %v", w)
 	}
@@ -165,10 +165,10 @@ func TestDelayCompositeAtomicityBoundary(t *testing.T) {
 	n := 3
 	sys := p.DelaySystem(n)
 	closed := sys.GreatestClosedSubset(sys.Legal)
-	if len(closed) == 0 {
+	if members(closed) == 0 {
 		t.Fatal("dijkstra3: closed legal subset is empty")
 	}
-	legal := func(s MailboxState) bool { return closed[s] }
+	legal := func(s MailboxState) bool { return closed[sys.Index(s)] }
 	if _, ok := CheckFairConvergence(sys.States, p.DelayLabeledNext(n), legal, n); ok {
 		t.Fatal("dijkstra3 delay model unexpectedly fair-convergent; " +
 			"the composite-atomicity boundary moved — update the layered docs")
