@@ -194,6 +194,17 @@ func BenchmarkMachineStepScheduler(b *testing.B) {
 	s.Run(b.N)
 }
 
+// BenchmarkMachineStepMonitor measures throughput on approach 2's
+// kernel at its default watchdog period: slot-padded code (%pad on),
+// so most of its steps are nop padding, plus one monitor pass and its
+// refresh copy per period.
+func BenchmarkMachineStepMonitor(b *testing.B) {
+	s := core.MustNew(core.Config{Approach: core.ApproachMonitor})
+	s.Run(10000)
+	b.ResetTimer()
+	s.Run(b.N)
+}
+
 // BenchmarkReinstallCycle measures one full watchdog reinstall cycle:
 // NMI delivery, Figure 1 image copy and guest restart.
 func BenchmarkReinstallCycle(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ssos/internal/asm"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 )
@@ -162,7 +163,12 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 // target's seed corpus, so every staleness schedule found there is
 // replayed against the turbo lane too, and adds copies: rep movsb at
 // 0100:0000 with si one byte below di (an overlapping forward copy),
-// and one whose destination runs into its own instruction bytes.
+// and one whose destination runs into its own instruction bytes. It
+// also adds slot-padded code at 0100:0000, each instruction followed by
+// nops (zero bytes) up to the next 16-byte boundary as in the paper's
+// §5.2 layout, with batches that end inside the padding and ip moved
+// into it, so the lane's bulk nop runs are on the fuzzer's path from
+// the first input.
 func FuzzSuperblockDifferential(f *testing.F) {
 	f.Add([]byte{1, 40, 1, 40})
 	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
@@ -175,6 +181,29 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		3, 0x0A, 0x00, 3, 0x0C, 0xFF, 3, 0x0D, 0x00, 2, 0x00, 0x00, 1, 0xFF, 1, 0xC8))
 	f.Add(append(append([]byte{}, repMovsb...),
 		3, 0x0A, 0x80, 3, 0x0C, 0x00, 3, 0x0D, 0xF0, 2, 0x00, 0x00, 1, 0xF0, 1, 0x05))
+	// Slot-padded code poked over the soup: inc ax; mov word
+	// [cs:0x17], si (into its own slot's padding); inc bx; jmp 0. With
+	// si = 0x0425 the store writes inc si there, which turns it into
+	// dec si and back on alternate passes. Batches of 1 + n%64 steps
+	// end on the first instruction, 5 and 12 nops into its padding, on
+	// the slot's last nop and one past it; the second seed starts ip
+	// mid-padding, twice.
+	padded := asm.MustAssemble(`
+%pad on
+	inc ax
+	mov word [cs:0x17], si
+	inc bx
+	jmp 0
+`)
+	var pokes []byte
+	for i, b := range padded.Code {
+		pokes = append(pokes, 0, byte(i), 0, b)
+	}
+	pokes = append(pokes, 3, 0x04, 0x25) // si = 0x0425
+	f.Add(append(append([]byte{}, pokes...),
+		2, 0x00, 0x00, 1, 0x00, 1, 0x04, 1, 0x06, 1, 0x01, 1, 0x00, 1, 0xC3))
+	f.Add(append(append([]byte{}, pokes...),
+		2, 0x07, 0x00, 1, 0x02, 1, 0x10, 1, 0x0E, 1, 0x3F, 2, 0x19, 0x00, 1, 0x05, 1, 0xFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newEnginePair(t, Options{

@@ -67,9 +67,12 @@ const (
 	sbSize = 1 << sbBits
 	sbMask = sbSize - 1
 
-	// sbMaxLen caps entries per block; covers every loop body in the
-	// repo's guests while keeping rebuild cost (after self-modification)
-	// bounded.
+	// sbMaxLen caps entries per block, keeping rebuild cost (after
+	// self-modification) bounded. Dense code fits a whole loop body in
+	// one block; slot-padded code (%pad on, 16-byte slots of one
+	// instruction and its nops) spans only about 2.5 slots per block.
+	// It also bounds the entry indices and nop-run lengths sbEntry
+	// stores in a byte.
 	sbMaxLen = 32
 
 	// sbMaxPages caps the distinct pages a block's bytes may span.
@@ -85,6 +88,8 @@ type sbEntry struct {
 	ip     uint16 // cs-relative offset of the first byte
 	nextIP uint16 // sequential successor (ip+size)
 	inst   isa.Inst
+	nops   uint8 // length of the nop run starting here; 0 unless a nop
+	stop   uint8 // index of the first nop entry after this one, else len(ins)
 }
 
 // superblock is a straight-line run of decoded instructions plus
@@ -134,7 +139,9 @@ func (m *Machine) SetDecodeCache(on bool) {
 // retire through the turbo lane; every other step is a plain Step. The
 // lane's preconditions are live machine fields re-read every iteration,
 // so hooks installed mid-run by tickers or port devices take effect on
-// the very next step.
+// the very next step. Inside the lane, a run of slot-padding nops and
+// the ordinary iterations of a rep movsb copy retire in bulk, each
+// still one step on every counter.
 //
 // Tickers cap a batch at their smallest Quiet(): up to that many ticks
 // only count down registers no instruction can read, so the batch runs
@@ -174,10 +181,11 @@ func (m *Machine) runBatched(n int) {
 }
 
 // sbTurbo retires consecutive entries of the current block b, one per
-// step, starting at step index done and stopping at n. Preconditions
+// step, starting at step index done and stopping at n, except that a
+// nop run or a rep movsb copy retires its steps in bulk. Preconditions
 // (checked by runBatched, invariant between block boundaries):
 // AfterStep nil, the nt registered tickers quiet for every step up to
-// n, no latched pins, not halted. Each iteration performs exactly one
+// n, no latched pins, not halted. Each retired step is exactly one
 // Step minus its quiet tick (runBatched Skips those afterwards):
 // Stats.Steps, the per-entry validation, the entry's executor, the
 // NMI-counter decrement, and the trailing AfterStep check; the
@@ -193,9 +201,12 @@ func (m *Machine) runBatched(n int) {
 // succ hint, or a table probe. Every chained entry revalidates
 // (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
 // stale or negative successor drops back to Step, which rebuilds via
-// sbEnter. A validated rep movsb entry (block-final) with cx > 1 first
-// retires its ordinary iterations in bulk (repMovsbBulk). Returns the
-// number of steps done.
+// sbEnter. A validated nop entry retires the rest of its run, up to the
+// budget, in one go (slot padding: a nop only moves ip and counts); the
+// continuation run stops at the next nop entry so that every run starts
+// at a validated entry. A validated rep movsb entry (block-final) with
+// cx > 1 first retires its ordinary iterations in bulk (repMovsbBulk).
+// Returns the number of steps done.
 func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 	c := &m.CPU
 	i := m.sbIdx
@@ -238,6 +249,24 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 		if entered {
 			m.Stats.Blocks++
 		}
+		if e.nops != 0 {
+			// Slot padding: retire the run's nops up to the budget in
+			// one go. A nop stores nothing, so the stamp just validated
+			// holds for the whole run; the entry after it revalidates
+			// above, and a run the budget cuts leaves the cursor on the
+			// nop whose ip is the live IP.
+			r := min(int(e.nops), n-done)
+			c.IP = b.ins[i+r-1].nextIP
+			m.Stats.Steps += uint64(r)
+			m.Stats.Instrs += uint64(r)
+			m.Stats.BlockInstrs += uint64(r)
+			if m.Opts.NMICounter {
+				c.NMICounter = uint16(max(int(c.NMICounter)-r, 0))
+			}
+			i += r
+			done += r
+			continue
+		}
 		if e.inst.Op == isa.OpRepMovsb && c.R[isa.CX] > 1 {
 			// A copy in progress: retire its ordinary iterations in
 			// bulk. What remains — the final iteration, a store the
@@ -259,7 +288,9 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 		// as the next entry's ip; branches and cs writes are block-
 		// final; and under the turbo preconditions nothing else runs
 		// between entries. Only the write stamp — self-modifying
-		// stores, DMA — still needs re-checking per step.
+		// stores, DMA — still needs re-checking per step. The run ends
+		// at the next nop entry, which the outer loop retires in bulk.
+		stop := int(e.stop)
 		for {
 			m.Stats.Steps++
 			m.Stats.BlockInstrs++
@@ -285,8 +316,8 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 				m.sbIdx = i
 				return done
 			}
-			if done >= n || i >= len(b.ins) {
-				break // budget or boundary: the outer loop handles both
+			if done >= n || i >= stop {
+				break // budget, nop run or boundary: the outer loop handles all three
 			}
 			e = &b.ins[i]
 			if *m.busStamp != m.sbStamp && !m.sbRevalidate(b) {
@@ -489,6 +520,19 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 		}
 		ip += uint16(size)
 		lin += uint32(size)
+	}
+	// Nop runs and continuation stops, in one backward pass.
+	stop, run := len(b.ins), 0
+	for i := len(b.ins) - 1; i >= 0; i-- {
+		e := &b.ins[i]
+		e.stop = uint8(stop)
+		if e.inst.Op == isa.OpNop {
+			run++
+			stop = i
+		} else {
+			run = 0
+		}
+		e.nops = uint8(run)
 	}
 	gens := m.pageGens
 	for i := uint8(0); i < b.npages; i++ {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"ssos/internal/asm"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
 )
@@ -642,4 +644,180 @@ func TestSuperblockSilentRefreshKeepsBlocksValid(t *testing.T) {
 		}
 		comparePair(t, p, "after X")
 	}
+}
+
+// TestSuperblockEntrySize pins sbEntry at 32 bytes on 64-bit hosts:
+// the nop-run fields sit in what was its tail padding, so recording
+// them grows no block.
+func TestSuperblockEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(sbEntry{}); n != 32 {
+		t.Fatalf("sbEntry is %d bytes, want 32", n)
+	}
+}
+
+// nopRunSrc is slot-padded code (%pad on, the paper's §5.2 layout) for
+// TestSuperblockNopRunDifferential, assembled at 0100:0000: runs of
+// nops of several lengths, a store that turns a later nop of its own
+// run into inc ax and back, a 40-nop run wider than a block, and an NMI
+// handler that returns into whatever run the NMI interrupted.
+const nopRunSrc = `
+patch equ 0x18
+%pad on
+top:
+	mov bx, 0x1234          ; 0x00: the 12-nop run is 0x04..0x0F
+	mov word [cs:patch], dx ; 0x10: a later nop of this slot's run
+	xor dx, si              ; 0x20: dx toggles between inc ax (si) and 0
+	inc cx                  ; 0x30
+%pad off
+long:
+	times 40 db 0           ; 0x40: 40 nops, more than a block holds
+%pad on
+	jmp top                 ; 0x68
+handler:
+	inc bp                  ; 0x70
+	iret                    ; 0x80
+`
+
+// TestSuperblockNopRunDifferential holds the turbo lane's bulk nop runs
+// against the interpreter's one nop per tick on slot-padded code. Each
+// case drives an engine pair through Run batches and compares the CPU
+// and architectural stats at every batch boundary, and the memory at
+// the end. The cases cover each way a run can end early or differ from
+// the decoded block: a batch budget ending at every offset of a 12-nop
+// run, on its last nop and one past it; the NMI counter's floor inside
+// a run; a quiet ticker whose fire lands inside a run (the NMI returns
+// there); a store earlier in the block rewriting a later nop of the
+// run; ip moved into a run between batches; and a run wider than
+// sbMaxLen, so it spans blocks.
+func TestSuperblockNopRunDifferential(t *testing.T) {
+	prg, err := asm.Assemble(nopRunSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prg.MustSymbol("long") != 0x40 || prg.MustSymbol("handler") != 0x70 || len(prg.Code) != 0x90 {
+		t.Fatalf("layout drifted: long=%#x handler=%#x len=%#x, fix the offsets",
+			prg.MustSymbol("long"), prg.MustSymbol("handler"), len(prg.Code))
+	}
+	incAX := uint16(isa.OpIncR) | uint16(isa.AX)<<8
+	newPair := func(t *testing.T) [2]*Machine {
+		p := newEnginePair(t, Options{
+			ResetVector:        SegOff{0x0100, 0},
+			NMICounter:         true,
+			NMICounterMax:      8,
+			HardwiredNMIVector: true,
+			NMIVector:          SegOff{0x0100, prg.MustSymbol("handler")},
+		})
+		pairDo(p, func(m *Machine) {
+			for i, b := range prg.Code {
+				m.Bus.PokeRAM(0x1000+uint32(i), b)
+			}
+			m.CPU.R[isa.SI], m.CPU.R[isa.DX] = incAX, incAX
+			m.CPU.S[isa.SS], m.CPU.R[isa.SP] = 0x5000, 0x1000
+		})
+		return p
+	}
+	// run drives both engines through the batch sizes, comparing at
+	// every boundary.
+	run := func(t *testing.T, p [2]*Machine, batches ...int) {
+		t.Helper()
+		for b, n := range batches {
+			pairDo(p, func(m *Machine) { m.Run(n) })
+			comparePairCPU(t, p, fmt.Sprintf("batch %d (+%d)", b, n))
+		}
+	}
+	setIP := func(p [2]*Machine, ip uint16) { pairDo(p, func(m *Machine) { m.CPU.IP = ip }) }
+
+	t.Run("batch ends", func(t *testing.T) {
+		for _, warm := range []int{0, 700} {
+			p := newPair(t)
+			run(t, p, warm)
+			for j := 0; j <= 13; j++ {
+				// mov bx, then j of the run's 12 nops; 12 ends on the
+				// last nop, 13 one past it.
+				setIP(p, 0)
+				run(t, p, 1, j, 1, 29, 101)
+			}
+			comparePair(t, p, "final")
+		}
+	})
+
+	t.Run("nmi counter", func(t *testing.T) {
+		p := newPair(t)
+		for _, v := range []uint16{0, 1, 5, 4095} {
+			for _, j := range []int{1, 5, 11, 12, 13, 40} {
+				setIP(p, 0)
+				run(t, p, 1)
+				pairDo(p, func(m *Machine) { m.CPU.NMICounter = v })
+				run(t, p, j)
+			}
+		}
+		comparePair(t, p, "final")
+	})
+
+	t.Run("quiet ticker", func(t *testing.T) {
+		for _, period := range []uint32{3, 7, 13, 29, 37} {
+			p := newPair(t)
+			var cd [2]*countdown
+			for i, m := range p {
+				cd[i] = &countdown{period: period, counter: period - 1}
+				m.AddTicker(cd[i])
+			}
+			for b := 0; b < 300; b++ {
+				// Straddle the next fire, and now and then run long.
+				n := max(int(cd[0].Quiet())+b%4-1, 1)
+				if b%5 == 0 {
+					n = 3*int(period) + b%7
+				}
+				run(t, p, n)
+				if *cd[0] != *cd[1] {
+					t.Fatalf("period %d batch %d: ticker diverged: superblock %+v, interp %+v",
+						period, b, *cd[0], *cd[1])
+				}
+			}
+			if p[1].Stats.NMIs == 0 || p[1].CPU.R[isa.BP] == 0 {
+				t.Fatalf("period %d: the watchdog never interrupted the loop: %v", period, p[1].Stats)
+			}
+			comparePair(t, p, "final")
+		}
+	})
+
+	t.Run("store into the run", func(t *testing.T) {
+		p := newPair(t)
+		// The first pass writes inc ax over the nop at patch, in the
+		// block the store runs in, the second writes the nops back,
+		// and so on.
+		run(t, p, 1, 12, 1, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610)
+		for i, m := range p {
+			if m.CPU.R[isa.AX] == 0 {
+				t.Fatalf("%s: the inc ax stored into the nop run never executed", engineLabels[i])
+			}
+		}
+		comparePair(t, p, "final")
+	})
+
+	t.Run("ip inside a run", func(t *testing.T) {
+		p := newPair(t)
+		run(t, p, 500)
+		for ip := uint16(0x04); ip < 0x10; ip++ {
+			for _, n := range []int{1, int(0x10 - ip), int(0x11 - ip), 50} {
+				setIP(p, ip)
+				run(t, p, n)
+				setIP(p, 0x40+2*ip) // inside the 40-nop run
+				run(t, p, n)
+			}
+		}
+		comparePair(t, p, "final")
+	})
+
+	t.Run("run wider than a block", func(t *testing.T) {
+		p := newPair(t)
+		for _, n := range []int{1, sbMaxLen - 1, sbMaxLen, sbMaxLen + 1, 39, 40, 41, 200} {
+			setIP(p, 0x40)
+			run(t, p, n, 1)
+		}
+		comparePair(t, p, "final")
+	})
 }
