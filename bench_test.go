@@ -12,6 +12,7 @@ import (
 	"ssos/internal/guest"
 	"ssos/internal/imglint"
 	"ssos/internal/isa"
+	"ssos/internal/machine"
 	"ssos/internal/mem"
 	"ssos/internal/obs"
 )
@@ -214,6 +215,40 @@ func BenchmarkReinstallCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(cycle)
+	}
+}
+
+// BenchmarkRefreshCopy measures one Figure 1 refresh on its own: the
+// rep movsb, run from ROM, that copies the guest.ImageSize-byte OS
+// image from its ROM copy at OSROMSeg:0 to OSSeg:0, retired through
+// Run. RAM already holds the image, as in every legal execution, so the
+// copy changes no byte.
+func BenchmarkRefreshCopy(b *testing.B) {
+	bus := mem.NewBus()
+	img := guest.MustBuildKernel(false).Image()
+	if _, err := bus.AddROM("os", guest.OSROMSeg<<4, img); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := bus.AddROM("copy", guest.HandlerROMSeg<<4, asm.MustAssemble("rep movsb\nhlt").Code); err != nil {
+		b.Fatal(err)
+	}
+	for i, v := range img {
+		bus.PokeRAM(guest.OSSeg<<4+uint32(i), v)
+	}
+	m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: guest.HandlerROMSeg}})
+	c := &m.CPU
+	b.SetBytes(guest.ImageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.S[isa.CS], c.IP = guest.HandlerROMSeg, 0
+		c.S[isa.DS], c.R[isa.SI] = guest.OSROMSeg, 0
+		c.S[isa.ES], c.R[isa.DI] = guest.OSSeg, 0
+		c.R[isa.CX] = guest.ImageSize
+		m.Run(guest.ImageSize)
+	}
+	b.StopTimer()
+	if c.R[isa.CX] != 0 || c.Halted || m.Stats.BlockBails != 0 {
+		b.Fatalf("copy did not finish cleanly: cx=%d halted=%v bails=%d", c.R[isa.CX], c.Halted, m.Stats.BlockBails)
 	}
 }
 

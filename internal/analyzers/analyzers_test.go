@@ -47,8 +47,9 @@ func runOne(t *testing.T, a *analyzers.Analyzer, path, src string) []string {
 }
 
 // TestGenbumpFlagsUnbumpedMutation: data writes without a generation
-// bump (direct or via a bumping sibling) are flagged; bumped paths are
-// not.
+// bump (direct or via a bumping sibling) are flagged, whether they name
+// b.data or write through a local slice of it; bumped paths and reads
+// through such a slice are not.
 func TestGenbumpFlagsUnbumpedMutation(t *testing.T) {
 	src := `package mem
 
@@ -82,12 +83,43 @@ func (b *Bus) BadCopy(src []byte) {
 func (b *Bus) ReadOnly(dst []byte) {
 	copy(dst, b.data)
 }
+
+func (b *Bus) BadAliasCopy(i, j int, s []byte) {
+	d := b.data[i:j]
+	copy(d, s)
+}
+
+func (b *Bus) BadAliasIndex(i int, v byte) {
+	var d []byte
+	d = b.data[i:]
+	e := d[1:]
+	e[0] = v
+}
+
+func (b *Bus) GoodAlias(i, j int, s []byte) {
+	d := b.data[i:j]
+	if string(d) == string(s) {
+		return
+	}
+	copy(d, s)
+	b.gens[i>>12]++
+	b.stamp++
+}
+
+func (b *Bus) ReadOnlyAlias(i, j int, dst []byte) int {
+	d := b.data[i:j]
+	n := copy(dst, d)
+	for n < len(dst) {
+		n += copy(dst[n:], d)
+	}
+	return n
+}
 `
 	msgs := runOne(t, analyzers.Genbump, "ssos/testdata/genbump", src)
-	if len(msgs) != 2 {
-		t.Fatalf("got %d findings, want 2:\n%s", len(msgs), strings.Join(msgs, "\n"))
+	if len(msgs) != 4 {
+		t.Fatalf("got %d findings, want 4:\n%s", len(msgs), strings.Join(msgs, "\n"))
 	}
-	for _, want := range []string{"Bus.Bad ", "Bus.BadCopy "} {
+	for _, want := range []string{"Bus.Bad ", "Bus.BadCopy ", "Bus.BadAliasCopy ", "Bus.BadAliasIndex "} {
 		found := false
 		for _, m := range msgs {
 			if strings.Contains(m, want) {
@@ -564,6 +596,27 @@ func TestAnalyzersRepoClean(t *testing.T) {
 	analyzers.Sort(again)
 	if !reflect.DeepEqual(diags, again) {
 		t.Error("analyzer output is not deterministic across runs")
+	}
+}
+
+// TestLoadCleansPattern: a directory pattern loads under its clean
+// import path whatever its spelling, so the path-scoped analyzers
+// (genbump, detmap, lockzone, nodeterm) see it. Under a path such as
+// ssos/internal/mem/ they would skip the package without a word.
+func TestLoadCleansPattern(t *testing.T) {
+	l := newLoader(t)
+	for _, pat := range []string{"./internal/mem", "./internal/mem/", "internal/mem", "./internal/./mem//"} {
+		pkgs, err := l.Load([]string{pat})
+		if err != nil {
+			t.Fatalf("Load %q: %v", pat, err)
+		}
+		if len(pkgs) != 1 || pkgs[0].Path != "ssos/internal/mem" || !analyzers.Genbump.Applies(pkgs[0].Path) {
+			var got []string
+			for _, p := range pkgs {
+				got = append(got, p.Path)
+			}
+			t.Errorf("Load %q = %v, want [ssos/internal/mem], which genbump applies to", pat, got)
+		}
 	}
 }
 

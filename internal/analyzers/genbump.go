@@ -3,14 +3,16 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
 // Genbump enforces the superblock engine's soundness precondition inside
 // internal/mem: every Bus method that mutates backing memory — an
-// assignment through b.data, or a copy() whose destination is b.data —
-// must bump a page generation, either directly (touching b.gens) or by
-// calling, transitively, a sibling method that does. A mutation path
+// assignment through b.data, or a copy() whose destination is b.data,
+// directly or through a local slice taken from it — must bump a page
+// generation, either directly (touching b.gens) or by calling,
+// transitively, a sibling method that does. A mutation path
 // that skips the bump would let machine.Machine replay stale decoded
 // instructions (see internal/machine/superblock.go).
 //
@@ -130,8 +132,15 @@ func runGenbump(pkg *Package, report func(token.Pos, string, ...any)) {
 		}
 	}
 
-	// Every method that mutates b.data must be in the bump closure.
+	// Every method that mutates b.data must be in the bump closure. A
+	// local slice assigned from an expression mentioning b.data (d :=
+	// b.data[i:j]) is b.data within its method: writing through it
+	// mutates the bus just the same.
 	for name, m := range methods {
+		aliases := dataAliases(pkg.Info, m.decl.Body, m.recv)
+		isData := func(e ast.Expr) bool {
+			return mentionsField(e, m.recv, "data") || mentionsAlias(pkg.Info, e, aliases)
+		}
 		var mutation ast.Node
 		ast.Inspect(m.decl.Body, func(n ast.Node) bool {
 			if mutation != nil {
@@ -140,13 +149,13 @@ func runGenbump(pkg *Package, report func(token.Pos, string, ...any)) {
 			switch st := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range st.Lhs {
-					if idx, ok := lhs.(*ast.IndexExpr); ok && mentionsField(idx.X, m.recv, "data") {
+					if idx, ok := lhs.(*ast.IndexExpr); ok && isData(idx.X) {
 						mutation = st
 					}
 				}
 			case *ast.CallExpr:
 				if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "copy" && len(st.Args) == 2 {
-					if mentionsField(st.Args[0], m.recv, "data") {
+					if isData(st.Args[0]) {
 						mutation = st
 					}
 				}
@@ -157,6 +166,55 @@ func runGenbump(pkg *Package, report func(token.Pos, string, ...any)) {
 			report(mutation.Pos(), "Bus.%s mutates %s.data without bumping a page generation; stale superblock entries would survive", name, m.recv)
 		}
 	}
+}
+
+// dataAliases returns the slice-typed locals of body assigned (by =,
+// := or var) from an expression that mentions recv.data or an alias
+// found earlier in source order.
+func dataAliases(info *types.Info, body *ast.BlockStmt, recv string) map[types.Object]bool {
+	aliases := map[types.Object]bool{}
+	bind := func(id *ast.Ident, e ast.Expr) {
+		obj := info.ObjectOf(id)
+		if obj == nil {
+			return
+		}
+		if _, slice := obj.Type().Underlying().(*types.Slice); slice &&
+			(mentionsField(e, recv, "data") || mentionsAlias(info, e, aliases)) {
+			aliases[obj] = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if len(st.Lhs) == len(st.Rhs) {
+				for i, lhs := range st.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						bind(id, st.Rhs[i])
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			if len(st.Names) == len(st.Values) {
+				for i, id := range st.Names {
+					bind(id, st.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return aliases
+}
+
+// mentionsAlias reports whether the expression uses one of aliases.
+func mentionsAlias(info *types.Info, e ast.Expr, aliases map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && aliases[info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // receiverTypeName unwraps a method receiver type to its base name.

@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -193,8 +194,10 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 				add(d)
 			}
 		default:
-			rel := filepath.ToSlash(strings.TrimPrefix(pat, "./"))
-			if rel == "" || rel == "." {
+			// Cleaned, so ./internal/mem/ loads as the import path the
+			// analyzers' path scoping matches, not ssos/internal/mem/.
+			rel := path.Clean(filepath.ToSlash(strings.TrimPrefix(pat, "./")))
+			if rel == "." {
 				add(l.module)
 			} else {
 				add(l.module + "/" + rel)

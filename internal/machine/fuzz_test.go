@@ -163,7 +163,11 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 // target's seed corpus, so every staleness schedule found there is
 // replayed against the turbo lane too, and adds copies: rep movsb at
 // 0100:0000 with si one byte below di (an overlapping forward copy),
-// and one whose destination runs into its own instruction bytes. It
+// one whose destination runs into its own instruction bytes, and two
+// forward copies of 2560 bytes across page boundaries, from poked
+// source bytes, with the destination 272 bytes above the source (one
+// page-sized chunk never overlaps its source) and 32 bytes above it
+// (every chunk is clamped to the 32 bytes below it). It
 // also adds slot-padded code at 0100:0000, each instruction followed by
 // nops (zero bytes) up to the next 16-byte boundary as in the paper's
 // §5.2 layout, with batches that end inside the padding and ip moved
@@ -181,6 +185,15 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		3, 0x0A, 0x00, 3, 0x0C, 0xFF, 3, 0x0D, 0x00, 2, 0x00, 0x00, 1, 0xFF, 1, 0xC8))
 	f.Add(append(append([]byte{}, repMovsb...),
 		3, 0x0A, 0x80, 3, 0x0C, 0x00, 3, 0x0D, 0xF0, 2, 0x00, 0x00, 1, 0xF0, 1, 0x05))
+	// cx = 0x0A00 and di = 0x1510, with si = 0x1400 (reg 0x14) and then
+	// si = 0x14F0; the pokes put non-zero bytes in the source's first
+	// page, and the batches end inside the copy three times.
+	f.Add(append(append([]byte{}, repMovsb...),
+		0, 0x00, 0x04, 0x5A, 0, 0x01, 0x04, 0xC3, 0, 0x07, 0x04, 0x11, 0, 0xFF, 0x04, 0x77,
+		3, 0x0A, 0x00, 3, 0x14, 0x00, 3, 0x15, 0x10, 2, 0x00, 0x00, 1, 0xC8, 1, 0x20, 1, 0xD0, 1, 0xFF))
+	f.Add(append(append([]byte{}, repMovsb...),
+		0, 0xF0, 0x04, 0x5A, 0, 0xF1, 0x04, 0xC3, 0, 0xFE, 0x04, 0x11, 0, 0x0F, 0x05, 0x77,
+		3, 0x0A, 0x00, 3, 0x14, 0xF0, 3, 0x15, 0x10, 2, 0x00, 0x00, 1, 0xC8, 1, 0x05, 1, 0xD0, 1, 0xFF))
 	// Slot-padded code poked over the soup: inc ax; mov word
 	// [cs:0x17], si (into its own slot's padding); inc bx; jmp 0. With
 	// si = 0x0425 the store writes inc si there, which turns it into

@@ -347,31 +347,49 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 // destination in ROM (the policy's #GP and ROMWriteCount) or one the
 // memory-protection window refuses — and before one that stores into a
 // page of b's span, so that store goes through the executor and b is
-// revalidated before its bytes are trusted again. Bytes move one at a
-// time, so an overlapping copy replicates its pattern as the
-// interpreter does.
+// revalidated before its bytes are trusted again.
+//
+// The iterations move in chunks, one mem.Bus.CopyForward each. The
+// machine clamps a chunk to what the CPU side allows — the budget, the
+// 16-bit wrap of si and di, and the window's end — and checks the
+// window and the span once per chunk; the bus clamps it to what memory
+// allows — dst's page, the top of the address space, the first ROM
+// byte, and the overlap of a source just below its destination — and
+// moves it with one compare and one copy, exactly as the chunk's byte
+// stores would. A backward copy (DF set) moves one byte per chunk.
 func (m *Machine) repMovsbBulk(b *superblock, budget int) int {
 	c := &m.CPU
 	bus := m.Bus
 	n := min(budget, int(c.R[isa.CX])-1)
 	ds := uint32(c.S[isa.DS]) << 4
 	es := uint32(c.S[isa.ES]) << 4
+	back := c.Flags.Has(isa.FlagDF)
 	delta := uint16(1)
-	if c.Flags.Has(isa.FlagDF) {
+	if back {
 		delta = 0xFFFF
 	}
 	guarded := m.windowActive()
+	wend := uint32(c.WP)<<4 + WPWindowSize - 1 // one past the window's last admissible byte
 	si, di := c.R[isa.SI], c.R[isa.DI]
 	k := 0
 	for k < n {
 		dst := (es + uint32(di)) & mem.AddrMask
-		if bus.InROM(dst) || guarded && !m.inWindow(dst) || b.spans(dst>>mem.PageShift) {
+		if guarded && !m.inWindow(dst) || b.spans(dst>>mem.PageShift) {
 			break
 		}
-		bus.StoreByte(dst, bus.LoadByte((ds+uint32(si))&mem.AddrMask))
-		si += delta
-		di += delta
-		k++
+		l := uint32(1)
+		if !back {
+			l = min(uint32(n-k), 0x10000-uint32(si), 0x10000-uint32(di))
+			if guarded {
+				l = min(l, wend-dst)
+			}
+		}
+		if l = bus.CopyForward(dst, ds+uint32(si), l); l == 0 {
+			break // dst is ROM
+		}
+		si += delta * uint16(l)
+		di += delta * uint16(l)
+		k += int(l)
 	}
 	c.R[isa.SI], c.R[isa.DI] = si, di
 	c.R[isa.CX] -= uint16(k)

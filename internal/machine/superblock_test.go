@@ -422,11 +422,25 @@ func TestSuperblockBailResumesInterpreter(t *testing.T) {
 // overlap, 16-bit and 20-bit wrap, ROM under both policies, the
 // memory-protection window's edges, a copy over its own instruction
 // bytes, a watchdog fire and the NMI counter's floor mid-copy, and the
-// cx values at the bulk loop's bounds.
+// cx values at the bulk loop's bounds. The chunks/ cases put an edge
+// where the bulk loop cuts a chunk inside the copy: source and
+// destination at different page offsets, a destination at a page's last
+// byte, a source 255, 256 and 257 bytes below its destination, a
+// backward copy over two page edges, ROM starting mid-word in the first
+// and in a later bitmap word of a chunk, a window ending mid-page, and
+// a source crossing the top of the address space.
 func TestSuperblockRepMovsbBulkDifferential(t *testing.T) {
 	code := prog(isa.Inst{Op: isa.OpRepMovsb}, isa.Inst{Op: isa.OpHlt})
 	iret := prog(isa.Inst{Op: isa.OpIret})
 	type regs struct{ ds, si, es, di, cx uint16 }
+	// The default fill repeats every 256 bytes, so a copy from 256 bytes
+	// below changes nothing; the overlap cases refill with a period of
+	// 251 instead.
+	mod251 := func(m *Machine) {
+		for a := uint32(0x20000); a < 0x30000; a++ {
+			m.Bus.PokeRAM(a, byte(a%251))
+		}
+	}
 	cases := []struct {
 		name   string
 		r      regs
@@ -479,6 +493,27 @@ func TestSuperblockRepMovsbBulkDifferential(t *testing.T) {
 		{name: "cx=1", r: regs{0x2000, 0, 0x3000, 0, 1}},
 		{name: "cx=2", r: regs{0x2000, 0, 0x3000, 0, 2}},
 		{name: "cx=0xFFFF", r: regs{0x2000, 0, 0x4000, 0, 0xFFFF}, bulk: true},
+		{name: "chunks/page offsets differ", r: regs{0x2000, 0x0F3, 0x3000, 0x0A1, 3000}, bulk: true},
+		{name: "chunks/dst at offset 0xFF", r: regs{0x2000, 0x010, 0x3000, 0x0FF, 300}, bulk: true},
+		// The first bulk chunk (batch 3) starts at 0x0FFF, the byte below
+		// the copy's own page: it must stop there.
+		{name: "chunks/dst at offset 0xFF below own page", r: regs{0x2000, 0x010, 0x00F0, 0x0FD, 300}},
+		{name: "chunks/dst 255 above src", r: regs{0x2000, 0x100, 0x2000, 0x1FF, 3000}, setup: mod251, bulk: true},
+		{name: "chunks/dst 256 above src", r: regs{0x2000, 0x100, 0x2000, 0x200, 3000}, setup: mod251, bulk: true},
+		{name: "chunks/dst 257 above src", r: regs{0x2000, 0x100, 0x2000, 0x201, 3000}, setup: mod251, bulk: true},
+		{name: "chunks/backward over two pages", r: regs{0x2000, 0x3FF, 0x3000, 0x2FF, 600}, df: true, bulk: true},
+		{name: "chunks/rom mid-word in the first word", r: regs{0x2000, 0, 0x3000, 0x81, 64}, rom: 0x300A5, policy: mem.ROMWriteFault},
+		{name: "chunks/rom mid-word in a later word", r: regs{0x2000, 0, 0x3000, 0x10, 300}, rom: 0x300A5, policy: mem.ROMWriteIgnore},
+		{name: "chunks/window ends mid-page", r: regs{0x2000, 0, 0x3000, 0xF80, 400}, window: 0x3008},
+		{
+			name: "chunks/src crosses the top", r: regs{0xFFFF, 0x0, 0x3000, 0x8, 64},
+			setup: func(m *Machine) {
+				// The top 256 bytes and, wrapping, the bottom 256.
+				for a := uint32(0xFFF00); a < 0x100100; a++ {
+					m.Bus.PokeRAM(a, byte(a*37+11))
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

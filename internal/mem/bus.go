@@ -20,21 +20,25 @@
 //     a scan over the region list;
 //   - per-page write-generation counters (PageSize-byte pages), bumped
 //     by EVERY change to a byte, whatever the path — instruction
-//     stores, test Pokes, fault-injection PokeRAMs, snapshot Restores
-//     and ROM installation. The machine's superblock engine validates
-//     blocks against these counters, which is what keeps the fast path
-//     sound from arbitrary configurations: no decoded block entry can
-//     survive a change (or an injected bit-flip) to its backing
-//     bytes, because any such change bumps the backing page's counter.
-//     An instruction store of the value a byte already holds changes
-//     nothing and so moves nothing: the engine relies only on
-//     "generation unchanged ⇒ bytes unchanged", which such a store
-//     keeps true, and a refresh that rewrites RAM with the bytes it
-//     already holds leaves the blocks decoded over it valid.
+//     stores, bulk copies (CopyForward), test Pokes, fault-injection
+//     PokeRAMs, snapshot Restores and ROM installation. The machine's
+//     superblock engine validates blocks against these counters, which
+//     is what keeps the fast path sound from arbitrary configurations:
+//     no decoded block entry can survive a change (or an injected
+//     bit-flip) to its backing bytes, because any such change bumps the
+//     backing page's counter. An instruction store of the value a byte
+//     already holds, or a CopyForward whose source already matches its
+//     destination, changes nothing and so moves nothing: the engine
+//     relies only on "generation unchanged ⇒ bytes unchanged", which
+//     such a store keeps true, and a refresh that rewrites RAM with the
+//     bytes it already holds leaves the blocks decoded over it valid.
+//     A copy that does change bytes bumps each changed page once, not
+//     once per byte, which keeps the same implication true.
 package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -237,6 +241,57 @@ func (b *Bus) StoreByte(addr uint32, v byte) bool {
 	b.gens[addr>>PageShift]++
 	b.stamp++
 	return true
+}
+
+// CopyForward carries out the longest prefix, up to n bytes, of the
+// forward byte copy StoreByte(dst+i, LoadByte(src+i)), i = 0, 1, …,
+// that stays inside dst's page, crosses the top of the address space
+// in neither range, stores to no ROM byte and, when src < dst, moves
+// at most dst−src bytes. It returns the prefix's length, which is 0
+// only when n is 0 or dst is in ROM.
+//
+// Within such a prefix one memmove computes exactly what the byte
+// stores do. When src < dst the clamp makes the two ranges disjoint, so
+// no byte is read after it was written (a caller that goes on from
+// where the prefix ended reads what it wrote, replicating the pattern
+// as byte stores do). When dst ≤ src a forward byte store never
+// overwrites a byte before it has been read. The copy is silent like
+// StoreByte: when the bytes already match it changes nothing and bumps
+// nothing, and otherwise it bumps dst's page generation and the stamp
+// once.
+func (b *Bus) CopyForward(dst, src, n uint32) uint32 {
+	dst &= AddrMask
+	src &= AddrMask
+	n = min(n, PageSize-dst&(PageSize-1), AddrSpace-src)
+	if src < dst {
+		n = min(n, dst-src)
+	}
+	n = b.ramPrefix(dst, n)
+	d, s := b.data[dst:dst+n], b.data[src:src+n]
+	if string(d) == string(s) {
+		return n
+	}
+	copy(d, s)
+	b.gens[dst>>PageShift]++
+	b.stamp++
+	return n
+}
+
+// ramPrefix returns the length of the longest ROM-free prefix of
+// [a, a+n), scanning romBits a word at a time; a+n must not exceed
+// AddrSpace.
+func (b *Bus) ramPrefix(a, n uint32) uint32 {
+	end := a + n
+	for w := a >> 6; w<<6 < end; w++ {
+		rom := b.romBits[w]
+		if w == a>>6 {
+			rom &^= 1<<(a&63) - 1 // the bits below a
+		}
+		if rom != 0 {
+			return min(w<<6+uint32(bits.TrailingZeros64(rom)), end) - a
+		}
+	}
+	return n
 }
 
 // LoadWord returns the little-endian 16-bit word at addr. The two bytes

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -353,6 +354,122 @@ func TestPageGenerations(t *testing.T) {
 	}
 	if gen(0x3000) == g {
 		t.Fatal("AddROM did not bump the covered page generation")
+	}
+}
+
+// TestCopyForwardMatchesByteStores holds CopyForward against the byte
+// stores it stands for. Twin buses start identical; for random
+// (dst, src, n) — destinations around ROM regions that sit at word and
+// page edges and at the top of the address space, sources 1 to 300
+// bytes on either side of them or far away — one bus takes the method
+// and the other StoreByte(dst+i, LoadByte(src+i)) for the count the
+// method returned. The count must be the documented clamp, the memory
+// must match, a page's generation must move iff a byte in it changed,
+// the stamp iff any byte changed, and ROM must be untouched. Bytes are
+// drawn from four values, so many copies are partly or wholly silent.
+func TestCopyForwardMatchesByteStores(t *testing.T) {
+	roms := []Region{
+		{Start: 0x10040, Size: 16}, // word-aligned
+		{Start: 0x100FF, Size: 2},  // across a page edge
+		{Start: 0x10200, Size: 1},  // a page's first byte
+		{Start: 0x1033F, Size: 1},  // a word's last bit
+		{Start: 0x103A5, Size: 16}, // mid-word
+		{Start: 0xFFFFE, Size: 2},  // the top of the address space
+	}
+	var twin [2]*Bus
+	for i := range twin {
+		twin[i] = NewBus()
+		for _, r := range roms {
+			if _, err := twin[i].AddROM("rom", r.Start, bytes.Repeat([]byte{0xEE}, int(r.Size))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := twin[0], twin[1]
+	rng := rand.New(rand.NewSource(1))
+	fill := func() {
+		for _, base := range []uint32{0, 0xFF00, 0xFFE00} {
+			for x := base; x < base+0x800 && x < AddrSpace; x++ {
+				v := byte(rng.Intn(4))
+				a.PokeRAM(x, v)
+				b.PokeRAM(x, v)
+			}
+		}
+	}
+	// clamp is the documented prefix length, byte by byte.
+	clamp := func(dst, src, n uint32) uint32 {
+		var i uint32
+		for ; i < n; i++ {
+			if (dst+i)>>PageShift != dst>>PageShift || src+i >= AddrSpace ||
+				a.InROM(dst+i) || src < dst && i == dst-src {
+				break
+			}
+		}
+		return i
+	}
+	var gens [NumPages]uint64
+	var page [PageSize]byte
+	for trial := 0; trial < 4000; trial++ {
+		if trial%500 == 0 {
+			fill()
+		}
+		var dst uint32
+		switch rng.Intn(4) {
+		case 0:
+			dst = 0xFFE00 + uint32(rng.Intn(0x200))
+		case 1:
+			dst = uint32(rng.Intn(0x300))
+		default:
+			dst = 0xFF00 + uint32(rng.Intn(0x600))
+		}
+		var src uint32
+		switch dist := uint32(rng.Intn(300) + 1); rng.Intn(3) {
+		case 0:
+			src = (dst - dist) & AddrMask
+		case 1:
+			src = (dst + dist) & AddrMask
+		default:
+			src = uint32(rng.Intn(AddrSpace))
+		}
+		n := uint32(rng.Intn(600))
+		if rng.Intn(10) == 0 {
+			n = 0
+		}
+
+		gens = *a.gens
+		stamp := a.stamp
+		p := dst >> PageShift
+		copy(page[:], a.data[p<<PageShift:])
+		got := a.CopyForward(dst, src, n)
+		if want := clamp(dst, src, n); got != want {
+			t.Fatalf("CopyForward(%#x, %#x, %d) = %d, want %d", dst, src, n, got, want)
+		}
+		for i := uint32(0); i < got; i++ {
+			b.StoreByte(dst+i, b.LoadByte(src+i))
+		}
+		if !bytes.Equal(a.data, b.data) {
+			t.Fatalf("CopyForward(%#x, %#x, %d): memory differs from byte stores", dst, src, n)
+		}
+		changed := !bytes.Equal(page[:], a.data[p<<PageShift:(p+1)<<PageShift])
+		for q := range gens {
+			if moved := a.gens[q] != gens[q]; moved != (changed && uint32(q) == p) {
+				t.Fatalf("CopyForward(%#x, %#x, %d): page %#x generation moved = %v, dst page changed = %v",
+					dst, src, n, q, moved, changed)
+			}
+		}
+		if moved := a.stamp != stamp; moved != changed {
+			t.Fatalf("CopyForward(%#x, %#x, %d): stamp moved = %v, bytes changed = %v", dst, src, n, moved, changed)
+		}
+	}
+	if a.ROMWriteCount != 0 || b.ROMWriteCount != 0 {
+		t.Fatalf("ROMWriteCount = %d (method), %d (byte stores), want 0", a.ROMWriteCount, b.ROMWriteCount)
+	}
+	for _, r := range roms {
+		for x := r.Start; x < r.End(); x++ {
+			if a.data[x] != 0xEE {
+				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, a.data[x])
+			}
+		}
 	}
 }
 
