@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssos/internal/asm"
+	"ssos/internal/cluster"
 	"ssos/internal/core"
 	"ssos/internal/expt"
 	"ssos/internal/fault"
@@ -249,6 +250,22 @@ func BenchmarkRefreshCopy(b *testing.B) {
 	b.StopTimer()
 	if c.R[isa.CX] != 0 || c.Halted || m.Stats.BlockBails != 0 {
 		b.Fatalf("copy did not finish cleanly: cx=%d halted=%v bails=%d", c.R[isa.CX], c.Halted, m.Stats.BlockBails)
+	}
+}
+
+// BenchmarkClusterEpoch measures one voting epoch of a 5-replica
+// reinstall cluster with no strikes, after 400 warm-up epochs: the
+// fleet whose replicas live longest, so the one in which a voter that
+// kept or rescanned heartbeat history would cost more per epoch the
+// longer it ran.
+func BenchmarkClusterEpoch(b *testing.B) {
+	c := cluster.MustNew(cluster.Config{Replicas: 5, Approach: core.ApproachReinstall, Seed: 1})
+	c.Run(400)
+	b.ResetTimer()
+	c.Run(b.N)
+	b.StopTimer()
+	if st := c.Stats[len(c.Stats)-1]; st.Agree != 5 || !st.Legal {
+		b.Fatalf("epoch %d: agree %d legal %v", st.Epoch, st.Agree, st.Legal)
 	}
 }
 

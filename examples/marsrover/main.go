@@ -50,27 +50,15 @@ func main() {
 		sys.Run(missionSteps)
 		detach()
 
-		w := sys.Heartbeat.Writes()
-		var up uint64
-		spec := sys.Spec()
-		for i := 1; i < len(w); i++ {
-			gap := w[i].Step - w[i-1].Step
-			if w[i].Value == w[i-1].Value+1 && gap <= spec.MaxGap {
-				up += gap
-			}
-		}
-		var lastAlive uint64
-		if len(w) > 0 {
-			lastAlive = w[len(w)-1].Step
-		}
+		last, _ := sys.Heartbeat.Last()
 		results = append(results, result{
 			approach:  a,
 			beats:     sys.Heartbeat.Total(),
 			faults:    len(inj.Log),
-			avail:     float64(up) / float64(missionSteps),
+			avail:     sys.Spec().Availability(sys.Heartbeat.Writes(), missionSteps),
 			nmis:      sys.M.Stats.NMIs,
 			exc:       sys.M.Stats.Exceptions,
-			lastAlive: lastAlive,
+			lastAlive: last.Step,
 		})
 	}
 

@@ -90,6 +90,11 @@ type Config struct {
 	TraceN int
 }
 
+// replicaConsoleCap bounds every replica console's history. The voter
+// judges and digests each beat as it is written, so nothing in the
+// cluster reads a console back.
+const replicaConsoleCap = 1
+
 // replica is one fleet member: a system, its private injector, and
 // epoch bookkeeping.
 type replica struct {
@@ -98,6 +103,12 @@ type replica struct {
 	sys         *core.System
 	inj         *fault.Injector
 	epochStart  uint64 // Steps() at the start of the current epoch
+	// beats judges the heartbeat stream since boot; legal and digest
+	// accumulate the current epoch's verdict and output beat by beat
+	// (see onBeat).
+	beats  obs.BeatStream
+	legal  bool
+	digest digest
 	// col buffers the replica's own event stream (nil when the cluster
 	// is uninstrumented); rec is the optional flight recorder.
 	col *obs.Collector
@@ -161,7 +172,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		sysCfg: core.Config{Approach: cfg.Approach},
+		sysCfg: core.Config{Approach: cfg.Approach, ConsoleCap: replicaConsoleCap},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	// Probe the configuration once before building the fleet, so a
@@ -216,6 +227,16 @@ func (c *Cluster) boot(r *replica, donor *replica) {
 	r.sys = sys
 	if r.col != nil {
 		sys.Instrument(r.col)
+	}
+	// The voter sees each beat as it is written, ahead of the hook
+	// Instrument installed.
+	r.beats = obs.BeatStream{Rule: obs.BeatRule(sys.Spec())}
+	observe := sys.Heartbeat.OnWrite
+	sys.Heartbeat.OnWrite = func(step uint64, v uint16) {
+		r.onBeat(step, v)
+		if observe != nil {
+			observe(step, v)
+		}
 	}
 	if c.cfg.TraceN > 0 {
 		r.rec = trace.NewRecorder(sys.M, c.cfg.TraceN)
@@ -283,6 +304,7 @@ func (c *Cluster) runEpoch() {
 // given strikes at their offsets, and returns the epoch output.
 func (r *replica) runEpoch(steps int, strikes []Strike) epochOutput {
 	r.epochStart = r.sys.Steps()
+	r.legal, r.digest = true, newDigest()
 	done := 0
 	for _, s := range strikes {
 		off := s.Offset

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssos/internal/core"
+	"ssos/internal/dev"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -143,6 +144,47 @@ func TestBaselineFleetStabilizes(t *testing.T) {
 	}
 	if s.Evictions == 0 {
 		t.Error("expected evictions from the strike schedule")
+	}
+}
+
+// A beat written on an epoch's last step is stamped with the next
+// epoch's start (the step counter advances before the instruction
+// runs), so it belongs to the epoch that wrote it. Replicas 1 and 3 of
+// this fleet are struck in epoch 29 and rejoined from replica 0; the
+// rejoined consoles lack the boundary beat the survivors hold, so a
+// voter that also counted it in epoch 30 saw them as divergent and
+// evicted them again.
+func TestRejoinedReplicasAgreeNextEpoch(t *testing.T) {
+	c := MustNew(Config{Replicas: 5, Approach: core.ApproachBaseline, Seed: 1, Faults: ModeOSBlast})
+	c.Run(31)
+	if ev := c.Stats[29].Evicted; len(ev) != 2 || ev[0] != 1 || ev[1] != 3 {
+		t.Fatalf("epoch 29 evicted %v, want [1 3]", ev)
+	}
+	if st := c.Stats[30]; st.Agree != 5 || len(st.Evicted) != 0 {
+		t.Errorf("epoch 30 after rejoin: agree %d, evicted %v; want 5 and none", st.Agree, st.Evicted)
+	}
+}
+
+// Replicas keep no heartbeat history: the voter judges and digests
+// each beat as it is written, so through hundreds of epochs, evictions
+// and rejoins included, every replica console holds at most the cap.
+func TestReplicaConsolesBounded(t *testing.T) {
+	c := MustNew(Config{Replicas: 3, Approach: core.ApproachMonitor, Seed: 2, Faults: ModeOSBlast})
+	var most uint64
+	for range 600 {
+		c.Run(1)
+		for _, r := range c.replicas {
+			most = max(most, r.sys.Heartbeat.Total())
+			for _, con := range []*dev.Console{r.sys.Heartbeat, r.sys.Repairs} {
+				if n := len(con.Writes()); n > replicaConsoleCap {
+					t.Fatalf("epoch %d: replica %d console retains %d of %d writes, cap %d",
+						c.Epoch(), r.id, n, con.Total(), replicaConsoleCap)
+				}
+			}
+		}
+	}
+	if len(c.Events) == 0 || most <= replicaConsoleCap {
+		t.Errorf("%d reconfigurations, at most %d beats per console: the cap went untested", len(c.Events), most)
 	}
 }
 

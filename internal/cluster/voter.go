@@ -19,38 +19,32 @@ import (
 type epochOutput struct {
 	digest uint64
 	legal  bool
-	beats  int
 }
 
-// output computes the replica's epoch output at the current step.
+// onBeat judges one heartbeat as the guest writes it and folds it into
+// the epoch digest, so no history is kept. The epoch's beats are those
+// stamped in (epochStart, epochStart+EpochSteps]: the step counter
+// advances before an instruction runs, so a beat written on an epoch's
+// last step carries the next epoch's start, yet arrives in its own.
+func (r *replica) onBeat(step uint64, v uint16) {
+	if !r.beats.Next(step, v) {
+		r.legal = false
+	}
+	r.digest.u64(step - r.epochStart)
+	r.digest.u16(v)
+}
+
+// output completes the replica's epoch output at the current step: the
+// beats judged and folded so far, a silence check at the epoch's end,
+// and the machine's soft state.
 func (r *replica) output() epochOutput {
-	now := r.sys.Steps()
-	w := r.sys.Heartbeat.Writes()
+	legal := r.legal && !r.beats.Silent(r.sys.Steps())
 
-	// The epoch's slice of the stream.
-	first := len(w)
-	for first > 0 && w[first-1].Step >= r.epochStart {
-		first--
-	}
-
-	// Legality verdict: no specification violation observed inside
-	// this epoch (violations are stamped with the offending step).
-	legal := true
-	for _, v := range r.sys.Spec().Violations(w, now) {
-		if v.Step >= r.epochStart {
-			legal = false
-			break
-		}
-	}
-
-	// Digest: epoch console output (step offsets and values), CPU soft
-	// state, the OS-state RAM (image plus stack), and the watchdog
-	// countdown — the full set that determines future behaviour.
-	d := newDigest()
-	for _, pw := range w[first:] {
-		d.u64(pw.Step - r.epochStart)
-		d.u16(pw.Value)
-	}
+	// Digest: epoch console output (step offsets and values, folded as
+	// written), CPU soft state, the OS-state RAM (image plus stack),
+	// and the watchdog countdown — the full set that determines future
+	// behaviour.
+	d := r.digest
 	cpu := &r.sys.M.CPU
 	for _, v := range cpu.R {
 		d.u16(v)
@@ -71,7 +65,7 @@ func (r *replica) output() epochOutput {
 	d.region(r.sys.M.Bus, uint32(guest.OSSeg)<<4, guest.ImageSize)
 	d.region(r.sys.M.Bus, uint32(guest.StackSeg)<<4, 0x1000)
 
-	return epochOutput{digest: d.sum(), legal: legal, beats: len(w) - first}
+	return epochOutput{digest: d.sum(), legal: legal}
 }
 
 // vote is the tallied comparison of one epoch's replica outputs.

@@ -41,11 +41,8 @@ func (s *System) Instrument(sink obs.Probe) {
 	p := &sysProbe{sys: s, sink: sink}
 	s.M.Probe = p
 	if s.Heartbeat != nil {
-		spec := s.Spec()
 		p.legal = &obs.LegalityTracker{
-			Start:        spec.Start,
-			MaxGap:       spec.MaxGap,
-			AllowRestart: spec.AllowRestart,
+			BeatStream: obs.BeatStream{Rule: obs.BeatRule(s.Spec())},
 			// Legality confirmations route through the sysProbe rather
 			// than the sink directly, so they are stamped with the fault
 			// id of the episode they close — and close it.

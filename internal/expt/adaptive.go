@@ -57,7 +57,7 @@ func E12AdaptiveWatchdog(o Options) *Table {
 		// Fault-free availability.
 		s := core.MustNew(core.Config{Approach: approach})
 		s.Run(horizon)
-		avail := availability(s.Heartbeat.Writes(), specFor(s), s.Steps())
+		avail := s.Spec().Availability(s.Heartbeat.Writes(), s.Steps())
 
 		// Crash fault: a latched halt is pure silence; both designs
 		// must catch it.

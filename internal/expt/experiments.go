@@ -196,7 +196,7 @@ func E3FaultRateComparison(o Options) (*Table, *Series) {
 			detach := inj.Rate(rate)
 			s.Run(horizon)
 			detach()
-			av := availability(s.Heartbeat.Writes(), specFor(s), s.Steps())
+			av := s.Spec().Availability(s.Heartbeat.Writes(), s.Steps())
 			row = append(row, fmt.Sprintf("%.3f", av))
 			lines[ai].X = append(lines[ai].X, rate)
 			lines[ai].Y = append(lines[ai].Y, av)
@@ -325,7 +325,7 @@ func E5PeriodSweep(o Options) (*Table, *Series) {
 
 		s := core.MustNew(cfg)
 		s.Run(horizon)
-		av0 := availability(s.Heartbeat.Writes(), specFor(s), s.Steps())
+		av0 := s.Spec().Availability(s.Heartbeat.Writes(), s.Steps())
 
 		// The faulted column targets the OS image itself: each strike
 		// randomizes one image byte, so every fault matters and the
@@ -339,7 +339,7 @@ func E5PeriodSweep(o Options) (*Table, *Series) {
 			detach := inj.RateIn(osRegion(0, guest.ImageSize), osFaultRate)
 			s2.Run(horizon)
 			detach()
-			av1 += availability(s2.Heartbeat.Writes(), specFor(s2), s2.Steps())
+			av1 += s2.Spec().Availability(s2.Heartbeat.Writes(), s2.Steps())
 		}
 		av1 /= float64(seeds)
 
@@ -355,7 +355,7 @@ func E5PeriodSweep(o Options) (*Table, *Series) {
 			detach := inj.RateHalt(haltRate)
 			s3.Run(horizon)
 			detach()
-			av2 += availability(s3.Heartbeat.Writes(), specFor(s3), s3.Steps())
+			av2 += s3.Spec().Availability(s3.Heartbeat.Writes(), s3.Steps())
 		}
 		av2 /= float64(seeds)
 

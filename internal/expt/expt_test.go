@@ -93,12 +93,12 @@ func TestAvailabilityMetric(t *testing.T) {
 		{Step: 500, Value: 1}, // restart after downtime
 		{Step: 550, Value: 2},
 	}
-	av := availability(w, spec, 1000)
+	av := spec.Availability(w, 1000)
 	// Legal up-gaps: 50+50 (first run) + 50 (after restart) = 150.
 	if av != 0.15 {
 		t.Fatalf("availability = %v", av)
 	}
-	if availability(nil, spec, 0) != 0 {
+	if spec.Availability(nil, 0) != 0 {
 		t.Fatal("zero-run availability")
 	}
 }

@@ -2,28 +2,8 @@ package expt
 
 import (
 	"ssos/internal/core"
-	"ssos/internal/dev"
 	"ssos/internal/fault"
-	"ssos/internal/trace"
 )
-
-// availability returns the fraction of the run during which the system
-// was demonstrably in legal operation: the sum of gaps covered by
-// strict successor heartbeats (restart beats and violations contribute
-// downtime).
-func availability(w []dev.PortWrite, spec trace.HeartbeatSpec, total uint64) float64 {
-	if total == 0 {
-		return 0
-	}
-	var up uint64
-	for i := 1; i < len(w); i++ {
-		gap := w[i].Step - w[i-1].Step
-		if w[i].Value == w[i-1].Value+1 && gap <= spec.MaxGap {
-			up += gap
-		}
-	}
-	return float64(up) / float64(total)
-}
 
 // recoveryResult is one fault-injection trial outcome.
 type recoveryResult struct {
@@ -86,6 +66,3 @@ func procRecovered(s *core.System, faultStep uint64, confirm int) (uint64, bool)
 	}
 	return worst, true
 }
-
-// specFor keeps a local alias to avoid verbose call sites.
-func specFor(s *core.System) trace.HeartbeatSpec { return s.Spec() }

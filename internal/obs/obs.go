@@ -9,7 +9,9 @@
 // typed event on a Probe, and a metrics registry condenses the stream
 // into the headline numbers — steps-to-legal after each injected
 // fault, reinstall count, repair-vs-reinstall ratio, per-replica
-// availability.
+// availability. It also states heartbeat legality, once: BeatRule is
+// the succession rule that LegalityTracker and the cluster voter apply
+// as beats arrive and trace.HeartbeatSpec's batch judges replay.
 //
 // Design constraints, in order:
 //

@@ -125,7 +125,7 @@ func TestHistSummary(t *testing.T) {
 
 func TestLegalityTrackerRegain(t *testing.T) {
 	sink := NewCollector()
-	tr := &LegalityTracker{Start: 1, MaxGap: 100, PredicateTracker: PredicateTracker{Confirm: 3, Sink: sink}}
+	tr := &LegalityTracker{BeatStream: BeatStream{Rule: BeatRule{Start: 1, MaxGap: 100}}, PredicateTracker: PredicateTracker{Confirm: 3, Sink: sink}}
 	tr.OnBeat(10, 1)
 	tr.OnBeat(20, 2)
 	tr.OnFault(25)
@@ -149,7 +149,7 @@ func TestLegalityTrackerRegain(t *testing.T) {
 
 func TestLegalityTrackerUndisturbedFault(t *testing.T) {
 	sink := NewCollector()
-	tr := &LegalityTracker{Start: 1, MaxGap: 100, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
+	tr := &LegalityTracker{BeatStream: BeatStream{Rule: BeatRule{Start: 1, MaxGap: 100}}, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
 	tr.OnBeat(10, 1)
 	tr.OnFault(15) // fault that does not disturb the stream
 	tr.OnBeat(20, 2)
@@ -163,7 +163,7 @@ func TestLegalityTrackerUndisturbedFault(t *testing.T) {
 func TestLegalityTrackerRestartRules(t *testing.T) {
 	// Strict spec: a restart to Start is NOT legal.
 	sink := NewCollector()
-	strict := &LegalityTracker{Start: 1, MaxGap: 100, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
+	strict := &LegalityTracker{BeatStream: BeatStream{Rule: BeatRule{Start: 1, MaxGap: 100}}, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
 	strict.OnFault(5)
 	strict.OnBeat(10, 5)
 	strict.OnBeat(20, 1) // restart — illegal under strict
@@ -177,7 +177,7 @@ func TestLegalityTrackerRestartRules(t *testing.T) {
 	// back to the first post-fault beat (matching LegalSuffixStart,
 	// which judges transitions, not absolute values).
 	sink2 := NewCollector()
-	weak := &LegalityTracker{Start: 1, MaxGap: 100, AllowRestart: true, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink2}}
+	weak := &LegalityTracker{BeatStream: BeatStream{Rule: BeatRule{Start: 1, MaxGap: 100, AllowRestart: true}}, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink2}}
 	weak.OnFault(5)
 	weak.OnBeat(10, 5)
 	weak.OnBeat(20, 1)
@@ -188,7 +188,7 @@ func TestLegalityTrackerRestartRules(t *testing.T) {
 
 func TestLegalityTrackerGapViolation(t *testing.T) {
 	sink := NewCollector()
-	tr := &LegalityTracker{Start: 1, MaxGap: 50, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
+	tr := &LegalityTracker{BeatStream: BeatStream{Rule: BeatRule{Start: 1, MaxGap: 50}}, PredicateTracker: PredicateTracker{Confirm: 2, Sink: sink}}
 	tr.OnFault(5)
 	tr.OnBeat(10, 1)
 	tr.OnBeat(100, 2) // gap 90 > 50: illegal despite succession

@@ -18,6 +18,7 @@ import (
 
 	"ssos/internal/cluster"
 	"ssos/internal/core"
+	"ssos/internal/dev"
 	"ssos/internal/fault"
 	"ssos/internal/obs"
 )
@@ -780,5 +781,37 @@ func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
 	}
 	if st.Machine == nil || st.Machine.Steps == 0 {
 		t.Errorf("status after the run stopped: %+v, want a machine session with steps run", st)
+	}
+}
+
+// TestSessionConsolesBounded pins the console cap of machine sessions:
+// a served system runs for tens of millions of steps, and each of its
+// consoles still holds at most sessionConsoleCap writes while its
+// write count, which status reports, keeps counting every write.
+func TestSessionConsolesBounded(t *testing.T) {
+	reg := NewRegistry(Options{Workers: 1})
+	t.Cleanup(func() { reg.Shutdown(context.Background()) }) //nolint:errcheck
+	for _, image := range []string{"reinstall", "monitor", "scheduler"} {
+		s, err := reg.Create(SessionSpec{Image: image, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), RunRequest{Steps: 20_000_000}); err != nil {
+			t.Fatal(err)
+		}
+		consoles := append([]*dev.Console{s.sys.Heartbeat, s.sys.Repairs}, s.sys.ProcBeats...)
+		var total uint64
+		for i, c := range consoles {
+			if c == nil {
+				continue
+			}
+			total += c.Total()
+			if n := len(c.Writes()); n > sessionConsoleCap {
+				t.Errorf("%s: console %d retains %d writes, cap %d", image, i, n, sessionConsoleCap)
+			}
+		}
+		if total <= sessionConsoleCap {
+			t.Errorf("%s: consoles saw %d writes in 20M steps; the cap went untested", image, total)
+		}
 	}
 }

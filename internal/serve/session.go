@@ -77,6 +77,11 @@ type Session struct {
 // worker after the client has gone or the session has closed.
 const runChunk = 1 << 20
 
+// sessionConsoleCap bounds every console of a machine session: legality
+// is judged online (Instrument's tracker) and status reads only the
+// write count, so nothing reads a console's history.
+const sessionConsoleCap = 1
+
 // command is one queued mutation and its completion signal.
 type command struct {
 	fn     func() (interface{}, error)
@@ -117,6 +122,7 @@ func newSession(id string, sp SessionSpec, ringSize int) (*Session, error) {
 			cfg.WatchdogPeriod = sp.Period
 		}
 		cfg.DisableNMICounter = sp.StockNMI
+		cfg.ConsoleCap = sessionConsoleCap
 		sys, err := core.New(cfg)
 		if err != nil {
 			return nil, err

@@ -15,12 +15,18 @@
 //     one, with bounded gaps between beats;
 //   - weak legality: additionally, the stream may restart from the
 //     initial value at any time (the paper's Theorem 3.4 system).
+//
+// The rule itself is obs.BeatRule, which the online detectors apply as
+// beats arrive; HeartbeatSpec is that rule, and its judges here
+// (Violations, LegalSuffixStart, RecoveredAfter, Availability) replay
+// it over a recorded stream.
 package trace
 
 import (
 	"fmt"
 
 	"ssos/internal/dev"
+	"ssos/internal/obs"
 )
 
 // Violation is one departure from the specification.
@@ -34,49 +40,36 @@ func (v Violation) String() string {
 }
 
 // HeartbeatSpec is the legal-execution specification for the guest
-// heartbeat stream.
-type HeartbeatSpec struct {
-	// Start is the first value a freshly started guest emits.
-	Start uint16
-	// MaxGap is the largest allowed step distance between consecutive
-	// heartbeats (and from the last heartbeat to "now"). It encodes
-	// "the OS is actually running", not just "it was running once".
-	MaxGap uint64
-	// AllowRestart accepts a reset to Start at any point (weak
-	// legality, the paper's reinstall-and-restart designs).
-	AllowRestart bool
-}
+// heartbeat stream: the succession rule obs.BeatRule, judged here over
+// a recorded stream.
+type HeartbeatSpec obs.BeatRule
 
 // Violations returns every specification violation in the write
 // stream, including a liveness violation if the stream has gone silent
-// before now.
+// before now. A beat that both comes late and breaks succession is two
+// violations.
 func (s HeartbeatSpec) Violations(writes []dev.PortWrite, now uint64) []Violation {
 	var out []Violation
+	rule := obs.BeatRule(s)
 	for i := 1; i < len(writes); i++ {
 		prev, cur := writes[i-1], writes[i]
-		// A restart beat is legal regardless of the preceding gap: the
-		// silent reinstall period belongs to the weak legal execution
-		// (a new legal prefix begins with it).
-		if s.AllowRestart && cur.Value == s.Start {
-			continue
-		}
-		if cur.Step-prev.Step > s.MaxGap {
+		gap, broken := rule.Judge(prev.Step, prev.Value, cur.Step, cur.Value)
+		if gap {
 			out = append(out, Violation{cur.Step, fmt.Sprintf(
 				"heartbeat gap %d exceeds %d", cur.Step-prev.Step, s.MaxGap)})
 		}
-		if cur.Value == prev.Value+1 {
-			continue
+		if broken {
+			out = append(out, Violation{cur.Step, fmt.Sprintf(
+				"heartbeat %#x does not follow %#x", cur.Value, prev.Value)})
 		}
-		out = append(out, Violation{cur.Step, fmt.Sprintf(
-			"heartbeat %#x does not follow %#x", cur.Value, prev.Value)})
 	}
 	if len(writes) == 0 {
-		if now > s.MaxGap {
+		if rule.Silent(0, now) {
 			out = append(out, Violation{now, "no heartbeat ever observed"})
 		}
 		return out
 	}
-	if last := writes[len(writes)-1]; now-last.Step > s.MaxGap {
+	if last := writes[len(writes)-1]; rule.Silent(last.Step, now) {
 		out = append(out, Violation{now, fmt.Sprintf(
 			"silent for %d steps (max %d)", now-last.Step, s.MaxGap)})
 	}
@@ -92,12 +85,11 @@ func (s HeartbeatSpec) Violations(writes []dev.PortWrite, now uint64) []Violatio
 // the final write is itself a violation. Liveness against "now" is not
 // considered; combine with Violations for that.
 func (s HeartbeatSpec) LegalSuffixStart(writes []dev.PortWrite) int {
+	rule := obs.BeatRule(s)
 	start := 0
 	for i := 1; i < len(writes); i++ {
 		prev, cur := writes[i-1], writes[i]
-		legal := (cur.Value == prev.Value+1 && cur.Step-prev.Step <= s.MaxGap) ||
-			(s.AllowRestart && cur.Value == s.Start)
-		if !legal {
+		if gap, broken := rule.Judge(prev.Step, prev.Value, cur.Step, cur.Value); gap || broken {
 			start = i + 1
 		}
 	}
@@ -122,6 +114,26 @@ func (s HeartbeatSpec) RecoveredAfter(writes []dev.PortWrite, faultStep uint64, 
 		return 0, false
 	}
 	return writes[idx].Step, true
+}
+
+// Availability returns the fraction of total steps during which the
+// stream shows the system in strictly legal operation: the sum of the
+// gaps closed by successor beats. Restart beats and violations count as
+// downtime, even where the spec allows restarts.
+func (s HeartbeatSpec) Availability(writes []dev.PortWrite, total uint64) float64 {
+	if total == 0 {
+		return 0
+	}
+	strict := obs.BeatRule(s)
+	strict.AllowRestart = false
+	var up uint64
+	for i := 1; i < len(writes); i++ {
+		prev, cur := writes[i-1], writes[i]
+		if gap, broken := strict.Judge(prev.Step, prev.Value, cur.Step, cur.Value); !gap && !broken {
+			up += cur.Step - prev.Step
+		}
+	}
+	return float64(up) / float64(total)
 }
 
 // Sustained is the convergence detector for legality that is a sampled
