@@ -8,6 +8,7 @@ import (
 	"ssos/internal/asm"
 	"ssos/internal/cluster"
 	"ssos/internal/core"
+	"ssos/internal/dev"
 	"ssos/internal/expt"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
@@ -250,6 +251,78 @@ func BenchmarkRefreshCopy(b *testing.B) {
 	b.StopTimer()
 	if c.R[isa.CX] != 0 || c.Halted || m.Stats.BlockBails != 0 {
 		b.Fatalf("copy did not finish cleanly: cx=%d halted=%v bails=%d", c.R[isa.CX], c.Halted, m.Stats.BlockBails)
+	}
+}
+
+// deadTimeMachine builds a bare machine for the dead-time benchmarks:
+// guest code at 0100:0000 over otherwise zeroed RAM, an NMI handler in
+// ROM at F000:0000 under the paper's NMI counter (loaded with
+// counterMax on delivery), the stack at 5000:1000, and a watchdog that
+// raises NMI every 10,000 ticks, the churn workload's period. It runs
+// 100,000 steps before it is returned.
+func deadTimeMachine(b *testing.B, guestSrc, handlerSrc string, counterMax uint16) *machine.Machine {
+	bus := mem.NewBus()
+	if _, err := bus.AddROM("nmi", 0xF0000, asm.MustAssemble(handlerSrc).Code); err != nil {
+		b.Fatal(err)
+	}
+	for i, v := range asm.MustAssemble(guestSrc).Code {
+		bus.PokeRAM(0x1000+uint32(i), v)
+	}
+	m := machine.New(bus, machine.Options{
+		ResetVector:        machine.SegOff{Seg: 0x0100},
+		NMICounter:         true,
+		NMICounterMax:      counterMax,
+		HardwiredNMIVector: true,
+		NMIVector:          machine.SegOff{Seg: 0xF000},
+	})
+	m.CPU.S[isa.SS], m.CPU.R[isa.SP] = 0x5000, 0x1000
+	m.AddTicker(dev.NewWatchdog(10_000, dev.TargetNMI))
+	m.Run(100_000)
+	return m
+}
+
+// runDeadTime runs m for b.N steps in Run calls of 10,000 steps, so
+// ns/op reads ns/step.
+func runDeadTime(b *testing.B, m *machine.Machine) {
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= 10_000 {
+		m.Run(min(left, 10_000))
+	}
+	b.StopTimer()
+}
+
+// BenchmarkNopSled measures a nop sled: ip slides over zeroed RAM
+// (opcode 0x00 is nop), as after a cpu-blast or pc fault, and every
+// watchdog NMI returns into it. The sled runs through the whole 64 KiB
+// segment and wraps at ip 0xFFFF.
+func BenchmarkNopSled(b *testing.B) {
+	m := deadTimeMachine(b, "nop", "iret", 0)
+	runDeadTime(b, m)
+	if s := m.Stats; s.Instrs+s.NMIs != s.Steps {
+		b.Fatalf("the sled did more than slide: %v", s)
+	}
+}
+
+// BenchmarkHaltWait measures a halted wait: hlt; jmp 0, so the
+// processor idles from each watchdog NMI's iret to the next NMI.
+func BenchmarkHaltWait(b *testing.B) {
+	m := deadTimeMachine(b, "hlt\njmp 0", "iret", 0)
+	runDeadTime(b, m)
+	if s := m.Stats; s.HaltTicks*10 < s.Steps*9 {
+		b.Fatalf("the processor was halted for %d of %d ticks", s.HaltTicks, s.Steps)
+	}
+}
+
+// BenchmarkMaskedNMI measures code running under a latched NMI that the
+// NMI counter holds off. The handler rejoins the guest's loop without
+// an iret, so the counter (65,535 on delivery) holds each watchdog NMI
+// off for 65,535 ticks: about five of every six ticks run with one
+// latched.
+func BenchmarkMaskedNMI(b *testing.B) {
+	m := deadTimeMachine(b, "inc ax\nadd bx, ax\njmp 0", "jmp 0x0100:0x0000", 0xFFFF)
+	runDeadTime(b, m)
+	if m.Stats.NMIs == 0 {
+		b.Fatal("no NMI was ever delivered")
 	}
 }
 

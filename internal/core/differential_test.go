@@ -261,8 +261,14 @@ var runBatchConfigs = []struct {
 // interpreter ticks every device on every step; the block engine skips
 // quiet ticks in batches, so batch sizes often land just before, on or
 // just past a device fire, and faults corrupt device counters, out-of-
-// range values included. The Step-driven suite above covers Step's
-// block-engine slot; this one covers what Step cannot reach.
+// range values included. One fault randomizes the whole CPU, the NMI
+// counter and the halt latch included, as a cpu-blast does. From the
+// clean boot state its ip mostly lands in zeroed RAM, and the next
+// batch runs a whole watchdog period, as churn runs on after a fault:
+// the lane retires nop sleds, halted waits and instructions under an
+// NMI the counter holds off for as long as they last. Now and then any
+// batch runs a whole period too. The Step-driven suite above covers
+// Step's block-engine slot; this one covers what Step cannot reach.
 func TestSuperblockDifferentialRunBatches(t *testing.T) {
 	batches, trials := 600, 4
 	if testing.Short() {
@@ -292,9 +298,14 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 			}
 
 			cdF, cdS := countdowns(p.fast), countdowns(p.slow)
+			period := DefaultWatchdogPeriod
+			if w := p.fast.Watchdog; w != nil {
+				period = int(w.Period)
+			}
 			for b := 0; b < batches; b++ {
+				blasted := false
 				if rng.Intn(5) == 0 {
-					faults := 7
+					faults := 8
 					if len(cdF) > 0 {
 						faults++
 					}
@@ -323,7 +334,23 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 					case 6:
 						v := rng.Intn(2) == 0
 						p.each(func(s *System) { s.M.CPU.Halted = v })
-					case 7: // corrupt a device counter, often out of range
+					case 7: // cpu-blast: every register and latch at random
+						cpu := p.fast.M.CPU
+						for i := range cpu.R {
+							cpu.R[i] = uint16(rng.Intn(1 << 16))
+						}
+						for i := range cpu.S {
+							cpu.S[i] = uint16(rng.Intn(1 << 16))
+						}
+						cpu.IP = uint16(rng.Intn(1 << 16))
+						cpu.Flags = isa.Flags(rng.Intn(1 << 16))
+						cpu.IDTR = uint32(rng.Intn(mem.AddrSpace))
+						cpu.NMICounter = uint16(rng.Intn(1 << 16))
+						cpu.InNMI = rng.Intn(2) == 0
+						cpu.Halted = rng.Intn(2) == 0
+						p.fast.M.CPU, p.slow.M.CPU = cpu, cpu
+						blasted = trial%2 == 0
+					case 8: // corrupt a device counter, often out of range
 						d := rng.Intn(len(cdF))
 						v := uint32(rng.Intn(int(2*cdF[d].period) + 2))
 						*cdF[d].counter, *cdS[d].counter = v, v
@@ -334,6 +361,8 @@ func TestSuperblockDifferentialRunBatches(t *testing.T) {
 					// Straddle the next fire: stop one short of it, on
 					// it, or one or two steps past it.
 					n = max(f+rng.Intn(4)-1, 1)
+				} else if blasted || rng.Intn(150) == 0 {
+					n = period
 				}
 				p.each(func(s *System) { s.M.Run(n) })
 				// Cheap per-batch agreement; full compare at trial end.

@@ -173,6 +173,16 @@ func FuzzDecodeCacheDifferential(f *testing.F) {
 // §5.2 layout, with batches that end inside the padding and ip moved
 // into it, so the lane's bulk nop runs are on the fuzzer's path from
 // the first input.
+//
+// Both machines carry a countdown ticker that raises NMI, registered
+// disarmed: its first fire lies beyond any input's steps. Op bytes from
+// 0xF0 up arm it with a fuzz-chosen period (0xF0–0xF7) or load the NMI
+// counter (0xF8–0xFF); every other op byte is read % 7 as before, so
+// the seeds above keep their meaning. With the watchdog armed, batches
+// reach the quiet-tick budget, and the lane's dead-time paths are on
+// the fuzzer's path too: one seed each for a nop sled cut by watchdog
+// NMIs, a halted wait the counter stretches past the fire, and code
+// under a held NMI whose own iret releases it.
 func FuzzSuperblockDifferential(f *testing.F) {
 	f.Add([]byte{1, 40, 1, 40})
 	f.Add([]byte{0, 0x10, 0x02, byte(isa.OpHlt), 1, 8, 0, 0x11, 0x02, byte(isa.OpStosb), 1, 8})
@@ -217,6 +227,23 @@ func FuzzSuperblockDifferential(f *testing.F) {
 		2, 0x00, 0x00, 1, 0x00, 1, 0x04, 1, 0x06, 1, 0x01, 1, 0x00, 1, 0xC3))
 	f.Add(append(append([]byte{}, pokes...),
 		2, 0x07, 0x00, 1, 0x02, 1, 0x10, 1, 0x0E, 1, 0x3F, 2, 0x19, 0x00, 1, 0x05, 1, 0xFF))
+	// Dead time. Arming takes period−1 as two bytes, lo first; the NMI
+	// goes through IDT entry 2, which points at 0000:0000, so each NMI
+	// itself slides over zeros until the soup at 0000:1000. A sled:
+	// watchdog every 1000 ticks, ip = 0x2000 (linear 0x3000, zeros up
+	// to the wrap at 0xFFFF), batches of 4096.
+	f.Add([]byte{0xF0, 0xE7, 0x03, 2, 0x00, 0x20, 1, 0xFF, 1, 0xFF, 1, 0xF0, 1, 0x10, 1, 0xFF})
+	// A halted wait: watchdog every 500 ticks, the counter at 0x300,
+	// halted, batches of 576, 6 and 4096.
+	f.Add([]byte{0xF0, 0xF3, 0x01, 0xF8, 0x00, 0x03, 6, 0x00, 1, 0xC8, 1, 0x05, 1, 0xFF})
+	// A held NMI: pushf; push cs; push word 0x10; iret at 0000:1000 and
+	// jmp 0 at 0000:1010, watchdog every 200 ticks, an NMI latched
+	// under a counter of 0x150, batches of 64, 256 and 4096.
+	held := []byte{}
+	for i, b := range asm.MustAssemble("pushf\npush cs\npush word 0x10\niret\ntimes 0x10-($-$$) db 0\njmp 0").Code {
+		held = append(held, 0, byte(i), 0, b)
+	}
+	f.Add(append(held, 0xF0, 0xC7, 0x00, 4, 0xF8, 0x50, 0x01, 1, 0x3F, 1, 0xC3, 1, 0xFF))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newEnginePair(t, Options{
@@ -225,6 +252,11 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			ExceptionPolicy: ExceptionVector,
 			ExceptionVector: SegOff{0xF000, 0},
 		})
+		var cd [2]*countdown
+		for i, m := range p {
+			cd[i] = &countdown{period: 1 << 31, counter: 1<<31 - 1}
+			m.AddTicker(cd[i])
+		}
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 1024; i++ {
 			a := 0x1000 + uint32(i)
@@ -246,6 +278,19 @@ func FuzzSuperblockDifferential(f *testing.F) {
 			if !ok {
 				break
 			}
+			if op >= 0xF0 {
+				lo, _ := pop()
+				hi, _ := pop()
+				v := uint16(hi)<<8 | uint16(lo)
+				if op < 0xF8 { // arm the watchdog: an NMI every v+1 ticks
+					for _, c := range cd {
+						c.period, c.counter = uint32(v)+1, uint32(v)
+					}
+				} else { // load the NMI counter
+					pairDo(p, func(m *Machine) { m.CPU.NMICounter = v })
+				}
+				continue
+			}
 			switch op % 7 {
 			case 0: // poke a byte near the code region (fault injection)
 				lo, _ := pop()
@@ -262,6 +307,9 @@ func FuzzSuperblockDifferential(f *testing.F) {
 				pairDo(p, func(m *Machine) { m.Run(k) })
 				steps += k
 				comparePairCPU(t, p, "fuzz batch")
+				if *cd[0] != *cd[1] {
+					t.Fatalf("fuzz batch: ticker diverged: superblock %+v, interp %+v", *cd[0], *cd[1])
+				}
 			case 2: // corrupt IP
 				lo, _ := pop()
 				hi, _ := pop()

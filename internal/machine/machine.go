@@ -125,7 +125,7 @@ type Stats struct {
 	HaltTicks  uint64 // ticks spent halted
 
 	Blocks      uint64 // superblocks entered (span validated, first entry run)
-	BlockInstrs uint64 // instructions retired through superblock entries
+	BlockInstrs uint64 // instructions the superblock engine retired: block entries and nop sleds
 	BlockBails  uint64 // superblocks abandoned before exhaustion (stale span, diverged pc, exception)
 }
 

@@ -26,13 +26,14 @@ import (
 //     skeleton — its instruction-execution slot calls sbExec. The turbo
 //     lane (sbTurbo) is the one specialization: it elides skeleton
 //     checks that are provably dead — no AfterStep hook, no ticker due
-//     (every tick in the batch is quiet, see Ticker), no pins latched,
-//     not halted — and re-establishes them at every block boundary, the
-//     only place the executors themselves can violate them (port I/O,
-//     hlt and int are serialize points, hence always block-final).
-//     Interrupts, resets and halts therefore preempt a block between
-//     any two entries, exactly as they preempt the interpreter between
-//     any two steps.
+//     (every tick in the batch is quiet, see Ticker), no deliverable
+//     pin (none latched, or only an NMI the counter or the stock latch
+//     holds off), not halted — and re-establishes them at every block
+//     boundary, the only place the executors themselves can violate
+//     them (port I/O, hlt, int and iret are serialize points, hence
+//     always block-final). Interrupts, resets and halts therefore
+//     preempt a block between any two entries, exactly as they preempt
+//     the interpreter between any two steps.
 //   - Per-entry validation: before an entry runs, the engine checks
 //     that the live cs:ip still addresses that entry. The check is
 //     (e.ip == c.IP && e.lin == linear(cs, ip)): since cs<<4 ≡ lin−ip
@@ -133,46 +134,59 @@ func (m *Machine) SetDecodeCache(on bool) {
 	}
 }
 
-// runBatched is Run's loop: whenever the step skeleton provably has no
-// work beyond executing instructions — no AfterStep hook, no latched
-// pins, not halted, and no ticker due — and a block is current, steps
-// retire through the turbo lane; every other step is a plain Step. The
-// lane's preconditions are live machine fields re-read every iteration,
-// so hooks installed mid-run by tickers or port devices take effect on
-// the very next step. Inside the lane, a run of slot-padding nops and
-// the ordinary iterations of a rep movsb copy retire in bulk, each
-// still one step on every counter.
+// runBatched is Run's loop. With the engine on and no AfterStep hook,
+// whenever the step skeleton provably has no work beyond the
+// processor's own — no deliverable pin and no ticker due — steps retire
+// in batches: through the turbo lane when a block is current, or as
+// idle ticks in one go when the processor is halted. Every other step
+// is a plain Step. The preconditions are live machine fields re-read
+// every iteration, so hooks installed mid-run by tickers or port
+// devices take effect on the very next step. Inside the lane, a run of
+// slot-padding nops, a nop sled over zero bytes and the ordinary
+// iterations of a rep movsb copy retire in bulk, each still one step on
+// every counter.
 //
 // Tickers cap a batch at their smallest Quiet(): up to that many ticks
 // only count down registers no instruction can read, so the batch runs
 // its instructions first and then Skips the retired count on every
 // ticker registered when it began. A ticker registered mid-batch (by a
 // block-final port executor) ends the batch at that block boundary and
-// receives no skipped ticks. The tick that does more than count down
+// receives no skipped ticks. A latched NMI the counter holds off caps
+// the batch too (heldBudget). The tick that does more than count down
 // runs through Step, which stays the per-tick reference skeleton.
+//
+// A halted batch of k ticks is k of Step's idle ticks: Steps and
+// HaltTicks grow by k and the NMI counter drops by k, saturating at
+// zero. No instruction runs, so nothing can latch a pin, register a
+// ticker or wake the processor inside it.
 //
 //ssos:hotpath
 func (m *Machine) runBatched(n int) {
 	for done := 0; done < n; done++ {
-		if m.AfterStep == nil && m.pins == 0 && !m.CPU.Halted {
-			if b := m.sbCur; b != nil {
-				k := n - done
-				for _, t := range m.tickers {
-					if q := int(t.Quiet()); q < k {
-						k = q
+		if m.AfterStep == nil && m.sblocks != nil && (m.sbCur != nil || m.CPU.Halted) {
+			k := m.heldBudget(n - done)
+			for _, t := range m.tickers {
+				if q := int(t.Quiet()); q < k {
+					k = q
+				}
+			}
+			if k > 0 {
+				nt, start := len(m.tickers), done
+				if m.CPU.Halted {
+					m.Stats.Steps += uint64(k)
+					m.Stats.HaltTicks += uint64(k)
+					m.countDownNMI(k)
+					done += k
+				} else {
+					done = m.sbTurbo(m.sbCur, done, done+k, nt)
+				}
+				if r := uint32(done - start); r != 0 {
+					for _, t := range m.tickers[:nt] {
+						t.Skip(r)
 					}
 				}
-				if k > 0 {
-					nt, start := len(m.tickers), done
-					done = m.sbTurbo(b, done, done+k, nt)
-					if r := uint32(done - start); r != 0 {
-						for _, t := range m.tickers[:nt] {
-							t.Skip(r)
-						}
-					}
-					if done >= n {
-						return
-					}
+				if done >= n {
+					return
 				}
 			}
 		}
@@ -180,33 +194,75 @@ func (m *Machine) runBatched(n int) {
 	}
 }
 
+// heldBudget caps a batch of k steps at the steps for which every
+// latched pin provably stays undelivered: k with no pin latched; 0 when
+// a latched pin is deliverable now, or is not a lone NMI; and with a
+// lone NMI that nmiDeliverable refuses, k under the stock latch (only
+// an iret clears InNMI, and iret is block-final) or at most NMICounter
+// under the counter hardware, whose countdown reaches zero on the last
+// of those steps, so the NMI lands on the next one, through Step.
+func (m *Machine) heldBudget(k int) int {
+	if m.pins == 0 {
+		return k
+	}
+	if m.pins != pinNMI || m.nmiDeliverable() {
+		return 0
+	}
+	if m.Opts.NMICounter {
+		return min(k, int(m.CPU.NMICounter))
+	}
+	return k
+}
+
+// countDownNMI applies r ticks' worth of the NMI counter's decrement,
+// saturating at zero, as r Steps that deliver no NMI would.
+func (m *Machine) countDownNMI(r int) {
+	if m.Opts.NMICounter {
+		m.CPU.NMICounter = uint16(max(int(m.CPU.NMICounter)-r, 0))
+	}
+}
+
+// retireBulk counts r lane steps that each retired one instruction
+// without a call to its executor: Steps, Instrs and BlockInstrs grow by
+// r and the NMI counter drops by r.
+func (m *Machine) retireBulk(r int) {
+	m.Stats.Steps += uint64(r)
+	m.Stats.Instrs += uint64(r)
+	m.Stats.BlockInstrs += uint64(r)
+	m.countDownNMI(r)
+}
+
 // sbTurbo retires consecutive entries of the current block b, one per
 // step, starting at step index done and stopping at n, except that a
-// nop run or a rep movsb copy retires its steps in bulk. Preconditions
-// (checked by runBatched, invariant between block boundaries):
-// AfterStep nil, the nt registered tickers quiet for every step up to
-// n, no latched pins, not halted. Each retired step is exactly one
-// Step minus its quiet tick (runBatched Skips those afterwards):
-// Stats.Steps, the per-entry validation, the entry's executor, the
-// NMI-counter decrement, and the trailing AfterStep check; the
-// skeleton's remaining checks are dead under the preconditions.
+// nop run, a nop sled or a rep movsb copy retires its steps in bulk.
+// Preconditions (checked by runBatched, invariant between block
+// boundaries): AfterStep nil, the nt registered tickers quiet for every
+// step up to n, no deliverable pin for every step up to n
+// (heldBudget), not halted. Each retired step is exactly one Step minus
+// its quiet tick (runBatched Skips those afterwards): Stats.Steps, the
+// per-entry validation, the entry's executor, the NMI-counter
+// decrement, and the trailing AfterStep check; the skeleton's remaining
+// checks are dead under the preconditions.
 //
 // At a block boundary (the block exhausted), the loop keeps going
 // without dropping out: the only executors with skeleton-visible side
 // effects — port I/O ticking a device that latches a pin or registers a
-// ticker, hlt, int — are serialize points and hence block-final, so the
-// preconditions are re-checked exactly there (a ticker count other
-// than nt means one was registered), and then control chains to the
-// successor block: the block itself for a loop back-edge, the cached
-// succ hint, or a table probe. Every chained entry revalidates
-// (lin, ip) and span freshness just as sbEnter would; only an unbuilt,
-// stale or negative successor drops back to Step, which rebuilds via
-// sbEnter. A validated nop entry retires the rest of its run, up to the
-// budget, in one go (slot padding: a nop only moves ip and counts); the
-// continuation run stops at the next nop entry so that every run starts
-// at a validated entry. A validated rep movsb entry (block-final) with
-// cx > 1 first retires its ordinary iterations in bulk (repMovsbBulk).
-// Returns the number of steps done.
+// ticker, hlt, int, and iret re-arming a held NMI — are serialize
+// points and hence block-final, so the preconditions are re-checked
+// exactly there (a ticker count other than nt means one was
+// registered), the budget is re-capped for a pin latched since
+// (heldBudget), and then control chains to the successor block: the
+// block itself for a loop back-edge, the cached succ hint, or a table
+// probe. Every chained entry revalidates (lin, ip) and span freshness
+// just as sbEnter would. An unbuilt or stale successor that starts a
+// nop sled, a run of zero bytes at least a block long, is retired
+// without a block (nopSled); any other unbuilt, stale or negative
+// successor drops back to Step, which rebuilds via sbEnter. A validated nop entry retires
+// the rest of its run, up to the budget, in one go (slot padding: a nop
+// only moves ip and counts); the continuation run stops at the next nop
+// entry so that every run starts at a validated entry. A validated rep
+// movsb entry (block-final) with cx > 1 first retires its ordinary
+// iterations in bulk (repMovsbBulk). Returns the number of steps done.
 func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 	c := &m.CPU
 	i := m.sbIdx
@@ -215,7 +271,10 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 		if i >= len(b.ins) {
 			// Block boundary: re-establish the skeleton preconditions
 			// that a block-final executor may have violated, then chain.
-			if m.pins != 0 || c.Halted || len(m.tickers) != nt || m.sblocks == nil {
+			if c.Halted || len(m.tickers) != nt || m.sblocks == nil {
+				break
+			}
+			if n = done + m.heldBudget(n-done); n == done {
 				break
 			}
 			ip := c.IP
@@ -228,6 +287,9 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 			} else if s := m.sbLookup(lin, ip); s != nil && m.sbRevalidate(s) {
 				b.succ = s
 				b, m.sbCur = s, s
+			} else if r := m.nopSled(lin, ip, n-done); r != 0 {
+				done += r
+				continue // the cursor stays past b's end: chain again from there
 			} else {
 				break // unbuilt, stale or negative successor: back to Step
 			}
@@ -257,12 +319,7 @@ func (m *Machine) sbTurbo(b *superblock, done, n, nt int) int {
 			// nop whose ip is the live IP.
 			r := min(int(e.nops), n-done)
 			c.IP = b.ins[i+r-1].nextIP
-			m.Stats.Steps += uint64(r)
-			m.Stats.Instrs += uint64(r)
-			m.Stats.BlockInstrs += uint64(r)
-			if m.Opts.NMICounter {
-				c.NMICounter = uint16(max(int(c.NMICounter)-r, 0))
-			}
+			m.retireBulk(r)
 			i += r
 			done += r
 			continue
@@ -393,13 +450,40 @@ func (m *Machine) repMovsbBulk(b *superblock, budget int) int {
 	}
 	c.R[isa.SI], c.R[isa.DI] = si, di
 	c.R[isa.CX] -= uint16(k)
-	m.Stats.Steps += uint64(k)
-	m.Stats.Instrs += uint64(k)
-	m.Stats.BlockInstrs += uint64(k)
-	if m.Opts.NMICounter {
-		c.NMICounter = uint16(max(int(c.NMICounter)-k, 0))
-	}
+	m.retireBulk(k)
 	return k
+}
+
+// nopSled retires, up to budget steps, the run of nops (zero bytes) at
+// cs:ip, whose linear address is lin, and returns how many it retired:
+// the turbo lane's chain miss onto a zero byte. After a fault sends ip
+// into zeroed RAM, such a sled can run for a whole watchdog period, and
+// decoding it into blocks of sbMaxLen nops, each run once, would make
+// block building the engine's largest cost. A run shorter than a block
+// that ends on a non-zero byte is slot padding instead: it returns 0,
+// and the block Step builds over the padding and the code after it is
+// chained through the succ hint on every later pass, which costs less
+// than a table miss and a scan per pass.
+//
+// Each of the r nops is one lane step, exactly as through the
+// interpreter: fetch the byte at cs:ip, find a nop, set ip to ip+1 and
+// count the instruction. Under the lane's preconditions nothing acts
+// between them (no pin, hook, due tick or halt), and a nop stores
+// nothing, so the bytes read once up front are the bytes each step
+// would fetch. The run stops at the first non-zero byte, at the budget,
+// before ip 0xFFFF (that nop wraps ip and goes through Step) and at
+// the top of the address space (mem.Bus.ZeroRun), where the lane
+// chains again from linear address 0.
+func (m *Machine) nopSled(lin uint32, ip uint16, budget int) int {
+	n := min(max(budget, sbMaxLen), 0xFFFF-int(ip))
+	r := int(m.Bus.ZeroRun(lin, uint32(n)))
+	if r < min(n, sbMaxLen) {
+		return 0
+	}
+	r = min(r, budget)
+	m.CPU.IP = ip + uint16(r)
+	m.retireBulk(r)
+	return r
 }
 
 // sbExec is Step's instruction-execution slot when the engine is on:

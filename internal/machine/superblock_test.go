@@ -856,3 +856,229 @@ func TestSuperblockNopRunDifferential(t *testing.T) {
 		comparePair(t, p, "final")
 	})
 }
+
+// nmiPort latches an NMI on every write to its port: a device whose
+// block-final out raises a pin in the middle of a turbo batch.
+type nmiPort struct{ m *Machine }
+
+func (p nmiPort) In(uint16) uint16   { return 0 }
+func (p nmiPort) Out(uint16, uint16) { p.m.RaiseNMI() }
+
+// TestSuperblockDeadTimeDifferential holds the three ways Run retires
+// dead time in bulk against the interpreter's one tick per step: nop
+// sleds over zero bytes (the lane's chain miss onto a zero byte),
+// halted waits, and instructions under a latched NMI that the counter
+// or the stock latch holds off. Each case drives an engine pair through
+// Run batches and compares the CPU, the architectural stats and the
+// ticker at every batch boundary, and the memory at the end.
+//
+// The sled cases run over pages of zeros (opcode 0x00 is nop) and cover
+// a run across page edges, runs cut by the budget and by a watchdog
+// tick due mid-sled (its NMI handler returns into the sled), runs that
+// end at ip 0xFFFE and 0xFFFF, one that crosses linear 0xFFFFF, one over
+// zero bytes in ROM, and sleds entered through Step with no current
+// block. The halted cases wait for a watchdog NMI that the counter
+// holds off for more than, exactly and less than the batch, plus the
+// stock latch holding one off forever. The masked-NMI cases run with a
+// counter of c over batches of c−1, c and c+1 steps, an iret inside the
+// window (it zeroes the counter, so the NMI lands on the next tick), a
+// port device latching an NMI mid-batch, deliverable or held, and the
+// stock latch (InNMI) in place of the counter.
+func TestSuperblockDeadTimeDifferential(t *testing.T) {
+	const (
+		iretNMI   = 0x00 // handler offsets in the ROM at E000:0000
+		rejoinNMI = 0x10
+	)
+	handlers := asm.MustAssemble(`
+	inc bp                  ; 0x00: return into whatever was interrupted
+	iret
+	times 0x10-($-$$) db 0
+	inc bp                  ; 0x10: restart the guest after 150 ticks,
+	mov cx, 150             ; leaving the counter up
+wait:
+	loop wait
+	jmp 0x0100:0x0000
+`)
+	type nmi struct {
+		counter bool   // NMI counter hardware (else the stock latch)
+		max     uint16 // NMICounterMax
+		handler uint16 // iretNMI or rejoinNMI
+	}
+	type cas struct {
+		name    string
+		nmi     nmi
+		code    string // assembled at 0100:0000 unless setup places it
+		setup   func(m *Machine)
+		period  uint32 // a countdown raising NMI every period ticks; 0 = none
+		first   uint32 // the countdown's initial counter
+		port    bool   // map nmiPort at 0x42
+		batches []int
+		between func(b int, m *Machine) // before batch b, on both machines
+		sled    bool                    // the sled must retire without a block per 32 nops
+	}
+	fib := []int{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181}
+	iretN := nmi{counter: true, max: 8, handler: iretNMI}
+	// sledLoop is zeros from 0100:0000 to a jmp back to 0100:0010, at
+	// linear 0x1A00: a 2544-nop sled over pages 0x10 to 0x19.
+	sledLoop := "times 0xA00 db 0\njmp 0x0010"
+	atIP := func(ip uint16) func(m *Machine) { return func(m *Machine) { m.CPU.IP = ip } }
+	var cases []cas
+	cases = append(cases,
+		cas{name: "sled/across pages", nmi: iretN, code: sledLoop, setup: atIP(0x10),
+			batches: []int{1, 255, 256, 257, 2543, 2544, 2545, 10000}, sled: true},
+		cas{name: "sled/cut by the budget", nmi: iretN, code: sledLoop, setup: atIP(0x10),
+			batches: append(append([]int{}, fib...), 1, 2, 3, 31, 32, 33, 63, 64, 65, 7), sled: true},
+		cas{name: "sled/watchdog due mid-sled", nmi: iretN, code: sledLoop, setup: atIP(0x10),
+			period: 97, first: 40, batches: fib},
+		cas{name: "sled/watchdog due mid-sled/long period", nmi: iretN, code: sledLoop, setup: atIP(0x10),
+			period: 1000, first: 999, batches: append(append([]int{}, fib...), 10000, 10000), sled: true},
+		cas{
+			// Zeros from ip 0xFF00 to 0xFFFF, a jmp back at ip 0: the
+			// first batch ends on ip 0xFFFE, the next two on 0xFFFF and
+			// past the wrap.
+			name: "sled/ends at ip 0xFFFE and 0xFFFF", nmi: iretN, code: "jmp 0xFF00", setup: atIP(0xFF00),
+			batches: []int{254, 1, 1, 1, 253, 2, 300, 256, 257, 258, 1000, 5000}, sled: true,
+		},
+		cas{
+			// cs = 0xFFFF: ip 0 is linear 0xFFFF0, ip 0x10 wraps to
+			// linear 0, and a jmp 0 waits at linear 0x100 (ip 0x110).
+			name: "sled/crosses linear 0xFFFFF", nmi: iretN, period: 61, first: 60,
+			setup: func(m *Machine) {
+				for i, b := range asm.MustAssemble("jmp 0").Code {
+					m.Bus.PokeRAM(0x100+uint32(i), b)
+				}
+				m.CPU.S[isa.CS], m.CPU.IP = 0xFFFF, 0
+			},
+			batches: append(append([]int{}, fib...), 15, 16, 17, 272, 273, 1000),
+		},
+		cas{
+			name: "sled/zero bytes in ROM", nmi: iretN, period: 211, first: 210,
+			setup: func(m *Machine) {
+				rom := append(make([]byte, 0x7F0), asm.MustAssemble("jmp 0").Code...)
+				if _, err := m.Bus.AddROM("zeros", 0x30000, rom); err != nil {
+					t.Fatal(err)
+				}
+				m.CPU.S[isa.CS], m.CPU.IP = 0x3000, 0
+			},
+			batches: append(append([]int{}, fib...), 2033, 2034, 5000),
+		},
+		cas{
+			// A fresh machine has no current block, and every move of ip
+			// strands the one it had, so each batch starts through Step.
+			name: "sled/entered from Step with no current block", nmi: iretN, code: sledLoop, setup: atIP(0x10),
+			batches: []int{1, 31, 32, 33, 100, 1, 500, 2600},
+			between: func(b int, m *Machine) { m.CPU.IP = uint16(0x10 + 317*b) },
+		},
+	)
+	// Halted waits: hlt; jmp 0, woken by a watchdog NMI due 31 ticks
+	// into the first batch of 100, with the counter above, at and below
+	// 100 and at 0.
+	for _, c := range []uint16{105, 100, 95, 0} {
+		cases = append(cases, cas{
+			name: fmt.Sprintf("halt/counter %d over 100", c), nmi: iretN, code: "hlt\njmp 0",
+			setup:  func(m *Machine) { m.CPU.Halted, m.CPU.NMICounter = true, c },
+			period: 50, first: 30,
+			batches: []int{100, 1, 7, 49, 50, 51, 400, 1000},
+		})
+	}
+	cases = append(cases, cas{
+		name: "halt/stock latch holds the NMI", nmi: nmi{handler: iretNMI}, code: "hlt\njmp 0",
+		setup:  func(m *Machine) { m.CPU.Halted, m.CPU.InNMI = true, true },
+		period: 50, first: 30,
+		batches: fib,
+	})
+	// Masked NMIs. The loop runs an entry, a nop run and a jmp; the
+	// rejoin handler leaves the counter up (1000) while the watchdog
+	// latches the next NMI every 100 ticks.
+	loop := "inc ax\nadd bx, ax\nnop\nnop\nnop\njmp 0"
+	rejoin := nmi{counter: true, max: 1000, handler: rejoinNMI}
+	for _, first := range []int{199, 200, 201} {
+		cases = append(cases, cas{
+			name: fmt.Sprintf("masked/counter 200 over %d", first), nmi: rejoin, code: loop,
+			setup:  func(m *Machine) { m.CPU.NMICounter = 200; m.RaiseNMI() },
+			period: 100, first: 99,
+			batches: []int{first, 1, 2, 3, 97, 100, 101, 299, 300, 301, 1000},
+		})
+	}
+	// The guest's own iret zeroes the counter (or clears InNMI) in the
+	// middle of the window: the NMI the watchdog latched while the
+	// rejoin handler ran lands on the very next tick. The iret returns
+	// to the head of its own block, so the lane could chain straight on.
+	iretLoop := `
+	inc ax
+	inc bx
+	pushf
+	push cs
+	push word 0
+	iret
+`
+	cases = append(cases,
+		cas{name: "masked/iret inside the window", nmi: rejoin, code: iretLoop,
+			setup:  func(m *Machine) { m.CPU.NMICounter = 500; m.RaiseNMI() },
+			period: 100, first: 99, batches: append(append([]int{}, fib...), 1000, 1000)},
+		cas{name: "masked/stock latch", nmi: nmi{handler: rejoinNMI}, code: iretLoop,
+			setup:  func(m *Machine) { m.CPU.InNMI = true; m.RaiseNMI() },
+			period: 100, first: 99, batches: append(append([]int{}, fib...), 1000, 1000)},
+	)
+	// A port device latches an NMI on every pass: deliverable when the
+	// counter is 0, held (and the batch re-capped) while it is up.
+	portLoop := "inc ax\nout 0x42, ax\ninc bx\nnop\nnop\njmp 0"
+	for _, max := range []uint16{40, 300} {
+		cases = append(cases, cas{
+			name: fmt.Sprintf("masked/port latches an NMI/counter max %d", max),
+			nmi:  nmi{counter: true, max: max, handler: rejoinNMI}, code: portLoop, port: true,
+			batches: append(append([]int{}, fib...), 1000, 1000),
+		})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newEnginePair(t, Options{
+				ResetVector:        SegOff{0x0100, 0},
+				NMICounter:         tc.nmi.counter,
+				NMICounterMax:      tc.nmi.max,
+				HardwiredNMIVector: true,
+				NMIVector:          SegOff{0xE000, tc.nmi.handler},
+				ExceptionPolicy:    ExceptionVector,
+				ExceptionVector:    SegOff{0xF000, 0},
+			})
+			var cd [2]*countdown
+			for i, m := range p {
+				if _, err := m.Bus.AddROM("handlers", 0xE0000, handlers.Code); err != nil {
+					t.Fatal(err)
+				}
+				if tc.code != "" {
+					for j, b := range asm.MustAssemble(tc.code).Code {
+						m.Bus.PokeRAM(0x1000+uint32(j), b)
+					}
+				}
+				m.CPU.S[isa.SS], m.CPU.R[isa.SP] = 0x5000, 0x1000
+				if tc.setup != nil {
+					tc.setup(m)
+				}
+				if tc.period != 0 {
+					cd[i] = &countdown{period: tc.period, counter: tc.first}
+					m.AddTicker(cd[i])
+				}
+				if tc.port {
+					m.MapPort(0x42, nmiPort{m})
+				}
+			}
+			for b, n := range tc.batches {
+				if tc.between != nil {
+					pairDo(p, func(m *Machine) { tc.between(b, m) })
+				}
+				pairDo(p, func(m *Machine) { m.Run(n) })
+				tag := fmt.Sprintf("batch %d (+%d)", b, n)
+				comparePairCPU(t, p, tag)
+				if cd[0] != nil && *cd[0] != *cd[1] {
+					t.Fatalf("%s: ticker diverged: superblock %+v, interp %+v", tag, *cd[0], *cd[1])
+				}
+			}
+			comparePair(t, p, "final")
+			if s := p[0].Stats; tc.sled && s.Blocks*64 > s.Steps {
+				t.Fatalf("%d steps took %d block entries: the sled was decoded into blocks", s.Steps, s.Blocks)
+			}
+		})
+	}
+}

@@ -277,6 +277,28 @@ func (b *Bus) CopyForward(dst, src, n uint32) uint32 {
 	return n
 }
 
+// zeroChunk is the all-zero operand ZeroRun compares memory against,
+// a chunk at a time.
+var zeroChunk [64]byte
+
+// ZeroRun returns the length of the longest run of zero bytes, ROM or
+// RAM, that starts at addr, is at most n bytes long and does not cross
+// the top of the address space. It reads memory and changes nothing.
+// Opcode 0x00 is nop: the machine's turbo lane measures nop sleds with
+// it, to retire them without decoding blocks over them.
+func (b *Bus) ZeroRun(addr, n uint32) uint32 {
+	addr &= AddrMask
+	d := b.data[addr : addr+min(n, AddrSpace-addr)]
+	r := 0
+	for len(d)-r >= len(zeroChunk) && string(d[r:r+len(zeroChunk)]) == string(zeroChunk[:]) {
+		r += len(zeroChunk)
+	}
+	for r < len(d) && d[r] == 0 {
+		r++
+	}
+	return uint32(r)
+}
+
 // ramPrefix returns the length of the longest ROM-free prefix of
 // [a, a+n), scanning romBits a word at a time; a+n must not exceed
 // AddrSpace.

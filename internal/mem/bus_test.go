@@ -473,6 +473,85 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 	}
 }
 
+// TestZeroRunMatchesBytes holds ZeroRun against a byte loop: from random
+// starts and lengths, the run it reports is the zero bytes a loop finds
+// before the first non-zero byte, the length n or the top of the
+// address space, whichever comes first. Memory is mostly zero, with
+// sparse non-zero bytes, so runs reach across page edges and the
+// method's 64-byte compare chunks, and end on either side of them. A
+// zero ROM region and a ROM byte of 0xEE check that ROM reads like RAM.
+// Starts cluster at the bottom, around a page edge and at the top; the
+// method must change no byte, generation or stamp.
+func TestZeroRunMatchesBytes(t *testing.T) {
+	b := NewBus()
+	if _, err := b.AddROM("zeros", 0x20080, make([]byte, 0x180)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddROM("byte", 0x20300, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	loop := func(addr, n uint32) uint32 {
+		var i uint32
+		for ; i < n && addr+i < AddrSpace && b.LoadByte(addr+i) == 0; i++ {
+		}
+		return i
+	}
+	bases := []uint32{0, 0x1FF00, 0x20000, 0xFFC00}
+	var snap []byte
+	for trial := 0; trial < 6000; trial++ {
+		if trial%600 == 0 {
+			if snap != nil && !bytes.Equal(b.data, snap) {
+				t.Fatalf("trial %d: ZeroRun changed memory", trial)
+			}
+			// Re-seed the sparse non-zero bytes, at every offset
+			// around the page and chunk edges in turn.
+			for _, base := range bases {
+				for x := base; x < base+0x400; x++ {
+					v := byte(0)
+					if rng.Intn(150) == 0 {
+						v = byte(rng.Intn(255) + 1)
+					}
+					b.PokeRAM(x, v)
+				}
+			}
+			b.PokeRAM(0xFFFFF, 0)
+			snap = b.Snapshot()
+		}
+		addr := bases[rng.Intn(len(bases))] + uint32(rng.Intn(0x400))
+		if rng.Intn(8) == 0 {
+			addr = AddrSpace - 1 - uint32(rng.Intn(80)) // near the top
+		}
+		n := uint32(rng.Intn(0x500))
+		if rng.Intn(10) == 0 {
+			n = uint32(rng.Intn(4))
+		}
+		gens, stamp := *b.gens, b.stamp
+		if got, want := b.ZeroRun(addr, n), loop(addr, n); got != want {
+			t.Fatalf("ZeroRun(%#x, %d) = %d, want %d", addr, n, got, want)
+		}
+		if *b.gens != gens || b.stamp != stamp {
+			t.Fatalf("ZeroRun(%#x, %d) moved a generation or the stamp", addr, n)
+		}
+	}
+	// The exact edges: a run to the top, one cut a byte below it, and
+	// one that starts on the last byte.
+	for x := uint32(0xFFF00); x < AddrSpace; x++ {
+		b.PokeRAM(x, 0)
+	}
+	for _, c := range []struct{ addr, n, want uint32 }{
+		{0xFFF00, 0x1000, 0x100},
+		{0xFFF00, 0xFF, 0xFF},
+		{0xFFFFF, 5, 1},
+		{0xFFFFF, 0, 0},
+		{0x20300, 9, 0}, // the 0xEE ROM byte
+	} {
+		if got := b.ZeroRun(c.addr, c.n); got != c.want {
+			t.Fatalf("ZeroRun(%#x, %d) = %d, want %d", c.addr, c.n, got, c.want)
+		}
+	}
+}
+
 // TestInROMMatchesRegions cross-checks the O(1) membership bitmap
 // against the region list it is derived from.
 func TestInROMMatchesRegions(t *testing.T) {
