@@ -342,6 +342,28 @@ func BenchmarkClusterEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterEpochStrikes measures one full strike cadence of a
+// 5-replica reinstall cluster: DefaultStrikeEvery epochs, the last of
+// which strikes a minority with os-blast mid-epoch, evicts the struck
+// replicas and rejoins them by state transfer. It times the struck
+// epoch's split and rejoin paths beside BenchmarkClusterEpoch's quiet
+// one.
+func BenchmarkClusterEpochStrikes(b *testing.B) {
+	c := cluster.MustNew(cluster.Config{Replicas: 5, Approach: core.ApproachReinstall, Seed: 1, Faults: cluster.ModeOSBlast})
+	c.Run(cluster.DefaultStrikeEvery)
+	b.ResetTimer()
+	c.Run(b.N * cluster.DefaultStrikeEvery)
+	b.StopTimer()
+	for _, st := range c.Stats {
+		if !st.Legal {
+			b.Fatalf("epoch %d: agree %d, verdict illegal", st.Epoch, st.Agree)
+		}
+	}
+	if c.Summary().Evictions == 0 {
+		b.Fatal("no struck replica was evicted")
+	}
+}
+
 // BenchmarkRecoveryFromBlast measures end-to-end recovery: OS image
 // destroyed, machine run until legal heartbeats resume.
 func BenchmarkRecoveryFromBlast(b *testing.B) {

@@ -502,6 +502,21 @@ func TestSymbolAccessors(t *testing.T) {
 	}
 }
 
+// Both assembler passes match every statement, so matching a bare
+// mnemonic must not build its lookup table per call.
+func TestMatchBareMnemonicAllocatesNothing(t *testing.T) {
+	var op isa.Op
+	allocs := testing.AllocsPerRun(100, func() {
+		op, _ = matchInstr("rep movsb", nil)
+	})
+	if op != isa.OpRepMovsb {
+		t.Fatalf("rep movsb matched %v", op)
+	}
+	if allocs != 0 {
+		t.Fatalf("matchInstr on a bare mnemonic: %v allocations per call, want 0", allocs)
+	}
+}
+
 func TestAllMnemonicForms(t *testing.T) {
 	// Exercise every mnemonic-form branch of the instruction matcher.
 	p := mustAssemble(t, `

@@ -6,6 +6,16 @@ import (
 	"ssos/internal/isa"
 )
 
+// bareOps maps the operand-less mnemonics to their opcodes. It is
+// built once: both assembler passes consult it for every statement.
+var bareOps = map[string]isa.Op{
+	"nop": isa.OpNop, "hlt": isa.OpHlt, "cld": isa.OpCld,
+	"std": isa.OpStd, "sti": isa.OpSti, "cli": isa.OpCli,
+	"iret": isa.OpIret, "pushf": isa.OpPushf, "popf": isa.OpPopf,
+	"movsb": isa.OpMovsb, "rep movsb": isa.OpRepMovsb,
+	"stosb": isa.OpStosb, "lodsb": isa.OpLodsb, "ret": isa.OpRet,
+}
+
 // matchInstr selects the opcode for a mnemonic and operand-kind
 // combination. Selection never depends on expression values, so
 // instruction sizes are known in pass one.
@@ -15,13 +25,7 @@ func matchInstr(mn string, ops []operand) (isa.Op, error) {
 		return 0, fmt.Errorf("unsupported operand combination for %q", mn)
 	}
 	// Operand-less mnemonics reject stray operands.
-	if bare, ok := map[string]isa.Op{
-		"nop": isa.OpNop, "hlt": isa.OpHlt, "cld": isa.OpCld,
-		"std": isa.OpStd, "sti": isa.OpSti, "cli": isa.OpCli,
-		"iret": isa.OpIret, "pushf": isa.OpPushf, "popf": isa.OpPopf,
-		"movsb": isa.OpMovsb, "rep movsb": isa.OpRepMovsb,
-		"stosb": isa.OpStosb, "lodsb": isa.OpLodsb, "ret": isa.OpRet,
-	}[mn]; ok {
+	if bare, ok := bareOps[mn]; ok {
 		if len(ops) != 0 {
 			return 0, fmt.Errorf("%s takes no operands", mn)
 		}

@@ -19,19 +19,25 @@
 //
 // Determinism: every replica's machine is a pure function of its state,
 // each replica owns a seeded fault.Injector, and the strike schedule is
-// drawn from a single coordinator-owned seeded source. Replicas step in
-// parallel on the shared internal/pool worker pool, but no goroutine
-// touches another replica's state and all vote tallies are collected in
-// replica order, so two runs with the same configuration produce
-// byte-identical logs regardless of scheduling.
+// drawn from a single coordinator-owned seeded source. Replicas of one
+// lineage — booted together, or rejoined by state transfer — share one
+// machine, copy-on-strike (see host), so an epoch steps each distinct
+// machine once. Machines step in parallel on the shared internal/pool
+// worker pool, but no goroutine touches another machine's replicas and
+// all vote tallies are collected in replica order, so two runs with the
+// same configuration produce byte-identical logs regardless of
+// scheduling.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssos/internal/core"
 	"ssos/internal/fault"
+	"ssos/internal/machine"
 	"ssos/internal/obs"
 	"ssos/internal/pool"
 	"ssos/internal/trace"
@@ -95,24 +101,90 @@ type Config struct {
 // cluster reads a console back.
 const replicaConsoleCap = 1
 
-// replica is one fleet member: a system, its private injector, and
-// epoch bookkeeping.
+// replica is one fleet member: the machine it runs on, its private
+// injector, and epoch bookkeeping.
 type replica struct {
 	id          int
 	incarnation int
-	sys         *core.System
+	host        *host
 	inj         *fault.Injector
-	epochStart  uint64 // Steps() at the start of the current epoch
-	// beats judges the heartbeat stream since boot; legal and digest
-	// accumulate the current epoch's verdict and output beat by beat
-	// (see onBeat).
-	beats  obs.BeatStream
-	legal  bool
-	digest digest
-	// col buffers the replica's own event stream (nil when the cluster
-	// is uninstrumented); rec is the optional flight recorder.
+	// beats judges the heartbeat stream since boot; legal accumulates
+	// the current epoch's verdict beat by beat (see onBeat).
+	beats obs.BeatStream
+	legal bool
+	// col buffers the replica's own event stream and ob derives it
+	// from the machine's (both nil when the cluster is
+	// uninstrumented); rec is the optional flight recorder.
 	col *obs.Collector
+	ob  *core.Observer
 	rec *trace.Recorder
+}
+
+// host is one machine and the replicas that run on it. Replicas share
+// a machine only by lineage: New and a fleet-wide fresh boot put every
+// replica they boot on one machine, and a rejoin by state transfer
+// joins the donor's. A deterministic machine stepped once is then the
+// machine each of them would have stepped alone. The machine's hooks
+// only read, and fan out to every member, which keeps its own
+// heartbeat judge, observer and recorder. The one write from outside,
+// a strike, first splits its replica onto a clone (Cluster.split), so
+// the other members never see it.
+//
+// Equal digests are no ground for sharing: of RAM, a digest covers
+// only the OS image and stack, so replicas that agree on it (a bitflip
+// elsewhere in RAM) may still be different machines.
+type host struct {
+	sys     *core.System
+	members []*replica
+	// epochStart is Steps() at the start of the current epoch; digest
+	// accumulates the epoch's output beat by beat (see onBeat). Members
+	// join only between epochs, so they all share both.
+	epochStart uint64
+	digest     digest
+}
+
+// newHost wires a machine's hooks to fan out to its members.
+func (c *Cluster) newHost(sys *core.System) *host {
+	h := &host{sys: sys}
+	sys.Heartbeat.OnWrite = h.onBeat
+	if c.cfg.Collector != nil {
+		sys.M.Probe = h
+		if sys.Repairs != nil {
+			sys.Repairs.OnWrite = h.onRepair
+		}
+	}
+	if c.cfg.TraceN > 0 {
+		sys.M.AfterStep = h.afterStep
+	}
+	return h
+}
+
+func (h *host) onRepair(step uint64, v uint16) {
+	for _, r := range h.members {
+		if r.ob != nil {
+			r.ob.OnRepair(step, v)
+		}
+	}
+}
+
+// Emit hands a machine event to each member's observer.
+func (h *host) Emit(e obs.Event) {
+	for _, r := range h.members {
+		if r.ob != nil {
+			r.ob.Emit(e)
+		}
+	}
+}
+
+func (h *host) afterStep(m *machine.Machine, ev machine.Event) {
+	for _, r := range h.members {
+		r.rec.Observe(m, ev)
+	}
+}
+
+// leave removes r from the machine's members.
+func (h *host) leave(r *replica) {
+	h.members = slices.DeleteFunc(h.members, func(x *replica) bool { return x == r })
 }
 
 // Cluster is a running replicated fleet.
@@ -175,18 +247,20 @@ func New(cfg Config) (*Cluster, error) {
 		sysCfg: core.Config{Approach: cfg.Approach, ConsoleCap: replicaConsoleCap},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
-	// Probe the configuration once before building the fleet, so a
-	// broken guest build surfaces as an error, not a panic.
-	if _, err := core.New(c.sysCfg); err != nil {
+	// One machine boots the whole fleet; a broken guest build surfaces
+	// here as an error, not a panic.
+	sys, err := core.New(c.sysCfg)
+	if err != nil {
 		return nil, err
 	}
+	h := c.newHost(sys)
 	for i := 0; i < cfg.Replicas; i++ {
 		r := &replica{id: i}
 		if cfg.Collector != nil {
 			r.col = obs.NewCollector()
 			r.col.Replica = i
 		}
-		c.boot(r, nil)
+		c.boot(r, h)
 		c.replicas = append(c.replicas, r)
 	}
 	return c, nil
@@ -207,43 +281,55 @@ func (c *Cluster) Quorum() int { return len(c.replicas)/2 + 1 }
 // Epoch returns the number of completed epochs.
 func (c *Cluster) Epoch() int { return c.epoch }
 
-// boot replaces r's system with a fresh one reinstalled from the ROM
-// image. With a donor, the new system additionally adopts the donor's
-// volatile state (memory, CPU, step clock, latched interrupt pins,
-// watchdog countdown) so the deterministic machine re-enters lockstep
-// with the quorum; without one it starts from power-on.
-func (c *Cluster) boot(r *replica, donor *replica) {
-	sys := core.MustNew(c.sysCfg)
-	if donor != nil {
-		if err := sys.M.AdoptState(donor.sys.M); err != nil {
-			// The fleet shares one memory layout; a mismatch is a
-			// programming error, not a runtime condition.
-			panic(err)
-		}
-		if sys.Watchdog != nil && donor.sys.Watchdog != nil {
-			sys.Watchdog.Counter = donor.sys.Watchdog.Counter
-		}
+// boot starts r's next incarnation on h: a fresh heartbeat judge,
+// observer, flight recorder and injector, on a machine that is either
+// freshly booted from ROM or a quorum member's, which puts the
+// deterministic replica back in lockstep with the quorum.
+func (c *Cluster) boot(r *replica, h *host) {
+	if r.host != nil {
+		r.host.leave(r)
 	}
-	r.sys = sys
+	r.host = h
+	h.members = append(h.members, r)
+	r.beats = obs.BeatStream{Rule: obs.BeatRule(h.sys.Spec())}
 	if r.col != nil {
-		sys.Instrument(r.col)
-	}
-	// The voter sees each beat as it is written, ahead of the hook
-	// Instrument installed.
-	r.beats = obs.BeatStream{Rule: obs.BeatRule(sys.Spec())}
-	observe := sys.Heartbeat.OnWrite
-	sys.Heartbeat.OnWrite = func(step uint64, v uint16) {
-		r.onBeat(step, v)
-		if observe != nil {
-			observe(step, v)
-		}
+		r.ob = h.sys.NewObserver(r.col)
 	}
 	if c.cfg.TraceN > 0 {
-		r.rec = trace.NewRecorder(sys.M, c.cfg.TraceN)
-		sys.M.AfterStep = r.rec.Observe
+		r.rec = trace.NewRecorder(h.sys.M, c.cfg.TraceN)
 	}
-	r.inj = fault.NewInjector(sys.M, injectorSeed(c.cfg.Seed, r.id, r.incarnation))
+	r.inj = fault.NewInjector(h.sys.M, injectorSeed(c.cfg.Seed, r.id, r.incarnation))
 	r.incarnation++
+}
+
+// split moves r off a machine it shares onto a clone: a fresh system
+// from ROM that adopts the machine's volatile state (memory, CPU, step
+// clock, latched interrupt pins, watchdog countdown) and runs on the
+// same engine. r keeps its incarnation and all it has observed, and
+// its injector now strikes the clone. split returns the clone, or nil
+// when r is alone on its machine and stays there.
+func (c *Cluster) split(r *replica) *host {
+	h := r.host
+	if len(h.members) == 1 {
+		return nil
+	}
+	sys := core.MustNew(c.sysCfg)
+	if err := sys.M.AdoptState(h.sys.M); err != nil {
+		// The fleet shares one memory layout; a mismatch is a
+		// programming error, not a runtime condition.
+		panic(err)
+	}
+	if sys.Watchdog != nil {
+		sys.Watchdog.Counter = h.sys.Watchdog.Counter
+	}
+	sys.M.SetDecodeCache(h.sys.M.DecodeCache())
+	h.leave(r)
+	clone := c.newHost(sys)
+	clone.members = []*replica{r}
+	clone.epochStart, clone.digest = h.epochStart, h.digest
+	r.host = clone
+	r.inj.M = sys.M
+	return clone
 }
 
 // injectorSeed mixes the cluster seed with replica identity and
@@ -264,27 +350,59 @@ func (c *Cluster) Run(n int) {
 }
 
 func (c *Cluster) runEpoch() {
-	e := c.epoch
-	strikes := c.strikesFor(e)
-	perReplica := make([][]Strike, len(c.replicas))
+	strikes := c.strikesFor(c.epoch)
+	c.closeEpoch(strikes, c.stepEpoch(strikes))
+}
+
+// stepEpoch steps every replica through the current epoch, applying
+// its strikes, and returns each replica's epoch output.
+func (c *Cluster) stepEpoch(strikes []Strike) []epochOutput {
+	// One job per distinct machine, listed by first member. A job's
+	// strikes run in offset order across its members (ties in replica
+	// order); a no-op strike writes nothing and splits nothing.
+	type hostJob struct {
+		h       *host
+		strikes []Strike
+	}
+	var jobs []*hostJob
+	job := make(map[*host]*hostJob, len(c.replicas))
+	for _, r := range c.replicas {
+		if h := r.host; job[h] == nil {
+			job[h] = &hostJob{h: h}
+			jobs = append(jobs, job[h])
+			h.epochStart, h.digest = h.sys.Steps(), newDigest()
+		}
+		r.legal = true
+		if r.col != nil {
+			r.col.Epoch = c.epoch
+		}
+	}
 	for _, s := range strikes {
-		perReplica[s.Replica] = append(perReplica[s.Replica], s)
+		if s.Mode != ModeNone {
+			j := job[c.replicas[s.Replica].host]
+			j.strikes = append(j.strikes, s)
+		}
 	}
 
-	// Step every replica through the epoch on the shared worker pool.
-	// Each job touches only its own replica (including its private
-	// event collector), so the fan-out is safe and the results are
-	// independent of goroutine scheduling.
+	// Step every machine through the epoch on the shared worker pool.
+	// Each job touches only its machine, the clones it splits off and
+	// their replicas (including their private event collectors), so
+	// the fan-out is safe and the results are independent of goroutine
+	// scheduling.
 	outputs := make([]epochOutput, len(c.replicas))
-	pool.Run(len(c.replicas), func(i int) {
-		r := c.replicas[i]
-		if r.col != nil {
-			r.col.Epoch = e
-		}
-		outputs[i] = r.runEpoch(c.cfg.EpochSteps, perReplica[i])
+	pool.Run(len(jobs), func(i int) {
+		j := jobs[i]
+		slices.SortStableFunc(j.strikes, func(a, b Strike) int { return cmp.Compare(a.Offset, b.Offset) })
+		c.runHost(j.h, 0, j.strikes, outputs)
 	})
-	c.drainObs()
+	return outputs
+}
 
+// closeEpoch votes on the epoch's outputs, reconfigures the fleet and
+// records the epoch.
+func (c *Cluster) closeEpoch(strikes []Strike, outputs []epochOutput) {
+	e := c.epoch
+	c.drainObs()
 	v := tally(outputs, c.Quorum())
 	c.emitVote(e, v)
 	stat := EpochStat{
@@ -300,23 +418,36 @@ func (c *Cluster) runEpoch() {
 	c.epoch++
 }
 
-// runEpoch advances the replica by steps machine steps, applying the
-// given strikes at their offsets, and returns the epoch output.
-func (r *replica) runEpoch(steps int, strikes []Strike) epochOutput {
-	r.epochStart = r.sys.Steps()
-	r.legal, r.digest = true, newDigest()
-	done := 0
-	for _, s := range strikes {
-		off := s.Offset
-		if off > steps {
-			off = steps
-		}
-		if off > done {
-			r.sys.Run(off - done)
+// runHost advances h from step offset done to the epoch's end, applying
+// strikes (aimed at its members, in offset order, none before done),
+// and records each member's epoch output. A struck member that shares
+// h first splits onto a clone, which runs the rest of the epoch with
+// that member's remaining strikes.
+func (c *Cluster) runHost(h *host, done int, strikes []Strike, outputs []epochOutput) {
+	steps := c.cfg.EpochSteps
+	for len(strikes) > 0 {
+		s := strikes[0]
+		if off := min(s.Offset, steps); off > done {
+			h.sys.Run(off - done)
 			done = off
 		}
+		r := c.replicas[s.Replica]
+		if clone := c.split(r); clone != nil {
+			var mine, rest []Strike
+			for _, x := range strikes {
+				if x.Replica == r.id {
+					mine = append(mine, x)
+				} else {
+					rest = append(rest, x)
+				}
+			}
+			c.runHost(clone, done, mine, outputs)
+			strikes = rest
+			continue
+		}
 		s.Mode.apply(r.inj)
+		strikes = strikes[1:]
 	}
-	r.sys.Run(steps - done)
-	return r.output()
+	h.sys.Run(steps - done)
+	h.output(outputs)
 }

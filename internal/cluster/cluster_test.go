@@ -174,8 +174,9 @@ func TestReplicaConsolesBounded(t *testing.T) {
 	for range 600 {
 		c.Run(1)
 		for _, r := range c.replicas {
-			most = max(most, r.sys.Heartbeat.Total())
-			for _, con := range []*dev.Console{r.sys.Heartbeat, r.sys.Repairs} {
+			sys := r.host.sys
+			most = max(most, sys.Heartbeat.Total())
+			for _, con := range []*dev.Console{sys.Heartbeat, sys.Repairs} {
 				if n := len(con.Writes()); n > replicaConsoleCap {
 					t.Fatalf("epoch %d: replica %d console retains %d of %d writes, cap %d",
 						c.Epoch(), r.id, n, con.Total(), replicaConsoleCap)

@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"ssos/internal/core"
+)
 
 // Event is one reconfiguration action: a replica leaving and rejoining
 // the fleet.
@@ -63,7 +67,7 @@ func (c *Cluster) reconfigure(epoch int, v vote, outputs []epochOutput) []int {
 			if !outputs[i].legal {
 				reason = "illegal"
 			}
-			c.evict(epoch, r, donor, reason)
+			c.evict(epoch, r, donor.host, donor.id, reason)
 			evicted = append(evicted, i)
 		}
 		return evicted
@@ -93,35 +97,33 @@ func (c *Cluster) reconfigure(epoch int, v vote, outputs []epochOutput) []int {
 		}
 	}
 	if best < 0 {
+		// Every replica reboots from ROM onto one fresh machine.
+		fresh := c.newHost(core.MustNew(c.sysCfg))
 		var evicted []int
 		for i, r := range c.replicas {
-			c.evict(epoch, r, nil, "no-corroborated-state")
+			c.evict(epoch, r, fresh, -1, "no-corroborated-state")
 			evicted = append(evicted, i)
 		}
 		c.freshBoots++
 		return evicted
 	}
-	donor := v.members[best][0]
+	donor := c.replicas[v.members[best][0]]
 	var evicted []int
 	for i, r := range c.replicas {
-		if outputs[i].digest == outputs[donor].digest {
+		if outputs[i].digest == outputs[donor.id].digest {
 			continue
 		}
-		c.evict(epoch, r, c.replicas[donor], reason)
+		c.evict(epoch, r, donor.host, donor.id, reason)
 		evicted = append(evicted, i)
 	}
 	return evicted
 }
 
-// evict reinstalls r from ROM and rejoins it (via state transfer from
-// donor, or from power-on when donor is nil), logging the event. The
+// evict reinstalls r from ROM and rejoins it on h (the donor's
+// machine, or a fresh one when donor is -1), logging the event. The
 // evicted incarnation's flight recorder is dumped before the boot
 // replaces it.
-func (c *Cluster) evict(epoch int, r *replica, donor *replica, reason string) {
-	donorID := -1
-	if donor != nil {
-		donorID = donor.id
-	}
+func (c *Cluster) evict(epoch int, r *replica, h *host, donor int, reason string) {
 	var dump string
 	if r.rec != nil {
 		dump = r.rec.Dump()
@@ -130,8 +132,8 @@ func (c *Cluster) evict(epoch int, r *replica, donor *replica, reason string) {
 	// it keys the eviction to the episode of the evicted incarnation's
 	// latest strike.
 	fid := uint64(len(r.inj.Log))
-	c.boot(r, donor)
+	c.boot(r, h)
 	c.evictions++
-	c.Events = append(c.Events, Event{Epoch: epoch, Replica: r.id, Reason: reason, Donor: donorID, Trace: dump})
-	c.emitEviction(epoch, r.id, donorID, reason, fid)
+	c.Events = append(c.Events, Event{Epoch: epoch, Replica: r.id, Reason: reason, Donor: donor, Trace: dump})
+	c.emitEviction(epoch, r.id, donor, reason, fid)
 }

@@ -71,16 +71,21 @@ func (m FaultMode) apply(in *fault.Injector) {
 }
 
 // Strike applies one on-demand fault to the given replica through its
-// private injector. It must be called between epochs (never while Run
-// is stepping the fleet) — the served session's serialized command
-// loop satisfies that by construction. The injection draws from the
+// private injector, after splitting the replica off any machine it
+// shares. It must be called between epochs (never while Run is
+// stepping the fleet) — the served session's serialized command loop
+// satisfies that by construction. The injection draws from the
 // replica's seeded fault stream, so a fixed command sequence remains
 // fully reproducible; the next epoch's vote sees the damage.
 func (c *Cluster) Strike(replica int, m FaultMode) error {
 	if replica < 0 || replica >= len(c.replicas) {
 		return fmt.Errorf("cluster: strike replica %d out of range [0,%d)", replica, len(c.replicas))
 	}
-	m.apply(c.replicas[replica].inj)
+	if m != ModeNone {
+		r := c.replicas[replica]
+		c.split(r)
+		m.apply(r.inj)
+	}
 	return nil
 }
 

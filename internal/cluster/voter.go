@@ -21,31 +21,41 @@ type epochOutput struct {
 	legal  bool
 }
 
-// onBeat judges one heartbeat as the guest writes it and folds it into
-// the epoch digest, so no history is kept. The epoch's beats are those
-// stamped in (epochStart, epochStart+EpochSteps]: the step counter
-// advances before an instruction runs, so a beat written on an epoch's
-// last step carries the next epoch's start, yet arrives in its own.
+// onBeat judges one heartbeat as the guest writes it, so no history is
+// kept.
 func (r *replica) onBeat(step uint64, v uint16) {
 	if !r.beats.Next(step, v) {
 		r.legal = false
 	}
-	r.digest.u64(step - r.epochStart)
-	r.digest.u16(v)
 }
 
-// output completes the replica's epoch output at the current step: the
-// beats judged and folded so far, a silence check at the epoch's end,
-// and the machine's soft state.
-func (r *replica) output() epochOutput {
-	legal := r.legal && !r.beats.Silent(r.sys.Steps())
+// onBeat folds one heartbeat into the machine's epoch digest and hands
+// it to each member: the voter judges it, then the member's observer
+// derives its events. The epoch's beats are those stamped in
+// (epochStart, epochStart+EpochSteps]: the step counter advances before
+// an instruction runs, so a beat written on an epoch's last step
+// carries the next epoch's start, yet arrives in its own.
+func (h *host) onBeat(step uint64, v uint16) {
+	h.digest.u64(step - h.epochStart)
+	h.digest.u16(v)
+	for _, r := range h.members {
+		r.onBeat(step, v)
+		if r.ob != nil {
+			r.ob.OnHeartbeat(step, v)
+		}
+	}
+}
 
-	// Digest: epoch console output (step offsets and values, folded as
-	// written), CPU soft state, the OS-state RAM (image plus stack),
-	// and the watchdog countdown — the full set that determines future
-	// behaviour.
-	d := r.digest
-	cpu := &r.sys.M.CPU
+// output completes the epoch outputs of h's members at the current
+// step. The digest is the machine's: its epoch console output (step
+// offsets and values, folded as written), CPU soft state, the OS-state
+// RAM (image plus stack) and the watchdog countdown — the full set
+// that determines future behaviour. Legality is each member's: the
+// beats it judged and a silence check at the epoch's end.
+func (h *host) output(outputs []epochOutput) {
+	sys := h.sys
+	d := h.digest
+	cpu := &sys.M.CPU
 	for _, v := range cpu.R {
 		d.u16(v)
 	}
@@ -59,13 +69,15 @@ func (r *replica) output() epochOutput {
 	d.u16(cpu.NMICounter)
 	d.bool(cpu.InNMI)
 	d.bool(cpu.Halted)
-	if wd := r.sys.Watchdog; wd != nil {
+	if wd := sys.Watchdog; wd != nil {
 		d.u32(wd.Counter)
 	}
-	d.region(r.sys.M.Bus, uint32(guest.OSSeg)<<4, guest.ImageSize)
-	d.region(r.sys.M.Bus, uint32(guest.StackSeg)<<4, 0x1000)
+	d.region(sys.M.Bus, uint32(guest.OSSeg)<<4, guest.ImageSize)
+	d.region(sys.M.Bus, uint32(guest.StackSeg)<<4, 0x1000)
 
-	return epochOutput{digest: d.sum(), legal: legal}
+	for _, r := range h.members {
+		outputs[r.id] = epochOutput{digest: d.sum(), legal: r.legal && !r.beats.Silent(sys.Steps())}
+	}
 }
 
 // vote is the tallied comparison of one epoch's replica outputs.

@@ -18,6 +18,8 @@ const ObsConfirm = 10
 // evaluation and repair for the Section-4 monitor, and
 // legality-regained when the heartbeat stream re-satisfies the
 // approach's legal-execution specification after an injected fault.
+// It is NewObserver plus the install: the observer becomes the
+// machine's probe and the consoles' write hooks.
 //
 // Instrument must be called before the run whose events are wanted;
 // calling it replaces any previous instrumentation. An uninstrumented
@@ -38,38 +40,58 @@ func (s *System) Instrument(sink obs.Probe) {
 		}
 		return
 	}
-	p := &sysProbe{sys: s, sink: sink}
-	s.M.Probe = p
+	o := s.NewObserver(sink)
+	s.M.Probe = o
 	if s.Heartbeat != nil {
-		p.legal = &obs.LegalityTracker{
-			BeatStream: obs.BeatStream{Rule: obs.BeatRule(s.Spec())},
-			// Legality confirmations route through the sysProbe rather
-			// than the sink directly, so they are stamped with the fault
-			// id of the episode they close — and close it.
-			PredicateTracker: obs.PredicateTracker{Confirm: ObsConfirm, Sink: p},
-		}
-		s.Heartbeat.OnWrite = p.onHeartbeat
+		s.Heartbeat.OnWrite = o.OnHeartbeat
 	}
 	if s.Repairs != nil {
-		s.Repairs.OnWrite = p.onRepair
+		s.Repairs.OnWrite = o.OnRepair
+	}
+	if o.ring != nil {
+		nodes := 1 // one-node-per-replica build: slot 0 is the node
+		if s.Cfg.RingNodes == 0 {
+			nodes = guest.MailboxNodes
+		}
+		for i := 0; i < nodes && i < len(s.ProcBeats); i++ {
+			s.ProcBeats[i].OnWrite = o.onRingBeat
+		}
+	}
+}
+
+// NewObserver builds the observer Instrument installs, without
+// installing it. The caller routes the machine's probe events to its
+// Emit, heartbeat writes to OnHeartbeat and repair-port writes to
+// OnRepair (a mailbox ring's node beats reach an observer only through
+// Instrument). This is how several observers watch one machine: the
+// replicas of internal/cluster that share a machine each keep their
+// own observer, fed by the machine's hooks in turn. Apart from a
+// mailbox ring's legality predicate, an observer reads nothing of the
+// system it was built for, so it keeps observing correctly when its
+// feed moves to a machine in the same state.
+func (s *System) NewObserver(sink obs.Probe) *Observer {
+	o := &Observer{approach: s.Cfg.Approach, sink: sink}
+	if s.Heartbeat != nil {
+		o.legal = &obs.LegalityTracker{
+			BeatStream: obs.BeatStream{Rule: obs.BeatRule(s.Spec())},
+			// Legality confirmations route through the observer rather
+			// than the sink directly, so they are stamped with the fault
+			// id of the episode they close — and close it.
+			PredicateTracker: obs.PredicateTracker{Confirm: ObsConfirm, Sink: o},
+		}
 	}
 	if _, ok := s.Cfg.Workload.MailboxVariant(); ok && len(s.ProcBeats) > 0 {
 		// Mailbox ring workloads: legality is a state predicate (exactly
 		// one privilege under α), sampled at every node beat so token
 		// recovery appears in the event stream like heartbeat legality
 		// does for the kernel approaches.
-		p.ring = &obs.PredicateTracker{Confirm: ObsConfirm, Sink: p}
-		nodes := 1 // one-node-per-replica build: slot 0 is the node
-		if s.Cfg.RingNodes == 0 {
-			nodes = guest.MailboxNodes
-		}
-		for i := 0; i < nodes && i < len(s.ProcBeats); i++ {
-			s.ProcBeats[i].OnWrite = p.onRingBeat
-		}
+		o.ring = &obs.PredicateTracker{Confirm: ObsConfirm, Sink: o}
+		o.ringLegal = s.MailboxLegal
 	}
+	return o
 }
 
-// sysProbe sits between the machine's raw event stream and the sink,
+// Observer sits between the machine's raw event stream and the sink,
 // adding the derived stabilization events. It relies on what each
 // approach's handler actually does (see internal/guest):
 //
@@ -84,11 +106,13 @@ func (s *System) Instrument(sink obs.Probe) {
 //     repaired — predicate-failed + predicate-repaired.
 //   - watchdog-to-reset variants: the reset boots through the ROM
 //     installer — reinstall-started.
-type sysProbe struct {
-	sys   *System
-	sink  obs.Probe
-	legal *obs.LegalityTracker
-	ring  *obs.PredicateTracker
+type Observer struct {
+	approach Approach
+	sink     obs.Probe
+	legal    *obs.LegalityTracker
+	ring     *obs.PredicateTracker
+	// ringLegal samples the mailbox ring's legality (ring workloads).
+	ringLegal func() bool
 	// pending is set between a reinstall entering its handler and the
 	// guest's next observable output.
 	pending bool
@@ -100,11 +124,11 @@ type sysProbe struct {
 	lastFault uint64
 }
 
-// emit forwards one event to the sink, tolerating a nil sink (a
-// sysProbe is only installed with a non-nil sink, but the probe
+// emit forwards one event to the sink, tolerating a nil sink (an
+// Observer is only installed with a non-nil sink, but the probe
 // contract everywhere else in the repo is "nil-checked before call"
 // and the derived-event fan-out below should not be the one exception).
-func (p *sysProbe) emit(e obs.Event) {
+func (p *Observer) emit(e obs.Event) {
 	if p.sink == nil {
 		return
 	}
@@ -114,7 +138,7 @@ func (p *sysProbe) emit(e obs.Event) {
 // derive builds one derived stabilizer event, stamped with the fault
 // id of the recovery in progress (zero outside any episode — e.g. the
 // periodic watchdog NMIs of an undisturbed run).
-func (p *sysProbe) derive(step uint64, t obs.Type) obs.Event {
+func (p *Observer) derive(step uint64, t obs.Type) obs.Event {
 	e := obs.Ev(step, t)
 	e.FaultID = p.lastFault
 	return e
@@ -124,14 +148,14 @@ func (p *sysProbe) derive(step uint64, t obs.Type) obs.Event {
 // the injector routes through the machine probe; and the legality
 // tracker's confirmations), stamps them with the in-progress fault id,
 // forwards them, and appends the derived stabilizer events.
-func (p *sysProbe) Emit(e obs.Event) {
+func (p *Observer) Emit(e obs.Event) {
 	if e.Type == obs.TypeFaultInjected {
 		p.lastFault = e.FaultID
 	} else if e.FaultID == 0 {
 		e.FaultID = p.lastFault
 	}
 	p.emit(e)
-	a := p.sys.Cfg.Approach
+	a := p.approach
 	switch e.Type {
 	case obs.TypeNMI:
 		switch a {
@@ -173,7 +197,8 @@ func (p *sysProbe) Emit(e obs.Event) {
 	}
 }
 
-func (p *sysProbe) onHeartbeat(step uint64, v uint16) {
+// OnHeartbeat observes one guest heartbeat write.
+func (p *Observer) OnHeartbeat(step uint64, v uint16) {
 	if p.pending {
 		p.pending = false
 		p.emit(p.derive(step, obs.TypeReinstallCompleted))
@@ -183,11 +208,12 @@ func (p *sysProbe) onHeartbeat(step uint64, v uint16) {
 	}
 }
 
-func (p *sysProbe) onRingBeat(step uint64, v uint16) {
-	p.ring.OnSample(step, p.sys.MailboxLegal())
+func (p *Observer) onRingBeat(step uint64, v uint16) {
+	p.ring.OnSample(step, p.ringLegal())
 }
 
-func (p *sysProbe) onRepair(step uint64, v uint16) {
+// OnRepair observes one approach-2 repair report.
+func (p *Observer) OnRepair(step uint64, v uint16) {
 	fail := p.derive(step, obs.TypePredicateFailed)
 	fail.Code = uint64(v)
 	p.emit(fail)

@@ -134,6 +134,12 @@ func (m *Machine) SetDecodeCache(on bool) {
 	}
 }
 
+// DecodeCache reports the engine SetDecodeCache selected: true for the
+// superblock engine, false for the reference interpreter. A machine
+// built to continue another's run (internal/cluster's copy-on-strike
+// clones) reads it to stay on the same engine.
+func (m *Machine) DecodeCache() bool { return m.sblocks != nil }
+
 // runBatched is Run's loop. With the engine on and no AfterStep hook,
 // whenever the step skeleton provably has no work beyond the
 // processor's own — no deliverable pin and no ticker due — steps retire
