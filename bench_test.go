@@ -364,6 +364,33 @@ func BenchmarkClusterEpochStrikes(b *testing.B) {
 	}
 }
 
+// BenchmarkBlastRAM measures the fault injectors' bulk writes on a
+// reinstall system's machine: BlastRAM (every RAM byte, as a served
+// all-ram fault and a blast strike write it) and RandomizeRegion over
+// the guest OS image (an os-blast). Both draw one byte per address from
+// the injector's seeded stream, which sets the floor.
+func BenchmarkBlastRAM(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		blast func(*fault.Injector)
+	}{
+		{"all-ram", (*fault.Injector).BlastRAM},
+		{"os", func(in *fault.Injector) {
+			in.RandomizeRegion(mem.Region{Name: "os", Start: uint32(guest.OSSeg) << 4, Size: guest.ImageSize})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := core.MustNew(core.Config{Approach: core.ApproachReinstall})
+			inj := fault.NewInjector(s.M, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.blast(inj)
+				inj.Log = inj.Log[:0]
+			}
+		})
+	}
+}
+
 // BenchmarkRecoveryFromBlast measures end-to-end recovery: OS image
 // destroyed, machine run until legal heartbeats resume.
 func BenchmarkRecoveryFromBlast(b *testing.B) {

@@ -90,7 +90,7 @@ func main() {
 	}
 	var rec *trace.Recorder
 	if *traceN > 0 {
-		rec = trace.NewRecorder(s.M, *traceN)
+		rec = trace.NewRecorder(*traceN)
 		s.M.AfterStep = rec.Observe
 	}
 

@@ -296,7 +296,7 @@ func (c *Cluster) boot(r *replica, h *host) {
 		r.ob = h.sys.NewObserver(r.col)
 	}
 	if c.cfg.TraceN > 0 {
-		r.rec = trace.NewRecorder(h.sys.M, c.cfg.TraceN)
+		r.rec = trace.NewRecorder(c.cfg.TraceN)
 	}
 	r.inj = fault.NewInjector(h.sys.M, injectorSeed(c.cfg.Seed, r.id, r.incarnation))
 	r.incarnation++
@@ -356,20 +356,21 @@ func (c *Cluster) runEpoch() {
 
 // stepEpoch steps every replica through the current epoch, applying
 // its strikes, and returns each replica's epoch output.
+//
+// Machines are independent between strike offsets, so the epoch runs
+// in segments: every distinct machine, clones included, steps on the
+// shared worker pool from one strike offset to the next, and at each
+// offset the coordinator applies the strikes due there in (offset,
+// replica) order, splitting a struck replica off a machine it shares
+// first. The last segment steps every machine to the epoch's end and
+// records its members' outputs. A job touches only its machine and its
+// members (including their private event collectors), so the results
+// are independent of goroutine scheduling.
 func (c *Cluster) stepEpoch(strikes []Strike) []epochOutput {
-	// One job per distinct machine, listed by first member. A job's
-	// strikes run in offset order across its members (ties in replica
-	// order); a no-op strike writes nothing and splits nothing.
-	type hostJob struct {
-		h       *host
-		strikes []Strike
-	}
-	var jobs []*hostJob
-	job := make(map[*host]*hostJob, len(c.replicas))
+	var hosts []*host
 	for _, r := range c.replicas {
-		if h := r.host; job[h] == nil {
-			job[h] = &hostJob{h: h}
-			jobs = append(jobs, job[h])
+		if h := r.host; !slices.Contains(hosts, h) {
+			hosts = append(hosts, h)
 			h.epochStart, h.digest = h.sys.Steps(), newDigest()
 		}
 		r.legal = true
@@ -377,23 +378,30 @@ func (c *Cluster) stepEpoch(strikes []Strike) []epochOutput {
 			r.col.Epoch = c.epoch
 		}
 	}
-	for _, s := range strikes {
-		if s.Mode != ModeNone {
-			j := job[c.replicas[s.Replica].host]
-			j.strikes = append(j.strikes, s)
+	// strikes come in (replica, offset) order, so a stable sort by
+	// offset breaks ties in replica order.
+	due := slices.Clone(strikes)
+	slices.SortStableFunc(due, func(a, b Strike) int { return cmp.Compare(a.Offset, b.Offset) })
+	steps, done := c.cfg.EpochSteps, 0
+	for _, s := range due {
+		if s.Mode == ModeNone {
+			continue // a no-op strike writes nothing and splits nothing
 		}
+		if off := min(s.Offset, steps); off > done {
+			n := off - done
+			pool.Run(len(hosts), func(i int) { hosts[i].sys.Run(n) })
+			done = off
+		}
+		r := c.replicas[s.Replica]
+		if clone := c.split(r); clone != nil {
+			hosts = append(hosts, clone)
+		}
+		s.Mode.apply(r.inj)
 	}
-
-	// Step every machine through the epoch on the shared worker pool.
-	// Each job touches only its machine, the clones it splits off and
-	// their replicas (including their private event collectors), so
-	// the fan-out is safe and the results are independent of goroutine
-	// scheduling.
 	outputs := make([]epochOutput, len(c.replicas))
-	pool.Run(len(jobs), func(i int) {
-		j := jobs[i]
-		slices.SortStableFunc(j.strikes, func(a, b Strike) int { return cmp.Compare(a.Offset, b.Offset) })
-		c.runHost(j.h, 0, j.strikes, outputs)
+	pool.Run(len(hosts), func(i int) {
+		hosts[i].sys.Run(steps - done)
+		hosts[i].output(outputs)
 	})
 	return outputs
 }
@@ -416,38 +424,4 @@ func (c *Cluster) closeEpoch(strikes []Strike, outputs []epochOutput) {
 	stat.Evicted = c.reconfigure(e, v, outputs)
 	c.Stats = append(c.Stats, stat)
 	c.epoch++
-}
-
-// runHost advances h from step offset done to the epoch's end, applying
-// strikes (aimed at its members, in offset order, none before done),
-// and records each member's epoch output. A struck member that shares
-// h first splits onto a clone, which runs the rest of the epoch with
-// that member's remaining strikes.
-func (c *Cluster) runHost(h *host, done int, strikes []Strike, outputs []epochOutput) {
-	steps := c.cfg.EpochSteps
-	for len(strikes) > 0 {
-		s := strikes[0]
-		if off := min(s.Offset, steps); off > done {
-			h.sys.Run(off - done)
-			done = off
-		}
-		r := c.replicas[s.Replica]
-		if clone := c.split(r); clone != nil {
-			var mine, rest []Strike
-			for _, x := range strikes {
-				if x.Replica == r.id {
-					mine = append(mine, x)
-				} else {
-					rest = append(rest, x)
-				}
-			}
-			c.runHost(clone, done, mine, outputs)
-			strikes = rest
-			continue
-		}
-		s.Mode.apply(r.inj)
-		strikes = strikes[1:]
-	}
-	h.sys.Run(steps - done)
-	h.output(outputs)
 }

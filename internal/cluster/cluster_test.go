@@ -200,6 +200,11 @@ func TestStateTransferLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh.Watchdog.Counter = donor.Watchdog.Counter
+	// The transfer copies the donor's memory straight into the fresh
+	// bus: no temporary, no allocation.
+	if a := testing.AllocsPerRun(5, func() { _ = fresh.M.AdoptState(donor.M) }); a != 0 {
+		t.Errorf("AdoptState allocates %v times per transfer, want 0", a)
+	}
 
 	start := donor.Steps()
 	donor.Run(50000)

@@ -84,6 +84,34 @@ func TestStrikeSplitsThenRejoinShares(t *testing.T) {
 	if r := c.replicas[4]; r.host == shared || r.inj.M != r.host.sys.M || machines(c) != 2 {
 		t.Errorf("on-demand strike: replica 4 shares a machine or strikes another (%d machines)", machines(c))
 	}
+
+	// Strikes due at one offset apply in replica order. Replica 3
+	// rejoins the shared machine after 4; replica 0 splits off with a
+	// bitflip it survives and 1 and 2 rejoin it, which leaves the shared
+	// machine to 4 and 3, in that order. Struck at one offset, 3 splits
+	// off first and 4 takes its strike in place.
+	c = MustNew(Config{
+		Replicas: 5,
+		Approach: core.ApproachReinstall,
+		Seed:     11,
+		Schedule: []Strike{
+			{Epoch: 1, Replica: 3, Offset: 19000, Mode: ModeOSBlast},
+			{Epoch: 2, Replica: 0, Offset: 5000, Mode: ModeBitflip},
+			{Epoch: 2, Replica: 1, Offset: 5000, Mode: ModeOSBlast},
+			{Epoch: 2, Replica: 2, Offset: 5000, Mode: ModeOSBlast},
+			{Epoch: 3, Replica: 3, Offset: 8000, Mode: ModeOSBlast},
+			{Epoch: 3, Replica: 4, Offset: 8000, Mode: ModeOSBlast},
+		},
+	})
+	c.Run(3)
+	shared = c.replicas[4].host
+	if m := shared.members; len(m) != 2 || m[0] != c.replicas[4] || m[1] != c.replicas[3] {
+		t.Fatalf("before the tie: shared machine holds %d replicas, want 4 then 3", len(m))
+	}
+	c.stepEpoch(c.strikesFor(c.epoch))
+	if c.replicas[4].host != shared || c.replicas[3].host == shared {
+		t.Errorf("same-offset strikes on replicas 3 and 4: 3 must split off first and 4 take its strike in place")
+	}
 }
 
 // Sharing follows lineage, never digests. A bitflip outside the

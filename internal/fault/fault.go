@@ -158,10 +158,23 @@ func (in *Injector) CorruptByteIn(r mem.Region) bool {
 // RandomizeRegion overwrites every RAM byte of the region with random
 // values — a severe burst fault.
 func (in *Injector) RandomizeRegion(r mem.Region) {
-	for a := r.Start; a < r.End(); a++ {
-		in.M.Bus.PokeRAM(a, in.randByte())
-	}
+	in.randomize(r.Start, r.End())
 	in.record(KindRAMRegion, r.Start, r.Name)
+}
+
+// randomize writes a random byte to every RAM address in [start, end),
+// modulo the address space, a page at a time. It draws one byte per
+// address, ROM included, and the bus drops the draws for ROM bytes.
+func (in *Injector) randomize(start, end uint32) {
+	var buf [mem.PageSize]byte
+	for a := start; a < end; {
+		n := min(mem.PageSize-a%mem.PageSize, end-a)
+		for i := range buf[:n] {
+			buf[i] = in.randByte()
+		}
+		in.M.Bus.WriteRAM(a&mem.AddrMask, buf[:n])
+		a += n
+	}
 }
 
 // CorruptIP randomizes the instruction pointer.
@@ -246,9 +259,7 @@ func (in *Injector) BlastCPU() {
 // BlastCPU this realizes an arbitrary initial configuration.
 func (in *Injector) BlastRAM() {
 	for _, r := range in.M.Bus.RAMRegions() {
-		for a := r.Start; a < r.End(); a++ {
-			in.M.Bus.PokeRAM(a, in.randByte())
-		}
+		in.randomize(r.Start, r.End())
 	}
 	in.record(KindRAMRegion, 0, "all-ram")
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"testing"
 
 	"ssos/internal/isa"
@@ -115,28 +116,39 @@ func TestBlastIsDeterministic(t *testing.T) {
 }
 
 // TestBulkByteDrawsMatchIntn: BlastRAM and RandomizeRegion draw their
-// bytes straight from the source, and must write exactly the bytes
-// rng.Intn(256) draws and consume the same stream: RAM matches a
-// reference injector with the same seed that draws through Intn, and
-// so does the next draw after the bulk ones.
+// bytes straight from the source and write them a page at a time, and
+// must write exactly the bytes rng.Intn(256) draws byte by byte and
+// consume the same stream: RAM matches a reference injector with the
+// same seed that draws through Intn and pokes each byte, and so does
+// the next draw after the bulk ones. BlastRAM draws for RAM bytes only;
+// RandomizeRegion draws for every address of its region, ROM included
+// (the second region starts mid-page and runs into ROM), and drops the
+// draws for ROM bytes.
 func TestBulkByteDrawsMatchIntn(t *testing.T) {
 	a, b := testMachine(t), testMachine(t)
 	ia, ib := NewInjector(a, 9), NewInjector(b, 9)
-	region := mem.Region{Name: "r", Start: 0x2000, Size: 0x300}
+	regions := []mem.Region{
+		{Name: "r", Start: 0x2000, Size: 0x300},
+		{Name: "into-rom", Start: 0xEFF31, Size: 0x1F0},
+	}
 	ia.BlastRAM()
-	ia.RandomizeRegion(region)
+	for _, r := range regions {
+		ia.RandomizeRegion(r)
+	}
 	for _, r := range b.Bus.RAMRegions() {
 		for x := r.Start; x < r.End(); x++ {
 			b.Bus.PokeRAM(x, byte(ib.rng.Intn(256)))
 		}
 	}
-	for x := region.Start; x < region.End(); x++ {
-		b.Bus.PokeRAM(x, byte(ib.rng.Intn(256)))
-	}
-	for _, r := range a.Bus.RAMRegions() {
+	for _, r := range regions {
 		for x := r.Start; x < r.End(); x++ {
+			b.Bus.PokeRAM(x, byte(ib.rng.Intn(256)))
+		}
+	}
+	if !bytes.Equal(a.Bus.View(0, mem.AddrSpace), b.Bus.View(0, mem.AddrSpace)) {
+		for x := uint32(0); x < mem.AddrSpace; x++ {
 			if a.Bus.Peek(x) != b.Bus.Peek(x) {
-				t.Fatalf("RAM byte %#x: bulk draw %#x, Intn draw %#x", x, a.Bus.Peek(x), b.Bus.Peek(x))
+				t.Fatalf("byte %#x: bulk draw %#x, Intn draw %#x", x, a.Bus.Peek(x), b.Bus.Peek(x))
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+
+	"ssos/internal/mem"
+)
 
 // AdoptState copies the complete volatile state of src into m: the
 // CPU soft state, the full memory contents, the step statistics and the
@@ -16,13 +20,14 @@ import "fmt"
 // diverging the two machines one handler-run later.
 //
 // Both machines must be built over the same memory image (same ROM
-// regions); AdoptState reports an error if the address-space snapshot
-// cannot be restored.
+// regions). The address space is copied straight from src's bus into
+// m's, with no temporary, so a transfer allocates nothing; it bumps
+// every page generation of m, as any Restore does.
 func (m *Machine) AdoptState(src *Machine) error {
 	if m == src {
 		return nil
 	}
-	if err := m.Bus.Restore(src.Bus.Snapshot()); err != nil {
+	if err := m.Bus.Restore(src.Bus.View(0, mem.AddrSpace)); err != nil {
 		return fmt.Errorf("machine: adopt state: %w", err)
 	}
 	m.CPU = src.CPU

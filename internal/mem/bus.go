@@ -387,6 +387,40 @@ func (b *Bus) PokeRAM(addr uint32, v byte) bool {
 	return true
 }
 
+// WriteRAM stores src at addr, addr+1, …, skipping ROM bytes as a loop
+// of PokeRAM does; the range must not cross the top of the address
+// space. It is silent like StoreByte: each page in which a byte changed
+// has its generation bumped once, the stamp advances once when any byte
+// changed, and a write of the bytes memory already holds moves nothing.
+// Fault injectors randomize whole regions through it.
+func (b *Bus) WriteRAM(addr uint32, src []byte) {
+	addr &= AddrMask
+	end := addr + uint32(len(src))
+	changed := false
+	for a := addr; a < end; {
+		p := a >> PageShift
+		pageEnd := min(end, (p+1)<<PageShift)
+		dirty := false
+		for a < pageEnd {
+			n := b.ramPrefix(a, pageEnd-a)
+			if d, s := b.data[a:a+n], src[a-addr:a-addr+n]; string(d) != string(s) {
+				copy(d, s)
+				dirty = true
+			}
+			for a += n; a < pageEnd && b.InROM(a); {
+				a++ // a ROM byte keeps its contents
+			}
+		}
+		if dirty {
+			b.gens[p]++
+			changed = true
+		}
+	}
+	if changed {
+		b.stamp++
+	}
+}
+
 // Peek reads addr without any side effects (same as LoadByte; provided
 // for symmetry with Poke).
 func (b *Bus) Peek(addr uint32) byte { return b.data[addr&AddrMask] }

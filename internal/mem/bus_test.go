@@ -473,6 +473,108 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 	}
 }
 
+// TestWriteRAMMatchesByteStores holds WriteRAM against the PokeRAM loop
+// it stands for. Twin buses start identical; for random ranges — over
+// ROM regions at word and page edges and at the top of the address
+// space, up to three pages long and ending at the top at most — one
+// bus takes the method and the other PokeRAM(addr+i, src[i]). The
+// memory must match, ROM must be untouched, each page's generation
+// must move by one iff a byte in it changed and by nothing otherwise,
+// and the stamp must move by one iff any byte changed. Bytes are drawn
+// from four values, and some writes copy memory's own bytes, so many
+// are partly or wholly silent.
+func TestWriteRAMMatchesByteStores(t *testing.T) {
+	roms := []Region{
+		{Start: 0x10040, Size: 16}, // word-aligned
+		{Start: 0x100FF, Size: 2},  // across a page edge
+		{Start: 0x10200, Size: 1},  // a page's first byte
+		{Start: 0x1033F, Size: 1},  // a word's last bit
+		{Start: 0x103A5, Size: 16}, // mid-word
+		{Start: 0xFFFFE, Size: 2},  // the top of the address space
+	}
+	var twin [2]*Bus
+	for i := range twin {
+		twin[i] = NewBus()
+		for _, r := range roms {
+			if _, err := twin[i].AddROM("rom", r.Start, bytes.Repeat([]byte{0xEE}, int(r.Size))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := twin[0], twin[1]
+	rng := rand.New(rand.NewSource(1))
+	one := func(moved bool) uint64 {
+		if moved {
+			return 1
+		}
+		return 0
+	}
+	var gens [NumPages]uint64
+	src := make([]byte, 3*PageSize)
+	for trial := 0; trial < 3000; trial++ {
+		var addr uint32
+		switch rng.Intn(3) {
+		case 0:
+			addr = 0xFFC00 + uint32(rng.Intn(0x400))
+		case 1:
+			addr = uint32(rng.Intn(0x300))
+		default:
+			addr = 0xFF00 + uint32(rng.Intn(0x600))
+		}
+		n := min(uint32(rng.Intn(len(src)+1)), AddrSpace-addr)
+		w := src[:n]
+		if rng.Intn(8) == 0 {
+			copy(w, a.data[addr:]) // memory's own bytes
+			if n > 0 && rng.Intn(2) == 0 {
+				w[rng.Intn(len(w))] ^= 1
+			}
+		} else {
+			for i := range w {
+				w[i] = byte(rng.Intn(4))
+			}
+		}
+
+		// Pages outside [lo, hi) cannot change: the twin, which
+		// writes only the range, must match afterwards.
+		lo, hi := addr&^(PageSize-1), (addr+n+PageSize-1)&^(PageSize-1)
+		before := bytes.Clone(a.data[lo:hi])
+		gens = *a.gens
+		stamp := a.stamp
+		a.WriteRAM(addr, w)
+		for i, v := range w {
+			b.PokeRAM(addr+uint32(i), v)
+		}
+		if !bytes.Equal(a.data, b.data) {
+			t.Fatalf("WriteRAM(%#x, %d bytes): memory differs from byte stores", addr, n)
+		}
+		anyChanged := false
+		for q := range gens {
+			changed := false
+			if p := uint32(q) << PageShift; p >= lo && p < hi {
+				changed = !bytes.Equal(before[p-lo:p-lo+PageSize], a.data[p:p+PageSize])
+			}
+			anyChanged = anyChanged || changed
+			if a.gens[q] != gens[q]+one(changed) {
+				t.Fatalf("WriteRAM(%#x, %d bytes): page %#x generation %d -> %d, page changed = %v",
+					addr, n, q, gens[q], a.gens[q], changed)
+			}
+		}
+		if a.stamp != stamp+one(anyChanged) {
+			t.Fatalf("WriteRAM(%#x, %d bytes): stamp %d -> %d, bytes changed = %v", addr, n, stamp, a.stamp, anyChanged)
+		}
+	}
+	if a.ROMWriteCount != 0 {
+		t.Fatalf("ROMWriteCount = %d, want 0", a.ROMWriteCount)
+	}
+	for _, r := range roms {
+		for x := r.Start; x < r.End(); x++ {
+			if a.data[x] != 0xEE {
+				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, a.data[x])
+			}
+		}
+	}
+}
+
 // TestZeroRunMatchesBytes holds ZeroRun against a byte loop: from random
 // starts and lengths, the run it reports is the zero bytes a loop finds
 // before the first non-zero byte, the length n or the top of the

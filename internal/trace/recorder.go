@@ -50,17 +50,14 @@ type Recorder struct {
 	ring []RecordedStep
 	next int
 	full bool
-	// pending captures the pre-step program counter; Machine hooks run
-	// after the step, so the recorder snapshots before via BeforeStep.
-	m *machine.Machine
 }
 
 // NewRecorder returns a recorder retaining the last n steps.
-func NewRecorder(m *machine.Machine, n int) *Recorder {
+func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = 64
 	}
-	return &Recorder{ring: make([]RecordedStep, n), m: m}
+	return &Recorder{ring: make([]RecordedStep, n)}
 }
 
 // Observe records one step; use it as (part of) the machine's

@@ -159,7 +159,7 @@ func TestRecorderRing(t *testing.T) {
 		bus.Poke(0x1000+uint32(i), b)
 	}
 	m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
-	r := NewRecorder(m, 4)
+	r := NewRecorder(4)
 	m.AfterStep = r.Observe
 	m.Run(10)
 	last := r.Last()
@@ -181,14 +181,14 @@ func TestRecorderBeforeFull(t *testing.T) {
 	bus := mem.NewBus()
 	bus.Poke(0x1000, byte(isa.OpNop))
 	m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
-	r := NewRecorder(m, 100)
+	r := NewRecorder(100)
 	m.AfterStep = r.Observe
 	m.Run(3)
 	if got := len(r.Last()); got != 3 {
 		t.Fatalf("partial ring length %d", got)
 	}
 	// Zero capacity defaults sanely.
-	if r2 := NewRecorder(m, 0); len(r2.ring) == 0 {
+	if r2 := NewRecorder(0); len(r2.ring) == 0 {
 		t.Fatal("default capacity")
 	}
 }
@@ -217,7 +217,7 @@ func TestRecorderWrapExactSteps(t *testing.T) {
 	bus := mem.NewBus()
 	bus.Poke(0x1000, byte(isa.OpJmp)) // jmp 0 loop
 	m := machine.New(bus, machine.Options{ResetVector: machine.SegOff{Seg: 0x0100, Off: 0}})
-	r := NewRecorder(m, 4)
+	r := NewRecorder(4)
 	m.AfterStep = r.Observe
 	m.Run(7) // 7 > 4: the ring has wrapped, discarding the first 3
 	last := r.Last()
