@@ -5,8 +5,10 @@
 //
 // The analyzers encode contracts that otherwise live only in prose:
 //
-//   - genbump: every mem.Bus mutation path bumps a page-generation
-//     counter (the superblock engine's soundness precondition).
+//   - genbump: every mem.Bus write into page memory goes through the
+//     owning accessor, which copies a shared page, and bumps a
+//     page-generation counter and the write stamp (the superblock
+//     engine's soundness precondition).
 //   - detmap: no raw map iteration feeding digests, voters or JSON
 //     exporters in the deterministic result paths.
 //   - probenil: observability probes are nil-checked before every Emit

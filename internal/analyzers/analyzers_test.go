@@ -46,68 +46,110 @@ func runOne(t *testing.T, a *analyzers.Analyzer, path, src string) []string {
 	return msgs
 }
 
-// TestGenbumpFlagsUnbumpedMutation: data writes without a generation
-// bump (direct or via a bumping sibling) are flagged, whether they name
-// b.data or write through a local slice of it; bumped paths and reads
-// through such a slice are not.
-func TestGenbumpFlagsUnbumpedMutation(t *testing.T) {
-	src := `package mem
+// genbumpBus is the paged bus the genbump fixtures share: a page
+// table, the owning accessor that copies a shared page, and a sibling
+// that bumps a generation and the stamp.
+const genbumpBus = `package mem
+
+type page [16]byte
 
 type Bus struct {
-	data  []byte
+	pages [16]*page
+	flags [16]uint8
 	gens  [16]uint64
 	stamp uint64
 }
 
-func (b *Bus) bump(p int) { b.gens[p]++; b.stamp++ }
-
-func (b *Bus) Good(addr int, v byte) {
-	b.data[addr] = v
-	b.bump(addr >> 12)
+func (b *Bus) own(p int) *page {
+	if b.flags[p] != 0 {
+		b.unshare(p)
+	}
+	return b.pages[p]
 }
 
-func (b *Bus) GoodDirect(addr int, v byte) {
-	b.data[addr] = v
-	b.gens[addr>>12]++
+func (b *Bus) unshare(p int) {
+	c := new(page)
+	*c = *b.pages[p]
+	b.pages[p] = c
+	b.flags[p] = 0
+}
+
+func (b *Bus) bump(p int) { b.gens[p]++; b.stamp++ }
+`
+
+// wantFindings fails unless msgs holds exactly one finding naming each
+// of the methods.
+func wantFindings(t *testing.T, msgs []string, methods ...string) {
+	t.Helper()
+	if len(msgs) != len(methods) {
+		t.Fatalf("got %d findings, want %d (%v):\n%s", len(msgs), len(methods), methods, strings.Join(msgs, "\n"))
+	}
+	for _, want := range methods {
+		found := false
+		for _, m := range msgs {
+			if strings.Contains(m, "Bus."+want+" ") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no finding mentioning Bus.%s in %v", want, msgs)
+		}
+	}
+}
+
+// TestGenbumpFlagsUnbumpedMutation: writes into an owned page without
+// a generation bump (direct or via a bumping sibling) are flagged,
+// whether they write through own's result or through a local slice of
+// it; bumped paths and reads through the page table are not.
+func TestGenbumpFlagsUnbumpedMutation(t *testing.T) {
+	src := genbumpBus + `
+func (b *Bus) Good(p, o int, v byte) {
+	b.own(p)[o] = v
+	b.bump(p)
+}
+
+func (b *Bus) GoodDirect(p, o int, v byte) {
+	pg := b.own(p)
+	pg[o] = v
+	b.gens[p]++
 	b.stamp++
 }
 
-func (b *Bus) Bad(addr int, v byte) {
-	b.data[addr] = v
+func (b *Bus) Bad(p, o int, v byte) {
+	b.own(p)[o] = v
 }
 
-func (b *Bus) BadCopy(src []byte) {
-	copy(b.data, src)
+func (b *Bus) BadCopy(p int, src []byte) {
+	copy(b.own(p)[:], src)
 }
 
-func (b *Bus) ReadOnly(dst []byte) {
-	copy(dst, b.data)
+func (b *Bus) ReadOnly(p int, dst []byte) {
+	copy(dst, b.pages[p][:])
 }
 
-func (b *Bus) BadAliasCopy(i, j int, s []byte) {
-	d := b.data[i:j]
+func (b *Bus) BadAliasCopy(p, i, j int, s []byte) {
+	d := b.own(p)[i:j]
 	copy(d, s)
 }
 
-func (b *Bus) BadAliasIndex(i int, v byte) {
+func (b *Bus) BadAliasIndex(p, i int, v byte) {
 	var d []byte
-	d = b.data[i:]
+	d = b.own(p)[i:]
 	e := d[1:]
 	e[0] = v
 }
 
-func (b *Bus) GoodAlias(i, j int, s []byte) {
-	d := b.data[i:j]
-	if string(d) == string(s) {
+func (b *Bus) GoodAlias(p, i, j int, s []byte) {
+	if string(b.pages[p][i:j]) == string(s) {
 		return
 	}
-	copy(d, s)
-	b.gens[i>>12]++
+	copy(b.own(p)[i:j], s)
+	b.gens[p]++
 	b.stamp++
 }
 
-func (b *Bus) ReadOnlyAlias(i, j int, dst []byte) int {
-	d := b.data[i:j]
+func (b *Bus) ReadOnlyAlias(p int, dst []byte) int {
+	d := b.pages[p][:]
 	n := copy(dst, d)
 	for n < len(dst) {
 		n += copy(dst[n:], d)
@@ -116,20 +158,50 @@ func (b *Bus) ReadOnlyAlias(i, j int, dst []byte) int {
 }
 `
 	msgs := runOne(t, analyzers.Genbump, "ssos/testdata/genbump", src)
-	if len(msgs) != 4 {
-		t.Fatalf("got %d findings, want 4:\n%s", len(msgs), strings.Join(msgs, "\n"))
-	}
-	for _, want := range []string{"Bus.Bad ", "Bus.BadCopy ", "Bus.BadAliasCopy ", "Bus.BadAliasIndex "} {
-		found := false
-		for _, m := range msgs {
-			if strings.Contains(m, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no finding mentioning %q in %v", want, msgs)
-		}
-	}
+	wantFindings(t, msgs, "Bad", "BadCopy", "BadAliasCopy", "BadAliasIndex")
+}
+
+// TestGenbumpFlagsPageTableWrites: a write into page memory through the
+// page table — indexed, copied into, through a local taken from it, or
+// through a whole-page store — is flagged even when it bumps, since on
+// a shared page it writes what a fork or the zero page also holds; so
+// is repointing a page-table entry outside the owning accessor.
+func TestGenbumpFlagsPageTableWrites(t *testing.T) {
+	src := genbumpBus + `
+func (b *Bus) BadTable(p, o int, v byte) {
+	b.pages[p][o] = v
+	b.bump(p)
+}
+
+func (b *Bus) BadTableCopy(p int, s []byte) {
+	copy(b.pages[p][:], s)
+	b.bump(p)
+}
+
+func (b *Bus) BadTableAlias(p, o int) {
+	pg := b.pages[p]
+	pg[o]++
+	b.bump(p)
+}
+
+func (b *Bus) BadTablePage(p int) {
+	*b.pages[p] = page{}
+	b.bump(p)
+}
+
+func (b *Bus) BadRepoint(p int) {
+	b.pages[p] = new(page)
+	b.bump(p)
+}
+
+func (b *Bus) GoodOwned(p, o int) {
+	pg := b.own(p)
+	pg[o]++
+	b.bump(p)
+}
+`
+	msgs := runOne(t, analyzers.Genbump, "ssos/testdata/genpages", src)
+	wantFindings(t, msgs, "BadTable", "BadTableCopy", "BadTableAlias", "BadTablePage", "BadRepoint")
 }
 
 // TestGenbumpStampRule: a direct generation bump that skips the
@@ -138,31 +210,29 @@ func (b *Bus) ReadOnlyAlias(i, j int, dst []byte) int {
 // gens bump must advance it, directly or via a sibling in the
 // stamp-advancing closure.
 func TestGenbumpStampRule(t *testing.T) {
-	src := `package mem
-
-type Bus struct {
-	data  []byte
-	gens  [16]uint64
-	stamp uint64
-}
-
+	src := genbumpBus + `
 func (b *Bus) touch() { b.stamp++ }
 
-func (b *Bus) GoodDirect(addr int, v byte) {
-	b.data[addr] = v
-	b.gens[addr>>12]++
+func (b *Bus) GoodDirect(p, o int, v byte) {
+	b.own(p)[o] = v
+	b.gens[p]++
 	b.stamp++
 }
 
-func (b *Bus) GoodViaSibling(addr int, v byte) {
-	b.data[addr] = v
-	b.gens[addr>>12]++
+func (b *Bus) GoodViaSibling(p, o int, v byte) {
+	b.own(p)[o] = v
+	b.gens[p]++
 	b.touch()
 }
 
-func (b *Bus) BadNoStamp(addr int, v byte) {
-	b.data[addr] = v
-	b.gens[addr>>12]++
+func (b *Bus) BadNoStamp(p, o int, v byte) {
+	b.own(p)[o] = v
+	b.gens[p]++
+}
+
+func (b *Bus) BadCopyNoStamp(p int, s []byte) {
+	copy(b.own(p)[:], s)
+	b.gens[p]++
 }
 
 func (b *Bus) BadLoop() {
@@ -172,20 +242,7 @@ func (b *Bus) BadLoop() {
 }
 `
 	msgs := runOne(t, analyzers.Genbump, "ssos/testdata/genstamp", src)
-	if len(msgs) != 2 {
-		t.Fatalf("got %d findings, want 2 (BadNoStamp, BadLoop):\n%s", len(msgs), strings.Join(msgs, "\n"))
-	}
-	for _, want := range []string{"Bus.BadNoStamp ", "Bus.BadLoop "} {
-		found := false
-		for _, m := range msgs {
-			if strings.Contains(m, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no finding mentioning %q in %v", want, msgs)
-		}
-	}
+	wantFindings(t, msgs, "BadNoStamp", "BadCopyNoStamp", "BadLoop")
 	for _, m := range msgs {
 		if !strings.Contains(m, "stamp") {
 			t.Errorf("stamp-rule finding does not mention the stamp: %s", m)

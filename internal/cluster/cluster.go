@@ -97,8 +97,9 @@ type Config struct {
 }
 
 // replicaConsoleCap bounds every replica console's history. The voter
-// judges and digests each beat as it is written, so nothing in the
-// cluster reads a console back.
+// judges and digests each beat as it is written, and a ring fleet
+// judges its ring from mailbox slots, so nothing in the cluster reads a
+// console back.
 const replicaConsoleCap = 1
 
 // replica is one fleet member: the machine it runs on, its private
@@ -302,27 +303,20 @@ func (c *Cluster) boot(r *replica, h *host) {
 	r.incarnation++
 }
 
-// split moves r off a machine it shares onto a clone: a fresh system
-// from ROM that adopts the machine's volatile state (memory, CPU, step
-// clock, latched interrupt pins, watchdog countdown) and runs on the
-// same engine. r keeps its incarnation and all it has observed, and
-// its injector now strikes the clone. split returns the clone, or nil
-// when r is alone on its machine and stays there.
+// split moves r off a machine it shares onto a clone: a fork of the
+// system (core.System.Fork), which continues the machine's run —
+// memory, CPU, step clock, latched interrupt pins, watchdog countdown,
+// engine — and shares its memory pages until either side writes one.
+// r keeps its incarnation and all it has observed, and its injector
+// now strikes the clone. split returns the clone, or nil when r is
+// alone on its machine and stays there. It runs between pool fan-outs,
+// while no machine steps.
 func (c *Cluster) split(r *replica) *host {
 	h := r.host
 	if len(h.members) == 1 {
 		return nil
 	}
-	sys := core.MustNew(c.sysCfg)
-	if err := sys.M.AdoptState(h.sys.M); err != nil {
-		// The fleet shares one memory layout; a mismatch is a
-		// programming error, not a runtime condition.
-		panic(err)
-	}
-	if sys.Watchdog != nil {
-		sys.Watchdog.Counter = h.sys.Watchdog.Counter
-	}
-	sys.M.SetDecodeCache(h.sys.M.DecodeCache())
+	sys := h.sys.Fork()
 	h.leave(r)
 	clone := c.newHost(sys)
 	clone.members = []*replica{r}

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"ssos/internal/core"
 	"ssos/internal/dev"
+	"ssos/internal/fault"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -189,21 +191,22 @@ func TestReplicaConsolesBounded(t *testing.T) {
 	}
 }
 
-// State transfer puts a fresh system into lockstep with its donor: both
-// machines produce identical output from the transfer point onward.
+// State transfer is a fork: from the fork on, the fork and its donor
+// produce identical output and hold identical memory, and a fork costs
+// the same allocations whether the donor has written a few pages of RAM
+// or, after an all-ram blast, every one.
 func TestStateTransferLockstep(t *testing.T) {
-	donor := core.MustNew(core.Config{Approach: core.ApproachReinstall})
+	cfg := core.Config{Approach: core.ApproachReinstall}
+	donor := core.MustNew(cfg)
 	donor.Run(77777)
+	fresh := donor.Fork()
 
-	fresh := core.MustNew(core.Config{Approach: core.ApproachReinstall})
-	if err := fresh.M.AdoptState(donor.M); err != nil {
-		t.Fatal(err)
-	}
-	fresh.Watchdog.Counter = donor.Watchdog.Counter
-	// The transfer copies the donor's memory straight into the fresh
-	// bus: no temporary, no allocation.
-	if a := testing.AllocsPerRun(5, func() { _ = fresh.M.AdoptState(donor.M) }); a != 0 {
-		t.Errorf("AdoptState allocates %v times per transfer, want 0", a)
+	booted, blasted := core.MustNew(cfg), core.MustNew(cfg)
+	fault.NewInjector(blasted.M, 1).BlastRAM()
+	few := testing.AllocsPerRun(5, func() { booted.Fork() })
+	all := testing.AllocsPerRun(5, func() { blasted.Fork() })
+	if few != all {
+		t.Errorf("Fork allocates %v objects on a fresh machine, %v after an all-ram blast", few, all)
 	}
 
 	start := donor.Steps()
@@ -211,6 +214,9 @@ func TestStateTransferLockstep(t *testing.T) {
 	fresh.Run(50000)
 	if donor.M.CPU != fresh.M.CPU {
 		t.Fatalf("CPU diverged:\n donor %v\n fresh %v", &donor.M.CPU, &fresh.M.CPU)
+	}
+	if !bytes.Equal(donor.M.Bus.Snapshot(), fresh.M.Bus.Snapshot()) {
+		t.Fatal("memory diverged")
 	}
 	dw, fw := donor.Heartbeat.Writes(), fresh.Heartbeat.Writes()
 	var dn []uint64

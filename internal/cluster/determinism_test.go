@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ssos/internal/core"
-	"ssos/internal/mem"
 	"ssos/internal/pool"
 )
 
@@ -73,7 +72,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 				m := r.host.sys.M
 				h := crc32.NewIEEE()
 				fmt.Fprintf(h, "%+v %d", m.CPU, m.Stats.Steps)
-				h.Write(m.Bus.View(0, mem.AddrSpace))
+				h.Write(m.Bus.Snapshot())
 				fmt.Fprintf(&b, "epoch %d replica %d machine %08x\n", c.Epoch(), r.id, h.Sum32())
 			}
 		}

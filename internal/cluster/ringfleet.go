@@ -84,10 +84,11 @@ func NewRingFleet(cfg RingFleetConfig) (*RingFleet, error) {
 	f := &RingFleet{cfg: cfg, proto: cfg.Variant.Protocol()}
 	for i := 0; i < cfg.Replicas; i++ {
 		sys, err := core.New(core.Config{
-			Approach:  core.ApproachScheduler,
-			Workload:  core.MailboxWorkload(cfg.Variant),
-			RingNode:  i,
-			RingNodes: cfg.Replicas,
+			Approach:   core.ApproachScheduler,
+			Workload:   core.MailboxWorkload(cfg.Variant),
+			RingNode:   i,
+			RingNodes:  cfg.Replicas,
+			ConsoleCap: replicaConsoleCap,
 		})
 		if err != nil {
 			return nil, err

@@ -32,6 +32,19 @@ func TestRingFleetConverges(t *testing.T) {
 			if len(holders) != f.Nodes() {
 				t.Fatalf("token froze across the fleet: visited %v", holders)
 			}
+			// The fleet judges the ring from mailbox slots, so its replica
+			// consoles keep one write each while their totals count on.
+			for i := 0; i < f.Nodes(); i++ {
+				for p, c := range f.Replica(i).ProcBeats {
+					if n := len(c.Writes()); n > replicaConsoleCap {
+						t.Errorf("replica %d process %d console retains %d of %d writes, cap %d",
+							i, p, n, c.Total(), replicaConsoleCap)
+					}
+				}
+				if beats := f.Replica(i).ProcBeats[0].Total(); beats <= replicaConsoleCap {
+					t.Errorf("replica %d ring node beat %d times: the cap went untested", i, beats)
+				}
+			}
 		})
 	}
 }

@@ -245,6 +245,10 @@ type System struct {
 	Silence *dev.SilenceWatchdog
 	// Timer drives the tickful kernel (nil otherwise).
 	Timer *dev.Timer
+
+	// heartbeatPort is the port Heartbeat (or Silence, which wraps it)
+	// is mapped at.
+	heartbeatPort uint16
 }
 
 // New builds a system for the given configuration.
@@ -268,6 +272,91 @@ func MustNew(cfg Config) *System {
 		panic(err)
 	}
 	return s
+}
+
+// Fork returns a system that continues s's run. The machine forks
+// (machine.Machine.Fork: the CPU, the step statistics, the latched
+// pins, the engine choice, and memory as a copy-on-write fork of s's
+// bus), and every device is copied with its state — the watchdog,
+// timer and silence-watchdog countdowns, the checkpointer's snapshot,
+// the consoles' retained writes and totals — and wired to the fork at
+// the same ports and in the same tick order. Hooks do not carry over:
+// the fork's consoles have no OnWrite and its machine no Probe or
+// AfterStep. From here on neither system sees the other's stores, so
+// a deterministic fork steps exactly as s would have. s must not step
+// while Fork runs.
+func (s *System) Fork() *System {
+	m := s.M.Fork()
+	f := &System{
+		M:             m,
+		Cfg:           s.Cfg,
+		Kernel:        s.Kernel,
+		Sched:         s.Sched,
+		Procs:         s.Procs,
+		Prim:          s.Prim,
+		heartbeatPort: s.heartbeatPort,
+	}
+	clock := stepClock(m)
+	if s.Heartbeat != nil {
+		f.Heartbeat = s.Heartbeat.Fork(clock)
+	}
+	if s.Repairs != nil {
+		f.Repairs = s.Repairs.Fork(clock)
+	}
+	for _, c := range s.ProcBeats {
+		f.ProcBeats = append(f.ProcBeats, c.Fork(clock))
+	}
+	if s.Watchdog != nil {
+		w := *s.Watchdog
+		f.Watchdog = &w
+	}
+	if s.Timer != nil {
+		t := *s.Timer
+		f.Timer = &t
+	}
+	if s.Silence != nil {
+		f.Silence = s.Silence.Fork(f.Heartbeat)
+	}
+	if s.Checkpoint != nil {
+		f.Checkpoint = s.Checkpoint.Fork(m.Bus)
+	}
+	f.wire()
+	return f
+}
+
+// wire maps the system's devices onto its machine: the consoles and
+// port devices at their ports, then the clocked devices in tick order.
+// The builders wire the devices they make and Fork the copies it
+// makes, so a fork cannot disagree with its source on a port or on
+// tick order.
+func (s *System) wire() {
+	m := s.M
+	if s.Silence != nil {
+		m.MapPort(s.heartbeatPort, s.Silence)
+	} else if s.Heartbeat != nil {
+		m.MapPort(s.heartbeatPort, s.Heartbeat)
+	}
+	if s.Repairs != nil {
+		m.MapPort(guest.PortRepair, s.Repairs)
+	}
+	for i, c := range s.ProcBeats {
+		m.MapPort(uint16(guest.PortProc0+i), c)
+	}
+	if s.Checkpoint != nil {
+		m.MapPort(guest.PortCheckpoint, s.Checkpoint)
+	}
+	if s.Silence != nil {
+		m.AddTicker(s.Silence)
+	}
+	if s.Watchdog != nil {
+		m.AddTicker(s.Watchdog)
+	}
+	if s.Timer != nil {
+		m.AddTicker(s.Timer)
+	}
+	if s.Checkpoint != nil {
+		m.AddTicker(s.Checkpoint)
+	}
 }
 
 // Run advances the system n steps.
@@ -333,9 +422,13 @@ type romSpec struct {
 	data  []byte
 }
 
-// attachConsole maps a fresh recording console at the given port.
-func attachConsole(m *machine.Machine, port uint16, cap int) *dev.Console {
-	c := dev.NewConsole(func() uint64 { return m.Stats.Steps }, cap)
-	m.MapPort(port, c)
-	return c
+// newConsole returns a recording console stamped by m's step clock;
+// wire maps it at its port.
+func newConsole(m *machine.Machine, cap int) *dev.Console {
+	return dev.NewConsole(stepClock(m), cap)
+}
+
+// stepClock reads m's step counter, the stamp of every console write.
+func stepClock(m *machine.Machine) func() uint64 {
+	return func() uint64 { return m.Stats.Steps }
 }

@@ -86,12 +86,12 @@ func NewCustom(cc CustomConfig) (*System, error) {
 		ExceptionVector:    handler.ExcEntry(),
 		ResetVector:        handler.BootEntry(),
 	})
-	sys := &System{M: m, Cfg: cfg}
+	sys := &System{M: m, Cfg: cfg, heartbeatPort: cc.HeartbeatPort}
 	if cc.HeartbeatPort != 0 {
-		sys.Heartbeat = attachConsole(m, cc.HeartbeatPort, cc.ConsoleCap)
+		sys.Heartbeat = newConsole(m, cc.ConsoleCap)
 	}
 	sys.Watchdog = dev.NewWatchdog(cfg.WatchdogPeriod, cfg.WatchdogTarget)
-	m.AddTicker(sys.Watchdog)
+	sys.wire()
 	return sys, nil
 }
 

@@ -90,29 +90,22 @@ func newKernelSystem(cfg Config) (*System, error) {
 		m.SetIDTEntry(machine.VecInvalidOpcode, handler.ExcEntry())
 		m.SetIDTEntry(machine.VecGP, handler.ExcEntry())
 	}
-	sys := &System{M: m, Cfg: cfg, Kernel: kernel}
+	sys := &System{M: m, Cfg: cfg, Kernel: kernel, heartbeatPort: guest.PortHeartbeat}
+	sys.Heartbeat = newConsole(m, cfg.ConsoleCap)
 	if cfg.Approach == ApproachAdaptive {
 		// The silence watchdog observes the heartbeat port itself,
 		// wrapping the recording console; the watchdog period plays
 		// the role of the silence limit.
-		console := dev.NewConsole(func() uint64 { return m.Stats.Steps }, cfg.ConsoleCap)
-		sys.Heartbeat = console
-		sys.Silence = dev.NewSilenceWatchdog(console, cfg.WatchdogPeriod)
-		m.MapPort(guest.PortHeartbeat, sys.Silence)
-		m.AddTicker(sys.Silence)
-	} else {
-		sys.Heartbeat = attachConsole(m, guest.PortHeartbeat, cfg.ConsoleCap)
+		sys.Silence = dev.NewSilenceWatchdog(sys.Heartbeat, cfg.WatchdogPeriod)
 	}
 	if cfg.Approach == ApproachMonitor {
-		sys.Repairs = attachConsole(m, guest.PortRepair, cfg.ConsoleCap)
+		sys.Repairs = newConsole(m, cfg.ConsoleCap)
 	}
 	if cfg.Approach != ApproachBaseline && cfg.Approach != ApproachAdaptive {
 		sys.Watchdog = dev.NewWatchdog(cfg.WatchdogPeriod, cfg.WatchdogTarget)
-		m.AddTicker(sys.Watchdog)
 	}
 	if cfg.TickfulKernel {
 		sys.Timer = dev.NewTimer(DefaultTimerPeriod, machine.VecTimer)
-		m.AddTicker(sys.Timer)
 	}
 	if cfg.Approach == ApproachCheckpoint {
 		// Snapshots every two thirds of the watchdog period,
@@ -125,8 +118,7 @@ func newKernelSystem(cfg Config) (*System, error) {
 			Start: uint32(guest.OSSeg) << 4,
 			Size:  guest.ImageSize,
 		}, cfg.WatchdogPeriod*2/3)
-		m.AddTicker(sys.Checkpoint)
-		m.MapPort(guest.PortCheckpoint, sys.Checkpoint)
 	}
+	sys.wire()
 	return sys, nil
 }

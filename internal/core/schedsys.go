@@ -84,11 +84,10 @@ func newSchedulerSystem(cfg Config) (*System, error) {
 	})
 	sys := &System{M: m, Cfg: cfg, Sched: sched, Procs: procs}
 	for i := 0; i < guest.NumProcs; i++ {
-		sys.ProcBeats = append(sys.ProcBeats,
-			attachConsole(m, uint16(guest.PortProc0+i), cfg.ConsoleCap))
+		sys.ProcBeats = append(sys.ProcBeats, newConsole(m, cfg.ConsoleCap))
 	}
 	sys.Watchdog = dev.NewWatchdog(cfg.WatchdogPeriod, cfg.WatchdogTarget)
-	m.AddTicker(sys.Watchdog)
+	sys.wire()
 	return sys, nil
 }
 
@@ -119,8 +118,8 @@ func newPrimitiveSystem(cfg Config) (*System, error) {
 	})
 	sys := &System{M: m, Cfg: cfg, Prim: prim}
 	for i := 0; i < guest.PrimitiveNumProcs; i++ {
-		sys.ProcBeats = append(sys.ProcBeats,
-			attachConsole(m, uint16(guest.PortProc0+i), cfg.ConsoleCap))
+		sys.ProcBeats = append(sys.ProcBeats, newConsole(m, cfg.ConsoleCap))
 	}
+	sys.wire()
 	return sys, nil
 }

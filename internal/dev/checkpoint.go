@@ -1,6 +1,8 @@
 package dev
 
 import (
+	"slices"
+
 	"ssos/internal/machine"
 	"ssos/internal/mem"
 )
@@ -56,6 +58,16 @@ func NewCheckpointer(bus *mem.Bus, region mem.Region, period uint32) *Checkpoint
 		Counter: period - 1,
 		bus:     bus,
 	}
+}
+
+// Fork returns a checkpointer that continues c on bus (the fork of c's
+// bus): the countdown, the counters and the snapshot carry over, the
+// snapshot as a copy of its own.
+func (c *Checkpointer) Fork(bus *mem.Bus) *Checkpointer {
+	f := *c
+	f.bus = bus
+	f.shadow = slices.Clone(c.shadow)
+	return &f
 }
 
 // Tick advances the snapshot countdown.

@@ -1,5 +1,7 @@
 package dev
 
+import "slices"
+
 // PortWrite is one value written by the guest to an output port,
 // stamped with the machine step at which it happened.
 type PortWrite struct {
@@ -45,6 +47,29 @@ type Console struct {
 // at most maxWrites entries (0 = unlimited).
 func NewConsole(clock func() uint64, maxWrites int) *Console {
 	return &Console{Clock: clock, Max: maxWrites}
+}
+
+// Fork returns a console that continues c, stamping writes with clock
+// from here on: the retained writes and the counters carry over, the
+// OnWrite hook does not. Neither console sees the other's later writes.
+// The chunks of an unbounded log are shared, not copied: the fork's
+// view of the last one ends at its length, so the fork's next write
+// starts a chunk of its own and c's appends land where the fork cannot
+// see them.
+func (c *Console) Fork(clock func() uint64) *Console {
+	f := &Console{
+		Clock:   clock,
+		Max:     c.Max,
+		chunks:  slices.Clone(c.chunks),
+		ring:    slices.Clone(c.ring),
+		start:   c.start,
+		total:   c.total,
+		dropped: c.dropped,
+	}
+	if n := len(f.chunks) - 1; n >= 0 {
+		f.chunks[n] = slices.Clip(f.chunks[n])
+	}
+	return f
 }
 
 // In reads as zero: the console is write-only.

@@ -39,6 +39,14 @@ func NewSilenceWatchdog(inner machine.PortDevice, limit uint32) *SilenceWatchdog
 	return &SilenceWatchdog{SilenceLimit: limit, Counter: limit - 1, inner: inner}
 }
 
+// Fork returns a silence watchdog that continues w, wrapping inner (the
+// fork of w's wrapped device) instead.
+func (w *SilenceWatchdog) Fork(inner machine.PortDevice) *SilenceWatchdog {
+	f := *w
+	f.inner = inner
+	return &f
+}
+
 // In forwards to the wrapped device.
 func (w *SilenceWatchdog) In(port uint16) uint16 {
 	if w.inner != nil {

@@ -145,7 +145,7 @@ func TestBulkByteDrawsMatchIntn(t *testing.T) {
 			b.Bus.PokeRAM(x, byte(ib.rng.Intn(256)))
 		}
 	}
-	if !bytes.Equal(a.Bus.View(0, mem.AddrSpace), b.Bus.View(0, mem.AddrSpace)) {
+	if !bytes.Equal(a.Bus.Snapshot(), b.Bus.Snapshot()) {
 		for x := uint32(0); x < mem.AddrSpace; x++ {
 			if a.Bus.Peek(x) != b.Bus.Peek(x) {
 				t.Fatalf("byte %#x: bulk draw %#x, Intn draw %#x", x, a.Bus.Peek(x), b.Bus.Peek(x))

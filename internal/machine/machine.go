@@ -264,6 +264,37 @@ func New(bus *mem.Bus, opts Options) *Machine {
 	return m
 }
 
+// Fork returns a machine that continues m's run on a copy-on-write fork
+// of its memory (mem.Bus.Fork): the CPU, the options, the step
+// statistics, the latched interrupt pins and the engine choice carry
+// over, and from here on neither machine sees the other's stores. The
+// fork has no devices and no hooks — no ports, tickers, AfterStep or
+// Probe — until its caller wires its own (core.System.Fork wires copies
+// of the source's devices), and its block table starts empty. m must
+// not step while Fork runs.
+//
+// This is the replica state-transfer primitive of internal/cluster: a
+// deterministic fork re-enters lockstep with its source from the next
+// step onward. The pins must carry over — a watchdog NMI latched but
+// not yet delivered at the fork would otherwise be delivered on m and
+// silently dropped on the fork, diverging the two machines one
+// handler-run later.
+func (m *Machine) Fork() *Machine {
+	bus := m.Bus.Fork()
+	f := &Machine{
+		CPU:      m.CPU,
+		Bus:      bus,
+		Opts:     m.Opts,
+		Stats:    m.Stats,
+		pins:     m.pins,
+		irqVec:   m.irqVec,
+		pageGens: bus.PageGens(),
+		busStamp: bus.WriteStamp(),
+	}
+	f.SetDecodeCache(m.DecodeCache())
+	return f
+}
+
 // Reset restores the architectural power-on state: registers cleared,
 // interrupts disabled, execution at the reset vector. Memory is NOT
 // cleared (RAM keeps whatever it held, as on real hardware).

@@ -41,16 +41,16 @@ import (
 //     passing check proves the entry's decoded bytes and precomputed
 //     nextIP describe precisely the instruction the interpreter would
 //     fetch. Any divergence — an exception taken by the previous entry,
-//     a ticker, device or AfterStep hook corrupting registers, an
-//     adopted snapshot — fails the compare and bails.
+//     a ticker, device or AfterStep hook corrupting registers — fails
+//     the compare and bails.
 //   - Staleness: the bus write stamp (mem.Bus.WriteStamp) advances on
 //     every change to memory anywhere (a store of the value already
 //     there changes nothing and moves nothing). While the stamp is
 //     unchanged since the block's last validation, the block's bytes
 //     are provably unchanged and entries run with zero generation checks;
-//     when it moved (a guest store, a fault injection, a snapshot
-//     restore), the engine re-checks the block's span pages against
-//     their build-time generations and bails on any mismatch. A store
+//     when it moved (a guest store, a fault injection), the engine
+//     re-checks the block's span pages against their build-time
+//     generations and bails on any mismatch. A store
 //     into the current block's own span — self-modifying code — is
 //     therefore caught before the next entry runs, and execution
 //     resumes on the freshly written bytes.
@@ -135,9 +135,8 @@ func (m *Machine) SetDecodeCache(on bool) {
 }
 
 // DecodeCache reports the engine SetDecodeCache selected: true for the
-// superblock engine, false for the reference interpreter. A machine
-// built to continue another's run (internal/cluster's copy-on-strike
-// clones) reads it to stay on the same engine.
+// superblock engine, false for the reference interpreter. A fork
+// (Machine.Fork) stays on its source's engine.
 func (m *Machine) DecodeCache() bool { return m.sblocks != nil }
 
 // runBatched is Run's loop. With the engine on and no AfterStep hook,
@@ -599,7 +598,8 @@ func (m *Machine) sbBuild(b *superblock, lin uint32, ip uint16) *superblock {
 		if ip > 0x10000-isa.MaxInstrSize || lin > mem.AddrSpace-isa.MaxInstrSize {
 			break // successor needs the byte-wise wrap path
 		}
-		in, size, ok := isa.Decode(m.Bus.View(lin, isa.MaxInstrSize))
+		var window [isa.MaxInstrSize]byte
+		in, size, ok := isa.Decode(m.Bus.View(lin, window[:]))
 		if !ok {
 			if len(b.ins) == 0 {
 				// Negative block: the head does not decode. Span exactly

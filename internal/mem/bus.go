@@ -12,28 +12,38 @@
 // paper's tailored designs route such anomalies (e.g. a store through a
 // corrupted ss) to an exception handler that reinstalls the OS.
 //
+// Memory is paged and copy-on-write. The address space is a table of
+// PageSize-byte pages; every page a bus has not written points at one
+// package-level zero page, and a fork (Bus.Fork) shares every page with
+// its source. A per-page flag marks the pages a bus shares, and its
+// first write to such a page copies it, then writes the copy (Bus.own).
+// A copy changes no byte, so it is invisible to the guest and to the
+// generation rules below. A machine thus holds only the pages it
+// writes, and a fork costs one page table, not a second address space.
+//
 // The bus additionally maintains two O(1) lookup structures that the
 // simulator's hot paths depend on:
 //
 //   - a per-byte ROM membership bitmap, so InROM (consulted on every
-//     store and every protection check) costs one word load instead of
-//     a scan over the region list;
+//     store to a page holding ROM, and every protection check) costs
+//     one word load instead of a scan over the region list;
 //   - per-page write-generation counters (PageSize-byte pages), bumped
 //     by EVERY change to a byte, whatever the path — instruction
 //     stores, bulk copies (CopyForward), test Pokes, fault-injection
-//     PokeRAMs, snapshot Restores and ROM installation. The machine's
-//     superblock engine validates blocks against these counters, which
-//     is what keeps the fast path sound from arbitrary configurations:
-//     no decoded block entry can survive a change (or an injected
-//     bit-flip) to its backing bytes, because any such change bumps the
-//     backing page's counter. An instruction store of the value a byte
-//     already holds, or a CopyForward whose source already matches its
-//     destination, changes nothing and so moves nothing: the engine
-//     relies only on "generation unchanged ⇒ bytes unchanged", which
-//     such a store keeps true, and a refresh that rewrites RAM with the
-//     bytes it already holds leaves the blocks decoded over it valid.
-//     A copy that does change bytes bumps each changed page once, not
-//     once per byte, which keeps the same implication true.
+//     PokeRAMs and ROM installation. The machine's superblock engine
+//     validates blocks against these counters, which is what keeps the
+//     fast path sound from arbitrary configurations: no decoded block
+//     entry can survive a change (or an injected bit-flip) to its
+//     backing bytes, because any such change bumps the backing page's
+//     counter. An instruction store of the value a byte already holds,
+//     or a CopyForward whose source already matches its destination,
+//     changes nothing and so moves nothing: the engine relies only on
+//     "generation unchanged ⇒ bytes unchanged", which such a store
+//     keeps true, and a refresh that rewrites RAM with the bytes it
+//     already holds leaves the blocks decoded over it valid. A copy
+//     that does change bytes bumps each changed page once, not once per
+//     byte, which keeps the same implication true. Copying a shared
+//     page before a write changes no byte either, so it moves nothing.
 package mem
 
 import (
@@ -49,16 +59,20 @@ const AddrSpace = 1 << 20
 // AddrMask masks a linear address to the physical address space.
 const AddrMask = AddrSpace - 1
 
-// PageShift is the log2 of the write-generation page size.
+// PageShift is the log2 of the page size.
 const PageShift = 8
 
-// PageSize is the granularity of write-generation tracking. Small
-// enough that a store invalidates few cached decodes, large enough
-// that the counter array stays cache-resident.
+// PageSize is the granularity of both paging and write-generation
+// tracking. Small enough that a store invalidates few cached decodes
+// and a first write copies little, large enough that the page table
+// and the counter array stay cache-resident.
 const PageSize = 1 << PageShift
 
-// NumPages is the number of generation-tracked pages.
+// NumPages is the number of pages in the address space.
 const NumPages = AddrSpace >> PageShift
+
+// pageMask masks an address to its offset within its page.
+const pageMask = PageSize - 1
 
 // ROMWritePolicy selects what a store to a ROM address does.
 type ROMWritePolicy uint8
@@ -91,20 +105,47 @@ func (r Region) String() string {
 	return fmt.Sprintf("%s [%05x..%05x)", r.Name, r.Start, r.End())
 }
 
+// page is the bytes of one page.
+type page [PageSize]byte
+
+// zeroPage backs every page a bus has not written. It is never written:
+// every bus marks the pages pointing at it shared, so a first write
+// copies it.
+var zeroPage page
+
+// Page flags.
+const (
+	// pageShared marks a page whose memory another page-table entry may
+	// point at (the zero page, or a page shared with a fork): it must be
+	// copied before it is written.
+	pageShared uint8 = 1 << iota
+	// pageROM marks a page holding at least one ROM byte: a store to it
+	// must consult the ROM bitmap.
+	pageROM
+)
+
 // Bus is the physical memory bus. The zero value is not usable; create
 // one with NewBus.
 type Bus struct {
-	data   []byte
+	// pages is the page table: page p holds the bytes at addresses
+	// p<<PageShift up to the next page.
+	pages [NumPages]*page
+	// flags holds each page's pageShared and pageROM bits. A page with
+	// neither is RAM this bus alone holds, which a store writes
+	// straight away.
+	flags [NumPages]uint8
+
 	roms   []Region
 	policy ROMWritePolicy
 
 	// romBits is the per-byte ROM membership bitmap (1 bit per
 	// address). It makes InROM O(1); the region list is kept only for
-	// reporting and RAM-range enumeration.
+	// reporting and RAM-range enumeration. It is fixed once the bus has
+	// forked, and a fork shares it.
 	romBits []uint64
 
 	// gens holds one write-generation counter per PageSize-byte page.
-	// Every mutation that changes a byte of data bumps the counter of
+	// Every mutation that changes a byte of memory bumps the counter of
 	// each page it touches; a store of the present value changes
 	// nothing and bumps nothing. Consumers (the machine's superblock
 	// engine) snapshot the counters covering a cached range and treat
@@ -121,18 +162,71 @@ type Bus struct {
 	// rechecking when the stamp moved.
 	stamp uint64
 
+	// forked records that the bus has forked or is a fork, after which
+	// its ROM layout is fixed (AddROM refuses).
+	forked bool
+
 	// ROMWriteCount counts stores that targeted ROM, regardless of
 	// policy. Useful for detecting misbehaving guests in tests.
 	ROMWriteCount uint64
 }
 
-// NewBus returns a bus with all RAM zeroed and no ROM regions.
+// NewBus returns a bus with all RAM zeroed and no ROM regions. It
+// holds no page of its own: every page is the shared zero page until
+// first written.
 func NewBus() *Bus {
-	return &Bus{
-		data:    make([]byte, AddrSpace),
+	b := &Bus{
 		romBits: make([]uint64, AddrSpace/64),
 		gens:    new([NumPages]uint64),
 	}
+	for p := range b.pages {
+		b.pages[p] = &zeroPage
+		b.flags[p] = pageShared
+	}
+	return b
+}
+
+// Fork returns a bus that continues b: the same bytes, ROM regions,
+// policy, generations, stamp and ROM-write count. The two share every
+// page, and both mark every page shared, so the first write on either
+// side to a page copies that page for the writer alone; neither ever
+// sees the other's stores. They also share the ROM bitmap, which is
+// fixed from here on: AddROM refuses on both. Fork costs one page
+// table and one counter array, whatever b holds. It must not run
+// concurrently with any other use of b.
+func (b *Bus) Fork() *Bus {
+	for p := range b.flags {
+		b.flags[p] |= pageShared
+	}
+	b.forked = true
+	f := new(Bus)
+	*f = *b
+	f.gens = new([NumPages]uint64)
+	*f.gens = *b.gens
+	return f
+}
+
+// own returns page p for writing: a page this bus alone holds, first
+// copying it when it is shared. The copy changes no byte, so it moves
+// no generation and not the stamp. Every write into page memory goes
+// through own; the caller bumps the page's generation and the stamp
+// when it changes a byte.
+func (b *Bus) own(p uint32) *page {
+	if b.flags[p]&pageShared != 0 {
+		b.unshare(p)
+	}
+	return b.pages[p]
+}
+
+// unshare gives page p a copy of its bytes that only this bus holds.
+//
+//ssos:alloc-ok copy-on-write: a page is copied at most once per fork (once ever from the zero page), and only when a write changes it
+//go:noinline
+func (b *Bus) unshare(p uint32) {
+	c := new(page)
+	*c = *b.pages[p]
+	b.pages[p] = c
+	b.flags[p] &^= pageShared
 }
 
 // SetROMWritePolicy selects the behaviour of stores targeting ROM.
@@ -142,8 +236,8 @@ func (b *Bus) SetROMWritePolicy(p ROMWritePolicy) { b.policy = p }
 func (b *Bus) ROMWritePolicy() ROMWritePolicy { return b.policy }
 
 // AddROM installs data as a write-protected region at start. It fails
-// if the region is empty, exceeds the address space or overlaps an
-// existing ROM region.
+// if the region is empty, exceeds the address space, overlaps an
+// existing ROM region, or the bus has forked.
 func (b *Bus) AddROM(name string, start uint32, data []byte) (Region, error) {
 	r := Region{Name: name, Start: start & AddrMask, Size: uint32(len(data))}
 	if len(data) == 0 {
@@ -152,12 +246,20 @@ func (b *Bus) AddROM(name string, start uint32, data []byte) (Region, error) {
 	if uint64(r.Start)+uint64(r.Size) > AddrSpace {
 		return Region{}, fmt.Errorf("mem: rom %q exceeds address space: %v", name, r)
 	}
+	if b.forked {
+		return Region{}, fmt.Errorf("mem: rom %q added after a fork", name)
+	}
 	for _, other := range b.roms {
 		if r.Start < other.End() && other.Start < r.End() {
 			return Region{}, fmt.Errorf("mem: rom %q overlaps %v", name, other)
 		}
 	}
-	copy(b.data[r.Start:r.End()], data)
+	for a := r.Start; a < r.End(); {
+		p, o := a>>PageShift, a&pageMask
+		n := copy(b.own(p)[o:], data[a-r.Start:])
+		b.flags[p] |= pageROM
+		a += uint32(n)
+	}
 	for a := r.Start; a < r.End(); a++ {
 		b.romBits[a>>6] |= 1 << (a & 63)
 	}
@@ -184,7 +286,7 @@ func (b *Bus) InROM(addr uint32) bool {
 // addr. Two equal readings bracket an interval during which the page's
 // bytes were provably not written.
 func (b *Bus) PageGen(addr uint32) uint64 {
-	return b.gens[(addr&AddrMask)>>PageShift]
+	return b.gens[pageOf(addr)]
 }
 
 // PageGens exposes the write-generation counter array itself, indexed
@@ -201,6 +303,10 @@ func (b *Bus) PageGens() *[NumPages]uint64 { return b.gens }
 // a method call, and it stays valid for the bus's lifetime.
 func (b *Bus) WriteStamp() *uint64 { return &b.stamp }
 
+// pageOf returns the number of the page holding addr (mod the address
+// space).
+func pageOf(addr uint32) uint32 { return addr >> PageShift & (NumPages - 1) }
+
 // bumpRange advances the generation of every page overlapping
 // [start, end).
 func (b *Bus) bumpRange(start, end uint32) {
@@ -210,35 +316,28 @@ func (b *Bus) bumpRange(start, end uint32) {
 	b.stamp++
 }
 
-// bumpAll advances every page generation (full-memory mutation).
-func (b *Bus) bumpAll() {
-	for i := range b.gens {
-		b.gens[i]++
-	}
-	b.stamp++
-}
-
 // LoadByte returns the byte at addr.
 func (b *Bus) LoadByte(addr uint32) byte {
-	return b.data[addr&AddrMask]
+	return b.pages[pageOf(addr)][addr&pageMask]
 }
 
 // StoreByte stores v at addr. It returns false when the store targeted
 // ROM and the policy is ROMWriteFault; the store never alters ROM
 // either way. A RAM store of the value the byte already holds is
 // silent: it succeeds without bumping the page generation or advancing
-// the stamp, since nothing changed.
+// the stamp, since nothing changed, and copies no shared page.
 func (b *Bus) StoreByte(addr uint32, v byte) bool {
 	addr &= AddrMask
-	if b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
+	p, o := pageOf(addr), addr&pageMask
+	if b.flags[p]&pageROM != 0 && b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
 		b.ROMWriteCount++
 		return b.policy == ROMWriteIgnore
 	}
-	if b.data[addr] == v {
+	if b.pages[p][o] == v {
 		return true
 	}
-	b.data[addr] = v
-	b.gens[addr>>PageShift]++
+	b.own(p)[o] = v
+	b.gens[p]++
 	b.stamp++
 	return true
 }
@@ -255,24 +354,40 @@ func (b *Bus) StoreByte(addr uint32, v byte) bool {
 // no byte is read after it was written (a caller that goes on from
 // where the prefix ended reads what it wrote, replicating the pattern
 // as byte stores do). When dst ≤ src a forward byte store never
-// overwrites a byte before it has been read. The copy is silent like
-// StoreByte: when the bytes already match it changes nothing and bumps
-// nothing, and otherwise it bumps dst's page generation and the stamp
-// once.
+// overwrites a byte before it has been read. The source may span two
+// pages and is moved in two pieces; if copying dst's shared page
+// leaves a piece reading the old page, that page holds the same bytes.
+// The copy is silent like StoreByte: when the bytes already match it
+// changes nothing, copies no page and bumps nothing, and otherwise it
+// bumps dst's page generation and the stamp once.
 func (b *Bus) CopyForward(dst, src, n uint32) uint32 {
 	dst &= AddrMask
 	src &= AddrMask
-	n = min(n, PageSize-dst&(PageSize-1), AddrSpace-src)
+	n = min(n, PageSize-dst&pageMask, AddrSpace-src)
 	if src < dst {
 		n = min(n, dst-src)
 	}
 	n = b.ramPrefix(dst, n)
-	d, s := b.data[dst:dst+n], b.data[src:src+n]
-	if string(d) == string(s) {
-		return n
+	p, o := pageOf(dst), dst&pageMask
+	s0 := src & pageMask
+	k := min(n, PageSize-s0) // the piece in src's first page
+	lo := b.pages[pageOf(src)][s0 : s0+k]
+	d := b.pages[p][o : o+n]
+	if k == n {
+		if string(d) == string(lo) {
+			return n
+		}
+		copy(b.own(p)[o:o+n], lo)
+	} else {
+		hi := b.pages[pageOf(src+PageSize)][:n-k]
+		if string(d[:k]) == string(lo) && string(d[k:]) == string(hi) {
+			return n
+		}
+		pg := b.own(p)
+		copy(pg[o:o+k], lo)
+		copy(pg[o+k:o+n], hi)
 	}
-	copy(d, s)
-	b.gens[dst>>PageShift]++
+	b.gens[p]++
 	b.stamp++
 	return n
 }
@@ -285,18 +400,35 @@ var zeroChunk [64]byte
 // RAM, that starts at addr, is at most n bytes long and does not cross
 // the top of the address space. It reads memory and changes nothing.
 // Opcode 0x00 is nop: the machine's turbo lane measures nop sleds with
-// it, to retire them without decoding blocks over them.
+// it, to retire them without decoding blocks over them. A page still
+// on the zero page is passed over whole.
 func (b *Bus) ZeroRun(addr, n uint32) uint32 {
 	addr &= AddrMask
-	d := b.data[addr : addr+min(n, AddrSpace-addr)]
-	r := 0
-	for len(d)-r >= len(zeroChunk) && string(d[r:r+len(zeroChunk)]) == string(zeroChunk[:]) {
-		r += len(zeroChunk)
+	n = min(n, AddrSpace-addr)
+	r := uint32(0)
+	for r < n {
+		a := addr + r
+		o := a & pageMask
+		m := min(n-r, PageSize-o)
+		pg := b.pages[a>>PageShift]
+		if pg == &zeroPage {
+			r += m
+			continue
+		}
+		d := pg[o : o+m]
+		z := 0
+		for len(d)-z >= len(zeroChunk) && string(d[z:z+len(zeroChunk)]) == string(zeroChunk[:]) {
+			z += len(zeroChunk)
+		}
+		for z < len(d) && d[z] == 0 {
+			z++
+		}
+		r += uint32(z)
+		if uint32(z) < m {
+			break
+		}
 	}
-	for r < len(d) && d[r] == 0 {
-		r++
-	}
-	return uint32(r)
+	return r
 }
 
 // ramPrefix returns the length of the longest ROM-free prefix of
@@ -318,48 +450,69 @@ func (b *Bus) ramPrefix(a, n uint32) uint32 {
 
 // LoadWord returns the little-endian 16-bit word at addr. The two bytes
 // are read at addr and addr+1 (mod address space), matching byte-wise
-// access.
+// access. A word inside one page costs one page-table load.
 func (b *Bus) LoadWord(addr uint32) uint16 {
-	a0 := addr & AddrMask
-	if a0 < AddrMask {
-		return uint16(b.data[a0]) | uint16(b.data[a0+1])<<8
+	pg := b.pages[pageOf(addr)]
+	if o := addr & pageMask; o != pageMask {
+		return uint16(pg[o]) | uint16(pg[(o+1)&pageMask])<<8
 	}
-	return uint16(b.data[a0]) | uint16(b.data[0])<<8
+	return uint16(pg[pageMask]) | uint16(b.LoadByte(addr+1))<<8
 }
 
 // StoreWord stores the little-endian 16-bit word v at addr, reporting
 // whether both byte stores succeeded.
 //
-// When neither byte lands in ROM (the overwhelmingly common case) the
-// word commits with a single fused check. When either byte targets ROM
-// the store degrades to the byte-wise path, preserving the
-// long-standing straddle semantics: a word straddling a RAM→ROM
-// boundary under ROMWriteFault half-commits — the RAM byte is written,
-// the ROM byte is dropped, and the store reports failure. That partial
-// write is exactly what byte-serial hardware does, and the paper's
-// designs must stabilize from it like from any other corruption.
+// When both bytes lie in one page that holds no ROM (the
+// overwhelmingly common case) the word commits behind that one fused
+// test. When either byte targets ROM the store degrades to the
+// byte-wise path, preserving the long-standing straddle semantics: a
+// word straddling a RAM→ROM boundary under ROMWriteFault half-commits —
+// the RAM byte is written, the ROM byte is dropped, and the store
+// reports failure. That partial write is exactly what byte-serial
+// hardware does, and the paper's designs must stabilize from it like
+// from any other corruption.
 //
 // Like StoreByte, a store that changes neither byte is silent; one
 // that changes either byte bumps both bytes' pages.
 func (b *Bus) StoreWord(addr uint32, v uint16) bool {
 	a0 := addr & AddrMask
-	a1 := (addr + 1) & AddrMask
-	if (b.romBits[a0>>6]&(1<<(a0&63)))|(b.romBits[a1>>6]&(1<<(a1&63))) == 0 {
-		if b.data[a0] == byte(v) && b.data[a1] == byte(v>>8) {
+	p, o := pageOf(a0), a0&pageMask
+	if o != pageMask && b.flags[p]&pageROM == 0 {
+		o1 := (o + 1) & pageMask
+		if pg := b.pages[p]; pg[o] == byte(v) && pg[o1] == byte(v>>8) {
 			return true
 		}
-		b.data[a0] = byte(v)
-		b.data[a1] = byte(v >> 8)
-		b.gens[a0>>PageShift]++
-		if a1>>PageShift != a0>>PageShift {
-			b.gens[a1>>PageShift]++
-		}
+		pg := b.own(p)
+		pg[o] = byte(v)
+		pg[o1] = byte(v >> 8)
+		b.gens[p]++
 		b.stamp++
 		return true
 	}
-	ok1 := b.StoreByte(a0, byte(v))
-	ok2 := b.StoreByte(a1, byte(v>>8))
-	return ok1 && ok2
+	return b.storeWordSlow(a0, v)
+}
+
+// storeWordSlow is StoreWord for a word that straddles two pages or
+// lies in a page holding ROM.
+func (b *Bus) storeWordSlow(a0 uint32, v uint16) bool {
+	a1 := (a0 + 1) & AddrMask
+	if b.InROM(a0) || b.InROM(a1) {
+		ok1 := b.StoreByte(a0, byte(v))
+		ok2 := b.StoreByte(a1, byte(v>>8))
+		return ok1 && ok2
+	}
+	if b.LoadByte(a0) == byte(v) && b.LoadByte(a1) == byte(v>>8) {
+		return true
+	}
+	p0, p1 := pageOf(a0), pageOf(a1)
+	b.own(p0)[a0&pageMask] = byte(v)
+	b.own(p1)[a1&pageMask] = byte(v >> 8)
+	b.gens[p0]++
+	if p1 != p0 {
+		b.gens[p1]++
+	}
+	b.stamp++
+	return true
 }
 
 // Poke writes v at addr bypassing ROM protection. It models agents
@@ -367,9 +520,9 @@ func (b *Bus) StoreWord(addr uint32, v uint16) bool {
 // injection must use PokeRAM instead, since transient faults cannot
 // alter ROM.
 func (b *Bus) Poke(addr uint32, v byte) {
-	addr &= AddrMask
-	b.data[addr] = v
-	b.gens[addr>>PageShift]++
+	p := pageOf(addr)
+	b.own(p)[addr&pageMask] = v
+	b.gens[p]++
 	b.stamp++
 }
 
@@ -381,8 +534,9 @@ func (b *Bus) PokeRAM(addr uint32, v byte) bool {
 	if b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
 		return false
 	}
-	b.data[addr] = v
-	b.gens[addr>>PageShift]++
+	p := pageOf(addr)
+	b.own(p)[addr&pageMask] = v
+	b.gens[p]++
 	b.stamp++
 	return true
 }
@@ -391,8 +545,9 @@ func (b *Bus) PokeRAM(addr uint32, v byte) bool {
 // of PokeRAM does; the range must not cross the top of the address
 // space. It is silent like StoreByte: each page in which a byte changed
 // has its generation bumped once, the stamp advances once when any byte
-// changed, and a write of the bytes memory already holds moves nothing.
-// Fault injectors randomize whole regions through it.
+// changed, and a write of the bytes memory already holds moves nothing
+// and copies no shared page. Fault injectors randomize whole regions
+// through it.
 func (b *Bus) WriteRAM(addr uint32, src []byte) {
 	addr &= AddrMask
 	end := addr + uint32(len(src))
@@ -402,9 +557,9 @@ func (b *Bus) WriteRAM(addr uint32, src []byte) {
 		pageEnd := min(end, (p+1)<<PageShift)
 		dirty := false
 		for a < pageEnd {
-			n := b.ramPrefix(a, pageEnd-a)
-			if d, s := b.data[a:a+n], src[a-addr:a-addr+n]; string(d) != string(s) {
-				copy(d, s)
+			n, o := b.ramPrefix(a, pageEnd-a), a&pageMask
+			if s := src[a-addr : a-addr+n]; string(b.pages[p][o:o+n]) != string(s) {
+				copy(b.own(p)[o:o+n], s)
 				dirty = true
 			}
 			for a += n; a < pageEnd && b.InROM(a); {
@@ -423,29 +578,34 @@ func (b *Bus) WriteRAM(addr uint32, src []byte) {
 
 // Peek reads addr without any side effects (same as LoadByte; provided
 // for symmetry with Poke).
-func (b *Bus) Peek(addr uint32) byte { return b.data[addr&AddrMask] }
+func (b *Bus) Peek(addr uint32) byte { return b.LoadByte(addr) }
 
-// View returns a read-only window over [addr, addr+n), which must not
-// wrap the address space (addr+n <= AddrSpace). Callers must not write
-// through the slice and must not retain it across bus mutations; it
-// exists so the fetch fast path can decode straight from backing
-// memory without a copy.
-func (b *Bus) View(addr, n uint32) []byte { return b.data[addr : addr+n] }
+// View returns the len(buf) bytes at addr, addr+1, …, which must not
+// cross the top of the address space, without allocating: a slice of
+// the page that holds them when they lie in one page, else buf filled
+// with them. Callers must not write through the result and must not
+// retain it across bus mutations; it exists so the decoder can read
+// straight from page memory.
+func (b *Bus) View(addr uint32, buf []byte) []byte {
+	addr &= AddrMask
+	if o := addr & pageMask; int(o)+len(buf) <= PageSize {
+		return b.pages[addr>>PageShift][o : int(o)+len(buf)]
+	}
+	for i := range buf {
+		buf[i] = b.LoadByte(addr + uint32(i))
+	}
+	return buf
+}
 
-// CopyOut copies length bytes starting at addr into a new slice.
+// CopyOut copies length bytes starting at addr into a new slice. A
+// range that wraps the top of the address space continues from address
+// 0 (possibly several times for lengths beyond AddrSpace), matching
+// the modular byte-wise reads.
 func (b *Bus) CopyOut(addr, length uint32) []byte {
 	out := make([]byte, length)
-	addr &= AddrMask
-	if uint64(addr)+uint64(length) <= AddrSpace {
-		copy(out, b.data[addr:addr+length])
-		return out
-	}
-	// The range wraps the top of the address space: copy the tail,
-	// then keep copying from the bottom (possibly multiple times for
-	// lengths beyond AddrSpace, matching the modular byte-wise reads).
-	n := copy(out, b.data[addr:])
-	for n < len(out) {
-		n += copy(out[n:], b.data)
+	for i := 0; i < len(out); {
+		a := (addr + uint32(i)) & AddrMask
+		i += copy(out[i:], b.pages[a>>PageShift][a&pageMask:])
 	}
 	return out
 }
@@ -492,19 +652,4 @@ func (b *Bus) RAMAddr(i uint32) uint32 {
 }
 
 // Snapshot returns a copy of the full address space contents.
-func (b *Bus) Snapshot() []byte {
-	out := make([]byte, AddrSpace)
-	copy(out, b.data)
-	return out
-}
-
-// Restore overwrites the full address space (including ROM images —
-// the regions stay registered) from a snapshot taken with Snapshot.
-func (b *Bus) Restore(snap []byte) error {
-	if len(snap) != AddrSpace {
-		return fmt.Errorf("mem: snapshot length %d, want %d", len(snap), AddrSpace)
-	}
-	copy(b.data, snap)
-	b.bumpAll()
-	return nil
-}
+func (b *Bus) Snapshot() []byte { return b.CopyOut(0, AddrSpace) }

@@ -150,25 +150,33 @@ func TestRAMAddrCoversExactlyRAM(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
+// TestSnapshotFork: a fork holds its source's bytes, ROM image
+// included, and a snapshot taken before a store on either side keeps
+// reading what the other side still holds.
+func TestSnapshotFork(t *testing.T) {
 	b := NewBus()
 	if _, err := b.AddROM("r", 0x100, []byte{9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	b.StoreByte(0x50, 0x11)
 	snap := b.Snapshot()
+	f := b.Fork()
 	b.StoreByte(0x50, 0x22)
-	if err := b.Restore(snap); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(f.Snapshot(), snap) {
+		t.Fatal("the fork does not hold the bytes of its source at the fork")
 	}
-	if b.LoadByte(0x50) != 0x11 {
-		t.Fatal("restore did not bring back RAM")
+	if f.LoadByte(0x50) != 0x11 || f.LoadByte(0x100) != 9 {
+		t.Fatal("the fork lost RAM or the ROM image")
 	}
-	if b.LoadByte(0x100) != 9 {
-		t.Fatal("restore lost ROM image")
+	f.StoreByte(0x60, 0x33)
+	if b.LoadByte(0x60) != 0 || b.LoadByte(0x50) != 0x22 {
+		t.Fatal("a store on one side shows on the other")
 	}
-	if err := b.Restore([]byte{1}); err == nil {
-		t.Fatal("short snapshot accepted")
+	if _, err := b.AddROM("late", 0x200, []byte{1}); err == nil {
+		t.Error("AddROM accepted on a bus that has forked")
+	}
+	if _, err := f.AddROM("late", 0x200, []byte{1}); err == nil {
+		t.Error("AddROM accepted on a fork")
 	}
 }
 
@@ -337,16 +345,6 @@ func TestPageGenerations(t *testing.T) {
 		t.Fatal("blocked ROM write bumped the page generation")
 	}
 
-	// Restore invalidates everything.
-	snap := b.Snapshot()
-	gBefore := gen(0x90000)
-	if err := b.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if gen(0x90000) == gBefore {
-		t.Fatal("Restore did not bump generations")
-	}
-
 	// AddROM invalidates the covered pages.
 	g = gen(0x3000)
 	if _, err := b.AddROM("rom2", 0x3000, []byte{5}); err != nil {
@@ -355,6 +353,36 @@ func TestPageGenerations(t *testing.T) {
 	if gen(0x3000) == g {
 		t.Fatal("AddROM did not bump the covered page generation")
 	}
+
+	// A fork continues the generations and the stamp, and the copy of a
+	// shared page a first write makes moves only what the write moves:
+	// a silent store to a shared page moves nothing on either side.
+	f := b.Fork()
+	if *f.PageGens() != *b.PageGens() || *f.WriteStamp() != *b.WriteStamp() {
+		t.Fatal("Fork did not carry over the generations and the stamp")
+	}
+	g, stamp = gen(0x50), *b.WriteStamp()
+	b.StoreByte(0x50, 1)
+	f.StoreWord(0x50, 0x0201)
+	if gen(0x50) != g || f.PageGen(0x50) != g || *b.WriteStamp() != stamp || *f.WriteStamp() != stamp {
+		t.Fatal("a silent store to a shared page moved a generation or the stamp")
+	}
+	b.StoreByte(0x50, 7)
+	if gen(0x50) != g+1 || f.PageGen(0x50) != g || *f.WriteStamp() != stamp {
+		t.Fatal("a store to a shared page did not move exactly its own side's generation")
+	}
+}
+
+// sameMemory reports whether two buses hold the same bytes. It reads
+// them a page at a time through View, which copies nothing.
+func sameMemory(a, b *Bus) bool {
+	var x, y [PageSize]byte
+	for p := uint32(0); p < NumPages; p++ {
+		if !bytes.Equal(a.View(p<<PageShift, x[:]), b.View(p<<PageShift, y[:])) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCopyForwardMatchesByteStores holds CopyForward against the byte
@@ -408,7 +436,6 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 		return i
 	}
 	var gens [NumPages]uint64
-	var page [PageSize]byte
 	for trial := 0; trial < 4000; trial++ {
 		if trial%500 == 0 {
 			fill()
@@ -436,10 +463,10 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 			n = 0
 		}
 
-		gens = *a.gens
-		stamp := a.stamp
+		gens = *a.PageGens()
+		stamp := *a.WriteStamp()
 		p := dst >> PageShift
-		copy(page[:], a.data[p<<PageShift:])
+		before := a.CopyOut(p<<PageShift, PageSize)
 		got := a.CopyForward(dst, src, n)
 		if want := clamp(dst, src, n); got != want {
 			t.Fatalf("CopyForward(%#x, %#x, %d) = %d, want %d", dst, src, n, got, want)
@@ -447,17 +474,18 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 		for i := uint32(0); i < got; i++ {
 			b.StoreByte(dst+i, b.LoadByte(src+i))
 		}
-		if !bytes.Equal(a.data, b.data) {
+		after := a.CopyOut(p<<PageShift, PageSize)
+		if !sameMemory(a, b) {
 			t.Fatalf("CopyForward(%#x, %#x, %d): memory differs from byte stores", dst, src, n)
 		}
-		changed := !bytes.Equal(page[:], a.data[p<<PageShift:(p+1)<<PageShift])
-		for q := range gens {
-			if moved := a.gens[q] != gens[q]; moved != (changed && uint32(q) == p) {
+		changed := !bytes.Equal(before, after)
+		for q, g := range a.PageGens() {
+			if moved := g != gens[q]; moved != (changed && uint32(q) == p) {
 				t.Fatalf("CopyForward(%#x, %#x, %d): page %#x generation moved = %v, dst page changed = %v",
 					dst, src, n, q, moved, changed)
 			}
 		}
-		if moved := a.stamp != stamp; moved != changed {
+		if moved := *a.WriteStamp() != stamp; moved != changed {
 			t.Fatalf("CopyForward(%#x, %#x, %d): stamp moved = %v, bytes changed = %v", dst, src, n, moved, changed)
 		}
 	}
@@ -466,8 +494,8 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 	}
 	for _, r := range roms {
 		for x := r.Start; x < r.End(); x++ {
-			if a.data[x] != 0xEE {
-				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, a.data[x])
+			if v := a.LoadByte(x); v != 0xEE {
+				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, v)
 			}
 		}
 	}
@@ -524,7 +552,7 @@ func TestWriteRAMMatchesByteStores(t *testing.T) {
 		n := min(uint32(rng.Intn(len(src)+1)), AddrSpace-addr)
 		w := src[:n]
 		if rng.Intn(8) == 0 {
-			copy(w, a.data[addr:]) // memory's own bytes
+			copy(w, a.CopyOut(addr, n)) // memory's own bytes
 			if n > 0 && rng.Intn(2) == 0 {
 				w[rng.Intn(len(w))] ^= 1
 			}
@@ -537,30 +565,31 @@ func TestWriteRAMMatchesByteStores(t *testing.T) {
 		// Pages outside [lo, hi) cannot change: the twin, which
 		// writes only the range, must match afterwards.
 		lo, hi := addr&^(PageSize-1), (addr+n+PageSize-1)&^(PageSize-1)
-		before := bytes.Clone(a.data[lo:hi])
-		gens = *a.gens
-		stamp := a.stamp
+		before := a.CopyOut(lo, hi-lo)
+		gens = *a.PageGens()
+		stamp := *a.WriteStamp()
 		a.WriteRAM(addr, w)
 		for i, v := range w {
 			b.PokeRAM(addr+uint32(i), v)
 		}
-		if !bytes.Equal(a.data, b.data) {
+		after := a.CopyOut(lo, hi-lo)
+		if !sameMemory(a, b) {
 			t.Fatalf("WriteRAM(%#x, %d bytes): memory differs from byte stores", addr, n)
 		}
 		anyChanged := false
-		for q := range gens {
+		for q, g := range a.PageGens() {
 			changed := false
 			if p := uint32(q) << PageShift; p >= lo && p < hi {
-				changed = !bytes.Equal(before[p-lo:p-lo+PageSize], a.data[p:p+PageSize])
+				changed = !bytes.Equal(before[p-lo:p-lo+PageSize], after[p-lo:p-lo+PageSize])
 			}
 			anyChanged = anyChanged || changed
-			if a.gens[q] != gens[q]+one(changed) {
+			if g != gens[q]+one(changed) {
 				t.Fatalf("WriteRAM(%#x, %d bytes): page %#x generation %d -> %d, page changed = %v",
-					addr, n, q, gens[q], a.gens[q], changed)
+					addr, n, q, gens[q], g, changed)
 			}
 		}
-		if a.stamp != stamp+one(anyChanged) {
-			t.Fatalf("WriteRAM(%#x, %d bytes): stamp %d -> %d, bytes changed = %v", addr, n, stamp, a.stamp, anyChanged)
+		if got := *a.WriteStamp(); got != stamp+one(anyChanged) {
+			t.Fatalf("WriteRAM(%#x, %d bytes): stamp %d -> %d, bytes changed = %v", addr, n, stamp, got, anyChanged)
 		}
 	}
 	if a.ROMWriteCount != 0 {
@@ -568,8 +597,8 @@ func TestWriteRAMMatchesByteStores(t *testing.T) {
 	}
 	for _, r := range roms {
 		for x := r.Start; x < r.End(); x++ {
-			if a.data[x] != 0xEE {
-				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, a.data[x])
+			if v := a.LoadByte(x); v != 0xEE {
+				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, v)
 			}
 		}
 	}
@@ -603,7 +632,7 @@ func TestZeroRunMatchesBytes(t *testing.T) {
 	var snap []byte
 	for trial := 0; trial < 6000; trial++ {
 		if trial%600 == 0 {
-			if snap != nil && !bytes.Equal(b.data, snap) {
+			if snap != nil && !bytes.Equal(b.Snapshot(), snap) {
 				t.Fatalf("trial %d: ZeroRun changed memory", trial)
 			}
 			// Re-seed the sparse non-zero bytes, at every offset
@@ -628,11 +657,11 @@ func TestZeroRunMatchesBytes(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			n = uint32(rng.Intn(4))
 		}
-		gens, stamp := *b.gens, b.stamp
+		gens, stamp := *b.PageGens(), *b.WriteStamp()
 		if got, want := b.ZeroRun(addr, n), loop(addr, n); got != want {
 			t.Fatalf("ZeroRun(%#x, %d) = %d, want %d", addr, n, got, want)
 		}
-		if *b.gens != gens || b.stamp != stamp {
+		if *b.PageGens() != gens || *b.WriteStamp() != stamp {
 			t.Fatalf("ZeroRun(%#x, %d) moved a generation or the stamp", addr, n)
 		}
 	}
