@@ -364,6 +364,27 @@ func BenchmarkClusterEpochStrikes(b *testing.B) {
 	}
 }
 
+// BenchmarkRingFleetRelay measures one relay interval of a converged
+// 5-node Dijkstra 3-state ring fleet: RingFleet.Run(DefaultRelayEvery)
+// steps each replica 2000 steps in one pool fan-out, then relays the
+// ring's mailbox slots. The jobs are short, so the fan-out's own cost
+// shows beside them.
+func BenchmarkRingFleetRelay(b *testing.B) {
+	f, err := cluster.NewRingFleet(cluster.RingFleetConfig{Variant: guest.VariantDijkstra3, Replicas: 5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.Run(100 * cluster.DefaultRelayEvery)
+	b.ResetTimer()
+	for range b.N {
+		f.Run(cluster.DefaultRelayEvery)
+	}
+	b.StopTimer()
+	if !f.Legal() {
+		b.Fatal("the ring is not legal")
+	}
+}
+
 // BenchmarkBlastRAM measures the fault injectors' bulk writes on a
 // reinstall system's machine: BlastRAM (every RAM byte, as a served
 // all-ram fault and a blast strike write it) and RandomizeRegion over

@@ -282,6 +282,9 @@ func (c *Cluster) Quorum() int { return len(c.replicas)/2 + 1 }
 // Epoch returns the number of completed epochs.
 func (c *Cluster) Epoch() int { return c.epoch }
 
+// EpochSteps returns the epoch length in machine steps.
+func (c *Cluster) EpochSteps() int { return c.cfg.EpochSteps }
+
 // boot starts r's next incarnation on h: a fresh heartbeat judge,
 // observer, flight recorder and injector, on a machine that is either
 // freshly booted from ROM or a quorum member's, which puts the

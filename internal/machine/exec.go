@@ -566,9 +566,12 @@ func (m *Machine) storeMem(in *isa.Inst, v uint16) bool {
 
 // storeAllowed reports whether a data store to the linear address is
 // permitted under the memory-protection extension: always, unless the
-// window is active and the target lies outside it.
+// window is active and the target lies outside it. It tests the option
+// before calling windowActive, which is too large to inline (it asks
+// the bus whether the code lies in ROM, and a mixed page's answer is a
+// call), so a store on a machine without the extension makes no call.
 func (m *Machine) storeAllowed(addr uint32) bool {
-	return !m.windowActive() || m.inWindow(addr)
+	return !m.Opts.MemoryProtection || !m.windowActive() || m.inWindow(addr)
 }
 
 // windowActive reports whether the memory-protection window constrains

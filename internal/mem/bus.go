@@ -24,9 +24,13 @@
 // The bus additionally maintains two O(1) lookup structures that the
 // simulator's hot paths depend on:
 //
-//   - a per-byte ROM membership bitmap, so InROM (consulted on every
-//     store to a page holding ROM, and every protection check) costs
-//     one word load instead of a scan over the region list;
+//   - per-page ROM membership, so InROM (consulted on every store to a
+//     page holding ROM, and every protection check) costs one flag
+//     test instead of a scan over the region list. A page is all RAM,
+//     all ROM, or mixed, and only a mixed page keeps a PageSize-bit
+//     mask of its ROM bytes. Every shipped image's ROM regions start
+//     on page boundaries, so a machine has at most two mixed pages,
+//     where its regions end;
 //   - per-page write-generation counters (PageSize-byte pages), bumped
 //     by EVERY change to a byte, whatever the path — instruction
 //     stores, bulk copies (CopyForward), test Pokes, fault-injection
@@ -49,6 +53,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -120,9 +125,22 @@ const (
 	// copied before it is written.
 	pageShared uint8 = 1 << iota
 	// pageROM marks a page holding at least one ROM byte: a store to it
-	// must consult the ROM bitmap.
+	// must ask which bytes are ROM.
 	pageROM
+	// pageAllROM marks a page every byte of which is ROM; it is set
+	// together with pageROM. A page with pageROM alone is mixed, and
+	// its ROM bytes are the ones its mask (Bus.mixed) marks.
+	pageAllROM
 )
+
+// romMask marks the ROM bytes of one mixed page, one bit per byte.
+type romMask [PageSize / 64]uint64
+
+// mixedPage is the ROM mask of one page holding both ROM and RAM bytes.
+type mixedPage struct {
+	page uint32
+	mask romMask
+}
 
 // Bus is the physical memory bus. The zero value is not usable; create
 // one with NewBus.
@@ -130,19 +148,21 @@ type Bus struct {
 	// pages is the page table: page p holds the bytes at addresses
 	// p<<PageShift up to the next page.
 	pages [NumPages]*page
-	// flags holds each page's pageShared and pageROM bits. A page with
-	// neither is RAM this bus alone holds, which a store writes
-	// straight away.
+	// flags holds each page's pageShared, pageROM and pageAllROM bits.
+	// A page with none is RAM this bus alone holds, which a store
+	// writes straight away.
 	flags [NumPages]uint8
+
+	// mixed holds the ROM mask of every mixed page, in no order. It is
+	// short (at most one entry per ROM region edge that falls inside a
+	// page), so a lookup scans it. With the flags it makes InROM O(1); the
+	// region list is kept only for reporting and RAM-range
+	// enumeration. AddROM builds it; it is fixed once the bus has
+	// forked, and a fork shares it.
+	mixed []mixedPage
 
 	roms   []Region
 	policy ROMWritePolicy
-
-	// romBits is the per-byte ROM membership bitmap (1 bit per
-	// address). It makes InROM O(1); the region list is kept only for
-	// reporting and RAM-range enumeration. It is fixed once the bus has
-	// forked, and a fork shares it.
-	romBits []uint64
 
 	// gens holds one write-generation counter per PageSize-byte page.
 	// Every mutation that changes a byte of memory bumps the counter of
@@ -175,10 +195,7 @@ type Bus struct {
 // holds no page of its own: every page is the shared zero page until
 // first written.
 func NewBus() *Bus {
-	b := &Bus{
-		romBits: make([]uint64, AddrSpace/64),
-		gens:    new([NumPages]uint64),
-	}
+	b := &Bus{gens: new([NumPages]uint64)}
 	for p := range b.pages {
 		b.pages[p] = &zeroPage
 		b.flags[p] = pageShared
@@ -190,10 +207,10 @@ func NewBus() *Bus {
 // policy, generations, stamp and ROM-write count. The two share every
 // page, and both mark every page shared, so the first write on either
 // side to a page copies that page for the writer alone; neither ever
-// sees the other's stores. They also share the ROM bitmap, which is
-// fixed from here on: AddROM refuses on both. Fork costs one page
-// table and one counter array, whatever b holds. It must not run
-// concurrently with any other use of b.
+// sees the other's stores. They also share the mixed pages' ROM
+// masks, which are fixed from here on: AddROM refuses on both. Fork
+// costs one page table and one counter array, whatever b holds. It must
+// not run concurrently with any other use of b.
 func (b *Bus) Fork() *Bus {
 	for p := range b.flags {
 		b.flags[p] |= pageShared
@@ -256,18 +273,41 @@ func (b *Bus) AddROM(name string, start uint32, data []byte) (Region, error) {
 	}
 	for a := r.Start; a < r.End(); {
 		p, o := a>>PageShift, a&pageMask
-		n := copy(b.own(p)[o:], data[a-r.Start:])
-		b.flags[p] |= pageROM
-		a += uint32(n)
-	}
-	for a := r.Start; a < r.End(); a++ {
-		b.romBits[a>>6] |= 1 << (a & 63)
+		n := uint32(copy(b.own(p)[o:], data[a-r.Start:]))
+		b.markROM(p, o, n)
+		a += n
 	}
 	b.bumpRange(r.Start, r.End())
 	b.roms = append(b.roms, r)
 	sort.Slice(b.roms, func(i, j int) bool { return b.roms[i].Start < b.roms[j].Start })
 	return r, nil
 }
+
+// markROM records bytes [o, o+n) of page p as ROM; they are RAM until
+// then. A page that ends up all ROM drops its mask.
+func (b *Bus) markROM(p, o, n uint32) {
+	b.flags[p] |= pageROM
+	if n == PageSize {
+		b.flags[p] |= pageAllROM
+		return
+	}
+	i := slices.IndexFunc(b.mixed, func(m mixedPage) bool { return m.page == p })
+	if i < 0 {
+		i = len(b.mixed)
+		b.mixed = append(b.mixed, mixedPage{page: p})
+	}
+	m := &b.mixed[i].mask
+	for x := o; x < o+n; x++ {
+		m[x>>6] |= 1 << (x & 63)
+	}
+	if *m == fullMask {
+		b.flags[p] |= pageAllROM
+		b.mixed = slices.Delete(b.mixed, i, i+1)
+	}
+}
+
+// fullMask is the mask of a page whose every byte is ROM.
+var fullMask = romMask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
 // ROMs returns the installed ROM regions in address order.
 func (b *Bus) ROMs() []Region {
@@ -276,10 +316,35 @@ func (b *Bus) ROMs() []Region {
 	return out
 }
 
-// InROM reports whether addr falls inside a ROM region.
+// InROM reports whether addr falls inside a ROM region. A page's flags
+// answer for an all-RAM or all-ROM page; only a mixed page reads its
+// mask.
 func (b *Bus) InROM(addr uint32) bool {
-	addr &= AddrMask
-	return b.romBits[addr>>6]&(1<<(addr&63)) != 0
+	switch b.flags[addr>>PageShift&(NumPages-1)] & (pageROM | pageAllROM) {
+	case 0:
+		return false
+	case pageROM:
+		return b.mixedROM(addr)
+	}
+	return true
+}
+
+// mixedROM reports whether addr, on a mixed page, is a ROM byte.
+//
+//go:noinline
+func (b *Bus) mixedROM(addr uint32) bool {
+	o := addr & pageMask
+	return b.mask(pageOf(addr))[o>>6]&(1<<(o&63)) != 0
+}
+
+// mask returns the ROM mask of mixed page p. Every mixed page has one,
+// so the scan ends inside the table.
+func (b *Bus) mask(p uint32) *romMask {
+	for i := 0; ; i++ {
+		if b.mixed[i].page == p {
+			return &b.mixed[i].mask
+		}
+	}
 }
 
 // PageGen returns the write-generation counter of the page containing
@@ -329,7 +394,7 @@ func (b *Bus) LoadByte(addr uint32) byte {
 func (b *Bus) StoreByte(addr uint32, v byte) bool {
 	addr &= AddrMask
 	p, o := pageOf(addr), addr&pageMask
-	if b.flags[p]&pageROM != 0 && b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
+	if b.InROM(addr) {
 		b.ROMWriteCount++
 		return b.policy == ROMWriteIgnore
 	}
@@ -432,17 +497,31 @@ func (b *Bus) ZeroRun(addr, n uint32) uint32 {
 }
 
 // ramPrefix returns the length of the longest ROM-free prefix of
-// [a, a+n), scanning romBits a word at a time; a+n must not exceed
-// AddrSpace.
+// [a, a+n), which must lie in one page: all of it on a RAM page, none
+// of it on an all-ROM page, and on a mixed page the bytes before the
+// first ROM byte, found a mask word at a time.
 func (b *Bus) ramPrefix(a, n uint32) uint32 {
-	end := a + n
-	for w := a >> 6; w<<6 < end; w++ {
-		rom := b.romBits[w]
-		if w == a>>6 {
-			rom &^= 1<<(a&63) - 1 // the bits below a
+	switch b.flags[a>>PageShift] & (pageROM | pageAllROM) {
+	case 0:
+		return n
+	case pageROM:
+		return b.mixedRAMPrefix(a, n)
+	}
+	return 0
+}
+
+// mixedRAMPrefix is ramPrefix on a mixed page.
+func (b *Bus) mixedRAMPrefix(a, n uint32) uint32 {
+	m := b.mask(a >> PageShift)
+	o := a & pageMask
+	end := o + n
+	for w := o >> 6; w<<6 < end; w++ {
+		rom := m[w]
+		if w == o>>6 {
+			rom &^= 1<<(o&63) - 1 // the bits below o
 		}
 		if rom != 0 {
-			return min(w<<6+uint32(bits.TrailingZeros64(rom)), end) - a
+			return min(w<<6+uint32(bits.TrailingZeros64(rom)), end) - o
 		}
 	}
 	return n
@@ -531,7 +610,7 @@ func (b *Bus) Poke(addr uint32, v byte) {
 // errors flip RAM and register bits but never ROM.
 func (b *Bus) PokeRAM(addr uint32, v byte) bool {
 	addr &= AddrMask
-	if b.romBits[addr>>6]&(1<<(addr&63)) != 0 {
+	if b.InROM(addr) {
 		return false
 	}
 	p := pageOf(addr)

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -502,35 +503,46 @@ func TestCopyForwardMatchesByteStores(t *testing.T) {
 }
 
 // TestWriteRAMMatchesByteStores holds WriteRAM against the PokeRAM loop
-// it stands for. Twin buses start identical; for random ranges — over
-// ROM regions at word and page edges and at the top of the address
-// space, up to three pages long and ending at the top at most — one
-// bus takes the method and the other PokeRAM(addr+i, src[i]). The
-// memory must match, ROM must be untouched, each page's generation
-// must move by one iff a byte in it changed and by nothing otherwise,
-// and the stamp must move by one iff any byte changed. Bytes are drawn
-// from four values, and some writes copy memory's own bytes, so many
-// are partly or wholly silent.
+// it stands for, over a hand-made ROM layout (regions at word and page
+// edges and at the top of the address space) and four random
+// romLayouts. Twin buses start identical, the second a fork of the
+// first; for random ranges — over the ROM regions' edges and at the
+// top of the address space, up to three pages long and ending at the
+// top at most — the bus takes the method and its fork
+// PokeRAM(addr+i, src[i]). The memory must match, ROM must be
+// untouched, each page's generation must move by one iff a byte in it
+// changed and by nothing otherwise, and the stamp must move by one iff
+// any byte changed. Bytes are drawn from four values, and some writes
+// copy memory's own bytes, so many are partly or wholly silent.
 func TestWriteRAMMatchesByteStores(t *testing.T) {
-	roms := []Region{
+	layouts := [][]Region{{
 		{Start: 0x10040, Size: 16}, // word-aligned
 		{Start: 0x100FF, Size: 2},  // across a page edge
 		{Start: 0x10200, Size: 1},  // a page's first byte
 		{Start: 0x1033F, Size: 1},  // a word's last bit
 		{Start: 0x103A5, Size: 16}, // mid-word
 		{Start: 0xFFFFE, Size: 2},  // the top of the address space
+	}}
+	rng := rand.New(rand.NewSource(13))
+	for range 4 {
+		layouts = append(layouts, romLayout(rng))
 	}
-	var twin [2]*Bus
-	for i := range twin {
-		twin[i] = NewBus()
-		for _, r := range roms {
-			if _, err := twin[i].AddROM("rom", r.Start, bytes.Repeat([]byte{0xEE}, int(r.Size))); err != nil {
-				t.Fatal(err)
-			}
+	for i, roms := range layouts {
+		t.Run(fmt.Sprintf("layout%d", i), func(t *testing.T) {
+			checkWriteRAM(t, roms, rand.New(rand.NewSource(1+int64(i))))
+		})
+	}
+}
+
+// checkWriteRAM is TestWriteRAMMatchesByteStores on one ROM layout.
+func checkWriteRAM(t *testing.T, roms []Region, rng *rand.Rand) {
+	a := NewBus()
+	for _, r := range roms {
+		if _, err := a.AddROM("rom", r.Start, bytes.Repeat([]byte{0xEE}, int(r.Size))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	a, b := twin[0], twin[1]
-	rng := rand.New(rand.NewSource(1))
+	b := a.Fork()
 	one := func(moved bool) uint64 {
 		if moved {
 			return 1
@@ -546,8 +558,13 @@ func TestWriteRAMMatchesByteStores(t *testing.T) {
 			addr = 0xFFC00 + uint32(rng.Intn(0x400))
 		case 1:
 			addr = uint32(rng.Intn(0x300))
-		default:
-			addr = 0xFF00 + uint32(rng.Intn(0x600))
+		default: // from up to a page and a half below a ROM region's edge
+			r := roms[rng.Intn(len(roms))]
+			e := r.Start
+			if rng.Intn(2) == 0 {
+				e = r.End()
+			}
+			addr = (e - uint32(rng.Intn(3*PageSize/2))) & AddrMask
 		}
 		n := min(uint32(rng.Intn(len(src)+1)), AddrSpace-addr)
 		w := src[:n]
@@ -592,13 +609,13 @@ func TestWriteRAMMatchesByteStores(t *testing.T) {
 			t.Fatalf("WriteRAM(%#x, %d bytes): stamp %d -> %d, bytes changed = %v", addr, n, stamp, got, anyChanged)
 		}
 	}
-	if a.ROMWriteCount != 0 {
-		t.Fatalf("ROMWriteCount = %d, want 0", a.ROMWriteCount)
+	if a.ROMWriteCount != 0 || b.ROMWriteCount != 0 {
+		t.Fatalf("ROMWriteCount = %d (method), %d (byte stores), want 0", a.ROMWriteCount, b.ROMWriteCount)
 	}
 	for _, r := range roms {
 		for x := r.Start; x < r.End(); x++ {
-			if v := a.LoadByte(x); v != 0xEE {
-				t.Fatalf("ROM byte %#x = %#x, want 0xEE", x, v)
+			if v, w := a.LoadByte(x), b.LoadByte(x); v != 0xEE || w != 0xEE {
+				t.Fatalf("ROM byte %#x = %#x (method), %#x (byte stores), want 0xEE", x, v, w)
 			}
 		}
 	}
@@ -683,7 +700,7 @@ func TestZeroRunMatchesBytes(t *testing.T) {
 	}
 }
 
-// TestInROMMatchesRegions cross-checks the O(1) membership bitmap
+// TestInROMMatchesRegions cross-checks the O(1) per-page membership
 // against the region list it is derived from.
 func TestInROMMatchesRegions(t *testing.T) {
 	b := NewBus()

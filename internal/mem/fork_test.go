@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,13 +16,70 @@ type twinSide struct {
 	romWrites uint64
 }
 
+// fixedROMs is a hand-made ROM layout: regions at word and page edges
+// and at the top of the address space, all on mixed pages.
+var fixedROMs = []Region{
+	{Start: 0x10040, Size: 16}, // word-aligned
+	{Start: 0x100FF, Size: 2},  // across a page edge
+	{Start: 0x10200, Size: 1},  // a page's first byte
+	{Start: 0x103A5, Size: 16}, // mid-word
+	{Start: 0xFFFFE, Size: 2},  // the top of the address space
+}
+
+// romLayout returns a random ROM layout, in address order: one region
+// that starts and ends mid-page (perhaps pages apart), two regions in
+// one page with RAM around and between them, two that fill a page
+// between them, whole pages, and a region that ends at the top of the
+// address space. The first four sit in random order with random gaps
+// of whole pages between them.
+func romLayout(rng *rand.Rand) []Region {
+	var out []Region
+	add := func(start, size uint32) { out = append(out, Region{Name: "rom", Start: start, Size: size}) }
+	a := uint32(1+rng.Intn(8)) << 16
+	for _, shape := range rng.Perm(4) {
+		a += uint32(rng.Intn(3)) << PageShift
+		switch shape {
+		case 0: // starts and ends mid-page
+			start := a + 1 + uint32(rng.Intn(PageSize-1))
+			size := 1 + uint32(rng.Intn(3*PageSize))
+			if (start+size)&pageMask == 0 {
+				size++
+			}
+			add(start, size)
+			a = (start+size)&^pageMask + PageSize
+		case 1: // two regions in one page
+			o1 := 1 + uint32(rng.Intn(100))
+			n1 := 1 + uint32(rng.Intn(50))
+			o2 := o1 + n1 + 1 + uint32(rng.Intn(50))
+			add(a+o1, n1)
+			add(a+o2, 1+uint32(rng.Intn(int(PageSize-1-o2))))
+			a += PageSize
+		case 2: // two regions that fill a page between them
+			cut := 1 + uint32(rng.Intn(PageSize-1))
+			add(a, cut)
+			add(a+cut, PageSize-cut)
+			a += PageSize
+		default: // whole pages
+			n := uint32(1+rng.Intn(3)) << PageShift
+			add(a, n)
+			a += n
+		}
+	}
+	n := 1 + uint32(rng.Intn(3*PageSize/2))
+	add(AddrSpace-n, n)
+	return out
+}
+
 // TestForkMatchesFlatModel holds a paged bus and its fork against two
-// flat []byte models of the documented semantics. Random StoreByte,
-// StoreWord, CopyForward, WriteRAM, PokeRAM and Poke calls land on
-// either side, before and after the fork and after a second fork of
-// the fork; addresses cluster on ROM bytes at word and page edges, on
-// page offset 255 and at the top of the address space, and values are
-// drawn from four, so many stores are silent. After every call:
+// flat []byte models of the documented semantics, over fixedROMs and
+// four random romLayouts. On each, the bus's, the fork's and the fork
+// of the fork's InROM must match the layout at every address. Random
+// StoreByte, StoreWord, CopyForward, WriteRAM, PokeRAM and Poke calls
+// land on either side, before and after the fork and after a second
+// fork of the fork; addresses cluster around the ROM regions' edges
+// and on the last byte of their pages, on page offset 255 and at the
+// top of the address space, and values are drawn from four, so many
+// stores are silent. After every call:
 //
 //   - the written side's pages around the call match its model, and
 //     every few hundred calls all of memory matches on both sides;
@@ -33,13 +91,25 @@ type twinSide struct {
 //     Poke and PokeRAM, nothing for a refused store;
 //   - the stamp moved if and only if some generation did.
 func TestForkMatchesFlatModel(t *testing.T) {
-	roms := []Region{
-		{Start: 0x10040, Size: 16}, // word-aligned
-		{Start: 0x100FF, Size: 2},  // across a page edge
-		{Start: 0x10200, Size: 1},  // a page's first byte
-		{Start: 0x103A5, Size: 16}, // mid-word
-		{Start: 0xFFFFE, Size: 2},  // the top of the address space
+	layouts := [][]Region{fixedROMs}
+	rng := rand.New(rand.NewSource(11))
+	for range 4 {
+		layouts = append(layouts, romLayout(rng))
 	}
+	for i, roms := range layouts {
+		t.Run(fmt.Sprintf("layout%d", i), func(t *testing.T) {
+			trials := 6000
+			if i == 0 {
+				trials = 30000
+			}
+			checkForkModel(t, roms, rand.New(rand.NewSource(7+int64(i))), trials)
+		})
+	}
+}
+
+// checkForkModel is TestForkMatchesFlatModel on one ROM layout, with
+// the given number of calls after the first fork.
+func checkForkModel(t *testing.T, roms []Region, rng *rand.Rand, trials int) {
 	bus := NewBus()
 	bus.SetROMWritePolicy(ROMWriteFault)
 	for _, r := range roms {
@@ -59,15 +129,37 @@ func TestForkMatchesFlatModel(t *testing.T) {
 		}
 		return false
 	}
-	rng := rand.New(rand.NewSource(7))
+	// checkROM holds b's InROM to the layout at every address, and at a
+	// few beyond the address space, which wrap.
+	checkROM := func(b *Bus, who string) {
+		for a := uint32(0); a < AddrSpace; a++ {
+			if got := b.InROM(a); got != rom(a) {
+				t.Fatalf("%s: InROM(%#x) = %v, want %v", who, a, got, !got)
+			}
+		}
+		for _, r := range roms {
+			if !b.InROM(r.Start+AddrSpace) || b.InROM(r.Start-1+AddrSpace) != rom(r.Start-1) {
+				t.Fatalf("%s: InROM does not wrap at %#x", who, r.Start)
+			}
+		}
+	}
+	checkROM(bus, "the bus")
 	addr := func() uint32 {
 		switch rng.Intn(6) {
 		case 0:
 			return uint32(rng.Intn(NumPages))<<PageShift | pageMask // page offset 255
 		case 1:
 			return AddrSpace - 1 - uint32(rng.Intn(600)) // the top
-		case 2:
-			return 0x10000 + uint32(rng.Intn(0x500)) // around the ROM bytes
+		case 2: // around a ROM region's edge
+			r := roms[rng.Intn(len(roms))]
+			e := r.Start
+			if rng.Intn(2) == 0 {
+				e = r.End()
+			}
+			if rng.Intn(4) == 0 {
+				return (e - 1) | pageMask // the last byte of the edge's page
+			}
+			return e + uint32(rng.Intn(600)) - 300
 		case 3:
 			return uint32(rng.Intn(0x300)) // the bottom, where words wrap to
 		default:
@@ -221,11 +313,14 @@ func TestForkMatchesFlatModel(t *testing.T) {
 	}
 	sides[1] = fork(sides[0])
 	full(sides[1], "fork", 0)
-	for trial := 1; trial <= 30000; trial++ {
-		if trial == 15000 {
+	checkROM(sides[0].b, "the source after the fork")
+	checkROM(sides[1].b, "the fork")
+	for trial := 1; trial <= trials; trial++ {
+		if trial == trials/2 {
 			// Fork the fork: the source side now shares its pages with a
 			// bus that itself shares pages with the first source.
 			sides[0] = fork(sides[1])
+			checkROM(sides[0].b, "the fork of the fork")
 		}
 		i := rng.Intn(2)
 		s, other := sides[i], sides[1-i]

@@ -15,6 +15,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers, when positive, overrides the worker count (normally
@@ -28,45 +29,7 @@ var Workers int
 // goroutine. run must be safe to call concurrently for distinct
 // indices; collect (which may be nil) is never called concurrently.
 func ForEach(n int, run func(i int) interface{}, collect func(i int, result interface{})) {
-	workers := runtime.GOMAXPROCS(0)
-	if Workers > 0 {
-		workers = Workers
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			r := run(i)
-			if collect != nil {
-				collect(i, r)
-			}
-		}
-		return
-	}
-	results := make([]interface{}, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if collect == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		collect(i, results[i])
-	}
+	forEach(context.Background(), n, run, collect) //nolint:errcheck // Background never ends
 }
 
 // Run is ForEach for jobs without results: it executes fn for every
@@ -79,73 +42,66 @@ func Run(n int, fn func(i int)) {
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// done, no further jobs are dispatched (jobs already started run to
+// done, no further jobs are started (jobs already started run to
 // completion — the pool never interrupts a job midway). collect is
 // still called on the caller's goroutine in index order, but only for
-// jobs that actually ran, so a cancelled fan-out yields a clean prefix
-// plus possibly a few in-flight indices rather than partial results.
-// Returns ctx.Err() when cancellation cut the dispatch short, nil when
-// every job ran. A ctx that is already done dispatches nothing.
+// jobs that actually ran, which are always a prefix of the indices, so
+// a cancelled fan-out yields clean partial results. Returns ctx.Err()
+// when cancellation cut the fan-out short, nil when every job ran. A
+// ctx that is already done starts nothing.
 func ForEachCtx(ctx context.Context, n int, run func(i int) interface{}, collect func(i int, result interface{})) error {
+	return forEach(ctx, n, run, collect)
+}
+
+// forEach is ForEachCtx. The caller runs jobs itself beside workers−1
+// helper goroutines, and every runner claims the next index from one
+// counter until the indices run out or ctx ends, so no job waits to be
+// handed over and a fan-out of jobs shorter than a goroutine's start
+// costs little more than running them in a loop. Indices are claimed
+// in order and a claimed job always runs, so the jobs that ran are the
+// claimed prefix.
+func forEach(ctx context.Context, n int, run func(i int) interface{}, collect func(i int, result interface{})) error {
+	var results []interface{}
+	if collect != nil {
+		results = make([]interface{}, n)
+	}
+	var next atomic.Int64
+	runner := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			r := run(i)
+			if results != nil {
+				results[i] = r
+			}
+		}
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if Workers > 0 {
 		workers = Workers
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r := run(i)
-			if collect != nil {
-				collect(i, r)
-			}
-		}
-		return nil
-	}
-	results := make([]interface{}, n)
-	ran := make([]bool, n)
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range min(workers, n) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				results[i] = run(i)
-				ran[i] = true
-			}
+			runner()
 		}()
 	}
-	var err error
-dispatch:
-	for i := 0; i < n; i++ {
-		// Check first so an already-done ctx never dispatches: the
-		// select below would otherwise pick between the two ready
-		// cases at random.
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	close(next)
+	runner()
 	wg.Wait()
+	ran := min(int(next.Load()), n)
 	if collect != nil {
-		for i := 0; i < n; i++ {
-			if ran[i] {
-				collect(i, results[i])
-			}
+		for i := range ran {
+			collect(i, results[i])
 		}
 	}
-	return err
+	if ran < n {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // RunCtx is ForEachCtx for jobs without results.

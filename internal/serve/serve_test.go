@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -460,6 +462,11 @@ func TestAPIErrors(t *testing.T) {
 	if code, _ := apiDo(t, "POST", ts.URL+"/api/sessions/"+id+"/run", `{"steps":0}`); code != http.StatusBadRequest {
 		t.Errorf("zero-step run: status %d, want 400", code)
 	}
+	over := fmt.Sprintf(`{"steps":%d}`, MaxRunSteps+1)
+	if code, body := apiDo(t, "POST", ts.URL+"/api/sessions/"+id+"/run", over); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), strconv.Itoa(MaxRunSteps)) {
+		t.Errorf("run over the step cap: status %d, body %s; want 400 naming the cap", code, body)
+	}
 	if code, _ := apiDo(t, "POST", ts.URL+"/api/sessions/"+id+"/fault", `{"kind":"gamma-ray"}`); code != http.StatusBadRequest {
 		t.Errorf("unknown fault: status %d, want 400", code)
 	}
@@ -670,8 +677,8 @@ func TestRunChunkingIsInvisible(t *testing.T) {
 }
 
 // TestRunCancelFreesWorker pins the fix for a run request that could
-// pin a worker forever. On a one-worker daemon, a client asks for 2^40
-// steps and hangs up once the run is under way. The run must stop at
+// pin a worker forever. On a one-worker daemon, a client asks for
+// MaxRunSteps steps and hangs up once the run is under way. The run must stop at
 // its next chunk boundary: the session answers status within seconds,
 // with a step count that is a whole number of chunks (so a run queued
 // meanwhile by a request that had already ended ran no chunk), and
@@ -687,14 +694,14 @@ func TestRunCancelFreesWorker(t *testing.T) {
 	go func() {
 		defer close(returned)
 		req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/api/sessions/"+id+"/run",
-			strings.NewReader(`{"steps":1099511627776}`))
+			strings.NewReader(fmt.Sprintf(`{"steps":%d}`, MaxRunSteps)))
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		if resp, err := http.DefaultClient.Do(req); err == nil {
 			resp.Body.Close()
-			t.Error("a 2^40-step run answered before its client hung up")
+			t.Error("a MaxRunSteps run answered before its client hung up")
 		}
 	}()
 	for sess.EventCount() == 0 { // the watchdog's events show the run is under way
@@ -725,7 +732,7 @@ func TestRunCancelFreesWorker(t *testing.T) {
 }
 
 // TestStatusAndMetricsReturnWhenClientHangsUp: on a one-worker daemon
-// busy with a 2^40-step run, a status or metrics request queued behind
+// busy with a MaxRunSteps run, a status or metrics request queued behind
 // the run returns its context's error as soon as its client hangs up,
 // instead of waiting out the whole run. Once the run is cancelled the
 // session answers status normally.
@@ -738,7 +745,7 @@ func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
 	defer stopRun()
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := sess.Run(runCtx, RunRequest{Steps: 1 << 40})
+		_, err := sess.Run(runCtx, RunRequest{Steps: MaxRunSteps})
 		runDone <- err
 	}()
 	for sess.EventCount() == 0 { // the watchdog's events show the run is under way

@@ -77,6 +77,13 @@ type Session struct {
 // worker after the client has gone or the session has closed.
 const runChunk = 1 << 20
 
+// MaxRunSteps caps the machine steps one run request may ask for: a
+// machine session's steps, or a cluster session's epochs times its
+// epoch length. A larger request is refused before it is queued. The
+// cap is 1,024 run chunks, and it fits a 32-bit int, so a request means
+// the same on every word size.
+const MaxRunSteps = 1 << 30
+
 // sessionConsoleCap bounds every console of a machine session: legality
 // is judged online (Instrument's tracker) and status reads only the
 // write count, so nothing reads a console's history.
@@ -373,12 +380,12 @@ func (s *Session) Status(ctx context.Context) (*Status, error) {
 // closure error, once ctx ends or the session closes; the chunks already
 // run stay run.
 func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
+	if err := s.checkRun(req); err != nil {
+		return nil, err
+	}
 	r, err := s.do(ctx, func() (interface{}, error) {
 		switch {
 		case s.sys != nil:
-			if req.Steps <= 0 {
-				return nil, fmt.Errorf("machine session: run wants steps > 0")
-			}
 			defer func() {
 				s.blocks.Store(s.sys.M.Stats.Blocks)
 				s.blockInstrs.Store(s.sys.M.Stats.BlockInstrs)
@@ -391,9 +398,6 @@ func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
 				s.sys.Run(min(left, runChunk))
 			}
 		case s.clu != nil:
-			if req.Epochs <= 0 {
-				return nil, fmt.Errorf("cluster session: run wants epochs > 0")
-			}
 			for range req.Epochs {
 				if err := s.interrupted(ctx); err != nil {
 					return nil, err
@@ -407,6 +411,29 @@ func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
 		return nil, err
 	}
 	return r.(*Status), nil
+}
+
+// checkRun refuses a run request with no work in it or more machine
+// steps than MaxRunSteps.
+func (s *Session) checkRun(req RunRequest) error {
+	switch {
+	case s.sys != nil:
+		if req.Steps <= 0 {
+			return fmt.Errorf("machine session: run wants steps > 0")
+		}
+		if req.Steps > MaxRunSteps {
+			return fmt.Errorf("machine session: run wants at most %d steps (MaxRunSteps), got %d", MaxRunSteps, req.Steps)
+		}
+	case s.clu != nil:
+		if req.Epochs <= 0 {
+			return fmt.Errorf("cluster session: run wants epochs > 0")
+		}
+		if per := s.clu.EpochSteps(); req.Epochs > MaxRunSteps/per {
+			return fmt.Errorf("cluster session: run wants at most %d epochs of %d steps (MaxRunSteps %d), got %d",
+				MaxRunSteps/per, per, MaxRunSteps, req.Epochs)
+		}
+	}
+	return nil
 }
 
 // Inject lands one on-demand fault. It takes no context: once queued,
