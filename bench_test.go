@@ -197,6 +197,18 @@ func BenchmarkMachineStepScheduler(b *testing.B) {
 	s.Run(b.N)
 }
 
+// BenchmarkMachineStepProtected is BenchmarkMachineStepScheduler in
+// E11's protected configuration: the memory-protection extension on,
+// with saved ds validation. Every data store then goes through the
+// protection window check (machine.windowActive), a path no benchmark
+// workload runs.
+func BenchmarkMachineStepProtected(b *testing.B) {
+	s := core.MustNew(core.Config{Approach: core.ApproachScheduler, ProtectMemory: true, ValidateDS: true})
+	s.Run(10000)
+	b.ResetTimer()
+	s.Run(b.N)
+}
+
 // BenchmarkMachineStepMonitor measures throughput on approach 2's
 // kernel at its default watchdog period: slot-padded code (%pad on),
 // so most of its steps are nop padding, plus one monitor pass and its

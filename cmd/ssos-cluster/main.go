@@ -10,8 +10,9 @@
 //
 //	ssos-cluster -replicas 5 -approach reinstall -faults os-blast -epochs 30 -seed 1
 //
-// Approaches: baseline, reinstall, continue, monitor. Faults: none,
-// bitflip, os-blast, cpu-blast, blast. By default every third epoch
+// Approaches: baseline, reinstall, continue, monitor. Faults: none or
+// a strike mode of cluster.FaultModes, whose classes come from
+// internal/fault's table (-h lists them). By default every third epoch
 // strikes a random minority of replicas mid-epoch; -strike-prob
 // switches to independent per-replica strikes with that probability.
 // The run prints per-epoch vote tallies, every eviction/rejoin event,
@@ -25,8 +26,8 @@
 // -ring kstate|dijkstra3|ghosh4 switches to the distributed token-ring
 // mode: one mailbox ring node per replica, connected only by the relay
 // shim. The fleet converges, every replica is scrambled at the layer
-// selected by -ring-scramble (ring|os|joint), and the run reports the
-// fleet-level steps-to-legal of the recovery.
+// selected by -ring-scramble (one of cluster.RingScrambles), and the
+// run reports the fleet-level steps-to-legal of the recovery.
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"ssos/internal/cluster"
 	"ssos/internal/core"
@@ -52,14 +54,14 @@ var approaches = map[string]core.Approach{
 func main() {
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "fleet size N (voting quorum is N/2+1)")
 	approach := flag.String("approach", "reinstall", "per-replica system design: baseline|reinstall|continue|monitor")
-	faults := flag.String("faults", "none", "strike fault class: none|bitflip|os-blast|cpu-blast|blast")
+	faults := flag.String("faults", "none", "strike fault class: "+names(cluster.FaultModes()))
 	epochs := flag.Int("epochs", 30, "number of voting epochs to run")
 	seed := flag.Int64("seed", 1, "seed for the strike schedule and all replica injectors")
 	epochSteps := flag.Int("epoch-steps", cluster.DefaultEpochSteps, "machine steps per epoch")
 	strikeEvery := flag.Int("strike-every", cluster.DefaultStrikeEvery, "strike a random minority every k-th epoch")
 	strikeProb := flag.Float64("strike-prob", 0, "strike each replica with this probability per epoch (overrides -strike-every)")
 	ringVariant := flag.String("ring", "", "ring-fleet mode: run this token-ring protocol (kstate|dijkstra3|ghosh4) one node per replica instead of the voting cluster")
-	ringScramble := flag.String("ring-scramble", "joint", "ring-fleet scramble class applied after initial convergence: ring|os|joint")
+	ringScramble := flag.String("ring-scramble", "joint", "ring-fleet scramble class applied after initial convergence: "+names(cluster.RingScrambles()))
 	traceN := flag.Int("trace", 0, "keep a flight recorder of each replica's last N steps; dump it on eviction")
 	eventsOut := flag.String("events-out", "", "write the structured event stream as JSONL to this file")
 	metricsOut := flag.String("metrics-out", "", "write the stabilization metrics as JSON to this file")
@@ -194,6 +196,15 @@ func runRingFleet(variant, scramble string, replicas int, seed int64,
 			})
 		}
 	}
+}
+
+// names joins the values' names for a usage string.
+func names[T fmt.Stringer](values []T) string {
+	s := make([]string, len(values))
+	for i, v := range values {
+		s[i] = v.String()
+	}
+	return strings.Join(s, "|")
 }
 
 // writeOut writes one observability artifact via the given renderer,

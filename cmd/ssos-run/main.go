@@ -9,9 +9,8 @@
 // Approaches: baseline, reinstall, continue, monitor, primitive,
 // scheduler, checkpoint, adaptive, plus the workload images
 // scheduler-mbox-{kstate,dijkstra3,ghosh4} (token rings communicating
-// through the shared mailbox region). Faults:
-// none, bitflip, os-blast, cpu-blast, pc, all-ram, table-blast
-// (scheduler), proc-code (scheduler), mailbox (mailbox workloads).
+// through the shared mailbox region). Faults: none, or a class of
+// internal/fault's table (-h lists them; DESIGN.md "Fault vocabulary").
 // -events-out/-metrics-out write the structured event
 // stream (JSONL) and the stabilization metrics (JSON) described in
 // README "Observability".
@@ -24,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"ssos/internal/core"
 	"ssos/internal/fault"
@@ -37,7 +37,7 @@ func main() {
 	approach := flag.String("approach", "reinstall", "system design: baseline|reinstall|continue|monitor|primitive|scheduler|checkpoint|adaptive")
 	steps := flag.Int("steps", 500000, "total steps to run")
 	period := flag.Uint("period", 0, "watchdog period / scheduling quantum (0 = default)")
-	faultKind := flag.String("fault", "none", "fault to inject: none|bitflip|os-blast|cpu-blast|pc|all-ram|table-blast|proc-code|mailbox")
+	faultKind := flag.String("fault", "none", "fault to inject: none|"+strings.Join(serve.FaultKinds(), "|"))
 	at := flag.Int("at", 100000, "step at which the fault is injected")
 	seed := flag.Int64("seed", 1, "fault-injection seed")
 	stock := flag.Bool("stock-nmi", false, "disable the paper's NMI-counter hardware")

@@ -24,7 +24,6 @@ import (
 	"ssos/internal/fault"
 	"ssos/internal/guest"
 	"ssos/internal/obs"
-	"ssos/internal/serve"
 )
 
 const seed = 11
@@ -52,15 +51,10 @@ func machineScript(report bool) []byte {
 		fmt.Printf("booted: privileges=%v ring=%v\n", s.MailboxPrivileges(), s.MailboxRing())
 	}
 
-	// The joint fault: the mailbox words (algorithm layer) and, through
-	// the catalog's shared injection path, the nodes' parked registers —
-	// plus a CPU blast for good measure.
-	inj := fault.NewInjector(s.M, seed)
-	if err := serve.InjectFault(s, inj, "mailbox"); err != nil {
-		fmt.Fprintln(os.Stderr, "layeredring:", err)
-		os.Exit(1)
-	}
-	inj.BlastCPU()
+	// The joint fault: the mailbox class (the slot words of the
+	// algorithm layer and the nodes' parked registers), then a CPU
+	// blast for good measure.
+	fault.NewInjector(s.M, seed).Inject(0, fault.Mailbox, fault.CPUBlast)
 	faultStep := s.Steps()
 
 	step, ok := s.MailboxConverged(4000000, 500, 100)

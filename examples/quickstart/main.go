@@ -13,7 +13,6 @@ import (
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
-	"ssos/internal/mem"
 )
 
 func main() {
@@ -33,12 +32,7 @@ func main() {
 		len(beats), last.Value, last.Step)
 
 	// Phase 2: a burst of soft errors wipes the OS — code and data.
-	inj := fault.NewInjector(sys.M, 42)
-	inj.RandomizeRegion(mem.Region{
-		Name:  "guest OS",
-		Start: uint32(guest.OSSeg) << 4,
-		Size:  guest.ImageSize,
-	})
+	fault.NewInjector(sys.M, 42).Inject(0, fault.OSBlast)
 	faultStep := sys.Steps()
 	fmt.Printf("\nphase 2: randomized all %d bytes of the OS in RAM at step %d\n",
 		guest.ImageSize, faultStep)
@@ -63,11 +57,7 @@ func main() {
 	base := core.MustNew(core.Config{Approach: core.ApproachBaseline})
 	base.Run(100000)
 	before := base.Heartbeat.Total()
-	fault.NewInjector(base.M, 42).RandomizeRegion(mem.Region{
-		Name:  "guest OS",
-		Start: uint32(guest.OSSeg) << 4,
-		Size:  guest.ImageSize,
-	})
+	fault.NewInjector(base.M, 42).Inject(0, fault.OSBlast)
 	base.Run(200000)
 	if _, ok := base.Spec().RecoveredAfter(base.Heartbeat.Writes(), 100000, 10); ok {
 		fmt.Println("baseline recovered?! (should never happen)")

@@ -18,7 +18,6 @@ import (
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
-	"ssos/internal/mem"
 	"ssos/internal/trace"
 )
 
@@ -79,27 +78,18 @@ func scheduler() {
 	inj := fault.NewInjector(sys.M, 99)
 
 	fmt.Println("\nfault 1: randomize the whole process table")
-	inj.RandomizeRegion(mem.Region{
-		Name:  "table",
-		Start: uint32(guest.SchedSeg) << 4,
-		Size:  guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize,
-	})
+	inj.Inject(0, fault.TableBlast)
 	recoverReport(sys)
 
 	fmt.Println("\nfault 2: randomize worker 0's code region in RAM")
-	inj.RandomizeRegion(mem.Region{
-		Name:  "p0-code",
-		Start: uint32(guest.ProcCodeSeg(0)) << 4,
-		Size:  guest.ProcRegionSize,
-	})
+	inj.Inject(0, fault.ProcCode)
 	before := sys.ProcBeats[0].Total()
 	sys.Run(900000)
 	fmt.Printf("  refresher reloaded the region from ROM; worker 0 beat %d more times\n",
 		sys.ProcBeats[0].Total()-before)
 
 	fmt.Println("\nfault 3: full blast — all RAM and every CPU register randomized")
-	inj.BlastRAM()
-	inj.BlastCPU()
+	inj.Inject(0, fault.AllRAM, fault.CPUBlast)
 	recoverReport(sys)
 }
 

@@ -234,6 +234,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.EpochSteps == 0 {
 		cfg.EpochSteps = DefaultEpochSteps
 	}
+	if cfg.EpochSteps < 0 {
+		return nil, fmt.Errorf("cluster: epoch steps %d", cfg.EpochSteps)
+	}
 	if cfg.StrikeEvery == 0 {
 		cfg.StrikeEvery = DefaultStrikeEvery
 	}

@@ -33,6 +33,20 @@ func TestUnsupportedApproachRejected(t *testing.T) {
 	}
 }
 
+// New refuses a configuration whose epochs cannot run: a negative
+// epoch length would reach the strike schedule's offset draw as a
+// negative bound.
+func TestNewRejectsNegativeEpochSteps(t *testing.T) {
+	for _, cfg := range []Config{
+		{Approach: core.ApproachReinstall, EpochSteps: -5},
+		{Approach: core.ApproachReinstall, EpochSteps: -5, Faults: ModeOSBlast, Replicas: 3},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v): no error", cfg)
+		}
+	}
+}
+
 // A fault-free fleet stays in full agreement with a legal verdict every
 // epoch and never reconfigures: deterministic replicas in lockstep.
 func TestFaultFreeLockstep(t *testing.T) {

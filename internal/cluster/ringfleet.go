@@ -6,7 +6,6 @@ import (
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
-	"ssos/internal/mem"
 	"ssos/internal/model"
 	"ssos/internal/obs"
 	"ssos/internal/pool"
@@ -232,6 +231,13 @@ const (
 	ScrambleJoint
 )
 
+// scrambles is indexed by RingScramble.
+var scrambles = [...]menuEntry{
+	ScrambleRing:  {"ring", []fault.Class{fault.Mailbox}},
+	ScrambleOS:    {"os", []fault.Class{fault.TableBlast, fault.CPUBlast}},
+	ScrambleJoint: {"joint", fault.Blast},
+}
+
 // RingScrambles lists the scramble classes in severity order.
 func RingScrambles() []RingScramble {
 	return []RingScramble{ScrambleRing, ScrambleOS, ScrambleJoint}
@@ -248,15 +254,15 @@ func ParseRingScramble(s string) (RingScramble, error) {
 }
 
 func (m RingScramble) String() string {
-	switch m {
-	case ScrambleRing:
-		return "ring"
-	case ScrambleOS:
-		return "os"
-	default:
-		return "joint"
+	if int(m) < len(scrambles) {
+		return scrambles[m].name
 	}
+	return fmt.Sprintf("scramble(%d)", uint8(m))
 }
+
+// Classes returns the fault classes the layer's scramble injects, in
+// order.
+func (m RingScramble) Classes() []fault.Class { return scrambles[m].classes }
 
 // Scramble corrupts the selected layer on every replica through the
 // replicas' private injectors, emits one fleet-scoped fault event, and
@@ -264,31 +270,8 @@ func (m RingScramble) String() string {
 // emits legality-regained with steps-to-legal. Call it between Run
 // calls (never concurrently with one).
 func (f *RingFleet) Scramble(m RingScramble) {
-	n := len(f.reps)
 	for _, inj := range f.injs {
-		switch m {
-		case ScrambleRing:
-			inj.RandomizeRegion(mem.Region{
-				Name:  "mailbox",
-				Start: guest.MailboxAddr(0),
-				Size:  uint32(2 * n),
-			})
-			inj.RandomizeRegion(mem.Region{
-				Name:  "node-regs",
-				Start: guest.MailboxRegLAddr(0),
-				Size:  4,
-			})
-		case ScrambleOS:
-			inj.RandomizeRegion(mem.Region{
-				Name:  "table",
-				Start: uint32(guest.SchedSeg) << 4,
-				Size:  guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize,
-			})
-			inj.BlastCPU()
-		default:
-			inj.BlastCPU()
-			inj.BlastRAM()
-		}
+		inj.Inject(len(f.reps), m.Classes()...)
 	}
 	f.nextFault++
 	f.lastFault = f.nextFault

@@ -5,14 +5,12 @@ import (
 	"sort"
 
 	"ssos/internal/fault"
-	"ssos/internal/guest"
-	"ssos/internal/mem"
 )
 
-// FaultMode selects the fault class a strike injects into a replica.
+// FaultMode selects the fault classes a strike injects into a replica.
 type FaultMode uint8
 
-// Fault modes, mirroring the fault classes of cmd/ssos-run.
+// Fault modes: the cluster's menu of internal/fault classes.
 const (
 	// ModeNone disables strikes.
 	ModeNone FaultMode = iota
@@ -22,52 +20,59 @@ const (
 	ModeOSBlast
 	// ModeCPUBlast randomizes the entire processor soft state.
 	ModeCPUBlast
-	// ModeBlast randomizes CPU soft state AND all RAM — the paper's
-	// "started in any possible state", per replica.
+	// ModeBlast randomizes CPU soft state AND all RAM (fault.Blast) —
+	// the paper's "started in any possible state", per replica.
 	ModeBlast
 )
 
-// modeNames is indexed by FaultMode; an array (not a map) so that
+// menuEntry is one name on a cluster fault menu (a CLI value) and the
+// internal/fault classes it injects, in order.
+type menuEntry struct {
+	name    string
+	classes []fault.Class
+}
+
+// modes is indexed by FaultMode; an array (not a map) so that
 // ParseFaultMode resolves ties deterministically and iteration order
 // can never depend on runtime map layout.
-var modeNames = [...]string{
-	ModeNone:     "none",
-	ModeBitflip:  "bitflip",
-	ModeOSBlast:  "os-blast",
-	ModeCPUBlast: "cpu-blast",
-	ModeBlast:    "blast",
+var modes = [...]menuEntry{
+	ModeNone:     {"none", nil},
+	ModeBitflip:  {fault.BitFlip.Name, []fault.Class{fault.BitFlip}},
+	ModeOSBlast:  {fault.OSBlast.Name, []fault.Class{fault.OSBlast}},
+	ModeCPUBlast: {fault.CPUBlast.Name, []fault.Class{fault.CPUBlast}},
+	ModeBlast:    {"blast", fault.Blast},
 }
 
 func (m FaultMode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
+	if int(m) < len(modes) {
+		return modes[m].name
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
 // ParseFaultMode resolves a fault-mode name (the -faults CLI values).
 func ParseFaultMode(name string) (FaultMode, error) {
-	for m, s := range modeNames {
-		if s == name {
+	for m, md := range modes {
+		if md.name == name {
 			return FaultMode(m), nil
 		}
 	}
 	return ModeNone, fmt.Errorf("cluster: unknown fault mode %q", name)
 }
 
-// apply injects the mode's fault through the replica's injector.
-func (m FaultMode) apply(in *fault.Injector) {
-	switch m {
-	case ModeBitflip:
-		in.FlipRAMBit()
-	case ModeOSBlast:
-		in.RandomizeRegion(mem.Region{Name: "os", Start: uint32(guest.OSSeg) << 4, Size: guest.ImageSize})
-	case ModeCPUBlast:
-		in.BlastCPU()
-	case ModeBlast:
-		in.BlastCPU()
-		in.BlastRAM()
+// FaultModes lists the fault modes in mode order.
+func FaultModes() []FaultMode {
+	out := make([]FaultMode, len(modes))
+	for m := range modes {
+		out[m] = FaultMode(m)
 	}
+	return out
+}
+
+// apply injects the mode's classes through the replica's injector.
+// Cluster replicas run the kernel approaches, never a ring node.
+func (m FaultMode) apply(in *fault.Injector) {
+	in.Inject(0, modes[m].classes...)
 }
 
 // Strike applies one on-demand fault to the given replica through its

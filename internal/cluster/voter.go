@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"ssos/internal/fault"
 	"ssos/internal/guest"
 )
 
@@ -72,7 +73,7 @@ func (h *host) output(outputs []epochOutput) {
 	if wd := sys.Watchdog; wd != nil {
 		d.u32(wd.Counter)
 	}
-	d.region(sys.M.Bus, uint32(guest.OSSeg)<<4, guest.ImageSize)
+	d.region(sys.M.Bus, fault.OSImage.Start, fault.OSImage.Size)
 	d.region(sys.M.Bus, uint32(guest.StackSeg)<<4, 0x1000)
 
 	for _, r := range h.members {

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"fmt"
 
-	"ssos/internal/cluster"
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
-	"ssos/internal/mem"
+	"ssos/internal/pool"
 )
 
 // silenceHeartbeat overwrites the kernel's `out HEARTBEAT_PORT, ax`
@@ -126,24 +125,15 @@ func E10TokenRing(o Options) *Table {
 		upset  func(s *core.System, in *fault.Injector)
 		warmup int
 	}{
-		{"clean boot", func(*core.System, *fault.Injector) {}, 0},
-		{"arbitrary token values", func(s *core.System, in *fault.Injector) {
-			mailboxScramble(s, in, cluster.ScrambleRing)
-		}, 200000},
-		{"tokens + process table randomized", func(s *core.System, in *fault.Injector) {
-			in.RandomizeRegion(mem.Region{Name: "table", Start: uint32(guest.SchedSeg) << 4,
-				Size: guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize})
-			mailboxScramble(s, in, cluster.ScrambleRing)
-		}, 200000},
-		{"all RAM + CPU randomized", func(s *core.System, in *fault.Injector) {
-			in.BlastRAM()
-			in.BlastCPU()
-		}, 200000},
+		{"clean boot", inject(), 0},
+		{"arbitrary token values", inject(fault.Mailbox), 200000},
+		{"tokens + process table randomized", inject(fault.TableBlast, fault.Mailbox), 200000},
+		{"all RAM + CPU randomized", inject(fault.AllRAM, fault.CPUBlast), 200000},
 	}
 	for _, c := range classes {
 		var ts trialSet
 		upset, warmup := c.upset, c.warmup
-		forEachTrial(trials, func(i int) interface{} {
+		pool.ForEach(trials, func(i int) interface{} {
 			s := core.MustNew(core.Config{Approach: core.ApproachScheduler, Workload: core.WorkloadMailboxKState})
 			if warmup > 0 {
 				s.Run(warmup + i*311)

@@ -8,6 +8,7 @@ import (
 	"ssos/internal/guest"
 	"ssos/internal/isa"
 	"ssos/internal/mem"
+	"ssos/internal/pool"
 	"ssos/internal/trace"
 )
 
@@ -17,9 +18,10 @@ func fmtPct(v float64) string { return fmt.Sprintf("%.0f%%", v) }
 // fmtSteps renders a step count.
 func fmtSteps(v float64) string { return fmt.Sprintf("%.0f", v) }
 
-// osRegion returns the guest OS RAM region (or a sub-range of it).
-func osRegion(off, size uint32) mem.Region {
-	return mem.Region{Name: "os", Start: uint32(guest.OSSeg)<<4 + off, Size: size}
+// inject returns a menu entry's fault: the internal/fault classes, in
+// order, on the struck machine's ring deployment.
+func inject(classes ...fault.Class) func(*core.System, *fault.Injector) {
+	return func(s *core.System, in *fault.Injector) { in.Inject(s.Cfg.RingNodes, classes...) }
 }
 
 // E1RAMCorruption reproduces the paper's Section 3 Bochs experiment at
@@ -40,32 +42,27 @@ func E1RAMCorruption(o Options) *Table {
 		name   string
 		inject func(*core.System, *fault.Injector)
 	}{
-		{"1 bit flip in RAM", func(s *core.System, in *fault.Injector) { in.FlipRAMBit() }},
+		{"1 bit flip in RAM", inject(fault.BitFlip)},
 		{"64-byte burst in OS code", func(s *core.System, in *fault.Injector) {
 			for i := 0; i < 64; i++ {
-				in.CorruptByteIn(osRegion(0, uint32(guest.DataOff)))
+				in.CorruptByteIn(fault.OSCode)
 			}
 		}},
 		{"64-byte burst in OS data", func(s *core.System, in *fault.Injector) {
 			for i := 0; i < 64; i++ {
-				in.CorruptByteIn(osRegion(uint32(guest.DataOff), guest.DataLen))
+				in.CorruptByteIn(fault.OSData)
 			}
 		}},
-		{"whole OS image randomized", func(s *core.System, in *fault.Injector) {
-			in.RandomizeRegion(osRegion(0, guest.ImageSize))
-		}},
+		{"whole OS image randomized", inject(fault.OSBlast)},
 		{"stack region randomized", func(s *core.System, in *fault.Injector) {
 			in.RandomizeRegion(mem.Region{Name: "stack", Start: uint32(guest.StackSeg) << 4, Size: 0x1000})
 		}},
-		{"program counter randomized", func(s *core.System, in *fault.Injector) {
-			in.CorruptIP()
-			in.CorruptSegment()
-		}},
+		{"program counter randomized", inject(fault.PC)},
 	}
 	for _, c := range classes {
 		var ts trialSet
 		inject := c.inject
-		forEachTrial(trials, func(i int) interface{} {
+		pool.ForEach(trials, func(i int) interface{} {
 			return measureRecovery(core.Config{Approach: core.ApproachReinstall},
 				o.Seed+int64(i), 30000+i*137, horizon, 10, inject)
 		}, func(_ int, r interface{}) {
@@ -109,15 +106,14 @@ func E2ArbitraryState(o Options) (*Table, *Series) {
 	} {
 		var ts trialSet
 		disable, stockVec := hw.disable, hw.stockVec
-		forEachTrial(trials, func(i int) interface{} {
+		pool.ForEach(trials, func(i int) interface{} {
 			s := core.MustNew(core.Config{
 				Approach:          core.ApproachReinstall,
 				DisableNMICounter: disable,
 				StockVectoring:    stockVec,
 			})
 			inj := fault.NewInjector(s.M, o.Seed+int64(1000+i))
-			inj.BlastRAM()
-			inj.BlastCPU()
+			inj.Inject(0, fault.AllRAM, fault.CPUBlast)
 			s.Run(horizon)
 			step, ok := s.Spec().RecoveredAfter(s.Heartbeat.Writes(), 0, 10)
 			return recoveryResult{recovered: ok, latency: step}
@@ -249,13 +245,10 @@ func E4MonitorRepair(o Options) *Table {
 		}},
 		{"64-byte burst in OS code", 0, func(s *core.System, in *fault.Injector) {
 			for i := 0; i < 64; i++ {
-				in.CorruptByteIn(osRegion(0, uint32(guest.DataOff)))
+				in.CorruptByteIn(fault.OSCode)
 			}
 		}},
-		{"program counter randomized", guest.RepairResume, func(s *core.System, in *fault.Injector) {
-			in.CorruptIP()
-			in.CorruptSegment()
-		}},
+		{"program counter randomized", guest.RepairResume, inject(fault.PC)},
 	}
 	for _, c := range classes {
 		var ts trialSet
@@ -336,7 +329,7 @@ func E5PeriodSweep(o Options) (*Table, *Series) {
 		for seed := 0; seed < seeds; seed++ {
 			s2 := core.MustNew(cfg)
 			inj := fault.NewInjector(s2.M, o.Seed+int64(period)+int64(seed)*7919)
-			detach := inj.RateIn(osRegion(0, guest.ImageSize), osFaultRate)
+			detach := inj.RateIn(fault.OSImage, osFaultRate)
 			s2.Run(horizon)
 			detach()
 			av1 += s2.Spec().Availability(s2.Heartbeat.Writes(), s2.Steps())
@@ -363,9 +356,7 @@ func E5PeriodSweep(o Options) (*Table, *Series) {
 		var ts trialSet
 		for i := 0; i < o.trials(10); i++ {
 			ts.add(measureRecovery(cfg, o.Seed+int64(i), 20000+i*211,
-				int(period)*3+100000, 10, func(s *core.System, in *fault.Injector) {
-					in.RandomizeRegion(osRegion(0, guest.ImageSize))
-				}))
+				int(period)*3+100000, 10, inject(fault.OSBlast)))
 		}
 		t.AddRow(fmt.Sprint(period), fmt.Sprintf("%.3f", av0), fmt.Sprintf("%.3f", av1),
 			fmt.Sprintf("%.3f", av2), fmtSteps(summarize(ts.latencies).p50))
@@ -534,22 +525,10 @@ func E7Scheduler(o Options) *Table {
 		{"one record ip randomized", func(s *core.System, in *fault.Injector) {
 			in.CorruptByteIn(mem.Region{Name: "ip", Start: guest.ProcRecordAddr(2) + 4, Size: 2})
 		}},
-		{"whole table randomized", func(s *core.System, in *fault.Injector) {
-			in.RandomizeRegion(mem.Region{Name: "table", Start: uint32(guest.SchedSeg) << 4,
-				Size: guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize})
-		}},
-		{"worker 0 code randomized", func(s *core.System, in *fault.Injector) {
-			in.RandomizeRegion(mem.Region{Name: "p0code",
-				Start: uint32(guest.ProcCodeSeg(0)) << 4, Size: guest.ProcRegionSize})
-		}},
-		{"all RAM + CPU randomized", func(s *core.System, in *fault.Injector) {
-			in.BlastRAM()
-			in.BlastCPU()
-		}},
-		{"all RAM + CPU randomized (+protection)", func(s *core.System, in *fault.Injector) {
-			in.BlastRAM()
-			in.BlastCPU()
-		}},
+		{"whole table randomized", inject(fault.TableBlast)},
+		{"worker 0 code randomized", inject(fault.ProcCode)},
+		{"all RAM + CPU randomized", inject(fault.AllRAM, fault.CPUBlast)},
+		{"all RAM + CPU randomized (+protection)", inject(fault.AllRAM, fault.CPUBlast)},
 	}
 	for ci, c := range classes {
 		var ts trialSet
@@ -560,7 +539,7 @@ func E7Scheduler(o Options) *Table {
 			res   recoveryResult
 			share float64
 		}
-		forEachTrial(trials, func(i int) interface{} {
+		pool.ForEach(trials, func(i int) interface{} {
 			cfg := core.Config{Approach: core.ApproachScheduler, ProtectMemory: protect}
 			s := core.MustNew(cfg)
 			s.Run(80000 + i*233)

@@ -7,31 +7,8 @@ import (
 	"ssos/internal/core"
 	"ssos/internal/fault"
 	"ssos/internal/guest"
-	"ssos/internal/mem"
+	"ssos/internal/pool"
 )
-
-// mailboxScramble applies one layer's corruption to a single-machine
-// mailbox system — the same three classes cluster.RingFleet.Scramble
-// applies fleet-wide, so the two deployments of E15 measure the same
-// fault vocabulary.
-func mailboxScramble(s *core.System, in *fault.Injector, m cluster.RingScramble) {
-	switch m {
-	case cluster.ScrambleRing:
-		in.RandomizeRegion(mem.Region{Name: "mailbox",
-			Start: guest.MailboxAddr(0), Size: uint32(2 * guest.MailboxNodes)})
-		for i := 0; i < guest.MailboxNodes; i++ {
-			in.RandomizeRegion(mem.Region{Name: "node-regs",
-				Start: guest.MailboxRegLAddr(i), Size: 4})
-		}
-	case cluster.ScrambleOS:
-		in.RandomizeRegion(mem.Region{Name: "table", Start: uint32(guest.SchedSeg) << 4,
-			Size: guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize})
-		in.BlastCPU()
-	default:
-		in.BlastCPU()
-		in.BlastRAM()
-	}
-}
 
 // E15LayeredRings measures the layered-composition claim on the mailbox
 // token rings: for each protocol variant and each corrupted layer
@@ -62,17 +39,18 @@ func E15LayeredRings(o Options) (*Table, *Series) {
 		fleet := Line{Name: fmt.Sprintf("%v fleet", v)}
 		for li, m := range layers {
 			// Single machine: the whole ring as processes of one
-			// scheduler, scrambled at one layer after a warmup.
+			// scheduler, scrambled after a warmup with the classes
+			// the fleet's Scramble injects at this layer.
 			var mts trialSet
 			variant, layer := v, m
-			forEachTrial(machineTrials, func(i int) interface{} {
+			pool.ForEach(machineTrials, func(i int) interface{} {
 				s := core.MustNew(core.Config{
 					Approach: core.ApproachScheduler,
 					Workload: core.MailboxWorkload(variant),
 				})
 				s.Run(200000 + i*311)
 				inj := fault.NewInjector(s.M, o.Seed+int64(i))
-				mailboxScramble(s, inj, layer)
+				inj.Inject(0, layer.Classes()...)
 				faultStep := s.Steps()
 				step, ok := s.MailboxConverged(machineHorizon, 500, 100)
 				return recoveryResult{recovered: ok, latency: step - faultStep}

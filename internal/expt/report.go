@@ -1,4 +1,4 @@
-// Package expt implements the reproduction experiments E1-E14 defined
+// Package expt implements the reproduction experiments E1-E15 defined
 // in DESIGN.md: each one exercises a claim of the paper on the
 // simulated systems from internal/core and reports a table (and, where
 // the claim is a trend, a data series). cmd/ssos-bench runs them all
@@ -19,6 +19,10 @@
 // guest (E13), the replicated-cluster availability scaling of
 // internal/cluster (E14), and the layered mailbox token rings —
 // single-machine and one node per replica — of E15.
+//
+// Independent trials run in parallel on internal/pool (pool.ForEach).
+// Each builds its own System, and every seed and fault schedule derives
+// from the trial index, so no table depends on scheduling.
 package expt
 
 import (

@@ -15,8 +15,11 @@ import (
 const (
 	// DefaultMaxSessions caps concurrently hosted sessions. Sized for
 	// the stress target (hundreds of live machines) while bounding
-	// memory: a machine session owns a 1 MiB address space, so the cap
-	// is also, to first order, the daemon's memory budget.
+	// memory: a machine session's system is about 97 KB when built and
+	// grows by each 256-byte page it writes, to about 1 MiB after an
+	// all-ram fault (a cluster session holds up to MaxReplicas such
+	// machines), so the cap is also, to first order, the daemon's
+	// memory budget.
 	DefaultMaxSessions = 1024
 	// DefaultIdleOps is the idle-eviction horizon in registry
 	// operations: a session untouched for this many mutating API

@@ -455,6 +455,14 @@ func TestAPIErrors(t *testing.T) {
 	if code, _ := apiDo(t, "GET", ts.URL+"/api/sessions/zzz", ""); code != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", code)
 	}
+	tooMany := fmt.Sprintf(`{"kind":"cluster","image":"reinstall","replicas":%d}`, MaxReplicas+1)
+	if code, body := apiDo(t, "POST", ts.URL+"/api/sessions", tooMany); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), strconv.Itoa(MaxReplicas)) {
+		t.Errorf("create over the replica cap: status %d, body %s; want 400 naming the cap", code, body)
+	}
+	if code, body := apiDo(t, "POST", ts.URL+"/api/sessions", `{"kind":"cluster","image":"reinstall","epoch_steps":-5}`); code != http.StatusBadRequest {
+		t.Errorf("create with negative epoch steps: status %d, body %s; want 400", code, body)
+	}
 	if code, _ := apiDo(t, "DELETE", ts.URL+"/api/sessions/zzz", ""); code != http.StatusNotFound {
 		t.Errorf("delete unknown session: status %d, want 404", code)
 	}

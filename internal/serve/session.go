@@ -264,7 +264,7 @@ type RunRequest struct {
 
 // FaultRequest asks for one on-demand injection. Kind is a machine
 // fault class (FaultKinds) for machine sessions or a cluster strike
-// mode (bitflip|os-blast|cpu-blast|blast) for cluster sessions;
+// mode other than none (cluster.FaultModes) for cluster sessions;
 // Replica selects the strike target in a cluster.
 type FaultRequest struct {
 	Kind    string `json:"kind"`

@@ -38,9 +38,6 @@ import (
 
 	"ssos/internal/core"
 	"ssos/internal/fault"
-	"ssos/internal/guest"
-	"ssos/internal/mem"
-	"ssos/internal/model"
 )
 
 // Image is a named, fully specified guest configuration — what a
@@ -86,16 +83,15 @@ func LookupImage(name string) (Image, bool) {
 	return Image{}, false
 }
 
-// faultKinds lists the machine fault classes in fixed order — the same
-// vocabulary as ssos-run's -fault flag (minus "none", which is simply
-// the absence of an injection request in the service world).
-var faultKinds = []string{
-	"bitflip", "os-blast", "cpu-blast", "pc", "all-ram", "table-blast", "proc-code", "mailbox",
-}
-
-// FaultKinds returns the injectable machine fault class names.
+// FaultKinds returns the injectable machine fault class names: the
+// names of internal/fault's class table, in its order.
 func FaultKinds() []string {
-	return append([]string(nil), faultKinds...)
+	classes := fault.Classes()
+	names := make([]string, len(classes))
+	for i, c := range classes {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // InjectFault applies the named fault class to the system through the
@@ -104,36 +100,11 @@ func FaultKinds() []string {
 // what makes a served fault byte-identical to a batch one for the same
 // seed and step.
 func InjectFault(s *core.System, inj *fault.Injector, kind string) error {
-	switch kind {
-	case "bitflip":
-		inj.FlipRAMBit()
-	case "os-blast":
-		inj.RandomizeRegion(mem.Region{Name: "os", Start: uint32(guest.OSSeg) << 4, Size: guest.ImageSize})
-	case "cpu-blast":
-		inj.BlastCPU()
-	case "pc":
-		inj.CorruptIP()
-		inj.CorruptSegment()
-	case "all-ram":
-		inj.BlastRAM()
-	case "table-blast":
-		inj.RandomizeRegion(mem.Region{Name: "table", Start: uint32(guest.SchedSeg) << 4,
-			Size: guest.ProcessTableOff + guest.NumProcs*guest.ProcessEntrySize})
-	case "proc-code":
-		inj.RandomizeRegion(mem.Region{Name: "p0",
-			Start: uint32(guest.ProcCodeSeg(0)) << 4, Size: guest.ProcRegionSize})
-	case "mailbox":
-		// Algorithm-layer fault for the mailbox ring workloads: the
-		// shared slot region and every node's parked register words.
-		inj.RandomizeRegion(mem.Region{Name: "mailbox",
-			Start: guest.MailboxAddr(0), Size: 2 * model.MaxRingNodes})
-		for i := 0; i < guest.MailboxNodes; i++ {
-			inj.RandomizeRegion(mem.Region{Name: "node-regs",
-				Start: guest.MailboxRegLAddr(i), Size: 4})
-		}
-	default:
+	c, ok := fault.LookupClass(kind)
+	if !ok {
 		return fmt.Errorf("unknown fault %q", kind)
 	}
+	inj.Inject(s.Cfg.RingNodes, c)
 	return nil
 }
 
@@ -165,6 +136,16 @@ const (
 	KindCluster = "cluster"
 )
 
+// MaxReplicas caps a cluster session's replicas, above the largest
+// fleet the repo runs (E14's 9). A replica costs about 6 KB at
+// creation, while replicas share their lineage's machine; one struck
+// off its machine holds its own system, about 97 KB plus every
+// 256-byte page it writes, up to all of RAM (about 1 MiB) after an
+// all-ram fault. So a session at the cap holds at most about 17 MB,
+// where an unbounded request for 10^6 replicas asked for 6 GB at
+// creation alone.
+const MaxReplicas = 16
+
 // normalize validates the spec and fills defaults. It returns the
 // resolved image.
 func (sp *SessionSpec) normalize() (Image, error) {
@@ -183,6 +164,9 @@ func (sp *SessionSpec) normalize() (Image, error) {
 	}
 	if sp.Seed == 0 {
 		sp.Seed = 1
+	}
+	if sp.Kind == KindCluster && sp.Replicas > MaxReplicas {
+		return Image{}, fmt.Errorf("cluster session: at most %d replicas (MaxReplicas), got %d", MaxReplicas, sp.Replicas)
 	}
 	return img, nil
 }
