@@ -1,6 +1,7 @@
 package ssos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -547,6 +548,50 @@ func BenchmarkDecode(b *testing.B) {
 func BenchmarkSystemConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.MustNew(core.Config{Approach: core.ApproachMonitor})
+	}
+}
+
+// BenchmarkConsoleOut measures one console write at the guest
+// kernel's heartbeat cadence, a beat every 43 steps: into an unbounded
+// log (Max 0, the catalog's consoles), a one-write console (Max 1,
+// every cluster replica, ring-fleet replica and served session) and a
+// bounded log (Max 4096, steady's scheduler machines). The unbounded
+// console is reset every 2^20 writes, so its heap stays small while
+// its chunk allocations stay in the measurement.
+func BenchmarkConsoleOut(b *testing.B) {
+	for _, bound := range []int{0, 1, 4096} {
+		b.Run(fmt.Sprintf("Max%d", bound), func(b *testing.B) {
+			var step uint64
+			c := dev.NewConsole(func() uint64 { return step }, bound)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i&(1<<20-1) == 0 {
+					c.Reset()
+				}
+				step += 43
+				c.Out(0, uint16(i))
+			}
+		})
+	}
+}
+
+// BenchmarkConsoleWrites measures reading back a full bounded log:
+// the 32,768 writes steady's baseline machine keeps, decoded by
+// Writes as every batch judge reads them.
+func BenchmarkConsoleWrites(b *testing.B) {
+	const keep = 32768
+	var step uint64
+	c := dev.NewConsole(func() uint64 { return step }, keep)
+	for i := 0; i < keep+keep/4; i++ {
+		step += 43
+		c.Out(0, uint16(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := len(c.Writes()); n != keep {
+			b.Fatalf("Writes returned %d writes, want %d", n, keep)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"ssos/internal/dev"
 	"ssos/internal/guest"
 	"ssos/internal/machine"
-	"ssos/internal/mem"
 )
 
 // newKernelSystem builds the guest-OS-based systems: baseline,
@@ -113,11 +112,7 @@ func newKernelSystem(cfg Config) (*System, error) {
 		// instants interleave instead of coinciding, so some rollbacks
 		// find a pre-fault snapshot. (An aligned schedule would snapshot
 		// the corruption in the same tick the rollback fires.)
-		sys.Checkpoint = dev.NewCheckpointer(bus, mem.Region{
-			Name:  "os-checkpoint",
-			Start: uint32(guest.OSSeg) << 4,
-			Size:  guest.ImageSize,
-		}, cfg.WatchdogPeriod*2/3)
+		sys.Checkpoint = dev.NewCheckpointer(bus, guest.OSImage, cfg.WatchdogPeriod*2/3)
 	}
 	sys.wire()
 	return sys, nil

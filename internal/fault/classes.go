@@ -16,7 +16,7 @@ import (
 var (
 	// OSImage is the guest OS image in RAM: code, then data from
 	// guest.DataOff. OSCode and OSData are its two parts.
-	OSImage = mem.Region{Name: "os", Start: uint32(guest.OSSeg) << 4, Size: guest.ImageSize}
+	OSImage = guest.OSImage
 	OSCode  = mem.Region{Name: "os", Start: OSImage.Start, Size: guest.DataOff}
 	OSData  = mem.Region{Name: "os", Start: OSImage.Start + guest.DataOff, Size: guest.DataLen}
 	// ProcessTable is the 5.2 scheduler's RAM state: processIndex and

@@ -11,6 +11,8 @@
 // component.
 package guest
 
+import "ssos/internal/mem"
+
 // Memory map (segment values; linear address = segment << 4).
 const (
 	// OSSeg is where the guest OS runs (code + data).
@@ -128,3 +130,8 @@ const (
 	// HeartbeatStart is the first heartbeat value after a restart.
 	HeartbeatStart = InitialCounter + 1
 )
+
+// OSImage is the guest OS image in RAM: code, then data from DataOff.
+// The fault classes blast it and approach 3's checkpointer snapshots
+// it.
+var OSImage = mem.Region{Name: "os", Start: uint32(OSSeg) << 4, Size: ImageSize}

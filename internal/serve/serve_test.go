@@ -463,6 +463,11 @@ func TestAPIErrors(t *testing.T) {
 	if code, body := apiDo(t, "POST", ts.URL+"/api/sessions", `{"kind":"cluster","image":"reinstall","epoch_steps":-5}`); code != http.StatusBadRequest {
 		t.Errorf("create with negative epoch steps: status %d, body %s; want 400", code, body)
 	}
+	longEpoch := fmt.Sprintf(`{"kind":"cluster","image":"reinstall","epoch_steps":%d}`, MaxRunSteps+1)
+	if code, body := apiDo(t, "POST", ts.URL+"/api/sessions", longEpoch); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), strconv.Itoa(MaxRunSteps)) {
+		t.Errorf("create with an epoch over the step cap: status %d, body %s; want 400 naming the cap", code, body)
+	}
 	if code, _ := apiDo(t, "DELETE", ts.URL+"/api/sessions/zzz", ""); code != http.StatusNotFound {
 		t.Errorf("delete unknown session: status %d, want 404", code)
 	}

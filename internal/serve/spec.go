@@ -168,5 +168,9 @@ func (sp *SessionSpec) normalize() (Image, error) {
 	if sp.Kind == KindCluster && sp.Replicas > MaxReplicas {
 		return Image{}, fmt.Errorf("cluster session: at most %d replicas (MaxReplicas), got %d", MaxReplicas, sp.Replicas)
 	}
+	// An epoch longer than a run may be could never run.
+	if sp.Kind == KindCluster && sp.EpochSteps > MaxRunSteps {
+		return Image{}, fmt.Errorf("cluster session: epoch_steps at most %d (MaxRunSteps), got %d", MaxRunSteps, sp.EpochSteps)
+	}
 	return img, nil
 }
