@@ -212,15 +212,11 @@ func MustAssemble(src string) *Program {
 func stmtSize(s *stmt, padOn bool, addr int64) (uint32, error) {
 	switch s.kind {
 	case stmtInstr:
-		op, err := matchInstr(s.mn, s.ops)
-		if err != nil {
-			return 0, err
-		}
-		size := uint32(op.Size())
+		size := uint32(s.op.Size())
 		if padOn {
 			slotEnd := (addr/isa.SlotSize + 1) * isa.SlotSize
 			size = uint32(slotEnd - addr)
-			if int64(op.Size()) > int64(size) {
+			if int64(s.op.Size()) > int64(size) {
 				// Cannot happen while MaxInstrSize <= SlotSize, but a
 				// mid-slot starting address (after unpadded data) could
 				// leave too little room.
@@ -251,11 +247,7 @@ func stmtSize(s *stmt, padOn bool, addr int64) (uint32, error) {
 func emitStmt(s *stmt, size uint32, ctx *evalCtx) ([]byte, error) {
 	switch s.kind {
 	case stmtInstr:
-		op, err := matchInstr(s.mn, s.ops)
-		if err != nil {
-			return nil, err
-		}
-		in, err := buildInst(op, s.ops, ctx)
+		in, err := buildInst(s.op, s.ops, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +263,11 @@ func emitStmt(s *stmt, size uint32, ctx *evalCtx) ([]byte, error) {
 				bytes = append(bytes, it.str...)
 				continue
 			}
-			v, err := it.expr.eval(ctx)
+			v, err := evalByte(it.expr, ctx)
 			if err != nil {
 				return nil, err
 			}
-			bytes = append(bytes, byte(v))
+			bytes = append(bytes, v)
 		}
 		return bytes, nil
 	case stmtDw:

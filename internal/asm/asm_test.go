@@ -383,9 +383,39 @@ func TestErrors(t *testing.T) {
 		"mov ax, 0xZZ",        // bad number
 		"align 0",             // bad align
 		"times 2 org 0",       // times body must emit
+		"out 0x144, ax",       // port beyond a byte
+		"in ax, 0x100",        // port beyond a byte
+		"int 0x321",           // vector beyond a byte
+		"shl ax, 300",         // shift count beyond a byte
+		"shr ax, -129",        // shift count beyond a byte
+		"mov al, 0x1ff",       // byte immediate beyond a byte
+		"db 0x1ff",            // db item beyond a byte
+		"db 1, -129",          // db item beyond a byte
 	}
 	for _, src := range cases {
 		assembleErr(t, src)
+	}
+}
+
+// An 8-bit operand or db item takes a byte read as signed or unsigned;
+// a 16-bit operand keeps its low 16 bits.
+func TestOperandWidths(t *testing.T) {
+	p := mustAssemble(t, "mov al, -128\nmov al, 255\nshl ax, -1\nout -1, ax\ndb -1, 255, -128\nmov ax, 0x12345\ndw -1")
+	want := []byte{
+		byte(isa.OpMovR8I), 0, 0x80,
+		byte(isa.OpMovR8I), 0, 0xff,
+		byte(isa.OpShlRI), 0, 0xff,
+		byte(isa.OpOutI), 0xff,
+		0xff, 0xff, 0x80,
+		byte(isa.OpMovRI), 0, 0x45, 0x23,
+		0xff, 0xff,
+	}
+	if !bytes.Equal(p.Code, want) {
+		t.Fatalf("code:\n got % x\nwant % x", p.Code, want)
+	}
+	err := assembleErr(t, "nop\nint 0x100")
+	if !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "256") {
+		t.Fatalf("error %q should name line 2 and the value", err)
 	}
 }
 
@@ -502,8 +532,8 @@ func TestSymbolAccessors(t *testing.T) {
 	}
 }
 
-// Both assembler passes match every statement, so matching a bare
-// mnemonic must not build its lookup table per call.
+// The parser matches every statement, so matching a bare mnemonic must
+// not build its lookup table per call.
 func TestMatchBareMnemonicAllocatesNothing(t *testing.T) {
 	var op isa.Op
 	allocs := testing.AllocsPerRun(100, func() {

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"testing"
 
 	"ssos/internal/isa"
@@ -45,12 +46,20 @@ func FuzzAssemble(f *testing.F) {
 
 // FuzzDecode feeds arbitrary bytes to the instruction decoder, which
 // must be total (the self-stabilization model requires garbage bytes to
-// decode as either a valid instruction or a clean fault).
+// decode as either a valid instruction or a clean fault). A decoded
+// instruction must re-encode to its bytes, and its disassembly must
+// reassemble to them, which ties the disassembler to the assembler's
+// matcher.
 func FuzzDecode(f *testing.F) {
 	for _, in := range []isa.Inst{
 		{Op: isa.OpMovRI, R1: 0, Imm: 0x1234},
 		{Op: isa.OpRepMovsb},
 		{Op: isa.OpJmpFar, Imm: 0xF000, Imm2: 2},
+		{Op: isa.OpMovRM, R1: 3, Mem: isa.MemOp{Seg: isa.DS, Base: isa.BaseBP, Disp: 0x10}},
+		{Op: isa.OpMovMI, Imm: 0xFFFF, Mem: isa.MemOp{Seg: isa.SS, Base: isa.BaseBP, Disp: 2}},
+		{Op: isa.OpShlRI, R1: 1, Imm: 200},
+		{Op: isa.OpOutI, Imm: 0xFF},
+		{Op: isa.OpPushI, Imm: 7},
 	} {
 		f.Add(in.Encode(nil))
 	}
@@ -71,6 +80,13 @@ func FuzzDecode(f *testing.F) {
 			if enc[i] != b[i] {
 				t.Fatalf("re-encode differs at %d", i)
 			}
+		}
+		p, err := Assemble(in.String())
+		if err != nil {
+			t.Fatalf("%q, decoded from % x, does not reassemble: %v", in, b[:size], err)
+		}
+		if !bytes.Equal(p.Code, b[:size]) {
+			t.Fatalf("%q reassembles to % x, decoded from % x", in, p.Code, b[:size])
 		}
 	})
 }

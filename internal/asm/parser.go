@@ -22,9 +22,7 @@ const (
 // operand is one parsed instruction operand.
 type operand struct {
 	kind operandKind
-	reg  isa.Reg
-	sreg isa.SReg
-	reg8 isa.Reg8
+	reg  uint8 // register id, for opndReg, opndSReg and opndReg8
 	mem  memOperand
 	imm  exprNode // for opndImm
 	far  [2]exprNode
@@ -58,7 +56,7 @@ type stmt struct {
 	kind stmtKind
 	line int // 1-based source line
 
-	mn  string    // instruction mnemonic
+	op  isa.Op    // instruction opcode, matched when the line is parsed
 	ops []operand // instruction operands
 
 	name string   // label or equ name
@@ -190,23 +188,21 @@ func parseStatement(ts *tokenStream, lineNo int) (*stmt, error) {
 		if nx.kind != tokIdent || !strings.EqualFold(nx.text, "movsb") {
 			return nil, fmt.Errorf("only `rep movsb` is supported, found rep %v", nx)
 		}
-		return &stmt{kind: stmtInstr, line: lineNo, mn: "rep movsb"}, nil
+		word = "rep movsb"
 	}
 
-	// Instruction with operands.
-	s := &stmt{kind: stmtInstr, line: lineNo, mn: word}
-	if ts.atEOF() {
-		return s, nil
-	}
-	for {
+	// Instruction: its operands, then the form they select.
+	s := &stmt{kind: stmtInstr, line: lineNo}
+	for more := !ts.atEOF(); more; more = ts.acceptPunct(",") {
 		op, err := parseOperand(ts)
 		if err != nil {
 			return nil, err
 		}
 		s.ops = append(s.ops, *op)
-		if !ts.acceptPunct(",") {
-			break
-		}
+	}
+	var err error
+	if s.op, err = matchInstr(word, s.ops); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -263,15 +259,15 @@ func parseOperand(ts *tokenStream) (*operand, error) {
 		low := strings.ToLower(t.text)
 		if r, ok := isa.ParseReg(low); ok {
 			ts.next()
-			return &operand{kind: opndReg, reg: r}, nil
+			return &operand{kind: opndReg, reg: uint8(r)}, nil
 		}
 		if s, ok := isa.ParseSReg(low); ok {
 			ts.next()
-			return &operand{kind: opndSReg, sreg: s}, nil
+			return &operand{kind: opndSReg, reg: uint8(s)}, nil
 		}
 		if r8, ok := isa.ParseReg8(low); ok {
 			ts.next()
-			return &operand{kind: opndReg8, reg8: r8}, nil
+			return &operand{kind: opndReg8, reg: uint8(r8)}, nil
 		}
 	}
 

@@ -93,11 +93,11 @@ func (c *Cluster) emitEviction(epoch int, replica, donor int, reason string, fau
 }
 
 // MetricsSnapshot returns the cluster's aggregated stabilization
-// metrics as a fresh registry — the master collector's registry plus
-// every replica's, with the per-replica availability gauges — without
-// mutating any collector state. Unlike FinishObservability it is safe
-// to call repeatedly mid-run (between epochs), which is what lets a
-// served session export metrics on demand; the two produce identical
+// metrics as a fresh registry — the master collector's registry with
+// the replicas folded in (foldMetrics) — without mutating any
+// collector state. Unlike FinishObservability it is safe to call
+// repeatedly mid-run (between epochs), which is what lets a served
+// session export metrics on demand; the two produce identical
 // registries when taken at the same point. The caller must not run
 // epochs concurrently (replica registries are read unlocked).
 func (c *Cluster) MetricsSnapshot() *obs.Metrics {
@@ -106,42 +106,33 @@ func (c *Cluster) MetricsSnapshot() *obs.Metrics {
 		return obs.NewMetrics()
 	}
 	m := col.MetricsSnapshot()
+	c.foldMetrics(m)
+	return m
+}
+
+// FinishObservability folds the replicas into the master collector's
+// registry (foldMetrics). Call it once, after the last epoch; without a
+// configured collector it is a no-op.
+func (c *Cluster) FinishObservability() {
+	if col := c.cfg.Collector; col != nil {
+		c.foldMetrics(col.Metrics)
+	}
+}
+
+// foldMetrics merges every replica's registry into m, in replica order,
+// and sets the cluster gauges: each replica's availability (the
+// fraction of epochs it was not evicted) and the fresh-boot count.
+func (c *Cluster) foldMetrics(m *obs.Metrics) {
 	for _, r := range c.replicas {
 		m.Merge(r.col.Metrics)
 	}
 	s := c.Summary()
 	if s.Epochs == 0 {
-		return m
+		return
 	}
 	for i, ev := range s.PerReplica {
 		avail := 1 - float64(ev)/float64(s.Epochs)
 		m.SetGauge("replica."+strconv.Itoa(i)+".availability", avail)
 	}
 	m.Add("cluster.fresh_boots", uint64(s.FreshBoots))
-	return m
-}
-
-// FinishObservability folds the per-replica registries into the master
-// collector's (in replica order) and sets the cluster gauges —
-// per-replica availability (the fraction of epochs the replica was not
-// evicted) and the per-replica eviction counts' complement. Call it
-// once, after the last epoch; without a configured collector it is a
-// no-op.
-func (c *Cluster) FinishObservability() {
-	col := c.cfg.Collector
-	if col == nil {
-		return
-	}
-	for _, r := range c.replicas {
-		col.Metrics.Merge(r.col.Metrics)
-	}
-	s := c.Summary()
-	if s.Epochs == 0 {
-		return
-	}
-	for i, ev := range s.PerReplica {
-		avail := 1 - float64(ev)/float64(s.Epochs)
-		col.Metrics.SetGauge("replica."+strconv.Itoa(i)+".availability", avail)
-	}
-	col.Metrics.Add("cluster.fresh_boots", uint64(s.FreshBoots))
 }

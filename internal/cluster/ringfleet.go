@@ -43,9 +43,6 @@ type RingFleetConfig struct {
 	// Replicas is the fleet and ring size n (default DefaultReplicas;
 	// 2..model.MaxRingNodes).
 	Replicas int
-	// RelayEvery is the relay cadence in machine steps (default
-	// DefaultRelayEvery).
-	RelayEvery int
 	// Seed drives every replica's private fault injector.
 	Seed int64
 	// Collector, when non-nil, receives the fleet's structured event
@@ -76,9 +73,6 @@ func NewRingFleet(cfg RingFleetConfig) (*RingFleet, error) {
 	if cfg.Replicas < 2 || cfg.Replicas > model.MaxRingNodes {
 		return nil, fmt.Errorf("cluster: ring fleet size %d out of range 2..%d",
 			cfg.Replicas, model.MaxRingNodes)
-	}
-	if cfg.RelayEvery <= 0 {
-		cfg.RelayEvery = DefaultRelayEvery
 	}
 	f := &RingFleet{cfg: cfg, proto: cfg.Variant.Protocol()}
 	for i := 0; i < cfg.Replicas; i++ {
@@ -134,11 +128,11 @@ func (f *RingFleet) Nodes() int { return len(f.reps) }
 func (f *RingFleet) Replica(i int) *core.System { return f.reps[i] }
 
 // Run advances every replica by n machine steps, relaying neighbour
-// slots every RelayEvery steps and sampling fleet legality after each
-// relay round.
+// slots every DefaultRelayEvery steps and sampling fleet legality after
+// each relay round.
 func (f *RingFleet) Run(n int) {
 	for n > 0 {
-		chunk := f.cfg.RelayEvery - f.partial
+		chunk := DefaultRelayEvery - f.partial
 		if chunk > n {
 			f.partial += n
 			f.stepAll(n)
@@ -212,7 +206,7 @@ func (f *RingFleet) Legal() bool { return f.proto.Legal(f.Ring(), len(f.reps)) }
 // consecutive relay rounds, returning the fleet step at which the
 // sustained window began.
 func (f *RingFleet) Converged(horizon, window int) (uint64, bool) {
-	return trace.Sustained(f.Run, f.Steps, f.Legal, horizon, f.cfg.RelayEvery, window)
+	return trace.Sustained(f.Run, f.Steps, f.Legal, horizon, DefaultRelayEvery, window)
 }
 
 // RingScramble selects which layer of the fleet a Scramble corrupts.

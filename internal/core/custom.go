@@ -94,10 +94,3 @@ func NewCustom(cc CustomConfig) (*System, error) {
 	sys.wire()
 	return sys, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // BaseReg identifies the optional index register of a memory operand.
 type BaseReg uint8
@@ -70,9 +73,12 @@ func decodeMemMode(mode byte) (MemOp, bool) {
 	return m, m.Seg.Valid() && m.Base.Valid()
 }
 
+// String renders the operand in assembly syntax. The segment is
+// written unless it is ds, and always on a bp base, which the
+// assembler otherwise takes as ss.
 func (m MemOp) String() string {
 	inner := ""
-	if m.Seg != DS {
+	if m.Seg != DS || m.Base == BaseBP {
 		inner = m.Seg.String() + ":"
 	}
 	if r, ok := m.Base.Reg(); ok {
@@ -87,9 +93,10 @@ func (m MemOp) String() string {
 }
 
 // Inst is one decoded instruction. Interpretation of the fields depends
-// on the opcode's shape: R1/R2 hold general-, segment- or byte-register
-// ids; Imm holds an immediate, absolute jump offset or far segment
-// (in Imm) and offset (in Imm2); Mem holds the memory operand.
+// on the opcode's operand kinds (Op.Operands): R1/R2 hold general-,
+// segment- or byte-register ids; Imm holds an immediate, absolute jump
+// offset or far segment (in Imm) and offset (in Imm2); Mem holds the
+// memory operand.
 type Inst struct {
 	Op   Op
 	R1   uint8
@@ -198,89 +205,46 @@ func Decode(b []byte) (in Inst, size int, ok bool) {
 		in.Imm = uint16(b[1]) | uint16(b[2])<<8
 		in.Imm2 = uint16(b[3]) | uint16(b[4])<<8
 	}
-	if !in.registersValid() {
+	if in.R1 >= entry.rLim[0] || in.R2 >= entry.rLim[1] {
 		return Inst{}, 0, false
 	}
 	return in, size, true
 }
 
-// registersValid checks that register selector bytes are in range for
-// the opcode's register class.
-func (in Inst) registersValid() bool {
-	switch in.Op {
-	case OpMovRI, OpAddRI, OpSubRI, OpAndRI, OpOrRI, OpCmpRI, OpShlRI, OpShrRI,
-		OpIncR, OpDecR, OpPushR, OpPopR, OpWPSet:
-		return Reg(in.R1).Valid()
-	case OpMovRR, OpAddRR, OpSubRR, OpAndRR, OpOrRR, OpXorRR, OpCmpRR:
-		return Reg(in.R1).Valid() && Reg(in.R2).Valid()
-	case OpMovSR:
-		return SReg(in.R1).Valid() && Reg(in.R2).Valid()
-	case OpMovRS:
-		return Reg(in.R1).Valid() && SReg(in.R2).Valid()
-	case OpMovRM, OpMovMR, OpAddRM, OpCmpRM, OpLea:
-		return Reg(in.R1).Valid()
-	case OpMovSM, OpMovMS:
-		return SReg(in.R1).Valid()
-	case OpMovR8I, OpMulR8:
-		return Reg8(in.R1).Valid()
-	case OpMovR8R8:
-		return Reg8(in.R1).Valid() && Reg8(in.R2).Valid()
-	case OpPushS, OpPopS:
-		return SReg(in.R1).Valid()
-	}
-	return true
-}
-
 // String renders the instruction in assembly syntax.
 func (in Inst) String() string {
-	mn := in.Op.Mnemonic()
-	switch in.Op {
-	case OpMovRI, OpAddRI, OpSubRI, OpAndRI, OpOrRI, OpCmpRI:
-		return fmt.Sprintf("%s %s, 0x%x", mn, Reg(in.R1), in.Imm)
-	case OpShlRI, OpShrRI:
-		return fmt.Sprintf("%s %s, %d", mn, Reg(in.R1), in.Imm)
-	case OpMovRR, OpAddRR, OpSubRR, OpAndRR, OpOrRR, OpXorRR, OpCmpRR:
-		return fmt.Sprintf("%s %s, %s", mn, Reg(in.R1), Reg(in.R2))
-	case OpMovSR:
-		return fmt.Sprintf("%s %s, %s", mn, SReg(in.R1), Reg(in.R2))
-	case OpMovRS:
-		return fmt.Sprintf("%s %s, %s", mn, Reg(in.R1), SReg(in.R2))
-	case OpMovRM, OpAddRM, OpCmpRM, OpLea:
-		return fmt.Sprintf("%s %s, %s", mn, Reg(in.R1), in.Mem)
-	case OpMovMR:
-		return fmt.Sprintf("%s %s, %s", mn, in.Mem, Reg(in.R1))
-	case OpMovMI:
-		return fmt.Sprintf("%s word %s, 0x%x", mn, in.Mem, in.Imm)
-	case OpMovSM:
-		return fmt.Sprintf("%s %s, %s", mn, SReg(in.R1), in.Mem)
-	case OpMovMS:
-		return fmt.Sprintf("%s %s, %s", mn, in.Mem, SReg(in.R1))
-	case OpMovR8I:
-		return fmt.Sprintf("%s %s, 0x%x", mn, Reg8(in.R1), in.Imm)
-	case OpMovR8R8:
-		return fmt.Sprintf("%s %s, %s", mn, Reg8(in.R1), Reg8(in.R2))
-	case OpIncR, OpDecR, OpPushR, OpPopR, OpWPSet:
-		return fmt.Sprintf("%s %s", mn, Reg(in.R1))
-	case OpMulR8:
-		return fmt.Sprintf("%s %s", mn, Reg8(in.R1))
-	case OpPushS, OpPopS:
-		return fmt.Sprintf("%s %s", mn, SReg(in.R1))
-	case OpJmp, OpJe, OpJne, OpJb, OpJbe, OpJa, OpJae, OpLoop, OpCall:
-		return fmt.Sprintf("%s 0x%x", mn, in.Imm)
-	case OpJmpFar:
-		return fmt.Sprintf("%s 0x%x:0x%x", mn, in.Imm, in.Imm2)
-	case OpPushI:
-		return fmt.Sprintf("%s word 0x%x", mn, in.Imm)
-	case OpOutI:
-		return fmt.Sprintf("%s 0x%x, ax", mn, in.Imm)
-	case OpInI:
-		return fmt.Sprintf("%s ax, 0x%x", mn, in.Imm)
-	case OpOutDx:
-		return "out dx, ax"
-	case OpInDx:
-		return "in ax, dx"
-	case OpInt:
-		return fmt.Sprintf("%s 0x%x", mn, in.Imm)
+	s := in.Op.Mnemonic()
+	regs, sep := [2]uint8{in.R1, in.R2}, " "
+	for _, k := range in.Op.Operands() {
+		s += sep
+		sep = ", "
+		switch k {
+		case KindReg:
+			s += Reg(regs[0]).String()
+		case KindReg8:
+			s += Reg8(regs[0]).String()
+		case KindSReg:
+			s += SReg(regs[0]).String()
+		case KindMem:
+			s += in.Mem.String()
+		case KindWordMem:
+			s += "word " + in.Mem.String()
+		case KindImm, KindImm8:
+			s += fmt.Sprintf("0x%x", in.Imm)
+		case KindWordImm:
+			s += fmt.Sprintf("word 0x%x", in.Imm)
+		case KindCount:
+			s += strconv.Itoa(int(in.Imm))
+		case KindFar:
+			s += fmt.Sprintf("0x%x:0x%x", in.Imm, in.Imm2)
+		case KindAX:
+			s += AX.String()
+		case KindDX:
+			s += DX.String()
+		}
+		if regLimit[k] != 0 {
+			regs[0] = regs[1] // register operands take R1, then R2
+		}
 	}
-	return mn
+	return s
 }

@@ -270,6 +270,8 @@ func TestMemOpString(t *testing.T) {
 		{MemOp{Seg: SS, Base: BaseBX, Disp: 2}, "[ss:bx+0x2]"},
 		{MemOp{Seg: DS, Base: BaseSI}, "[si]"},
 		{MemOp{Seg: ES, Disp: 0}, "[es:0x0]"},
+		{MemOp{Seg: SS, Base: BaseBP, Disp: 6}, "[ss:bp+0x6]"},
+		{MemOp{Seg: DS, Base: BaseBP}, "[ds:bp]"}, // the assembler reads [bp] as ss
 	}
 	for _, c := range cases {
 		if got := c.m.String(); got != c.want {

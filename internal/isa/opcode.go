@@ -9,7 +9,10 @@ type Op uint8
 
 // Opcodes. Gaps are reserved (decode as invalid, raising the invalid-
 // opcode exception, which the paper's designs must tolerate: a corrupt
-// program counter may land anywhere, including on data bytes).
+// program counter may land anywhere, including on data bytes). Each
+// opcode's mnemonic and operands are listed once, in instrDefs; the
+// names spell the operands (R r16, R8 r8, S sreg, M memory, I
+// immediate).
 const (
 	OpNop   Op = 0x00
 	OpHlt   Op = 0x01
@@ -21,40 +24,40 @@ const (
 	OpPushf Op = 0x07
 	OpPopf  Op = 0x08
 
-	OpMovRI   Op = 0x10 // mov r16, imm16
-	OpMovRR   Op = 0x11 // mov r16, r16
-	OpMovSR   Op = 0x12 // mov sreg, r16
-	OpMovRS   Op = 0x13 // mov r16, sreg
-	OpMovRM   Op = 0x14 // mov r16, [mem]
-	OpMovMR   Op = 0x15 // mov [mem], r16
-	OpMovMI   Op = 0x16 // mov word [mem], imm16
-	OpMovSM   Op = 0x17 // mov sreg, [mem]
-	OpMovMS   Op = 0x18 // mov [mem], sreg
-	OpMovR8I  Op = 0x19 // mov r8, imm8
-	OpMovR8R8 Op = 0x1A // mov r8, r8
+	OpMovRI   Op = 0x10
+	OpMovRR   Op = 0x11
+	OpMovSR   Op = 0x12
+	OpMovRS   Op = 0x13
+	OpMovRM   Op = 0x14
+	OpMovMR   Op = 0x15
+	OpMovMI   Op = 0x16
+	OpMovSM   Op = 0x17
+	OpMovMS   Op = 0x18
+	OpMovR8I  Op = 0x19
+	OpMovR8R8 Op = 0x1A
 
-	OpAddRR Op = 0x20 // add r16, r16
-	OpAddRI Op = 0x21 // add r16, imm16
-	OpAddRM Op = 0x22 // add r16, [mem]
-	OpSubRR Op = 0x23 // sub r16, r16
-	OpSubRI Op = 0x24 // sub r16, imm16
-	OpIncR  Op = 0x25 // inc r16
-	OpDecR  Op = 0x26 // dec r16
-	OpAndRR Op = 0x27 // and r16, r16
-	OpAndRI Op = 0x28 // and r16, imm16
-	OpOrRR  Op = 0x29 // or r16, r16
-	OpOrRI  Op = 0x2A // or r16, imm16
-	OpXorRR Op = 0x2B // xor r16, r16
-	OpCmpRR Op = 0x2C // cmp r16, r16
-	OpCmpRI Op = 0x2D // cmp r16, imm16
-	OpCmpRM Op = 0x2E // cmp r16, [mem]
-	OpLea   Op = 0x2F // lea r16, [mem]
-	OpMulR8 Op = 0x30 // mul r8 (ax = al * r8)
-	OpShlRI Op = 0x31 // shl r16, imm8
-	OpShrRI Op = 0x32 // shr r16, imm8
+	OpAddRR Op = 0x20
+	OpAddRI Op = 0x21
+	OpAddRM Op = 0x22
+	OpSubRR Op = 0x23
+	OpSubRI Op = 0x24
+	OpIncR  Op = 0x25
+	OpDecR  Op = 0x26
+	OpAndRR Op = 0x27
+	OpAndRI Op = 0x28
+	OpOrRR  Op = 0x29
+	OpOrRI  Op = 0x2A
+	OpXorRR Op = 0x2B
+	OpCmpRR Op = 0x2C
+	OpCmpRI Op = 0x2D
+	OpCmpRM Op = 0x2E
+	OpLea   Op = 0x2F
+	OpMulR8 Op = 0x30 // ax = al * r8
+	OpShlRI Op = 0x31
+	OpShrRI Op = 0x32
 
-	OpJmp    Op = 0x40 // jmp imm16 (absolute offset within cs)
-	OpJmpFar Op = 0x41 // jmp seg16:off16
+	OpJmp    Op = 0x40 // absolute offset within cs
+	OpJmpFar Op = 0x41
 	OpJe     Op = 0x42
 	OpJne    Op = 0x43
 	OpJb     Op = 0x44
@@ -65,27 +68,57 @@ const (
 	OpCall   Op = 0x49 // push ip; jmp imm16
 	OpRet    Op = 0x4A // pop ip
 
-	OpPushR Op = 0x50 // push r16
-	OpPopR  Op = 0x51 // pop r16
-	OpPushI Op = 0x52 // push imm16
-	OpPushS Op = 0x53 // push sreg
-	OpPopS  Op = 0x54 // pop sreg
+	OpPushR Op = 0x50
+	OpPopR  Op = 0x51
+	OpPushI Op = 0x52
+	OpPushS Op = 0x53
+	OpPopS  Op = 0x54
 
 	OpMovsb    Op = 0x60 // copy byte ds:si -> es:di, advance si/di
 	OpRepMovsb Op = 0x61 // movsb repeated cx times (resumable)
 	OpStosb    Op = 0x62 // store al at es:di, advance di
 	OpLodsb    Op = 0x63 // load al from ds:si, advance si
 
-	OpOutI  Op = 0x70 // out imm8, ax
-	OpInI   Op = 0x71 // in ax, imm8
-	OpOutDx Op = 0x72 // out dx, ax
-	OpInDx  Op = 0x73 // in ax, dx
-	OpInt   Op = 0x74 // int imm8 (software interrupt through idt)
+	OpOutI  Op = 0x70
+	OpInI   Op = 0x71
+	OpOutDx Op = 0x72
+	OpInDx  Op = 0x73
+	OpInt   Op = 0x74 // software interrupt through idt
 
-	OpWPSet Op = 0x76 // wpset r16: load the write-protection window register
+	OpWPSet Op = 0x76 // load the write-protection window register
 )
 
-// OperandShape describes the operand bytes that follow an opcode.
+// OperandKind is the kind of one instruction operand. Each form lists
+// its operands' kinds in assembly order, and that list fixes everything
+// else about the form: its encoded shape and size, which Inst field
+// each operand fills, Decode's register check, the disassembly text,
+// and which parsed operands the assembler accepts for it.
+type OperandKind uint8
+
+// Operand kinds. Register operands fill R1, then R2; memory operands
+// fill Mem; immediates fill Imm, and a far pointer Imm (segment) and
+// Imm2 (offset). Operands are encoded in assembly order: a register in
+// one byte, a memory operand in three, a 16-bit immediate in two, an
+// 8-bit one in one and a far pointer in four.
+const (
+	KindReg     OperandKind = iota + 1 // general register (r16)
+	KindReg8                           // byte register (r8)
+	KindSReg                           // segment register
+	KindMem                            // memory operand
+	KindWordMem                        // memory operand, written with the word keyword
+	KindImm                            // 16-bit immediate
+	KindWordImm                        // 16-bit immediate, written with the word keyword
+	KindImm8                           // 8-bit immediate: a value, a port or a vector
+	KindCount                          // 8-bit shift count, written in decimal
+	KindFar                            // far pointer seg:off
+	KindAX                             // the fixed ax of in and out, not encoded
+	KindDX                             // the fixed dx of in and out, not encoded
+
+	numKinds
+)
+
+// OperandShape describes the operand bytes that follow an opcode. A
+// form's shape is derived from its operand kinds.
 type OperandShape uint8
 
 // Operand shapes. The shape fully determines instruction length.
@@ -131,86 +164,112 @@ func (s OperandShape) Size() int {
 	return 0
 }
 
+// shapes maps a form's encoded operands, one letter each in assembly
+// order (r register, m memory, i 16-bit immediate, b 8-bit immediate,
+// f far pointer), to its shape.
+var shapes = map[string]OperandShape{
+	"": ShapeNone, "r": ShapeR, "rr": ShapeRR, "ri": ShapeRI, "rb": ShapeRI8,
+	"rm": ShapeRM, "mr": ShapeMR, "mi": ShapeMI, "i": ShapeI16, "b": ShapeI8, "f": ShapeSegOff,
+}
+
+// encodedAs is each operand kind's letter in shapes; fixed operands
+// are not encoded.
+var encodedAs = [numKinds]string{
+	KindReg: "r", KindReg8: "r", KindSReg: "r",
+	KindMem: "m", KindWordMem: "m",
+	KindImm: "i", KindWordImm: "i",
+	KindImm8: "b", KindCount: "b",
+	KindFar: "f",
+}
+
+// regLimit is the number of registers of each register kind: Decode
+// rejects a register byte at or above it.
+var regLimit = [numKinds]uint8{KindReg: NumRegs, KindReg8: NumRegs8, KindSReg: NumSRegs}
+
 // instrInfo is the static description of one instruction form.
 type instrInfo struct {
 	name  string
-	shape OperandShape
+	opnds kinds
 }
 
-// instrDefs lists every defined instruction form; init expands it into
-// the dense dispatch table the decoder indexes on the fetch path.
-var instrDefs = map[Op]instrInfo{
-	OpNop:   {"nop", ShapeNone},
-	OpHlt:   {"hlt", ShapeNone},
-	OpCld:   {"cld", ShapeNone},
-	OpStd:   {"std", ShapeNone},
-	OpSti:   {"sti", ShapeNone},
-	OpCli:   {"cli", ShapeNone},
-	OpIret:  {"iret", ShapeNone},
-	OpPushf: {"pushf", ShapeNone},
-	OpPopf:  {"popf", ShapeNone},
+// kinds is a form's operand list, in assembly order.
+type kinds []OperandKind
 
-	OpMovRI:   {"mov", ShapeRI},
-	OpMovRR:   {"mov", ShapeRR},
-	OpMovSR:   {"mov", ShapeRR},
-	OpMovRS:   {"mov", ShapeRR},
-	OpMovRM:   {"mov", ShapeRM},
-	OpMovMR:   {"mov", ShapeMR},
-	OpMovMI:   {"mov", ShapeMI},
-	OpMovSM:   {"mov", ShapeRM},
-	OpMovMS:   {"mov", ShapeMR},
-	OpMovR8I:  {"mov", ShapeRI8},
-	OpMovR8R8: {"mov", ShapeRR},
+// instrDefs lists every defined instruction form by opcode (an empty
+// name leaves the opcode undefined); init expands it into the dense
+// dispatch table the decoder indexes on the fetch path.
+var instrDefs = [256]instrInfo{
+	OpNop:   {"nop", nil},
+	OpHlt:   {"hlt", nil},
+	OpCld:   {"cld", nil},
+	OpStd:   {"std", nil},
+	OpSti:   {"sti", nil},
+	OpCli:   {"cli", nil},
+	OpIret:  {"iret", nil},
+	OpPushf: {"pushf", nil},
+	OpPopf:  {"popf", nil},
 
-	OpAddRR: {"add", ShapeRR},
-	OpAddRI: {"add", ShapeRI},
-	OpAddRM: {"add", ShapeRM},
-	OpSubRR: {"sub", ShapeRR},
-	OpSubRI: {"sub", ShapeRI},
-	OpIncR:  {"inc", ShapeR},
-	OpDecR:  {"dec", ShapeR},
-	OpAndRR: {"and", ShapeRR},
-	OpAndRI: {"and", ShapeRI},
-	OpOrRR:  {"or", ShapeRR},
-	OpOrRI:  {"or", ShapeRI},
-	OpXorRR: {"xor", ShapeRR},
-	OpCmpRR: {"cmp", ShapeRR},
-	OpCmpRI: {"cmp", ShapeRI},
-	OpCmpRM: {"cmp", ShapeRM},
-	OpLea:   {"lea", ShapeRM},
-	OpMulR8: {"mul", ShapeR},
-	OpShlRI: {"shl", ShapeRI8},
-	OpShrRI: {"shr", ShapeRI8},
+	OpMovRI:   {"mov", kinds{KindReg, KindImm}},
+	OpMovRR:   {"mov", kinds{KindReg, KindReg}},
+	OpMovSR:   {"mov", kinds{KindSReg, KindReg}},
+	OpMovRS:   {"mov", kinds{KindReg, KindSReg}},
+	OpMovRM:   {"mov", kinds{KindReg, KindMem}},
+	OpMovMR:   {"mov", kinds{KindMem, KindReg}},
+	OpMovMI:   {"mov", kinds{KindWordMem, KindImm}},
+	OpMovSM:   {"mov", kinds{KindSReg, KindMem}},
+	OpMovMS:   {"mov", kinds{KindMem, KindSReg}},
+	OpMovR8I:  {"mov", kinds{KindReg8, KindImm8}},
+	OpMovR8R8: {"mov", kinds{KindReg8, KindReg8}},
 
-	OpJmp:    {"jmp", ShapeI16},
-	OpJmpFar: {"jmp", ShapeSegOff},
-	OpJe:     {"je", ShapeI16},
-	OpJne:    {"jne", ShapeI16},
-	OpJb:     {"jb", ShapeI16},
-	OpJbe:    {"jbe", ShapeI16},
-	OpJa:     {"ja", ShapeI16},
-	OpJae:    {"jae", ShapeI16},
-	OpLoop:   {"loop", ShapeI16},
-	OpCall:   {"call", ShapeI16},
-	OpRet:    {"ret", ShapeNone},
+	OpAddRR: {"add", kinds{KindReg, KindReg}},
+	OpAddRI: {"add", kinds{KindReg, KindImm}},
+	OpAddRM: {"add", kinds{KindReg, KindMem}},
+	OpSubRR: {"sub", kinds{KindReg, KindReg}},
+	OpSubRI: {"sub", kinds{KindReg, KindImm}},
+	OpIncR:  {"inc", kinds{KindReg}},
+	OpDecR:  {"dec", kinds{KindReg}},
+	OpAndRR: {"and", kinds{KindReg, KindReg}},
+	OpAndRI: {"and", kinds{KindReg, KindImm}},
+	OpOrRR:  {"or", kinds{KindReg, KindReg}},
+	OpOrRI:  {"or", kinds{KindReg, KindImm}},
+	OpXorRR: {"xor", kinds{KindReg, KindReg}},
+	OpCmpRR: {"cmp", kinds{KindReg, KindReg}},
+	OpCmpRI: {"cmp", kinds{KindReg, KindImm}},
+	OpCmpRM: {"cmp", kinds{KindReg, KindMem}},
+	OpLea:   {"lea", kinds{KindReg, KindMem}},
+	OpMulR8: {"mul", kinds{KindReg8}},
+	OpShlRI: {"shl", kinds{KindReg, KindCount}},
+	OpShrRI: {"shr", kinds{KindReg, KindCount}},
 
-	OpPushR: {"push", ShapeR},
-	OpPopR:  {"pop", ShapeR},
-	OpPushI: {"push", ShapeI16},
-	OpPushS: {"push", ShapeR},
-	OpPopS:  {"pop", ShapeR},
+	OpJmp:    {"jmp", kinds{KindImm}},
+	OpJmpFar: {"jmp", kinds{KindFar}},
+	OpJe:     {"je", kinds{KindImm}},
+	OpJne:    {"jne", kinds{KindImm}},
+	OpJb:     {"jb", kinds{KindImm}},
+	OpJbe:    {"jbe", kinds{KindImm}},
+	OpJa:     {"ja", kinds{KindImm}},
+	OpJae:    {"jae", kinds{KindImm}},
+	OpLoop:   {"loop", kinds{KindImm}},
+	OpCall:   {"call", kinds{KindImm}},
+	OpRet:    {"ret", nil},
 
-	OpMovsb:    {"movsb", ShapeNone},
-	OpRepMovsb: {"rep movsb", ShapeNone},
-	OpStosb:    {"stosb", ShapeNone},
-	OpLodsb:    {"lodsb", ShapeNone},
+	OpPushR: {"push", kinds{KindReg}},
+	OpPopR:  {"pop", kinds{KindReg}},
+	OpPushI: {"push", kinds{KindWordImm}},
+	OpPushS: {"push", kinds{KindSReg}},
+	OpPopS:  {"pop", kinds{KindSReg}},
 
-	OpOutI:  {"out", ShapeI8},
-	OpInI:   {"in", ShapeI8},
-	OpOutDx: {"out", ShapeNone},
-	OpInDx:  {"in", ShapeNone},
-	OpInt:   {"int", ShapeI8},
-	OpWPSet: {"wpset", ShapeR},
+	OpMovsb:    {"movsb", nil},
+	OpRepMovsb: {"rep movsb", nil},
+	OpStosb:    {"stosb", nil},
+	OpLodsb:    {"lodsb", nil},
+
+	OpOutI:  {"out", kinds{KindImm8, KindAX}},
+	OpInI:   {"in", kinds{KindAX, KindImm8}},
+	OpOutDx: {"out", kinds{KindDX, KindAX}},
+	OpInDx:  {"in", kinds{KindAX, KindDX}},
+	OpInt:   {"int", kinds{KindImm8}},
+	OpWPSet: {"wpset", kinds{KindReg}},
 }
 
 // serializingOps lists the opcodes after which straight-line execution
@@ -245,16 +304,36 @@ var serializingOps = []Op{
 // so it must not be a map.
 var instrTable [256]struct {
 	instrInfo
+	shape  OperandShape
 	valid  bool
 	serial bool
 	size   uint8
+	// rLim holds Decode's limits for R1 and R2: the register count of
+	// the kind that fills each, or 1 where no register does (the field
+	// then decodes as 0).
+	rLim [2]uint8
 }
 
 func init() {
 	for op, info := range instrDefs {
-		instrTable[op].instrInfo = info
-		instrTable[op].valid = true
-		instrTable[op].size = uint8(info.shape.Size())
+		if info.name == "" {
+			continue
+		}
+		e := &instrTable[op]
+		e.instrInfo, e.valid, e.rLim = info, true, [2]uint8{1, 1}
+		enc, nreg := "", 0
+		for _, k := range info.opnds {
+			enc += encodedAs[k]
+			if lim := regLimit[k]; lim != 0 {
+				e.rLim[nreg] = lim
+				nreg++
+			}
+		}
+		shape, ok := shapes[enc]
+		if !ok {
+			panic("isa: no shape for the operands of " + info.name)
+		}
+		e.shape, e.size = shape, uint8(shape.Size())
 	}
 	for _, op := range serializingOps {
 		if !instrTable[op].valid {
@@ -289,6 +368,10 @@ func (op Op) Serializing() bool { return instrTable[op].serial || !instrTable[op
 // therefore stays valid for as long as that byte range is unwritten, which the
 // memory bus tracks with page write-generations.
 func InstLen(b byte) int { return int(instrTable[b].size) }
+
+// Operands returns the kinds of op's operands in assembly order, or
+// nil if op is invalid.
+func (op Op) Operands() []OperandKind { return instrTable[op].opnds }
 
 // Mnemonic returns the assembly mnemonic for op.
 func (op Op) Mnemonic() string {

@@ -84,14 +84,8 @@ type CPU struct {
 // Reg returns the value of a 16-bit general register.
 func (c *CPU) Reg(r isa.Reg) uint16 { return c.R[r] }
 
-// SetReg sets a 16-bit general register.
-func (c *CPU) SetReg(r isa.Reg, v uint16) { c.R[r] = v }
-
 // SReg returns the value of a segment register.
 func (c *CPU) SReg(s isa.SReg) uint16 { return c.S[s] }
-
-// SetSReg sets a segment register.
-func (c *CPU) SetSReg(s isa.SReg, v uint16) { c.S[s] = v }
 
 // Reg8 returns the value of a byte register half.
 func (c *CPU) Reg8(r isa.Reg8) uint8 {

@@ -309,13 +309,6 @@ func (b *Bus) markROM(p, o, n uint32) {
 // fullMask is the mask of a page whose every byte is ROM.
 var fullMask = romMask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
-// ROMs returns the installed ROM regions in address order.
-func (b *Bus) ROMs() []Region {
-	out := make([]Region, len(b.roms))
-	copy(out, b.roms)
-	return out
-}
-
 // InROM reports whether addr falls inside a ROM region. A page's flags
 // answer for an all-RAM or all-ROM page; only a mixed page reads its
 // mask.

@@ -505,9 +505,6 @@ func (s *Session) Metrics(ctx context.Context) (*obs.Metrics, error) {
 // directly — no command, safe mid-run.
 func (s *Session) Episodes() []obs.Episode { return s.tracker.Episodes() }
 
-// EpisodesInFlight returns the number of unresolved episodes.
-func (s *Session) EpisodesInFlight() int { return s.tracker.InFlight() }
-
 // BlockTelemetry returns the superblock-engine counters mirrored at
 // the last Run command, and whether this is a machine session. Reads
 // the atomic mirrors directly — no command, safe mid-run.
