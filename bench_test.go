@@ -446,8 +446,8 @@ func BenchmarkRecoveryFromBlast(b *testing.B) {
 // checker).
 
 // BenchmarkConvergenceCerts measures building the certificate catalog:
-// assembling the checked node images and each ranking certificate's
-// declared heights.
+// assembling the checked node images and binding each to its declared
+// protocol.
 func BenchmarkConvergenceCerts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := guest.ConvergenceCerts(); err != nil {

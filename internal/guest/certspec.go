@@ -9,15 +9,11 @@ import (
 
 // Convergence-certificate specs: one imglint.RingCert per mailbox ring
 // configuration, binding the shipped node images to the declared
-// protocol model. The declared side of each certificate — legal set,
-// move table and variant function — comes from internal/model's
-// verified Protocol family; the checked side is extracted from the ROM
-// bytes by imglint.CheckRingCert. The variant is the protocol system's
-// exact heights (model.System.Heights), i.e. Kessels-style declared
-// ranking: if the bytes implement the declared protocol, every
-// extracted step out of an illegal configuration strictly descends it;
-// if they deviate, either the move cross-check or the ranking pass
-// fails.
+// protocol model. The declared side of each certificate — domains,
+// move table and legal set — comes from internal/model's verified
+// Protocol family; the checked side is extracted from the ROM bytes by
+// imglint.CheckRingCert, which cross-checks the extracted moves against
+// the declared ones and ranks the extracted relation itself.
 
 // RingCertSpec pairs a certificate with the protocol it declares.
 type RingCertSpec struct {
@@ -48,39 +44,20 @@ func domainWords(d []uint8) []uint16 {
 }
 
 // certCommon fills the protocol-derived fields of a certificate for an
-// n-node ring of variant v: domains, declared moves, legal set, and —
-// when the product space fits the enumeration cap — the exact height
-// variant.
-func certCommon(c *imglint.RingCert, p model.Protocol, n int) error {
+// n-node ring: slots, domains, declared moves and legal set.
+func certCommon(c *imglint.RingCert, p model.Protocol, n int) {
 	c.N = n
 	c.Slots = make([]uint32, n)
 	c.Domains = make([][]uint16, n)
-	states := 1
 	for i := 0; i < n; i++ {
 		c.Slots[i] = MailboxAddr(i)
 		c.Domains[i] = domainWords(p.Domain(i, n))
-		states *= len(c.Domains[i])
 	}
 	c.Moves = func(node int, self, left, right uint16) (bool, uint16) {
 		privs, to := p.Role(node, n).Move(uint8(self), uint8(left), uint8(right))
 		return privs > 0, uint16(to)
 	}
 	c.Legal = func(x []uint16) bool { return p.Legal(toRingState(x), n) }
-	if states > imglint.DefaultMaxStates {
-		return nil // Mode "local": obligations only, no height map
-	}
-	sys := p.System(n)
-	heights, witness, ok := sys.Heights()
-	if !ok {
-		return fmt.Errorf("protocol %s n=%d has no finite height map (witness %v)", p.Name, n, witness)
-	}
-	c.Variant = func(x []uint16) int {
-		if i := sys.Index(toRingState(x)); i >= 0 {
-			return heights[i]
-		}
-		return 0 // off the model's space
-	}
-	return nil
 }
 
 // certNode builds the RingNode for ring node `node` of n running in
@@ -126,9 +103,7 @@ func ConvergenceCerts() ([]RingCertSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cert %s: %w", single.Cert.Name, err)
 		}
-		if err := certCommon(&single.Cert, p, n); err != nil {
-			return nil, fmt.Errorf("cert %s: %w", single.Cert.Name, err)
-		}
+		certCommon(&single.Cert, p, n)
 		single.Cert.Nodes = make([]imglint.RingNode, n)
 		for i := 0; i < n; i++ {
 			single.Cert.Nodes[i] = certNode(p, set, i, n, i)
@@ -139,9 +114,7 @@ func ConvergenceCerts() ([]RingCertSpec, error) {
 		for n := 2; n <= model.MaxRingNodes; n++ {
 			fleet := RingCertSpec{Protocol: p}
 			fleet.Cert.Name = fmt.Sprintf("mbox-%s-n%d", v, n)
-			if err := certCommon(&fleet.Cert, p, n); err != nil {
-				return nil, fmt.Errorf("cert %s: %w", fleet.Cert.Name, err)
-			}
+			certCommon(&fleet.Cert, p, n)
 			fleet.Cert.Nodes = make([]imglint.RingNode, n)
 			for j := 0; j < n; j++ {
 				nset, err := buildNodeProcess(v, j, n)

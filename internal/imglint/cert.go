@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"ssos/internal/isa"
+	"ssos/internal/model"
 )
 
 // Ranking-certificate checker: a static convergence prover for mailbox
 // token-ring guest images.
 //
 // A certificate (RingCert) names N node images, the shared ring slots
-// they own, each slot's canonical value domain, and a declared variant
-// function over ring configurations (in practice the exact
-// steps-to-legal height of the declared protocol model). The checker
-// proves, from the shipped ROM bytes alone:
+// they own, each slot's canonical value domain, and the declared legal
+// set over ring configurations. The checker proves, from the shipped
+// ROM bytes alone:
 //
 //  1. Termination discipline (graph obligations): lifting each image's
 //     CFG from EVERY slot boundary — the arbitrary entry points the
@@ -44,11 +44,14 @@ import (
 //     protocol moves when the certificate supplies them.
 //
 //  4. Ranking (product): over the product of the canonical domains,
-//     the extracted relation must keep the declared legal set closed
-//     and strictly decrease the declared variant on every step out of
-//     an illegal state, with no illegal deadlock. The longest illegal
-//     path is then finite and computed exactly by DP — a
-//     machine-checked steps-to-legal bound for the shipped images.
+//     the extracted relation must keep the declared legal set closed,
+//     leave no illegal state deadlocked, and have no illegal cycle.
+//     One model.System.Heights walk of the relation decides the last
+//     and ranks every state by its exact steps-to-legal height; the
+//     largest height is the longest illegal path — a machine-checked
+//     steps-to-legal bound for the shipped images. On a finite,
+//     deadlock-free graph heights exist iff some strictly decreasing
+//     ranking does, so no declared ranking function is needed.
 //
 // The reported bound adds N grace steps to the ranked bound: an
 // arbitrary mid-image entry can execute at most one stray pass per
@@ -80,7 +83,9 @@ type RingNode struct {
 	DataLo, DataHi uint32
 }
 
-// RingCert is a convergence certificate for a ring of node images.
+// RingCert is a convergence certificate for a ring of node images: the
+// ring's layout and the declared protocol it must implement. The
+// ranking is not declared; the checker computes it from the bytes.
 type RingCert struct {
 	// Name labels the certificate and its findings.
 	Name string
@@ -97,11 +102,9 @@ type RingCert struct {
 	// Moves, when non-nil, is the declared protocol move of node i on a
 	// canonical triple; the extracted moves must match exactly.
 	Moves func(node int, self, left, right uint16) (write bool, value uint16)
-	// Legal is the declared legal set over canonical configurations.
-	Legal func(x []uint16) bool
-	// Variant is the declared ranking function (0 on legal states);
+	// Legal is the declared legal set over canonical configurations;
 	// nil selects Mode "local" (obligations only, no product).
-	Variant func(x []uint16) int
+	Legal func(x []uint16) bool
 }
 
 // DefaultMaxStates caps the product enumeration; larger spaces fall
@@ -257,7 +260,7 @@ func CheckRingCert(c RingCert) CertResult {
 		}
 		states *= len(d)
 	}
-	if c.Variant == nil || c.Legal == nil || states > DefaultMaxStates {
+	if c.Legal == nil || states > DefaultMaxStates {
 		return res // Mode "local": obligations proved, no product bound
 	}
 	res.Mode = "ranking"
@@ -701,7 +704,6 @@ func rankProduct(c *RingCert, moves []moveTable, res *CertResult, report func(st
 			pos[i] = q % len(d)
 			q /= len(d)
 		}
-		out = out[:0]
 		for i := range c.Nodes {
 			n, t := &c.Nodes[i], &moves[i]
 			self, l, r := pos[n.Slot], 0, 0
@@ -723,20 +725,19 @@ func rankProduct(c *RingCert, moves []moveTable, res *CertResult, report func(st
 	y := make([]uint16, c.N)
 	var scratch []int
 
-	// The declared legal set and variant, evaluated once per state.
+	// The declared legal set, evaluated once per state.
 	legal := make([]bool, total)
-	variant := make([]int, total)
 	for id := range total {
 		decode(id, x)
 		legal[id] = c.Legal(x)
-		variant[id] = c.Variant(x)
 	}
 
-	// Pass 1: closure, strict variant decrease, illegal deadlock.
+	// Closure and illegal deadlock. Heights would rank a deadlocked
+	// illegal state 1, so it is ruled out here first.
 	violations := 0
 	const maxViolations = 8 // enough to debug, bounded output
 	for id := 0; id < total && violations < maxViolations; id++ {
-		scratch = succs(id, scratch)
+		scratch = succs(id, scratch[:0])
 		if legal[id] {
 			for _, sid := range scratch {
 				if !legal[sid] {
@@ -752,90 +753,33 @@ func rankProduct(c *RingCert, moves []moveTable, res *CertResult, report func(st
 			decode(id, x)
 			report(c.Name, "cert-ranking", -1, "illegal state %v is deadlocked (no privileged node)", x)
 			violations++
-			continue
-		}
-		vx := variant[id]
-		for _, sid := range scratch {
-			if vy := variant[sid]; vy >= vx {
-				decode(id, x)
-				decode(sid, y)
-				report(c.Name, "cert-ranking", -1, "variant does not decrease: %v (rank %d) steps to %v (rank %d)", x, vx, y, vy)
-				violations++
-			}
 		}
 	}
 	if violations > 0 {
 		return
 	}
 
-	// Pass 2: exact longest illegal path by DP. The variant check just
-	// proved the illegal subgraph acyclic, so the memoized DFS
-	// terminates; the cycle guard below is belt and braces against a
-	// Variant that lied.
-	const (
-		dUnknown = -1
-		dOnStack = -2
-	)
-	d := make([]int, total)
-	for i := range d {
-		d[i] = dUnknown
+	// The exact longest illegal path: the heights of the extracted
+	// relation, which exist iff its illegal part is acyclic.
+	ids := make([]int, total)
+	for id := range ids {
+		ids[id] = id
 	}
-	var stack []int
-	visit := func(root int) bool {
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			if d[id] >= 0 {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if legal[id] {
-				d[id] = 0
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if d[id] == dUnknown {
-				d[id] = dOnStack
-				pushed := false
-				scratch = succs(id, scratch)
-				for _, sid := range scratch {
-					if d[sid] == dOnStack {
-						decode(id, x)
-						report(c.Name, "cert-ranking", -1, "illegal cycle through state %v", x)
-						return false
-					}
-					if d[sid] == dUnknown {
-						stack = append(stack, sid)
-						pushed = true
-					}
-				}
-				if pushed {
-					continue
-				}
-			} else {
-				// Back on top: the successors pushed above have resolved.
-				scratch = succs(id, scratch)
-			}
-			// All successors resolved.
-			worst := 0
-			for _, sid := range scratch {
-				if d[sid] > worst {
-					worst = d[sid]
-				}
-			}
-			d[id] = 1 + worst
-			stack = stack[:len(stack)-1]
-		}
-		return true
+	sys := model.System[int]{
+		States: ids,
+		Index:  func(id int) int { return id },
+		Next:   succs,
+		Legal:  func(id int) bool { return legal[id] },
+	}
+	heights, witness, ok := sys.Heights()
+	if !ok {
+		decode(witness, x)
+		report(c.Name, "cert-ranking", -1, "illegal cycle through state %v", x)
+		return
 	}
 	rank := 0
-	for id := 0; id < total; id++ {
-		if d[id] == dUnknown && !visit(id) {
-			return
-		}
-		if d[id] > rank {
-			rank = d[id]
-		}
+	for _, h := range heights {
+		rank = max(rank, h)
 	}
 	res.RankBound = rank
 	res.Bound = rank + c.N

@@ -68,10 +68,10 @@ func TestCertDeterministic(t *testing.T) {
 		}
 	}
 	broken := certByName(t, "mbox-dijkstra3-n4")
-	broken.Cert.Variant = func(x []uint16) int { return int(x[0]) }
+	broken.Cert.Legal = func(x []uint16) bool { return x[0] == 0 }
 	a, b := imglint.CheckRingCert(broken.Cert), imglint.CheckRingCert(broken.Cert)
 	if len(a.Findings) == 0 || !reflect.DeepEqual(a, b) {
-		t.Errorf("broken variant: result not deterministic or proved: %+v vs %+v", a, b)
+		t.Errorf("broken legal set: result not deterministic or proved: %+v vs %+v", a, b)
 	}
 }
 
@@ -163,29 +163,58 @@ func TestCertWrongMovesFails(t *testing.T) {
 	wantFindings(t, r, want)
 }
 
-// TestCertBrokenVariantFails: a variant that never strictly decreases
-// (constant zero) must fail the ranking pass on any system with
-// illegal states.
-func TestCertBrokenVariantFails(t *testing.T) {
-	spec := certByName(t, "mbox-dijkstra3-n4")
-	spec.Cert.Variant = func(x []uint16) int { return 0 }
+// TestCertLegalSetNotClosed: a legal set of one configuration is not
+// closed under the extracted relation — its privileged node steps out
+// of it — and the product pass reports the step instead of ranking.
+func TestCertLegalSetNotClosed(t *testing.T) {
+	spec := certByName(t, "mbox-dijkstra3")
+	spec.Cert.Legal = func(x []uint16) bool { return reflect.DeepEqual(x, []uint16{0, 1, 0}) }
 	r := imglint.CheckRingCert(spec.Cert)
-	if r.Proved() {
-		t.Fatal("constant variant still proves on a system with illegal states")
+	wantFindings(t, r, []imglint.Finding{{Image: "mbox-dijkstra3", Check: "cert-closure", Offset: -1,
+		Msg: "legal state [0 1 0] steps to illegal [2 1 0]"}})
+	if r.Mode != "ranking" || r.Bound != -1 {
+		t.Errorf("mode %q bound %d, want ranking and -1", r.Mode, r.Bound)
 	}
-	// The first illegal states in enumeration order, until the ranking
-	// pass stops at eight violations.
-	var want []imglint.Finding
-	for _, step := range [][2]string{
-		{"[0 1 0 0]", "[2 1 0 0]"}, {"[0 1 0 0]", "[0 1 1 0]"}, {"[0 1 0 0]", "[0 1 0 1]"},
-		{"[2 1 0 0]", "[2 2 0 0]"}, {"[2 1 0 0]", "[2 1 1 0]"},
-		{"[0 2 0 0]", "[0 0 0 0]"}, {"[0 2 0 0]", "[0 2 0 1]"},
-		{"[1 2 0 0]", "[0 2 0 0]"}, {"[1 2 0 0]", "[1 0 0 0]"},
-	} {
-		want = append(want, imglint.Finding{Image: "mbox-dijkstra3-n4", Check: "cert-ranking", Offset: -1,
-			Msg: fmt.Sprintf("variant does not decrease: %s (rank 0) steps to %s (rank 0)", step[0], step[1])})
+}
+
+// TestCertIllegalDeadlock: a node whose iteration is a bare `jmp 0`
+// never writes its slot, so its one illegal configuration has no
+// successor. Heights would rank that state 1; the product pass reports
+// it as a deadlock instead.
+func TestCertIllegalDeadlock(t *testing.T) {
+	code := isa.Inst{Op: isa.OpJmp, Imm: 0}.Encode(nil)
+	cert := imglint.RingCert{
+		Name:    "deadlock",
+		N:       1,
+		Slots:   []uint32{0xA000},
+		Domains: [][]uint16{{0, 1}},
+		Nodes: []imglint.RingNode{{
+			Image: imglint.Image{Name: "jmp0", Bytes: code, Seg: 0x1000, CodeEnd: len(code)},
+			Left:  -1, Right: -1, DataLo: 0x60000, DataHi: 0x60010,
+		}},
+		Legal: func(x []uint16) bool { return x[0] == 0 },
 	}
-	wantFindings(t, r, want)
+	r := imglint.CheckRingCert(cert)
+	wantFindings(t, r, []imglint.Finding{{Image: "deadlock", Check: "cert-ranking", Offset: -1,
+		Msg: "illegal state [1] is deadlocked (no privileged node)"}})
+	if r.Mode != "ranking" || r.Bound != -1 {
+		t.Errorf("mode %q bound %d, want ranking and -1", r.Mode, r.Bound)
+	}
+}
+
+// TestCertIllegalCycle: under a legal set that admits nothing, the
+// extracted relation — deadlock-free, as every ring protocol is — runs
+// forever among illegal states. The heights walk finds no finite
+// height and the cycle is reported at its witness.
+func TestCertIllegalCycle(t *testing.T) {
+	spec := certByName(t, "mbox-dijkstra3")
+	spec.Cert.Legal = func(x []uint16) bool { return false }
+	r := imglint.CheckRingCert(spec.Cert)
+	wantFindings(t, r, []imglint.Finding{{Image: "mbox-dijkstra3", Check: "cert-ranking", Offset: -1,
+		Msg: "illegal cycle through state [0 0 0]"}})
+	if r.Mode != "ranking" || r.Bound != -1 {
+		t.Errorf("mode %q bound %d, want ranking and -1", r.Mode, r.Bound)
+	}
 }
 
 // TestCertConfinementCatchesForeignStore: shrinking a node's declared
@@ -244,8 +273,7 @@ func TestCertWalkBudgetOnNopRun(t *testing.T) {
 			Image: imglint.Image{Name: img, Bytes: code, Seg: 0x1000, CodeEnd: len(code)},
 			Left:  -1, Right: -1, DataLo: 0x60000, DataHi: 0x60010,
 		}},
-		Legal:   func(x []uint16) bool { return x[0] == 0 },
-		Variant: func(x []uint16) int { return int(x[0]) },
+		Legal: func(x []uint16) bool { return x[0] == 0 },
 	}
 	r := imglint.CheckRingCert(cert)
 	budget := imglint.Finding{Image: img, Check: "cert-termination", Offset: 0x2000,

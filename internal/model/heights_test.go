@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"ssos/internal/imglint"
 )
 
 // referenceHeights is the round-based, map-keyed fixpoint Heights
@@ -85,15 +83,21 @@ func checkHeights[S comparable](t *testing.T, name string, sys *System[S]) (ok b
 	return true
 }
 
+// ProverMaxStates is imglint.DefaultMaxStates, the prover's product
+// cap, restated: imglint imports this package, so the package's own
+// tests cannot import it back. TestProverMaxStates, in the external
+// test package, holds the two equal.
+const ProverMaxStates = 200_000
+
 // fitsProver reports whether the n-node product of p is within the
-// prover's enumeration cap — the systems the certificates' variants
-// come from.
+// prover's enumeration cap — the ring sizes whose product the prover
+// ranks by Heights.
 func fitsProver(p Protocol, n int) bool {
 	states := 1
 	for i := 0; i < n; i++ {
 		states *= len(p.Domain(i, n))
 	}
-	return states <= imglint.DefaultMaxStates
+	return states <= ProverMaxStates
 }
 
 // TestHeightsMatchesReferenceOnShippedSystems runs both on every

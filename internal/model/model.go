@@ -67,8 +67,8 @@ func (sys *System[S]) CheckClosure() (from, to S, violated bool) {
 // the first state, in States order, whose height never resolves (it
 // can reach an illegal cycle, or a successor outside the enumerated
 // space). The heights are the canonical ranking function of the
-// system — the static convergence certificates (imglint.RingCert) use
-// them as their declared variant.
+// system — the ring prover (imglint.CheckRingCert) ranks the relation
+// it extracts from the ROM bytes by them, and the largest is its bound.
 //
 // One memoized post-order walk computes it: Next runs once per illegal
 // state, and a state resolves once every successor has resolved. The

@@ -267,13 +267,6 @@ func (t *EpisodeTracker) Episodes() []Episode {
 	return out
 }
 
-// InFlight returns the number of episodes still awaiting resolution.
-func (t *EpisodeTracker) InFlight() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.open)
-}
-
 // FoldEpisodes reconstructs the recovery episodes of a recorded event
 // stream. Two folds of the same stream return identical slices.
 func FoldEpisodes(events []Event) []Episode {

@@ -3,7 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Metrics is a registry of named counters, gauges and step-valued
@@ -106,6 +108,17 @@ func Quantile(sorted []uint64, pct int) uint64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
+}
+
+// HistogramNames returns the names of the histograms under prefix, in
+// ascending order.
+func (m *Metrics) HistogramNames(prefix string) []string {
+	var names []string
+	for k := range m.hists {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return slices.DeleteFunc(names, func(k string) bool { return !strings.HasPrefix(k, prefix) })
 }
 
 // SortedSamples returns the named histogram's samples in ascending

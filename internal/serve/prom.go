@@ -2,8 +2,8 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
+	"strings"
 
 	"ssos/internal/obs"
 )
@@ -20,11 +20,11 @@ import (
 // and scraping cannot perturb the determinism bridge: it neither ticks
 // the registry's logical clock nor touches a simulation.
 //
-// Quantiles are computed with obs.Quantile over the same per-episode
-// latencies obs.RecordEpisodes feeds the batch registries, so a scraped
-// quantile equals the corresponding histogram summary in the session's
-// /metrics JSON (and in the batch CLIs' -metrics-out) at the same point
-// of the run.
+// Each session's episodes are folded by obs.RecordEpisodes, the fold
+// that feeds the batch registries, and its quantiles computed with
+// obs.Quantile, so a scraped quantile equals the corresponding
+// histogram summary in the session's /metrics JSON (and in the batch
+// CLIs' -metrics-out) at the same point of the run.
 
 // promQuantiles are the exported summary quantiles, as (label, pct)
 // pairs for obs.Quantile.
@@ -37,17 +37,13 @@ var promQuantiles = []struct {
 	{"0.99", 99},
 }
 
-// sessionEpStats is the scrape-time digest of one session's episodes
-// and engine telemetry.
+// sessionEpStats is the scrape-time digest of one session: its episode
+// snapshot folded by obs.RecordEpisodes into a registry of its own, and
+// its engine telemetry.
 type sessionEpStats struct {
-	id                                   string
-	events                               int
-	total, resolved, preempted, inFlight int
-	overall                              []uint64
-	faultKeys                            []string
-	fault                                map[string][]uint64
-	actionKeys                           []string
-	action                               map[string][]uint64
+	id     string
+	events int
+	eps    *obs.Metrics
 
 	// Superblock-engine mirrors (machine sessions only).
 	machine                         bool
@@ -55,39 +51,10 @@ type sessionEpStats struct {
 }
 
 // digestSession folds a session's episode snapshot for the scrape.
-// Split keys are recorded in first-seen order and sorted afterwards, so
-// output order never depends on map iteration.
 func digestSession(sess *Session) *sessionEpStats {
-	st := &sessionEpStats{
-		id:     sess.ID,
-		events: sess.EventCount(),
-		fault:  make(map[string][]uint64),
-		action: make(map[string][]uint64),
-	}
+	st := &sessionEpStats{id: sess.ID, events: sess.EventCount(), eps: obs.NewMetrics()}
 	st.blocks, st.blockInstrs, st.blockBails, st.machine = sess.BlockTelemetry()
-	for _, ep := range sess.Episodes() {
-		st.total++
-		switch {
-		case ep.Preempted:
-			st.preempted++
-		case !ep.Resolved:
-			st.inFlight++
-		default:
-			st.resolved++
-			lat := ep.Latency()
-			st.overall = append(st.overall, lat)
-			if _, ok := st.fault[ep.FaultClass]; !ok {
-				st.faultKeys = append(st.faultKeys, ep.FaultClass)
-			}
-			st.fault[ep.FaultClass] = append(st.fault[ep.FaultClass], lat)
-			if _, ok := st.action[ep.Resolution]; !ok {
-				st.actionKeys = append(st.actionKeys, ep.Resolution)
-			}
-			st.action[ep.Resolution] = append(st.action[ep.Resolution], lat)
-		}
-	}
-	sort.Strings(st.faultKeys)
-	sort.Strings(st.actionKeys)
+	obs.RecordEpisodes(st.eps, sess.Episodes())
 	return st
 }
 
@@ -184,57 +151,41 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 			p.sample("ssos_session_block_bails_total", promLabel("session", d.id), float64(d.blockBails))
 		}
 	}
-	p.family("ssos_episodes_total", "Recovery episodes opened (one per injected-fault burst).", "counter")
-	for _, d := range digests {
-		p.sample("ssos_episodes_total", promLabel("session", d.id), float64(d.total))
-	}
-	p.family("ssos_episodes_resolved_total", "Episodes that confirmed recovery (legality or rejoin).", "counter")
-	for _, d := range digests {
-		p.sample("ssos_episodes_resolved_total", promLabel("session", d.id), float64(d.resolved))
-	}
-	p.family("ssos_episodes_preempted_total", "Episodes cut short by a newer fault on the same scope.", "counter")
-	for _, d := range digests {
-		p.sample("ssos_episodes_preempted_total", promLabel("session", d.id), float64(d.preempted))
-	}
-	p.family("ssos_episodes_in_flight", "Episodes still awaiting resolution.", "gauge")
-	for _, d := range digests {
-		p.sample("ssos_episodes_in_flight", promLabel("session", d.id), float64(d.inFlight))
+	for _, c := range []struct{ family, help, typ, counter string }{
+		{"ssos_episodes_total", "Recovery episodes opened (one per injected-fault burst).", "counter", "episodes.total"},
+		{"ssos_episodes_resolved_total", "Episodes that confirmed recovery (legality or rejoin).", "counter", "episodes.resolved"},
+		{"ssos_episodes_preempted_total", "Episodes cut short by a newer fault on the same scope.", "counter", "episodes.preempted"},
+		{"ssos_episodes_in_flight", "Episodes still awaiting resolution.", "gauge", "episodes.in_flight"},
+	} {
+		p.family(c.family, c.help, c.typ)
+		for _, d := range digests {
+			p.sample(c.family, promLabel("session", d.id), float64(d.eps.Counter(c.counter)))
+		}
 	}
 
 	p.family("ssos_episode_latency_steps", "Resolved-episode latency in machine steps.", "summary")
 	for _, d := range digests {
-		if len(d.overall) == 0 {
-			continue
-		}
-		sortSamples(d.overall)
-		p.summary("ssos_episode_latency_steps", promLabel("session", d.id), d.overall)
-	}
-	p.family("ssos_episode_fault_latency_steps", "Resolved-episode latency by fault class.", "summary")
-	for _, d := range digests {
-		for _, k := range d.faultKeys {
-			xs := d.fault[k]
-			sortSamples(xs)
-			p.summary("ssos_episode_fault_latency_steps",
-				promLabel("session", d.id)+","+promLabel("fault", k), xs)
+		if xs := d.eps.SortedSamples("episode.latency"); len(xs) > 0 {
+			p.summary("ssos_episode_latency_steps", promLabel("session", d.id), xs)
 		}
 	}
-	p.family("ssos_episode_action_latency_steps", "Resolved-episode latency by recovery action.", "summary")
-	for _, d := range digests {
-		for _, k := range d.actionKeys {
-			xs := d.action[k]
-			sortSamples(xs)
-			p.summary("ssos_episode_action_latency_steps",
-				promLabel("session", d.id)+","+promLabel("action", k), xs)
+	for _, split := range []struct{ family, help, label string }{
+		{"ssos_episode_fault_latency_steps", "Resolved-episode latency by fault class.", "fault"},
+		{"ssos_episode_action_latency_steps", "Resolved-episode latency by recovery action.", "action"},
+	} {
+		p.family(split.family, split.help, "summary")
+		prefix := "episode.latency." + split.label + "."
+		for _, d := range digests {
+			for _, name := range d.eps.HistogramNames(prefix) {
+				p.summary(split.family,
+					promLabel("session", d.id)+","+promLabel(split.label, strings.TrimPrefix(name, prefix)),
+					d.eps.SortedSamples(name))
+			}
 		}
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(p.b) //nolint:errcheck // client gone mid-write
-}
-
-// sortSamples orders latencies ascending for obs.Quantile.
-func sortSamples(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // handleEpisodes serves the session's reconstructed recovery episodes

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -162,6 +165,71 @@ func TestPromBlockTelemetry(t *testing.T) {
 		got := promValue(t, doc, c.family+`{session="`+id+`"}`)
 		if got != float64(c.want) {
 			t.Errorf("%s: scraped %v, status %d", c.family, got, c.want)
+		}
+	}
+}
+
+var updateProm = flag.Bool("update", false, "rewrite testdata/metrics.golden from the current scrape")
+
+// promGolden is the checked-in exposition of promScenario's registry.
+const promGolden = "testdata/metrics.golden"
+
+// promScenario drives a machine session whose episodes cover every
+// fold outcome — resolved under two fault classes, preempted and in
+// flight — and a cluster session resolving strikes on several
+// replicas, and returns the /metrics document.
+func promScenario(t *testing.T) string {
+	t.Helper()
+	_, ts := newTestServer(t, Options{Workers: 2})
+	m := createSession(t, ts.URL, `{"image":"reinstall","seed":7}`)
+	for _, req := range []struct{ path, body string }{
+		{"run", `{"steps":40000}`},
+		{"fault", `{"kind":"os-blast"}`},
+		{"run", `{"steps":80000}`},
+		{"fault", `{"kind":"pc"}`},
+		{"run", `{"steps":80000}`},
+		{"fault", `{"kind":"os-blast"}`},
+		{"run", `{"steps":100}`},
+		{"fault", `{"kind":"cpu-blast"}`},
+		{"run", `{"steps":100}`},
+	} {
+		apiOK(t, "POST", ts.URL+"/api/sessions/"+m+"/"+req.path, req.body)
+	}
+	c := createSession(t, ts.URL,
+		`{"kind":"cluster","image":"reinstall","seed":5,"replicas":3,"faults":"os-blast","strike_prob":0.6}`)
+	apiOK(t, "POST", ts.URL+"/api/sessions/"+c+"/run", `{"epochs":6}`)
+	return string(apiOK(t, "GET", ts.URL+"/metrics", ""))
+}
+
+// TestPromMetricsGolden pins the scrape byte for byte: every family,
+// sample, label and ordering of promScenario's exposition.
+func TestPromMetricsGolden(t *testing.T) {
+	doc := promScenario(t)
+	if *updateProm {
+		if err := os.MkdirAll(filepath.Dir(promGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(promGolden, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(promGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if doc != string(want) {
+		t.Errorf("scrape differs from %s:\ngot:\n%s\nwant:\n%s", promGolden, doc, want)
+	}
+	// The scenario must reach every outcome.
+	for _, sample := range []string{
+		`ssos_episodes_resolved_total{session="s1"}`,
+		`ssos_episodes_preempted_total{session="s1"}`,
+		`ssos_episodes_in_flight{session="s1"}`,
+		`ssos_episodes_resolved_total{session="s2"}`,
+	} {
+		if promValue(t, doc, sample) == 0 {
+			t.Errorf("scenario vacuous: %s is 0", sample)
 		}
 	}
 }
