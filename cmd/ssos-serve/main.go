@@ -52,8 +52,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = off); keep it loopback-only")
 	maxSessions := flag.Int("max-sessions", serve.DefaultMaxSessions, "concurrent session cap")
 	idleOps := flag.Int("idle-ops", serve.DefaultIdleOps, "evict sessions untouched for this many mutating operations (negative disables)")
-	ringSize := flag.Int("ring", serve.DefaultRingSize, "per-subscriber SSE ring capacity (frames)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS); per-session results are identical for any setting")
+	workers := flag.Int("workers", 0, "session commands that run at once, and cluster fan-out goroutines (0 = GOMAXPROCS); per-session results are identical for any setting")
 	flag.Parse()
 	pool.Workers = *workers
 
@@ -61,7 +60,6 @@ func main() {
 		MaxSessions: *maxSessions,
 		IdleOps:     *idleOps,
 		Workers:     *workers,
-		RingSize:    *ringSize,
 	})
 	srv := &http.Server{
 		Handler:           serve.NewServer(reg),

@@ -28,7 +28,7 @@ import (
 // locks held on every path (set intersection). One exemption keeps
 // the rule practical: accesses through a local variable freshly
 // initialized from a composite literal (the object is not yet shared,
-// e.g. `s := &Subscriber{...}` during construction). Goroutine and
+// e.g. `s := &Session{...}` during construction). Goroutine and
 // closure bodies are skipped — a closure touching guarded state must
 // be refactored into a named method to be checked (documented in
 // DESIGN.md).

@@ -774,7 +774,7 @@ func rankProduct(c *RingCert, moves []moveTable, res *CertResult, report func(st
 	heights, witness, ok := sys.Heights()
 	if !ok {
 		decode(witness, x)
-		report(c.Name, "cert-ranking", -1, "illegal cycle through state %v", x)
+		report(c.Name, "cert-ranking", -1, "illegal cycle reachable from state %v", x)
 		return
 	}
 	rank := 0

@@ -205,13 +205,13 @@ func TestCertIllegalDeadlock(t *testing.T) {
 // TestCertIllegalCycle: under a legal set that admits nothing, the
 // extracted relation — deadlock-free, as every ring protocol is — runs
 // forever among illegal states. The heights walk finds no finite
-// height and the cycle is reported at its witness.
+// height and reports a state from which the cycle is reachable.
 func TestCertIllegalCycle(t *testing.T) {
 	spec := certByName(t, "mbox-dijkstra3")
 	spec.Cert.Legal = func(x []uint16) bool { return false }
 	r := imglint.CheckRingCert(spec.Cert)
 	wantFindings(t, r, []imglint.Finding{{Image: "mbox-dijkstra3", Check: "cert-ranking", Offset: -1,
-		Msg: "illegal cycle through state [0 0 0]"}})
+		Msg: "illegal cycle reachable from state [0 0 0]"}})
 	if r.Mode != "ranking" || r.Bound != -1 {
 		t.Errorf("mode %q bound %d, want ranking and -1", r.Mode, r.Bound)
 	}

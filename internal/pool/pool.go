@@ -12,7 +12,6 @@
 package pool
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,46 +27,20 @@ var Workers int
 // calls collect once per job, in index order, on the caller's
 // goroutine. run must be safe to call concurrently for distinct
 // indices; collect (which may be nil) is never called concurrently.
+//
+// The caller runs jobs itself beside workers−1 helper goroutines, and
+// every runner claims the next index from one counter until the
+// indices run out, so no job waits to be handed over and a fan-out of
+// jobs shorter than a goroutine's start costs little more than running
+// them in a loop.
 func ForEach(n int, run func(i int) interface{}, collect func(i int, result interface{})) {
-	forEach(context.Background(), n, run, collect) //nolint:errcheck // Background never ends
-}
-
-// Run is ForEach for jobs without results: it executes fn for every
-// index in [0, n) across the worker pool and returns when all are done.
-func Run(n int, fn func(i int)) {
-	ForEach(n, func(i int) interface{} {
-		fn(i)
-		return nil
-	}, nil)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// done, no further jobs are started (jobs already started run to
-// completion — the pool never interrupts a job midway). collect is
-// still called on the caller's goroutine in index order, but only for
-// jobs that actually ran, which are always a prefix of the indices, so
-// a cancelled fan-out yields clean partial results. Returns ctx.Err()
-// when cancellation cut the fan-out short, nil when every job ran. A
-// ctx that is already done starts nothing.
-func ForEachCtx(ctx context.Context, n int, run func(i int) interface{}, collect func(i int, result interface{})) error {
-	return forEach(ctx, n, run, collect)
-}
-
-// forEach is ForEachCtx. The caller runs jobs itself beside workers−1
-// helper goroutines, and every runner claims the next index from one
-// counter until the indices run out or ctx ends, so no job waits to be
-// handed over and a fan-out of jobs shorter than a goroutine's start
-// costs little more than running them in a loop. Indices are claimed
-// in order and a claimed job always runs, so the jobs that ran are the
-// claimed prefix.
-func forEach(ctx context.Context, n int, run func(i int) interface{}, collect func(i int, result interface{})) error {
 	var results []interface{}
 	if collect != nil {
 		results = make([]interface{}, n)
 	}
 	var next atomic.Int64
 	runner := func() {
-		for ctx.Err() == nil {
+		for {
 			i := int(next.Add(1) - 1)
 			if i >= n {
 				return
@@ -92,21 +65,17 @@ func forEach(ctx context.Context, n int, run func(i int) interface{}, collect fu
 	}
 	runner()
 	wg.Wait()
-	ran := min(int(next.Load()), n)
 	if collect != nil {
-		for i := range ran {
-			collect(i, results[i])
+		for i, r := range results {
+			collect(i, r)
 		}
 	}
-	if ran < n {
-		return ctx.Err()
-	}
-	return nil
 }
 
-// RunCtx is ForEachCtx for jobs without results.
-func RunCtx(ctx context.Context, n int, fn func(i int)) error {
-	return ForEachCtx(ctx, n, func(i int) interface{} {
+// Run is ForEach for jobs without results: it executes fn for every
+// index in [0, n) across the worker pool and returns when all are done.
+func Run(n int, fn func(i int)) {
+	ForEach(n, func(i int) interface{} {
 		fn(i)
 		return nil
 	}, nil)

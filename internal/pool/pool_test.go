@@ -1,9 +1,7 @@
 package pool
 
 import (
-	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -74,121 +72,4 @@ func TestForEachZeroJobs(t *testing.T) {
 		t.Fatal("run called for n=0")
 		return nil
 	}, nil)
-}
-
-func TestForEachCtxRunsAllWithoutCancel(t *testing.T) {
-	const n = 80
-	var ran [n]int32
-	var collected []int
-	err := ForEachCtx(context.Background(), n, func(i int) interface{} {
-		atomic.AddInt32(&ran[i], 1)
-		return i
-	}, func(i int, r interface{}) {
-		if r.(int) != i {
-			t.Errorf("job %d: result %v", i, r)
-		}
-		collected = append(collected, i)
-	})
-	if err != nil {
-		t.Fatalf("uncancelled ForEachCtx: %v", err)
-	}
-	for i, c := range ran {
-		if c != 1 {
-			t.Errorf("job %d ran %d times", i, c)
-		}
-	}
-	for i, got := range collected {
-		if got != i {
-			t.Fatalf("collect order[%d] = %d", i, got)
-		}
-	}
-}
-
-func TestForEachCtxPreCancelledDispatchesNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran int32
-	err := ForEachCtx(ctx, 50, func(i int) interface{} {
-		atomic.AddInt32(&ran, 1)
-		return nil
-	}, nil)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Fatalf("pre-cancelled ctx ran %d jobs", ran)
-	}
-}
-
-func TestForEachCtxStopsDispatchingOnCancel(t *testing.T) {
-	const n = 1000
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int32
-	gate := make(chan struct{})
-	var once sync.Once
-	err := ForEachCtx(ctx, n, func(i int) interface{} {
-		atomic.AddInt32(&ran, 1)
-		// The first job to run cancels the context; jobs already
-		// dispatched still finish, but the dispatcher must stop well
-		// short of n.
-		once.Do(func() { cancel(); close(gate) })
-		<-gate
-		return nil
-	}, nil)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := atomic.LoadInt32(&ran); got == 0 || got >= n {
-		t.Fatalf("ran %d jobs, want a small in-flight set (0 < ran < %d)", got, n)
-	}
-}
-
-func TestForEachCtxCollectsOnlyCompletedInOrder(t *testing.T) {
-	const n = 400
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	var collected []int
-	err := ForEachCtx(ctx, n, func(i int) interface{} {
-		if i >= 10 {
-			once.Do(cancel)
-		}
-		return i * 2
-	}, func(i int, r interface{}) {
-		if r.(int) != i*2 {
-			t.Errorf("job %d result %v", i, r)
-		}
-		collected = append(collected, i)
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(collected) == 0 || len(collected) >= n {
-		t.Fatalf("collected %d results, want partial set", len(collected))
-	}
-	for k := 1; k < len(collected); k++ {
-		if collected[k] <= collected[k-1] {
-			t.Fatalf("collect order not ascending: %v", collected)
-		}
-	}
-}
-
-func TestRunCtxSequentialPathHonorsCancel(t *testing.T) {
-	old := Workers
-	Workers = 1
-	defer func() { Workers = old }()
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int
-	err := RunCtx(ctx, 100, func(i int) {
-		ran++
-		if i == 4 {
-			cancel()
-		}
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 5 {
-		t.Fatalf("sequential path ran %d jobs, want 5", ran)
-	}
 }

@@ -218,7 +218,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Reg.Touch(sess)
-	res, err := sess.Inject(req)
+	res, err := sess.Inject(r.Context(), req)
 	if err != nil {
 		fail(w, err)
 		return
@@ -263,13 +263,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// handleStream serves the live SSE feed. It subscribes first, then
-// replays the retained log from ?since=, then switches to live frames,
-// deduplicating the overlap by sequence number — so the client sees
-// every event exactly once even across races with an active run. A
-// slow client gets ssos-drop frames naming exactly how many live
-// frames its ring lost; the dropped events themselves remain
-// refetchable from /events by cursor.
+// handleStream serves the live SSE feed. The reader is a cursor into
+// the session's event log: it subscribes first, then on every wake
+// writes everything the log holds past its cursor, starting from
+// ?since=. So the client sees every event exactly once and in order,
+// however slowly it reads, and the stream ends, with the log written
+// out, when the session is deleted or evicted.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(w, r)
 	if !ok {
@@ -285,54 +284,31 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, apiError{Error: "streaming unsupported"})
 		return
 	}
-	sub := sess.Subscribe()
-	defer sess.Unsubscribe(sub)
+	wake := sess.Subscribe()
+	defer sess.Unsubscribe(wake)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
 	var buf []byte
-	next := uint64(since)
-	for _, e := range sess.EventsSince(since) {
-		buf = AppendSSE(buf[:0], Frame{Seq: next, Ev: e})
-		if _, err := w.Write(buf); err != nil {
-			return
+	next := since
+	for open := true; ; {
+		for _, e := range sess.EventsSince(next) {
+			buf = AppendSSE(buf[:0], Frame{Seq: uint64(next), Ev: e})
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
+			next++
 		}
-		next++
-	}
-	flusher.Flush()
-
-	var frames []Frame
-	cancel := r.Context().Done()
-	for {
-		if !sub.Wait(cancel) {
+		flusher.Flush()
+		if !open {
+			return // session deleted/evicted and its log written out
+		}
+		select {
+		case _, open = <-wake:
+		case <-r.Context().Done():
 			return // client went away
-		}
-		var dropped uint64
-		var closed bool
-		frames, dropped, closed = sub.Take(frames)
-		if dropped > 0 {
-			buf = AppendSSEDrop(buf[:0], dropped)
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-		}
-		for _, f := range frames {
-			if f.Seq < next {
-				continue // already replayed from the retained log
-			}
-			buf = AppendSSE(buf[:0], f)
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			next = f.Seq + 1
-		}
-		if len(frames) > 0 || dropped > 0 {
-			flusher.Flush()
-		}
-		if closed && len(frames) == 0 {
-			return // session deleted/evicted and ring fully drained
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // split by fault class and recovery action).
 //
 // The handler reads only the concurrent-safe side of each session (the
-// collector length and the episode tracker) — never the command queue —
+// collector length and the episode tracker) — never a session's turn —
 // so a scrape returns immediately even while every session is mid-run,
 // and scraping cannot perturb the determinism bridge: it neither ticks
 // the registry's logical clock nor touches a simulation.

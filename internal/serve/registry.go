@@ -44,13 +44,10 @@ type Options struct {
 	// IdleOps is the idle-eviction horizon in mutating operations
 	// (default DefaultIdleOps; negative disables eviction).
 	IdleOps int
-	// Workers sizes the simulation worker set (default pool.Workers,
-	// falling back to GOMAXPROCS — the same budget contract the batch
-	// CLIs' -workers flag sets).
+	// Workers caps the session commands that run at once (default
+	// pool.Workers, falling back to GOMAXPROCS — the same budget
+	// contract the batch CLIs' -workers flag sets).
 	Workers int
-	// RingSize is the per-subscriber SSE ring capacity (default
-	// DefaultRingSize).
-	RingSize int
 }
 
 // Stats is the registry's own health snapshot.
@@ -63,15 +60,16 @@ type Stats struct {
 }
 
 // Registry owns every hosted session: creation against the cap,
-// lookup, deterministic idle eviction, and the bounded worker set that
-// executes all session commands.
+// lookup, deterministic idle eviction, and the worker budget every
+// session command runs within.
 //
-// Two locks, strictly ordered: mu (session table, logical clock) may
-// be taken alone or before a session's internal lock; the run-queue
-// lock qmu is leaf-only. Workers never take mu.
+// mu (session table, logical clock) may be taken alone or before a
+// session's internal lock, never after it.
 type Registry struct {
-	opts    Options
-	workers int
+	opts Options
+	// slots holds one value per running command; its capacity is the
+	// worker budget.
+	slots chan struct{}
 
 	mu sync.Mutex
 	//ssos:guarded-by mu
@@ -88,26 +86,15 @@ type Registry struct {
 	evicted uint64
 	//ssos:guarded-by mu
 	closed bool
-
-	qmu   sync.Mutex
-	qcond *sync.Cond
-	//ssos:guarded-by qmu
-	runq []*Session
-	//ssos:guarded-by qmu
-	stopping bool
-	wg       sync.WaitGroup
 }
 
-// NewRegistry builds a registry and starts its worker set.
+// NewRegistry builds a registry.
 func NewRegistry(o Options) *Registry {
 	if o.MaxSessions == 0 {
 		o.MaxSessions = DefaultMaxSessions
 	}
 	if o.IdleOps == 0 {
 		o.IdleOps = DefaultIdleOps
-	}
-	if o.RingSize == 0 {
-		o.RingSize = DefaultRingSize
 	}
 	workers := o.Workers
 	if workers <= 0 {
@@ -116,46 +103,11 @@ func NewRegistry(o Options) *Registry {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Registry{
+	return &Registry{
 		opts:     o,
-		workers:  workers,
+		slots:    make(chan struct{}, workers),
 		sessions: make(map[string]*Session),
 	}
-	r.qcond = sync.NewCond(&r.qmu)
-	for w := 0; w < workers; w++ {
-		r.wg.Add(1)
-		go r.worker()
-	}
-	return r
-}
-
-// worker executes session command queues from the run queue until the
-// registry stops. Session drains are serialized per session by the
-// scheduled flag, so two workers never touch one simulation.
-func (r *Registry) worker() {
-	defer r.wg.Done()
-	for {
-		r.qmu.Lock()
-		for len(r.runq) == 0 && !r.stopping {
-			r.qcond.Wait()
-		}
-		if len(r.runq) == 0 {
-			r.qmu.Unlock()
-			return
-		}
-		s := r.runq[0]
-		r.runq = r.runq[1:]
-		r.qmu.Unlock()
-		s.drain()
-	}
-}
-
-// enqueue schedules a session's command queue for a worker.
-func (r *Registry) enqueue(s *Session) {
-	r.qmu.Lock()
-	r.runq = append(r.runq, s)
-	r.qmu.Unlock()
-	r.qcond.Signal()
 }
 
 // Create builds a session from the spec, registers it and returns it.
@@ -177,7 +129,7 @@ func (r *Registry) Create(sp SessionSpec) (*Session, error) {
 	id := fmt.Sprintf("s%d", r.nextID)
 	r.mu.Unlock()
 
-	s, err := newSession(id, sp, r.opts.RingSize)
+	s, err := newSession(id, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +183,7 @@ func (r *Registry) Stats() Stats {
 		Created:  r.created,
 		Evicted:  r.evicted,
 		Clock:    r.clock,
-		Workers:  r.workers,
+		Workers:  cap(r.slots),
 	}
 }
 
@@ -292,9 +244,9 @@ func (r *Registry) tick() {
 	for _, s := range evict {
 		r.removeLocked(s)
 		r.evicted++
-		// close flushes the session's queued commands and closes its
-		// subscribers; safe under mu (lock order: mu before session
-		// locks, never the reverse).
+		// close fails the session's waiting commands and ends its
+		// streams; safe under mu (lock order: mu before session locks,
+		// never the reverse).
 		s.close(ErrEvicted)
 	}
 }
@@ -319,10 +271,10 @@ func (r *Registry) Evicted() uint64 {
 	return r.evicted
 }
 
-// Shutdown closes every session (tearing the fan-out down on the
-// context-aware pool) and stops the worker set. In-flight commands
-// stop at their next chunk boundary; queued ones fail with ErrShutdown.
-// Idempotent.
+// Shutdown closes every session and then takes every worker slot, so
+// it returns once no command runs. In-flight commands stop at their
+// next chunk boundary; waiting ones fail with ErrShutdown. When ctx
+// ends first it returns ctx's error. Idempotent.
 func (r *Registry) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.closed {
@@ -330,27 +282,20 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	r.closed = true
-	sessions := append([]*Session(nil), r.order...)
+	sessions := r.order
 	r.sessions = make(map[string]*Session)
 	r.order = nil
 	r.mu.Unlock()
 
-	err := pool.RunCtx(ctx, len(sessions), func(i int) {
-		sessions[i].close(ErrShutdown)
-	})
-	if err != nil {
-		// Cancellation cut the parallel teardown short; finish
-		// sequentially — close is cheap and must not be skipped, or
-		// waiting clients would hang.
-		for _, s := range sessions {
-			s.close(ErrShutdown)
+	for _, s := range sessions {
+		s.close(ErrShutdown)
+	}
+	for range cap(r.slots) {
+		select {
+		case r.slots <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
-
-	r.qmu.Lock()
-	r.stopping = true
-	r.qmu.Unlock()
-	r.qcond.Broadcast()
-	r.wg.Wait()
-	return err
+	return nil
 }

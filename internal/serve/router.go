@@ -1,19 +1,14 @@
 package serve
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
 	"ssos/internal/obs"
 )
 
-// DefaultRingSize is the per-subscriber ring capacity when the
-// registry options leave it zero. Big enough that a reader only has to
-// keep up on average; small enough that a stalled reader costs a few
-// KiB, not the session's whole history.
-const DefaultRingSize = 256
-
-// Frame is one routed event: the session-wide sequence number (the
+// Frame is one streamed event: the session-wide sequence number (the
 // event's index in the session collector, so it doubles as the
 // ?since= cursor for refetch/resume) and the event itself.
 type Frame struct {
@@ -21,183 +16,85 @@ type Frame struct {
 	Ev  obs.Event
 }
 
-// Router fans a session's live event feed out to subscribers. Publish
-// never blocks and never allocates per subscriber beyond the fixed
-// ring: a subscriber that reads too slowly loses its oldest buffered
-// frames and is told how many (drop-and-count backpressure). The
-// session collector remains the source of truth — drops only thin the
-// live feed, the full stream stays fetchable by cursor.
+// Router wakes a session's live readers when its event log grows. It
+// holds no events: a reader is a cursor into the session collector and
+// reads everything past it on every wake, so a reader that falls
+// behind catches up from the log and loses nothing. Publish never
+// blocks: each reader has a one-slot wake channel, and a wake that
+// finds the slot full is already pending.
 type Router struct {
-	ringSize int
-
 	mu sync.Mutex
-	// subs is kept as a slice in subscription order, so the fan-out in
-	// Publish (which runs under the collector lock) visits subscribers
+	// wakes is kept as a slice in subscription order, so the fan-out in
+	// Publish (which runs under the collector lock) visits readers
 	// deterministically — and the detmap analyzer, which now covers this
 	// package, has no map iteration to squint at.
 	//ssos:guarded-by mu
-	subs []*Subscriber
+	wakes []chan struct{}
 	//ssos:guarded-by mu
 	closed bool
 }
 
-// NewRouter returns a router with the given per-subscriber ring
-// capacity (0 selects DefaultRingSize).
-func NewRouter(ringSize int) *Router {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	return &Router{ringSize: ringSize}
-}
-
-// Subscribe registers a new subscriber. Subscribing to a closed router
-// yields an already-closed subscriber (reads report closure
-// immediately) rather than an error, so teardown races are benign.
-func (r *Router) Subscribe() *Subscriber {
-	s := &Subscriber{
-		ring:   make([]Frame, r.ringSize),
-		notify: make(chan struct{}, 1),
-	}
+// Subscribe registers a reader and returns its wake channel: it holds
+// a value whenever the log may have grown since the reader last woke,
+// and it is closed when the router closes. Subscribing to a closed
+// router yields an already-closed channel rather than an error, so
+// teardown races are benign.
+func (r *Router) Subscribe() <-chan struct{} {
+	wake := make(chan struct{}, 1)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		s.closed = true
+		close(wake)
 	} else {
-		r.subs = append(r.subs, s)
+		r.wakes = append(r.wakes, wake)
 	}
-	r.mu.Unlock()
-	if s.closed {
-		s.wake()
-	}
-	return s
+	return wake
 }
 
-// Unsubscribe removes the subscriber and marks it closed.
-func (r *Router) Unsubscribe(s *Subscriber) {
+// Unsubscribe forgets a reader: its wake channel gets no further
+// wakes.
+func (r *Router) Unsubscribe(wake <-chan struct{}) {
 	r.mu.Lock()
-	for i, o := range r.subs {
-		if o == s {
-			r.subs = append(r.subs[:i], r.subs[i+1:]...)
+	defer r.mu.Unlock()
+	for i, w := range r.wakes {
+		if w == wake {
+			r.wakes = slices.Delete(r.wakes, i, i+1)
 			break
 		}
 	}
-	r.mu.Unlock()
-	s.close()
 }
 
-// Publish fans one frame out to every subscriber. It is safe to call
-// from the collector hook (under the collector lock): per-subscriber
-// work is a ring write and a non-blocking wake.
-func (r *Router) Publish(seq uint64, e obs.Event) {
+// Publish wakes every reader. It is safe to call from the collector
+// hook (under the collector lock): per-reader work is a non-blocking
+// send.
+func (r *Router) Publish() {
 	r.mu.Lock()
-	for _, s := range r.subs {
-		s.push(Frame{Seq: seq, Ev: e})
+	defer r.mu.Unlock()
+	for _, w := range r.wakes {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
 	}
-	r.mu.Unlock()
 }
 
-// Close closes every subscriber and rejects future ones. A session
-// calls it once on teardown.
+// Close closes every reader's wake channel and rejects future readers.
+// A session calls it once on teardown.
 func (r *Router) Close() {
 	r.mu.Lock()
-	subs := r.subs
-	r.subs = nil
-	r.closed = true
-	r.mu.Unlock()
-	for _, s := range subs {
-		s.close()
+	defer r.mu.Unlock()
+	for _, w := range r.wakes {
+		close(w)
 	}
+	r.wakes = nil
+	r.closed = true
 }
 
-// Subscribers returns the current subscriber count.
+// Subscribers returns the current reader count.
 func (r *Router) Subscribers() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.subs)
-}
-
-// Subscriber is one live event reader: a fixed-capacity ring of frames
-// plus a count of frames dropped since the last Take.
-type Subscriber struct {
-	mu sync.Mutex
-	//ssos:guarded-by mu
-	ring []Frame
-	//ssos:guarded-by mu
-	head, n int
-	//ssos:guarded-by mu
-	dropped uint64
-	//ssos:guarded-by mu
-	closed bool
-	notify chan struct{}
-}
-
-// push appends a frame, overwriting the oldest when full.
-func (s *Subscriber) push(f Frame) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if s.n == len(s.ring) {
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
-		s.dropped++
-	}
-	s.ring[(s.head+s.n)%len(s.ring)] = f
-	s.n++
-	s.mu.Unlock()
-	s.wake()
-}
-
-func (s *Subscriber) wake() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (s *Subscriber) close() {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		s.wake()
-	}
-}
-
-// Wait blocks until frames are available, the subscriber is closed, or
-// cancel fires; it returns false only for cancellation. Spurious wakes
-// are possible (Take may come back empty) — callers loop.
-func (s *Subscriber) Wait(cancel <-chan struct{}) bool {
-	s.mu.Lock()
-	ready := s.n > 0 || s.closed
-	s.mu.Unlock()
-	if ready {
-		return true
-	}
-	select {
-	case <-s.notify:
-		return true
-	case <-cancel:
-		return false
-	}
-}
-
-// Take drains the buffered frames into buf (reused when its capacity
-// allows), returning the frames, the number of frames dropped since
-// the previous Take, and whether the subscriber is closed. After a
-// closed Take returns zero frames, no more will ever arrive.
-func (s *Subscriber) Take(buf []Frame) (frames []Frame, dropped uint64, closed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	frames = buf[:0]
-	for i := 0; i < s.n; i++ {
-		frames = append(frames, s.ring[(s.head+i)%len(s.ring)])
-	}
-	s.head, s.n = 0, 0
-	dropped = s.dropped
-	s.dropped = 0
-	return frames, dropped, s.closed
+	return len(r.wakes)
 }
 
 // AppendSSE renders one frame as a Server-Sent-Events message:
@@ -214,15 +111,4 @@ func AppendSSE(b []byte, f Frame) []byte {
 	b = append(b, "\nevent: ssos\ndata: "...)
 	b = f.Ev.AppendJSON(b)
 	return append(b, "\n\n"...)
-}
-
-// AppendSSEDrop renders the backpressure notice a slow subscriber gets
-// in place of the frames it lost:
-//
-//	event: ssos-drop
-//	data: {"dropped":N}
-func AppendSSEDrop(b []byte, dropped uint64) []byte {
-	b = append(b, "event: ssos-drop\ndata: {\"dropped\":"...)
-	b = strconv.AppendUint(b, dropped, 10)
-	return append(b, "}\n\n"...)
 }

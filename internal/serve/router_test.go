@@ -16,127 +16,89 @@ func TestAppendSSEGolden(t *testing.T) {
 		Step: 31000, Type: obs.TypeVoteTally,
 		Replica: 2, Epoch: 1, Code: 77, Arg: 3, Note: "quorum",
 	}})
-	b = AppendSSEDrop(b, 6)
 
 	want := "id: 0\nevent: ssos\ndata: {\"step\":30000,\"type\":\"nmi\"}\n\n" +
 		"id: 1\nevent: ssos\ndata: {\"step\":31000,\"type\":\"vote-tally\"," +
-		"\"replica\":2,\"epoch\":1,\"code\":77,\"arg\":3,\"note\":\"quorum\"}\n\n" +
-		"event: ssos-drop\ndata: {\"dropped\":6}\n\n"
+		"\"replica\":2,\"epoch\":1,\"code\":77,\"arg\":3,\"note\":\"quorum\"}\n\n"
 	if string(b) != want {
 		t.Errorf("SSE rendering drifted:\ngot:\n%s\nwant:\n%s", b, want)
 	}
 }
 
-// TestSlowSubscriberDropsOldest exercises the backpressure contract: a
-// ring of 4 receiving 10 frames keeps the newest 4 and counts 6 drops.
-func TestSlowSubscriberDropsOldest(t *testing.T) {
-	r := NewRouter(4)
-	sub := r.Subscribe()
-	for i := 0; i < 10; i++ {
-		r.Publish(uint64(i), obs.Ev(uint64(100*i), obs.TypeNMI))
-	}
-	frames, dropped, closed := sub.Take(nil)
-	if closed {
-		t.Fatal("subscriber closed prematurely")
-	}
-	if dropped != 6 {
-		t.Errorf("dropped = %d, want 6", dropped)
-	}
-	if len(frames) != 4 {
-		t.Fatalf("got %d frames, want 4", len(frames))
-	}
-	for i, f := range frames {
-		if want := uint64(6 + i); f.Seq != want {
-			t.Errorf("frame %d: seq = %d, want %d (oldest must fall first)", i, f.Seq, want)
-		}
-	}
-	// The drop counter resets once reported.
-	if _, dropped, _ := sub.Take(frames); dropped != 0 {
-		t.Errorf("second Take reports dropped = %d, want 0", dropped)
-	}
-}
-
-// TestTakeDrainsInOrder checks the ring preserves publish order when
-// nothing is dropped.
-func TestTakeDrainsInOrder(t *testing.T) {
-	r := NewRouter(8)
-	sub := r.Subscribe()
-	for i := 0; i < 5; i++ {
-		r.Publish(uint64(i), obs.Ev(uint64(i), obs.TypeIRQ))
-	}
-	frames, dropped, _ := sub.Take(nil)
-	if dropped != 0 {
-		t.Errorf("dropped = %d, want 0", dropped)
-	}
-	for i, f := range frames {
-		if f.Seq != uint64(i) {
-			t.Errorf("frame %d out of order: seq %d", i, f.Seq)
-		}
-	}
-	if len(frames) != 5 {
-		t.Errorf("got %d frames, want 5", len(frames))
-	}
-}
-
-// TestRouterClose verifies teardown: existing subscribers observe
-// closure, late subscribers are born closed, and publishing to a
-// closed router is a harmless no-op.
+// TestRouterClose verifies teardown: an existing reader's wake channel
+// delivers its pending wake and then reports closure, late readers are
+// born closed, and publishing to a closed router is a harmless no-op.
 func TestRouterClose(t *testing.T) {
-	r := NewRouter(2)
-	sub := r.Subscribe()
-	r.Publish(0, obs.Ev(1, obs.TypeNMI))
+	var r Router
+	wake := r.Subscribe()
+	r.Publish()
 	r.Close()
 
-	if !sub.Wait(nil) {
-		t.Fatal("Wait on a closed subscriber must return true")
+	if _, open := <-wake; !open {
+		t.Error("the wake published before Close was lost")
 	}
-	frames, _, closed := sub.Take(nil)
-	if !closed {
-		t.Error("subscriber not marked closed after router Close")
-	}
-	if len(frames) != 1 {
-		t.Errorf("pre-close frames lost: got %d, want 1", len(frames))
+	if _, open := <-wake; open {
+		t.Error("wake channel not closed after router Close")
 	}
 
 	late := r.Subscribe()
-	if _, _, closed := late.Take(nil); !closed {
-		t.Error("subscriber created after Close must be born closed")
+	if _, open := <-late; open {
+		t.Error("reader subscribed after Close must be born closed")
 	}
-	r.Publish(1, obs.Ev(2, obs.TypeNMI)) // must not panic
+	r.Publish() // must not panic
 	if r.Subscribers() != 0 {
 		t.Errorf("closed router reports %d subscribers", r.Subscribers())
 	}
 }
 
-// TestSubscriberWaitCancel checks Wait honors the caller's cancel
-// channel — the mechanism that detaches an SSE handler when its client
-// disconnects.
+// TestSubscriberWaitCancel checks a reader's wait honors the caller's
+// cancel channel — the mechanism that detaches an SSE handler when its
+// client disconnects — and still sees a wake that is already pending.
 func TestSubscriberWaitCancel(t *testing.T) {
-	r := NewRouter(2)
-	sub := r.Subscribe()
+	var r Router
+	wake := r.Subscribe()
 	cancel := make(chan struct{})
 	close(cancel)
-	if sub.Wait(cancel) {
-		t.Error("Wait with fired cancel and no frames must return false")
+	wait := func() bool {
+		select {
+		case <-wake:
+			return true
+		default:
+		}
+		select {
+		case <-wake:
+			return true
+		case <-cancel:
+			return false
+		}
 	}
-	r.Publish(0, obs.Ev(1, obs.TypeNMI))
-	if !sub.Wait(cancel) {
-		t.Error("Wait must report buffered frames even when cancel has fired")
+	if wait() {
+		t.Error("wait with fired cancel and no wake must return false")
+	}
+	r.Publish()
+	r.Publish() // coalesces with the pending wake; must not block
+	if !wait() {
+		t.Error("wait must report a pending wake even when cancel has fired")
+	}
+	if wait() {
+		t.Error("two publishes before a wait must leave one wake, not two")
 	}
 }
 
-// TestUnsubscribeStopsDelivery checks a detached subscriber receives
-// nothing further and the router forgets it.
+// TestUnsubscribeStopsDelivery checks a detached reader is woken no
+// further and the router forgets it.
 func TestUnsubscribeStopsDelivery(t *testing.T) {
-	r := NewRouter(4)
-	sub := r.Subscribe()
-	r.Unsubscribe(sub)
+	var r Router
+	wake := r.Subscribe()
+	r.Unsubscribe(wake)
 	if r.Subscribers() != 0 {
 		t.Fatalf("router still tracks %d subscribers", r.Subscribers())
 	}
-	r.Publish(0, obs.Ev(1, obs.TypeNMI))
-	frames, _, closed := sub.Take(nil)
-	if len(frames) != 0 || !closed {
-		t.Errorf("after Unsubscribe: frames=%d closed=%v, want 0/true", len(frames), closed)
+	r.Publish()
+	r.Close()
+	select {
+	case <-wake:
+		t.Error("an unsubscribed reader was woken")
+	default:
 	}
 }

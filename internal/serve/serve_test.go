@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"ssos/internal/cluster"
 	"ssos/internal/core"
@@ -345,6 +346,8 @@ func TestRegistryCapAndDelete(t *testing.T) {
 // to cap holds a deleted session, and the spare capacity past len is
 // all nil. A duplicate left there by an in-place shift would keep a
 // session's machines reachable once that session is deleted in turn.
+// And a session deleted right after a command ran is unreachable: no
+// part of the daemon its command passed through still points at it.
 func TestDeleteReleasesSession(t *testing.T) {
 	reg := NewRegistry(Options{IdleOps: -1, Workers: 1})
 	defer reg.Shutdown(context.Background()) //nolint:errcheck
@@ -381,6 +384,23 @@ func TestDeleteReleasesSession(t *testing.T) {
 		t.Fatal("delete of last session failed")
 	}
 	check(first, last)
+
+	ran, err := reg.Create(SessionSpec{Image: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ran.Run(context.Background(), RunRequest{Steps: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	gone := weak.Make(ran)
+	if !reg.Delete(ran.ID) {
+		t.Fatal("delete of the session that ran failed")
+	}
+	ran = nil
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("a session deleted right after a command ran is still reachable")
+	}
 }
 
 // TestShutdownFailsFast checks a shut-down registry rejects new work
@@ -443,6 +463,72 @@ func TestStreamReplayMatchesGolden(t *testing.T) {
 	}
 	if sess.EventCount() != len(events) {
 		t.Error("streaming mutated the retained log")
+	}
+}
+
+// stallingWriter is a streaming response writer whose writes block
+// until release is closed; entered is closed by the first write.
+type stallingWriter struct {
+	*httptest.ResponseRecorder
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *stallingWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestStreamStalledReaderGetsWholeLog: a stream reader whose writes
+// block while its session emits hundreds of events (more than a
+// 256-frame per-reader buffer would hold), and which then reads on to
+// the session's deletion, receives exactly the session's event log:
+// every event once, in order, and nothing else.
+func TestStreamStalledReaderGetsWholeLog(t *testing.T) {
+	reg := NewRegistry(Options{Workers: 1})
+	t.Cleanup(func() { reg.Shutdown(context.Background()) }) //nolint:errcheck
+	srv := NewServer(reg)
+	sess, err := reg.Create(SessionSpec{Image: "scheduler", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sess.EventCount() == 0 {
+		if _, err := sess.Run(context.Background(), RunRequest{Steps: 10000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w := &stallingWriter{ResponseRecorder: httptest.NewRecorder(),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(w, httptest.NewRequest("GET", "/api/sessions/"+sess.ID+"/stream", nil))
+	}()
+	<-w.entered
+	before := sess.EventCount()
+	if _, err := sess.Run(context.Background(), RunRequest{Steps: 2_000_000}); err != nil {
+		t.Fatal(err)
+	}
+	if emitted := sess.EventCount() - before; emitted <= 256 {
+		t.Fatalf("the session emitted %d events while its reader stalled, want more than 256", emitted)
+	}
+	close(w.release)
+	reg.Delete(sess.ID)
+	select {
+	case <-served:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the stream did not end after its session was deleted")
+	}
+
+	var want []byte
+	for i, e := range sess.EventsSince(0) {
+		want = AppendSSE(want, Frame{Seq: uint64(i), Ev: e})
+	}
+	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("stalled reader got %d bytes (drop frame: %v), want the %d-byte log",
+			len(got), bytes.Contains(got, []byte("ssos-drop")), len(want))
 	}
 }
 
@@ -627,6 +713,45 @@ func TestStressManySessions(t *testing.T) {
 	}
 }
 
+// TestCommandsOnOneSessionTakeTurns: commands sent to one session from
+// many goroutines at once run one at a time — under -race, any overlap
+// on the machine is reported — and each runs exactly once.
+func TestCommandsOnOneSessionTakeTurns(t *testing.T) {
+	reg := NewRegistry(Options{Workers: 4})
+	t.Cleanup(func() { reg.Shutdown(context.Background()) }) //nolint:errcheck
+	s, err := reg.Create(SessionSpec{Image: "reinstall", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, steps = 8, 5000
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			if _, err := s.Run(ctx, RunRequest{Steps: steps}); err != nil {
+				t.Error(err)
+			}
+			if _, err := s.Inject(ctx, FaultRequest{Kind: "bitflip"}); err != nil {
+				t.Error(err)
+			}
+			if _, err := s.Metrics(ctx); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st, err := s.Status(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Machine.Steps != clients*steps || len(s.inj.Log) != clients {
+		t.Errorf("after %d clients: %d steps and %d faults, want %d and %d",
+			clients, st.Machine.Steps, len(s.inj.Log), clients*steps, clients)
+	}
+}
+
 // statusOf fetches a session's status over HTTP with client, failing
 // the test on any error or non-2xx reply.
 func statusOf(t *testing.T, client *http.Client, base, id string) Status {
@@ -745,10 +870,11 @@ func TestRunCancelFreesWorker(t *testing.T) {
 }
 
 // TestStatusAndMetricsReturnWhenClientHangsUp: on a one-worker daemon
-// busy with a MaxRunSteps run, a status or metrics request queued behind
-// the run returns its context's error as soon as its client hangs up,
-// instead of waiting out the whole run. Once the run is cancelled the
-// session answers status normally.
+// busy with a MaxRunSteps run, a status, metrics or fault request
+// waiting behind the run returns its context's error as soon as its
+// client hangs up, instead of waiting out the whole run, and the fault
+// is never injected. Once the run is cancelled the session answers
+// status normally.
 func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
 	reg, ts := newTestServer(t, Options{Workers: 1})
 	id := createSession(t, ts.URL, `{"image":"reinstall","seed":3}`)
@@ -771,6 +897,10 @@ func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
 	}{
 		{"status", func(ctx context.Context) error { _, err := sess.Status(ctx); return err }},
 		{"metrics", func(ctx context.Context) error { _, err := sess.Metrics(ctx); return err }},
+		{"fault", func(ctx context.Context) error {
+			_, err := sess.Inject(ctx, FaultRequest{Kind: "os-blast"})
+			return err
+		}},
 	} {
 		ctx, hangUp := context.WithCancel(context.Background())
 		time.AfterFunc(50*time.Millisecond, hangUp)
@@ -801,6 +931,11 @@ func TestStatusAndMetricsReturnWhenClientHangsUp(t *testing.T) {
 	}
 	if st.Machine == nil || st.Machine.Steps == 0 {
 		t.Errorf("status after the run stopped: %+v, want a machine session with steps run", st)
+	}
+	for _, e := range sess.EventsSince(0) {
+		if e.Type == obs.TypeFaultInjected {
+			t.Fatalf("a fault whose client hung up before its turn was injected: %+v", e)
+		}
 	}
 }
 

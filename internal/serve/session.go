@@ -22,12 +22,13 @@ var (
 )
 
 // Session is one hosted simulation: a machine (core.System) or a
-// cluster (cluster.Cluster), its event collector, its SSE router, and
-// a command queue. All mutation — stepping, fault injection, metrics
-// export — runs as commands on the registry's worker set, one at a
-// time per session, so the deterministic single-goroutine contract of
-// the underlying machinery is preserved no matter how many clients
-// poke the API concurrently.
+// cluster (cluster.Cluster), its event collector and its SSE router.
+// All mutation — stepping, fault injection, metrics export — runs as
+// commands, each on the goroutine that asked for it, one at a time per
+// session (the session's turn) and within the registry's worker
+// budget, so the deterministic single-goroutine contract of the
+// underlying machinery is preserved no matter how many clients poke
+// the API concurrently.
 type Session struct {
 	// ID is the registry-assigned identifier ("s1", "s2", ...).
 	ID string
@@ -36,7 +37,7 @@ type Session struct {
 
 	reg     *Registry
 	col     *obs.Collector
-	router  *Router
+	router  Router
 	tracker *obs.EpisodeTracker
 
 	// Exactly one of sys/clu is set, per Spec.Kind.
@@ -44,20 +45,20 @@ type Session struct {
 	inj *fault.Injector
 	clu *cluster.Cluster
 
+	// turn is the session's one command slot: a command holds it while
+	// it runs. done is closed when the session closes.
+	turn chan struct{}
+	done chan struct{}
+
 	mu sync.Mutex
-	//ssos:guarded-by mu
-	queue []*command
-	//ssos:guarded-by mu
-	scheduled bool
-	//ssos:guarded-by mu
-	closed bool
+	// closeErr is why the session closed; nil while it is open.
 	//ssos:guarded-by mu
 	closeErr error
 
 	// blocks/blockInstrs/blockBails mirror the machine's superblock
 	// telemetry for the concurrent-safe Prometheus scrape: refreshed at
 	// the end of every Run command (the only command that advances the
-	// counters), read without touching the command queue. Always zero
+	// counters), read without taking the session's turn. Always zero
 	// for cluster sessions.
 	blocks      atomic.Uint64
 	blockInstrs atomic.Uint64
@@ -74,12 +75,12 @@ type Session struct {
 // one epoch, between checks of the request context and of the
 // session's closure. Run(a) then Run(b) is Run(a+b) for both kinds, so
 // chunking changes no result; it bounds how long a request keeps its
-// worker after the client has gone or the session has closed.
+// worker slot after the client has gone or the session has closed.
 const runChunk = 1 << 20
 
 // MaxRunSteps caps the machine steps one run request may ask for: a
 // machine session's steps, or a cluster session's epochs times its
-// epoch length. A larger request is refused before it is queued. The
+// epoch length. A larger request is refused before it waits. The
 // cap is 1,024 run chunks, and it fits a 32-bit int, so a request means
 // the same on every word size.
 const MaxRunSteps = 1 << 30
@@ -89,19 +90,11 @@ const MaxRunSteps = 1 << 30
 // write count, so nothing reads a console's history.
 const sessionConsoleCap = 1
 
-// command is one queued mutation and its completion signal.
-type command struct {
-	fn     func() (interface{}, error)
-	done   chan struct{}
-	result interface{}
-	err    error
-}
-
 // newSession builds the simulation a spec describes. The construction
 // path is shared with the batch CLIs (LookupImage + core.New /
-// cluster.New), which is half of the determinism bridge; the serialized
-// command loop is the other half.
-func newSession(id string, sp SessionSpec, ringSize int) (*Session, error) {
+// cluster.New), which is half of the determinism bridge; running its
+// commands one at a time is the other half.
+func newSession(id string, sp SessionSpec) (*Session, error) {
 	img, err := sp.normalize()
 	if err != nil {
 		return nil, err
@@ -110,17 +103,18 @@ func newSession(id string, sp SessionSpec, ringSize int) (*Session, error) {
 		ID:      id,
 		Spec:    sp,
 		col:     obs.NewCollector(),
-		router:  NewRouter(ringSize),
 		tracker: obs.NewEpisodeTracker(),
+		turn:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	// The hook runs under the collector lock; both consumers are cheap
 	// and never call back into the collector. Feeding the tracker here —
 	// rather than from a reader — is what keeps the live episode fold in
 	// lockstep with the event stream: a client that observes event idx
 	// also observes every episode transition that event caused.
-	s.col.Hook = func(idx int, e obs.Event) {
+	s.col.Hook = func(_ int, e obs.Event) {
 		s.tracker.Feed(e)
-		s.router.Publish(uint64(idx), e)
+		s.router.Publish()
 	}
 	switch sp.Kind {
 	case KindMachine:
@@ -173,85 +167,67 @@ func faultsOrNone(s string) string {
 	return s
 }
 
-// do enqueues one command and waits for the worker set to execute it.
-// Commands on one session run strictly in submission order, one at a
-// time; a closed session fails immediately with its closure error. When
-// ctx ends first, do returns its error at once without waiting for the
-// command; a Run command checks ctx itself before each of its chunks.
-func (s *Session) do(ctx context.Context, fn func() (interface{}, error)) (interface{}, error) {
-	cmd := &command{fn: fn, done: make(chan struct{})}
-	s.mu.Lock()
-	if s.closed {
-		err := s.closeErr
-		s.mu.Unlock()
-		return nil, err
+// do runs fn as one command on the calling goroutine. It waits for
+// the session's turn, then for a slot of the registry's worker budget,
+// so commands on one session run one at a time and at most Workers
+// commands run at once. While it waits, ctx ending or the session
+// closing returns that error at once, and fn never runs; a Run command
+// checks both again before each of its chunks.
+func do[T any](ctx context.Context, s *Session, fn func() (T, error)) (T, error) {
+	var zero T
+	if err := s.take(ctx, s.turn); err != nil {
+		return zero, err
 	}
-	s.queue = append(s.queue, cmd)
-	schedule := !s.scheduled
-	s.scheduled = true
-	s.mu.Unlock()
-	if schedule {
-		s.reg.enqueue(s)
+	defer func() { <-s.turn }()
+	if err := s.take(ctx, s.reg.slots); err != nil {
+		return zero, err
 	}
+	defer func() { <-s.reg.slots }()
+	// A select picks at random among ready cases, so a slot may have
+	// been taken after ctx ended or the session closed.
+	if err := s.interrupted(ctx); err != nil {
+		return zero, err
+	}
+	return fn()
+}
+
+// take waits for a free slot in ch and fills it, or returns why the
+// command should not wait any longer.
+func (s *Session) take(ctx context.Context, ch chan struct{}) error {
 	select {
-	case <-cmd.done:
-		return cmd.result, cmd.err
+	case ch <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
+	case <-s.done:
+		return s.interrupted(ctx)
 	}
 }
 
-// drain executes the session's queued commands on the calling worker
-// goroutine until the queue is empty, then yields the scheduled slot.
-func (s *Session) drain() {
-	for {
-		s.mu.Lock()
-		if len(s.queue) == 0 {
-			s.scheduled = false
-			s.mu.Unlock()
-			return
-		}
-		cmd := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		cmd.result, cmd.err = cmd.fn()
-		close(cmd.done)
-	}
-}
-
-// interrupted reports why a running command should stop at its next
-// chunk boundary: its request's context ended, or the session closed.
+// interrupted reports why a command should not start, or a running one
+// should stop at its next chunk boundary: its request's context ended,
+// or the session closed.
 func (s *Session) interrupted(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return s.closeErr
-	}
-	return nil
+	return s.closeErr
 }
 
-// close marks the session closed with the given error and fails every
-// queued command. A command already executing stops at its next chunk
-// boundary (the simulation is never interrupted mid-step); everything
-// behind it fails fast. Idempotent.
+// close marks the session closed with the given error and ends its
+// live streams. A command already executing stops at its next chunk
+// boundary (the simulation is never interrupted mid-step); commands
+// waiting for their turn fail fast. Idempotent.
 func (s *Session) close(err error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closeErr != nil {
 		return
 	}
-	s.closed = true
 	s.closeErr = err
-	flushed := s.queue
-	s.queue = nil
-	s.mu.Unlock()
-	for _, cmd := range flushed {
-		cmd.err = err
-		close(cmd.done)
-	}
+	close(s.done)
 	s.router.Close()
 }
 
@@ -363,15 +339,10 @@ func (s *Session) status() *Status {
 	return st
 }
 
-// Status returns a session snapshot, serialized with the command loop.
-// When ctx ends first it returns ctx's error at once; the queued read
-// still runs in turn and its result is dropped.
+// Status returns a session snapshot, taken as a command. When ctx ends
+// before its turn comes it returns ctx's error at once.
 func (s *Session) Status(ctx context.Context) (*Status, error) {
-	r, err := s.do(ctx, func() (interface{}, error) { return s.status(), nil })
-	if err != nil {
-		return nil, err
-	}
-	return r.(*Status), nil
+	return do(ctx, s, func() (*Status, error) { return s.status(), nil })
 }
 
 // Run advances the session per the request and returns the resulting
@@ -383,7 +354,7 @@ func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
 	if err := s.checkRun(req); err != nil {
 		return nil, err
 	}
-	r, err := s.do(ctx, func() (interface{}, error) {
+	return do(ctx, s, func() (*Status, error) {
 		switch {
 		case s.sys != nil:
 			defer func() {
@@ -407,10 +378,6 @@ func (s *Session) Run(ctx context.Context, req RunRequest) (*Status, error) {
 		}
 		return s.status(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r.(*Status), nil
 }
 
 // checkRun refuses a run request with no work in it or more machine
@@ -436,10 +403,10 @@ func (s *Session) checkRun(req RunRequest) error {
 	return nil
 }
 
-// Inject lands one on-demand fault. It takes no context: once queued,
-// the fault is not withdrawn.
-func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
-	r, err := s.do(context.Background(), func() (interface{}, error) {
+// Inject lands one on-demand fault. A fault whose ctx ends before its
+// turn comes is never injected; one that has started lands whole.
+func (s *Session) Inject(ctx context.Context, req FaultRequest) (*FaultResult, error) {
+	return do(ctx, s, func() (*FaultResult, error) {
 		switch {
 		case s.sys != nil:
 			before := len(s.inj.Log)
@@ -467,10 +434,6 @@ func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
 			}}, nil
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r.(*FaultResult), nil
 }
 
 // Metrics returns the session's stabilization-metrics registry,
@@ -480,9 +443,9 @@ func (s *Session) Inject(req FaultRequest) (*FaultResult, error) {
 // plus the episode counters and latency histograms folded from the
 // live tracker — the same RecordEpisodes the CLIs run post-hoc, so the
 // determinism bridge extends to the episode metrics. Like Status, it
-// returns at once when ctx ends first.
+// returns at once when ctx ends before its turn comes.
 func (s *Session) Metrics(ctx context.Context) (*obs.Metrics, error) {
-	r, err := s.do(ctx, func() (interface{}, error) {
+	return do(ctx, s, func() (*obs.Metrics, error) {
 		var snap *obs.Metrics
 		switch {
 		case s.sys != nil:
@@ -494,10 +457,6 @@ func (s *Session) Metrics(ctx context.Context) (*obs.Metrics, error) {
 		obs.RecordEpisodes(snap, s.tracker.Episodes())
 		return snap, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r.(*obs.Metrics), nil
 }
 
 // Episodes returns the recovery episodes reconstructed so far,
@@ -522,8 +481,9 @@ func (s *Session) EventsSince(cursor int) []obs.Event {
 // EventCount returns the number of retained events.
 func (s *Session) EventCount() int { return s.col.Len() }
 
-// Subscribe attaches a live event subscriber.
-func (s *Session) Subscribe() *Subscriber { return s.router.Subscribe() }
+// Subscribe attaches a live reader and returns its wake channel (see
+// Router.Subscribe).
+func (s *Session) Subscribe() <-chan struct{} { return s.router.Subscribe() }
 
-// Unsubscribe detaches a subscriber.
-func (s *Session) Unsubscribe(sub *Subscriber) { s.router.Unsubscribe(sub) }
+// Unsubscribe detaches a live reader.
+func (s *Session) Unsubscribe(wake <-chan struct{}) { s.router.Unsubscribe(wake) }

@@ -11,26 +11,26 @@
 // The design invariants, in order:
 //
 //   - Determinism bridge. A served session is driven by the exact same
-//     construction and injection code paths as the batch CLIs, and all
-//     mutation is serialized through a per-session run loop, so for a
-//     fixed image/seed/command sequence the JSONL event stream fetched
-//     from the service is byte-identical to the ssos-run/-cluster
+//     construction and injection code paths as the batch CLIs, and a
+//     session runs its commands one at a time, so for a fixed
+//     image/seed/command sequence the JSONL event stream fetched from
+//     the service is byte-identical to the ssos-run/-cluster
 //     -events-out output. The CI smoke job and the bridge tests
 //     enforce this.
-//   - Bounded concurrency. Sessions do not own goroutines: a fixed
-//     worker set (budgeted like internal/pool's -workers contract)
-//     executes session commands from a run queue, so a thousand idle
+//   - Bounded concurrency. Sessions do not own goroutines: a command
+//     runs on the goroutine that asked for it, once it holds its
+//     session's turn and one of the registry's worker slots (budgeted
+//     like internal/pool's -workers contract), so a thousand idle
 //     sessions cost memory only, and the simulation CPU fan-out is
 //     capped regardless of client count.
 //   - Deterministic eviction. The registry ages sessions on a logical
 //     clock that ticks once per mutating operation — never wall time —
 //     so which sessions get evicted is a pure function of the request
 //     sequence, testable byte-for-byte like everything else here.
-//   - Backpressure without loss of truth. Live SSE subscribers read
-//     from fixed-size per-subscriber rings; a slow reader drops old
-//     frames and is told exactly how many (a drop frame), while the
-//     session's collector retains the full stream for cursor-based
-//     refetch.
+//   - Readers are cursors. A live SSE reader holds only its position
+//     in the session's collector and a one-slot wake channel; on every
+//     wake it writes everything past its position, so a slow reader
+//     falls behind without losing or repeating an event.
 package serve
 
 import (
